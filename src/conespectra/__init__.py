@@ -19,7 +19,6 @@ from .indicial import (
     singular_basis,
 )
 from .grassmann import (
-    KappaMatrix,
     NonConvergent,
     NonpositiveRho,
     default_rho_schedule,

@@ -14,19 +14,25 @@ example52     full pipeline on the closed link (disk-like tip)
 example53     full pipeline on the sector (default opening 3*pi/2)
 
 Exit codes: 0 success, 1 threshold miss, 2 config error, 3 numerical
-failure (the failing stage is named on stderr).  All artifacts are
-written under the configured outputs directory; identical configs give
-byte-identical CSV output.  CONESPECTRA_THREADS caps worker threads.
+failure (the failing stage is named on stderr).
+
+Every subcommand runs one slice of a single ordered stage table
+(indicial, flow, normal-check, spectrum, resolvent, complete, certify,
+embed): the named stage plus the stages whose results it reads, each
+computed once.  Every stage's scope is checked before any of them runs.
+All artifacts of the stages run are written under the configured
+outputs directory; identical configs give byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,9 +61,10 @@ from .grassmann import (
     grassmann_distance,
     omega_minus,
 )
-from .normalop import ray_minimal_growth_normal
+from .normalop import ray_minimal_growth_normal, strip_mode
 from .discretize import RadialGrid, assemble_mode_pencil, assemble_embedding_grams, export_pencil
 from .spectral import (
+    RETAIN_FRACTION,
     IllConditionedMass,
     RayVerdict,
     RootFindingError,
@@ -67,9 +74,8 @@ from .spectral import (
     dirichlet_mode_eigenvalues,
     embedding_singular_values,
     oracle_eigenvalues,
-    parallel_map,
-    ray_minimal_growth_full,
-    resolvent_norm,
+    ray_growth_verdict,
+    ray_resolvent_norms,
     schatten_fit,
     solve_pencil,
 )
@@ -106,13 +112,6 @@ _NUMERICAL_ERRORS = (
     ZeroDivisionError,
     FloatingPointError,
 )
-
-
-def _run_stage(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except _NUMERICAL_ERRORS as exc:
-        raise StageFailure(stage, exc) from exc
 
 
 # ----------------------------------------------------------------------
@@ -291,44 +290,18 @@ def _write_csv(path: Path, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    cfg.outputs_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.outputs_dir
-
-
 # ----------------------------------------------------------------------
 # shared pipeline pieces
 
 
-def _strip_mode(model: ConeModelOperator):
-    """(mode_k, nu) of the unique mode carrying a 2-dim quotient, or None."""
-    basis = singular_basis(model)
-    if not basis:
-        return None
-    k = basis[0].mode_k
-    return k, math.sqrt(model.geometry.mu(k))
-
-
-def _first_mode(model: ConeModelOperator) -> int:
-    return next(iter(model.geometry.modes_by_abs()))
-
-
-def _build_pencil(cfg: ExperimentConfig, enriched: bool = True):
-    """Assemble the mode pencil: enriched on the strip mode when available."""
-    if cfg.model.weight_gamma != -1.0:
-        raise ConfigError(
-            "pencil assembly supports weight_gamma = -1 only; "
-            "other weights are limited to indicial analysis"
-        )
-    R = cfg.model.outer_radius_R
-    grid = RadialGrid.geometric(R, cfg.N_h, cfg.grading_q)
-    sm = _strip_mode(cfg.model)
-    if enriched and sm is not None:
-        mode_k = sm[0]
-        domain = ExtensionDomain.line([cfg.a, cfg.b])
+def _build_pencil(cfg: ExperimentConfig):
+    """Assemble the mode pencil: enriched on the strip mode, else the first mode bare."""
+    grid = RadialGrid.geometric(cfg.model.outer_radius_R, cfg.N_h, cfg.grading_q)
+    sm = strip_mode(cfg.model)
+    if sm is None:
+        mode_k, domain = next(iter(cfg.model.geometry.modes_by_abs())), None
     else:
-        mode_k = _first_mode(cfg.model)
-        domain = None
+        mode_k, domain = sm[0], ExtensionDomain.line([cfg.a, cfg.b])
     return assemble_mode_pencil(cfg.model, mode_k, grid, domain), mode_k, grid
 
 
@@ -362,49 +335,6 @@ def _oracle_for(cfg: ExperimentConfig, pencil, how_many: int) -> np.ndarray:
     return dirichlet_mode_eigenvalues(pencil.nu, R, how_many).astype(complex)
 
 
-def _spectrum_stage(cfg: ExperimentConfig, enriched: bool = True) -> dict:
-    pencil, mode_k, grid = _build_pencil(cfg, enriched=enriched)
-    result = solve_pencil(pencil)
-    how_many = 5
-    oracle = _oracle_for(cfg, pencil, how_many)
-    computed = result.eigenvalues[:how_many]
-    floor = 0.2 * float(np.max(np.abs(oracle)))
-    errors = [
-        abs(lp - lo) / max(abs(lo), floor) for lp, lo in zip(computed, oracle)
-    ]
-    max_err = float(max(errors))
-    out = _outdir(cfg)
-    _write_csv(
-        out / "spectrum.csv",
-        ("j", "re", "im"),
-        [
-            (j + 1, lam.real, lam.imag)
-            for j, lam in enumerate(result.retained_eigenvalues)
-        ],
-    )
-    export_pencil(pencil, out / "pencil.bin")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "mode_k": mode_k,
-        "nu": pencil.nu,
-        "enriched": pencil.enrichment_coeffs is not None,
-        "n_retained": result.n_retained,
-        "eigenvalues_smallest": [complex_to_pair(z) for z in computed],
-        "oracle": [complex_to_pair(z) for z in oracle],
-        "relative_errors": [float(e) for e in errors],
-        "max_relative_error": max_err,
-        "ok": max_err <= ORACLE_MATCH_RTOL,
-    }
-    _write_json(out / "spectrum.json", payload)
-    return {
-        "payload": payload,
-        "pencil": pencil,
-        "result": result,
-        "grid": grid,
-        "mode_k": mode_k,
-    }
-
-
 def _flow_expectation(cfg: ExperimentConfig, nu: float):
     """Expected flow limit line and the distance tolerance regime."""
     if nu == 0.0:
@@ -414,24 +344,88 @@ def _flow_expectation(cfg: ExperimentConfig, nu: float):
     return ExtensionDomain.line([1.0, 0.0]), "power"
 
 
-def _flow_stage(cfg: ExperimentConfig, schedule_len: int = 64) -> dict:
-    if schedule_len < 8:
-        raise ConfigError("--schedule-len must be at least 8")
-    model = cfg.model
+def _combined_verdict(full: RayVerdict, normal: RayVerdict) -> RayVerdict:
+    """Conjunction of the exact tip criterion and the measured resolvent growth."""
+    order = {"Fails": 0, "Uncertified": 1, "Minimal": 2}
+    verdict = min((full.verdict, normal.verdict), key=lambda v: order[v])
+    notes = "; ".join(t for t in (full.note, normal.note) if t)
+    return RayVerdict(
+        ray=full.ray,
+        verdict=verdict,
+        sup_bound=full.sup_bound,
+        slope=full.slope,
+        witness=full.witness if full.witness is not None else normal.witness,
+        note=notes,
+    )
+
+
+# ----------------------------------------------------------------------
+# stages: pure functions of a run that return records
+
+
+@dataclass
+class Run:
+    """One CLI run: the config, stage options, and the records so far."""
+
+    cfg: ExperimentConfig
+    schedule_len: int = 64
+    records: dict = field(default_factory=dict)
+
+
+@dataclass
+class Record:
+    """What one stage computed.
+
+    payload is the stage's JSON artifact and its report.json entry
+    (summary replaces it there when set); tables are CSV files by name;
+    pencil, when set, is dumped to pencil.bin.  The remaining fields
+    carry values to later stages and are never written.
+    """
+
+    payload: dict
+    tables: dict = field(default_factory=dict)
+    summary: Optional[dict] = None
+    pencil: object = None
+    result: object = None
+    grid: object = None
+    verdicts: tuple = ()
+
+
+def _indicial(run: Run) -> Record:
+    model = run.cfg.model
+    strip = critical_strip(model)
     basis = singular_basis(model)
-    out = _outdir(cfg)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "critical_strip": list(strip),
+        "boundary_spectrum": [r.to_json_dict() for r in boundary_spectrum(model, strip)],
+        "singular_basis": [sf.to_json_dict() for sf in basis],
+        "quotient_dim_D": len(basis),
+        "dmin_is_weighted_sobolev": dmin_is_weighted_sobolev(model),
+    }
+    summary = {
+        "critical_strip": list(strip),
+        "quotient_dim_D": len(basis),
+        "singular_functions": [sf.description for sf in basis],
+        "ok": True,
+    }
+    return Record(payload, summary=summary)
+
+
+def _flow(run: Run) -> Record:
+    cfg = run.cfg
+    basis = singular_basis(cfg.model)
     if not basis:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "note": "D_min = D_max: the domain quotient is trivial, no flow to run",
-            "ok": True,
-        }
-        _write_json(out / "flow.json", payload)
-        return payload
-    sm = _strip_mode(model)
-    nu = sm[1]
+        return Record(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "note": "D_min = D_max: the domain quotient is trivial, no flow to run",
+                "ok": True,
+            }
+        )
+    mode_k, nu = strip_mode(cfg.model)
     domain = ExtensionDomain.line([cfg.a, cfg.b])
-    schedule = default_rho_schedule(schedule_len)
+    schedule = default_rho_schedule(run.schedule_len)
     limits = omega_minus(domain, basis, schedule)
     expected, regime = _flow_expectation(cfg, nu)
     rows = []
@@ -453,82 +447,99 @@ def _flow_stage(cfg: ExperimentConfig, schedule_len: int = 64) -> dict:
         ok = ok and terminal < 1e-3
     else:
         ok = ok and terminal <= 10.0 / abs(math.log(1e-8))
-    _write_csv(out / "flow.csv", ("rho", "distance"), rows)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "mode_k": sm[0],
+        "mode_k": mode_k,
         "nu": nu,
         "limits": [matrix_to_json(lim.basis_matrix) for lim in limits],
         "expected_limit": matrix_to_json(expected.basis_matrix),
         "terminal_distance_at_1e-8": terminal,
         "distance_regime": regime,
-        "schedule_length": int(schedule_len),
+        "schedule_length": int(run.schedule_len),
         "ok": bool(ok),
     }
-    _write_json(out / "flow.json", payload)
-    return payload
+    return Record(payload, tables={"flow.csv": (("rho", "distance"), rows)})
 
 
-def _normal_stage(cfg: ExperimentConfig) -> dict:
-    model = cfg.model
-    out = _outdir(cfg)
-    if _strip_mode(model) is None:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "note": "D_min = D_max: no extension quotient to certify",
-            "verdicts": [],
-            "ok": True,
-        }
-        _write_json(out / "normal_check.json", payload)
-        return payload
+def _normal_check(run: Run) -> Record:
+    cfg = run.cfg
+    if strip_mode(cfg.model) is None:
+        return Record(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "note": "D_min = D_max: no extension quotient to certify",
+                "verdicts": [],
+                "ok": True,
+            }
+        )
     domain = ExtensionDomain.line([cfg.a, cfg.b])
-    verdicts = parallel_map(
-        lambda ray: ray_minimal_growth_normal(model, domain, ray), cfg.rays
-    )
+    verdicts = tuple(ray_minimal_growth_normal(cfg.model, domain, ray) for ray in cfg.rays)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "verdicts": [v.to_json_dict() for v in verdicts],
         "ok": all(v.verdict == "Minimal" for v in verdicts),
     }
-    _write_json(out / "normal_check.json", payload)
-    payload["verdict_objects"] = verdicts
-    return payload
+    return Record(payload, verdicts=verdicts)
 
 
-def _resolvent_stage(cfg: ExperimentConfig, pencil, result) -> dict:
-    out = _outdir(cfg)
-    radii = _scaled_radii(result)
-    rows = []
-    verdicts = []
-    for ray in cfg.rays:
-        verdict = ray_minimal_growth_full(pencil, ray, radii, result=result)
-        verdicts.append(verdict)
-        norms = parallel_map(
-            lambda r, th=ray.angle_theta: resolvent_norm(
-                pencil, r * cmath.exp(1j * th)
-            ),
-            radii,
-        )
-        for r, nrm in zip(radii, norms):
-            rows.append((r, ray.angle_theta, nrm, r * nrm))
-    _write_csv(out / "rays.csv", ("r", "theta", "resolvent_norm", "r_times_norm"), rows)
+def _spectrum(run: Run) -> Record:
+    pencil, mode_k, grid = _build_pencil(run.cfg)
+    result = solve_pencil(pencil)
+    how_many = 5
+    oracle = _oracle_for(run.cfg, pencil, how_many)
+    computed = result.eigenvalues[:how_many]
+    floor = 0.2 * float(np.max(np.abs(oracle)))
+    errors = [
+        abs(lp - lo) / max(abs(lo), floor) for lp, lo in zip(computed, oracle)
+    ]
+    max_err = float(max(errors))
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "trust_limit": result.trust_limit,
+        "mode_k": mode_k,
+        "nu": pencil.nu,
+        "enriched": pencil.enrichment_coeffs is not None,
+        "n_retained": result.n_retained,
+        "eigenvalues_smallest": [complex_to_pair(z) for z in computed],
+        "oracle": [complex_to_pair(z) for z in oracle],
+        "relative_errors": [float(e) for e in errors],
+        "max_relative_error": max_err,
+        "ok": max_err <= ORACLE_MATCH_RTOL,
+    }
+    rows = [(j + 1, lam.real, lam.imag) for j, lam in enumerate(result.retained_eigenvalues)]
+    return Record(
+        payload,
+        tables={"spectrum.csv": (("j", "re", "im"), rows)},
+        pencil=pencil,
+        result=result,
+        grid=grid,
+    )
+
+
+def _resolvent(run: Run) -> Record:
+    """Probe every (ray, radius) point once; the norms feed rays.csv and the verdicts."""
+    spec = run.records["spectrum"]
+    radii = _scaled_radii(spec.result)
+    rows = []
+    verdicts = []
+    for ray in run.cfg.rays:
+        norms = ray_resolvent_norms(spec.pencil, ray, radii, result=spec.result)
+        verdicts.append(ray_growth_verdict(ray, radii, norms))
+        rows.extend((r, ray.angle_theta, nrm, r * nrm) for r, nrm in zip(radii, norms))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "trust_limit": spec.result.trust_limit,
         "radii": radii,
         "verdicts": [v.to_json_dict() for v in verdicts],
         "ok": all(v.verdict == "Minimal" for v in verdicts),
     }
-    _write_json(out / "resolvent.json", payload)
-    payload["verdict_objects"] = verdicts
-    return payload
+    columns = ("r", "theta", "resolvent_norm", "r_times_norm")
+    return Record(payload, tables={"rays.csv": (columns, rows)}, verdicts=tuple(verdicts))
 
 
-def _complete_stage(cfg: ExperimentConfig, pencil, result, grid) -> dict:
-    out = _outdir(cfg)
-    f = _bump_vector(pencil, grid)
-    pairs = completeness_residual(result, pencil.M, f, list(RESIDUAL_COUNTS))
-    _write_csv(out / "completeness.csv", ("N", "residual"), pairs)
+def _complete(run: Run) -> Record:
+    spec = run.records["spectrum"]
+    f = _bump_vector(spec.pencil, spec.grid)
+    pairs = completeness_residual(spec.result, spec.pencil.M, f, list(RESIDUAL_COUNTS))
     res = dict(pairs)
     ratio = res[40] / res[5] if res[5] > 0 else 0.0
     nonincreasing = all(
@@ -542,63 +553,31 @@ def _complete_stage(cfg: ExperimentConfig, pencil, result, grid) -> dict:
         "nonincreasing": bool(nonincreasing),
         "ok": bool(ratio < RESIDUAL_DECAY_FACTOR and nonincreasing),
     }
-    _write_json(out / "complete.json", payload)
-    return payload
+    return Record(payload, tables={"completeness.csv": (("N", "residual"), pairs)})
 
 
-def _combined_verdict(full: RayVerdict, normal: RayVerdict) -> RayVerdict:
-    """Conjunction of the exact tip criterion and the measured resolvent growth."""
-    order = {"Fails": 0, "Uncertified": 1, "Minimal": 2}
-    verdict = min((full.verdict, normal.verdict), key=lambda v: order[v])
-    notes = "; ".join(t for t in (full.note, normal.note) if t)
-    return RayVerdict(
-        ray=full.ray,
-        verdict=verdict,
-        sup_bound=full.sup_bound,
-        slope=full.slope,
-        witness=full.witness if full.witness is not None else normal.witness,
-        note=notes,
-    )
-
-
-def _certify_stage(cfg: ExperimentConfig, pencil, result) -> dict:
-    model = cfg.model
-    out = _outdir(cfg)
-    radii = _scaled_radii(result)
-    sm = _strip_mode(model)
-    domain = ExtensionDomain.line([cfg.a, cfg.b]) if sm is not None else None
-
-    def one(ray: Ray) -> RayVerdict:
-        full = ray_minimal_growth_full(pencil, ray, radii, result=result)
-        if domain is None or ray.angle_theta == 0.0:
-            return full
-        normal = ray_minimal_growth_normal(model, domain, ray)
-        return _combined_verdict(full, normal)
-
-    verdicts = [one(ray) for ray in cfg.rays]
+def _certify(run: Run) -> Record:
+    """Combine the resolvent verdicts with the normal-check verdicts of the same rays."""
+    full = run.records["resolvent"].verdicts
+    normal = run.records["normal-check"].verdicts
+    verdicts = [_combined_verdict(f, n) for f, n in zip(full, normal)] if normal else full
+    model = run.cfg.model
     cert = completeness_certificate(model.dim_n, model.order_m, verdicts)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "certificate": cert.to_json_dict(),
         "ok": bool(cert.complete),
     }
-    _write_json(out / "certificate.json", payload)
-    payload["certificate_object"] = cert
-    return payload
+    return Record(payload)
 
 
-def _embed_stage(cfg: ExperimentConfig) -> dict:
-    out = _outdir(cfg)
+def _embed(run: Run) -> Record:
+    cfg = run.cfg
     high = WeightedSobolevParams(smoothness_s=1, weight=1.0, dim_n=1)
     low = WeightedSobolevParams(smoothness_s=0, weight=0.0, dim_n=1)
     g_high, g_low = assemble_embedding_grams(high, low, cfg.t_max, cfg.N_h)
     sv = embedding_singular_values(g_high, g_low)
     q, implied_p = schatten_fit(sv, EMBED_FIT_RANGE)
-    _write_csv(
-        out / "fits.csv",
-        ("j", "value"),
-        [(j + 1, s) for j, s in enumerate(sv)],
-    )
     ok = EMBED_P_WINDOW[0] <= implied_p <= EMBED_P_WINDOW[1]
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -610,255 +589,290 @@ def _embed_stage(cfg: ExperimentConfig) -> dict:
         "expected_p_window": list(EMBED_P_WINDOW),
         "ok": bool(ok),
     }
-    _write_json(out / "embed.json", payload)
-    return payload
+    rows = [(j + 1, s) for j, s in enumerate(sv)]
+    return Record(payload, tables={"fits.csv": (("j", "value"), rows)})
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# scopes: cheap checks that turn out-of-scope configs into config errors
+# before any stage runs
 
 
-def _indicial_payload(model: ConeModelOperator) -> dict:
-    strip = critical_strip(model)
-    roots = boundary_spectrum(model, strip)
-    basis = singular_basis(model)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "critical_strip": list(strip),
-        "boundary_spectrum": [r.to_json_dict() for r in roots],
-        "singular_basis": [sf.to_json_dict() for sf in basis],
-        "quotient_dim_D": len(basis),
-        "dmin_is_weighted_sobolev": dmin_is_weighted_sobolev(model),
+def _one_pair_quotient(run: Run) -> None:
+    try:
+        strip_mode(run.cfg.model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _rays_off_cut(run: Run) -> None:
+    if any(r.angle_theta == 0.0 for r in run.cfg.rays):
+        raise ConfigError("theta = 0 lies on the spectral cut")
+
+
+def _schedule_long_enough(run: Run) -> None:
+    if run.schedule_len < 8:
+        raise ConfigError("--schedule-len must be at least 8")
+
+
+def _pencil_weight(run: Run) -> None:
+    if run.cfg.model.weight_gamma != -1.0:
+        raise ConfigError(
+            "pencil assembly supports weight_gamma = -1 only; "
+            "other weights are limited to indicial analysis"
+        )
+
+
+def _grid_retains_residual_counts(run: Run) -> None:
+    cfg = run.cfg
+    # N_h - 2 interior hats, plus the enrichment on a nontrivial quotient
+    size = cfg.N_h - 2 + bool(singular_basis(cfg.model))
+    retained = math.floor(RETAIN_FRACTION * size)
+    if retained < max(RESIDUAL_COUNTS):
+        raise ConfigError(
+            f"discretization.N_h = {cfg.N_h} retains {retained} eigenpairs; "
+            f"the completeness residuals need {max(RESIDUAL_COUNTS)}"
+        )
+
+
+def _grid_covers_fit_range(run: Run) -> None:
+    # N_h + 1 hats on [0, t_max], free at both ends
+    count = run.cfg.N_h + 1
+    if count < EMBED_FIT_RANGE[1]:
+        raise ConfigError(
+            f"discretization.N_h = {run.cfg.N_h} gives {count} embedding singular values; "
+            f"the fit range {EMBED_FIT_RANGE} needs {EMBED_FIT_RANGE[1]}"
+        )
+
+
+# ----------------------------------------------------------------------
+# the stage table and the artifact layer
+
+
+def _show_indicial(p: dict) -> str:
+    lines = [
+        f"critical strip Im sigma in ({p['critical_strip'][0]:g}, {p['critical_strip'][1]:g})",
+        f"strip roots: {len(p['boundary_spectrum'])}; quotient dimension: {p['quotient_dim_D']}",
+    ]
+    return "\n".join(lines + [f"  {sf['description']}" for sf in p["singular_basis"]])
+
+
+def _show_flow(p: dict) -> str:
+    if "note" in p:
+        return p["note"]
+    return (
+        f"flow limits: {len(p['limits'])}; "
+        f"distance to expected limit at rho=1e-8: {p['terminal_distance_at_1e-8']:.3e}"
+    )
+
+
+def _show_normal_check(p: dict) -> str:
+    if "note" in p and not p["verdicts"]:
+        return p["note"]
+    return "\n".join(f"theta = {v['theta']:.6g}: {v['verdict']}" for v in p["verdicts"])
+
+
+def _show_resolvent(p: dict) -> str:
+    return "\n".join(
+        f"theta = {v['theta']:.6g}: {v['verdict']} "
+        f"(slope {'n/a' if v['slope'] is None else format(v['slope'], '.4f')})"
+        for v in p["verdicts"]
+    )
+
+
+def _ray_list(p: dict) -> str:
+    return ", ".join(f"theta={v['theta']:.4g}:{v['verdict']}" for v in p["verdicts"])
+
+
+def _line_indicial(p: dict) -> str:
+    line = f"[indicial] quotient dimension {p['quotient_dim_D']}"
+    if p["quotient_dim_D"] == 0:
+        line += "\n[pipeline] D_min = D_max: short-circuiting to the Friedrichs spectrum"
+    return line
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the pipeline table.
+
+    needs names the stages whose records this one reads; scope holds
+    the checks its config must pass; show prints the stage's own
+    subcommand result and line its progress line inside an example;
+    report is its key in report.json (None: not part of the examples);
+    gated subcommands exit 1 when the stage's thresholds are missed.
+    """
+
+    name: str
+    artifact: str
+    run: Callable[[Run], Record]
+    show: Callable[[dict], str]
+    line: Optional[Callable[[dict], str]] = None
+    report: Optional[str] = None
+    needs: tuple = ()
+    scope: tuple = ()
+    gated: bool = False
+
+
+STAGES = (
+    Stage("indicial", "indicial.json", _indicial, _show_indicial, _line_indicial, "indicial"),
+    Stage(
+        "flow",
+        "flow.json",
+        _flow,
+        _show_flow,
+        lambda p: (
+            f"[flow] terminal distance {p['terminal_distance_at_1e-8']:.3e} "
+            f"({p['distance_regime']} regime): {'ok' if p['ok'] else 'MISS'}"
+        ),
+        "flow",
+        scope=(_schedule_long_enough, _one_pair_quotient),
+    ),
+    Stage(
+        "normal-check",
+        "normal_check.json",
+        _normal_check,
+        _show_normal_check,
+        lambda p: "[normal-check] " + _ray_list(p),
+        "normal_check",
+        scope=(_rays_off_cut, _one_pair_quotient),
+    ),
+    Stage(
+        "spectrum",
+        "spectrum.json",
+        _spectrum,
+        lambda p: (
+            f"mode k={p['mode_k']} (nu={p['nu']:.6g}, "
+            f"{'enriched' if p['enriched'] else 'minimal'}): "
+            f"max relative error vs oracle = {p['max_relative_error']:.3e}"
+        ),
+        lambda p: f"[spectrum] max relative error vs oracle = {p['max_relative_error']:.3e}",
+        "spectrum",
+        scope=(_pencil_weight, _one_pair_quotient),
+        gated=True,
+    ),
+    Stage(
+        "resolvent",
+        "resolvent.json",
+        _resolvent,
+        _show_resolvent,
+        lambda p: "[resolvent] " + _ray_list(p),
+        "resolvent",
+        needs=("spectrum",),
+    ),
+    Stage(
+        "complete",
+        "complete.json",
+        _complete,
+        lambda p: (
+            f"residual(40)/residual(5) = {p['decay_ratio_40_over_5']:.4f} "
+            f"(threshold {RESIDUAL_DECAY_FACTOR})"
+        ),
+        lambda p: f"[complete] residual(40)/residual(5) = {p['decay_ratio_40_over_5']:.4f}",
+        "completeness",
+        needs=("spectrum",),
+        scope=(_grid_retains_residual_counts,),
+        gated=True,
+    ),
+    Stage(
+        "certify",
+        "certificate.json",
+        _certify,
+        lambda p: (
+            f"certificate: complete={p['certificate']['complete']} "
+            f"(max gap {p['certificate']['max_gap']:.4f}, "
+            f"schatten p = {p['certificate']['schatten_p']:g})"
+        ),
+        lambda p: f"[certify] complete = {p['certificate']['complete']}",
+        "certificate",
+        needs=("normal-check", "resolvent"),
+        gated=True,
+    ),
+    Stage(
+        "embed",
+        "embed.json",
+        _embed,
+        lambda p: (
+            f"singular value decay exponent q = {p['decay_exponent_q']:.4f}, "
+            f"implied p = {p['implied_p']:.4f}"
+        ),
+        scope=(_grid_covers_fit_range,),
+        gated=True,
+    ),
+)
+STAGE = {stage.name: stage for stage in STAGES}
+
+
+def _with_needs(name: str) -> list:
+    """The named stage and every stage it needs, directly or not, in table order."""
+    wanted = set()
+    todo = [name]
+    while todo:
+        name = todo.pop()
+        if name not in wanted:
+            wanted.add(name)
+            todo.extend(STAGE[name].needs)
+    return [stage for stage in STAGES if stage.name in wanted]
+
+
+def _write_record(out: Path, stage: Stage, record: Record) -> None:
+    for name, (columns, rows) in record.tables.items():
+        _write_csv(out / name, columns, rows)
+    if record.pencil is not None:
+        export_pencil(record.pencil, out / "pencil.bin")
+    _write_json(out / stage.artifact, record.payload)
+
+
+def _run_stages(run: Run, stages, echo: bool = False) -> dict:
+    """Check every stage's scope, then run the stages in order and write their artifacts."""
+    for stage in stages:
+        for check in stage.scope:
+            check(run)
+    out = run.cfg.outputs_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for stage in stages:
+        try:
+            record = stage.run(run)
+        except _NUMERICAL_ERRORS as exc:
+            raise StageFailure(stage.name, exc) from exc
+        _write_record(out, stage, record)
+        run.records[stage.name] = record
+        if echo:
+            print(stage.line(record.payload))
+    return run.records
+
+
+def _run_command(cfg: ExperimentConfig, args) -> int:
+    stage = STAGE[args.command]
+    run = Run(cfg, schedule_len=getattr(args, "schedule_len", 64))
+    payload = _run_stages(run, _with_needs(stage.name))[stage.name].payload
+    print(stage.show(payload))
+    return 1 if stage.gated and not payload["ok"] else 0
+
+
+def _run_example(cfg: ExperimentConfig, args) -> int:
+    """Every stage with a report entry; a trivial quotient leaves indicial and spectrum."""
+    trivial = not singular_basis(cfg.model)
+    if trivial:
+        stages = [STAGE["indicial"], STAGE["spectrum"]]
+    else:
+        stages = [stage for stage in STAGES if stage.report is not None]
+    records = _run_stages(Run(cfg), stages, echo=True)
+    entries = {
+        STAGE[name].report: rec.payload if rec.summary is None else rec.summary
+        for name, rec in records.items()
     }
-
-
-def cmd_indicial(cfg: ExperimentConfig, args) -> int:
-    payload = _indicial_payload(cfg.model)
-    _write_json(_outdir(cfg) / "indicial.json", payload)
-    strip = payload["critical_strip"]
-    print(f"critical strip Im sigma in ({strip[0]:g}, {strip[1]:g})")
-    print(
-        f"strip roots: {len(payload['boundary_spectrum'])}; "
-        f"quotient dimension: {payload['quotient_dim_D']}"
-    )
-    for sf in payload["singular_basis"]:
-        print(f"  {sf['description']}")
-    return 0
-
-
-def cmd_flow(cfg: ExperimentConfig, args) -> int:
-    payload = _run_stage("flow", _flow_stage, cfg, getattr(args, "schedule_len", 64))
-    if "note" in payload:
-        print(payload["note"])
-        return 0
-    print(
-        f"flow limits: {len(payload['limits'])}; "
-        f"distance to expected limit at rho=1e-8: {payload['terminal_distance_at_1e-8']:.3e}"
-    )
-    return 0
-
-
-def cmd_normal_check(cfg: ExperimentConfig, args) -> int:
-    if any(r.angle_theta == 0.0 for r in cfg.rays):
-        print("config error: theta = 0 lies on the spectral cut", file=sys.stderr)
-        return 2
-    payload = _run_stage("normal-check", _normal_stage, cfg)
-    if "note" in payload and not payload["verdicts"]:
-        print(payload["note"])
-        return 0
-    for v in payload["verdicts"]:
-        print(f"theta = {v['theta']:.6g}: {v['verdict']}")
-    return 0
-
-
-def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
-    stage = _run_stage("spectrum", _spectrum_stage, cfg)
-    payload = stage["payload"]
-    print(
-        f"mode k={payload['mode_k']} (nu={payload['nu']:.6g}, "
-        f"{'enriched' if payload['enriched'] else 'minimal'}): "
-        f"max relative error vs oracle = {payload['max_relative_error']:.3e}"
-    )
-    return 0 if payload["ok"] else 1
-
-
-def cmd_resolvent(cfg: ExperimentConfig, args) -> int:
-    stage = _run_stage("spectrum", _spectrum_stage, cfg)
-    payload = _run_stage(
-        "resolvent", _resolvent_stage, cfg, stage["pencil"], stage["result"]
-    )
-    for v in payload["verdicts"]:
-        slope = v["slope"]
-        slope_txt = f"{slope:.4f}" if slope is not None else "n/a"
-        print(f"theta = {v['theta']:.6g}: {v['verdict']} (slope {slope_txt})")
-    return 0
-
-
-def cmd_complete(cfg: ExperimentConfig, args) -> int:
-    stage = _run_stage("spectrum", _spectrum_stage, cfg)
-    payload = _run_stage(
-        "complete", _complete_stage, cfg, stage["pencil"], stage["result"], stage["grid"]
-    )
-    print(
-        f"residual(40)/residual(5) = {payload['decay_ratio_40_over_5']:.4f} "
-        f"(threshold {RESIDUAL_DECAY_FACTOR})"
-    )
-    return 0 if payload["ok"] else 1
-
-
-def cmd_embed(cfg: ExperimentConfig, args) -> int:
-    payload = _run_stage("embed", _embed_stage, cfg)
-    print(
-        f"singular value decay exponent q = {payload['decay_exponent_q']:.4f}, "
-        f"implied p = {payload['implied_p']:.4f}"
-    )
-    return 0 if payload["ok"] else 1
-
-
-def cmd_certify(cfg: ExperimentConfig, args) -> int:
-    stage = _run_stage("spectrum", _spectrum_stage, cfg)
-    payload = _run_stage(
-        "certify", _certify_stage, cfg, stage["pencil"], stage["result"]
-    )
-    cert = payload["certificate"]
-    print(
-        f"certificate: complete={cert['complete']} "
-        f"(max gap {cert['max_gap']:.4f}, schatten p = {cert['schatten_p']:g})"
-    )
-    return 0 if payload["ok"] else 1
-
-
-def _run_example(cfg: ExperimentConfig, name: str) -> int:
-    model = cfg.model
+    passed = all(entry["ok"] for entry in entries.values())
     report = {
         "schema_version": SCHEMA_VERSION,
-        "example": name,
+        "example": args.command,
         "config": cfg.to_json_dict(),
-        "stages": {},
-        "notes": [],
+        "stages": entries,
+        "notes": ["D_min = D_max"] if trivial else [],
+        "passed": bool(passed),
     }
-    out = _outdir(cfg)
-
-    basis = singular_basis(model)
-    indicial_payload = _indicial_payload(model)
-    _write_json(out / "indicial.json", indicial_payload)
-    report["stages"]["indicial"] = {
-        "critical_strip": indicial_payload["critical_strip"],
-        "quotient_dim_D": len(basis),
-        "singular_functions": [sf.description for sf in basis],
-        "ok": True,
-    }
-    print(f"[indicial] quotient dimension {len(basis)}")
-
-    if not basis:
-        report["notes"].append("D_min = D_max")
-        print("[pipeline] D_min = D_max: short-circuiting to the Friedrichs spectrum")
-        stage = _run_stage("spectrum", _spectrum_stage, cfg, enriched=False)
-        report["stages"]["spectrum"] = stage["payload"]
-        print(
-            f"[spectrum] max relative error vs oracle = "
-            f"{stage['payload']['max_relative_error']:.3e}"
-        )
-        passed = stage["payload"]["ok"]
-        report["passed"] = bool(passed)
-        _write_json(out / "report.json", report)
-        print(f"[report] {'all thresholds met' if passed else 'threshold miss'}")
-        return 0 if passed else 1
-
-    flow_payload = _run_stage("flow", _flow_stage, cfg)
-    report["stages"]["flow"] = flow_payload
-    print(
-        f"[flow] terminal distance {flow_payload['terminal_distance_at_1e-8']:.3e} "
-        f"({flow_payload['distance_regime']} regime): "
-        f"{'ok' if flow_payload['ok'] else 'MISS'}"
-    )
-
-    normal_payload = _run_stage("normal-check", _normal_stage, cfg)
-    report["stages"]["normal_check"] = {
-        k: v for k, v in normal_payload.items() if k != "verdict_objects"
-    }
-    print(
-        "[normal-check] "
-        + ", ".join(
-            f"theta={v['theta']:.4g}:{v['verdict']}" for v in normal_payload["verdicts"]
-        )
-    )
-
-    spectrum_stage = _run_stage("spectrum", _spectrum_stage, cfg)
-    report["stages"]["spectrum"] = spectrum_stage["payload"]
-    print(
-        f"[spectrum] max relative error vs oracle = "
-        f"{spectrum_stage['payload']['max_relative_error']:.3e}"
-    )
-
-    resolvent_payload = _run_stage(
-        "resolvent",
-        _resolvent_stage,
-        cfg,
-        spectrum_stage["pencil"],
-        spectrum_stage["result"],
-    )
-    report["stages"]["resolvent"] = {
-        k: v for k, v in resolvent_payload.items() if k != "verdict_objects"
-    }
-    print(
-        "[resolvent] "
-        + ", ".join(
-            f"theta={v['theta']:.4g}:{v['verdict']}"
-            for v in resolvent_payload["verdicts"]
-        )
-    )
-
-    complete_payload = _run_stage(
-        "complete",
-        _complete_stage,
-        cfg,
-        spectrum_stage["pencil"],
-        spectrum_stage["result"],
-        spectrum_stage["grid"],
-    )
-    report["stages"]["completeness"] = complete_payload
-    print(
-        f"[complete] residual(40)/residual(5) = "
-        f"{complete_payload['decay_ratio_40_over_5']:.4f}"
-    )
-
-    certify_payload = _run_stage(
-        "certify",
-        _certify_stage,
-        cfg,
-        spectrum_stage["pencil"],
-        spectrum_stage["result"],
-    )
-    report["stages"]["certificate"] = {
-        k: v for k, v in certify_payload.items() if k != "certificate_object"
-    }
-    print(f"[certify] complete = {certify_payload['certificate']['complete']}")
-
-    passed = all(
-        report["stages"][s]["ok"]
-        for s in (
-            "indicial",
-            "flow",
-            "normal_check",
-            "spectrum",
-            "resolvent",
-            "completeness",
-            "certificate",
-        )
-    )
-    report["passed"] = bool(passed)
-    _write_json(out / "report.json", report)
+    _write_json(cfg.outputs_dir / "report.json", report)
     print(f"[report] {'all thresholds met' if passed else 'threshold miss'}")
     return 0 if passed else 1
-
-
-def cmd_example52(cfg: ExperimentConfig, args) -> int:
-    return _run_example(cfg, "example52")
-
-
-def cmd_example53(cfg: ExperimentConfig, args) -> int:
-    return _run_example(cfg, "example53")
 
 
 # ----------------------------------------------------------------------
@@ -872,7 +886,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name, help_text, handler, kind="sector", extra=None):
+    def add(name, help_text, handler=_run_command, kind="sector", extra=None):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, default=None, metavar="PATH")
         sp.add_argument("--alpha", type=float, default=None, help="sector opening angle")
@@ -889,23 +903,22 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler, default_kind=kind)
         return sp
 
-    add("indicial", "boundary spectrum and singular basis", cmd_indicial)
+    add("indicial", "boundary spectrum and singular basis")
     add(
         "flow",
         "dilation flow of the extension line and its limit set",
-        cmd_flow,
         extra=lambda sp: sp.add_argument(
             "--schedule-len", type=int, default=64, dest="schedule_len"
         ),
     )
-    add("normal-check", "exact tip-operator ray criterion", cmd_normal_check)
-    add("spectrum", "mode pencil eigenvalues vs the secular oracle", cmd_spectrum)
-    add("resolvent", "resolvent norms and growth slopes along rays", cmd_resolvent)
-    add("complete", "eigenvector-expansion residuals of a bump", cmd_complete)
-    add("embed", "weighted embedding singular values and p fit", cmd_embed)
-    add("certify", "ray-fan completeness certificate", cmd_certify)
-    add("example52", "full closed-link pipeline", cmd_example52, kind="closed")
-    add("example53", "full sector pipeline", cmd_example53, kind="sector")
+    add("normal-check", "exact tip-operator ray criterion")
+    add("spectrum", "mode pencil eigenvalues vs the secular oracle")
+    add("resolvent", "resolvent norms and growth slopes along rays")
+    add("complete", "eigenvector-expansion residuals of a bump")
+    add("embed", "weighted embedding singular values and p fit")
+    add("certify", "ray-fan completeness certificate")
+    add("example52", "full closed-link pipeline", _run_example, kind="closed")
+    add("example53", "full sector pipeline", _run_example)
     return parser
 
 
@@ -916,12 +929,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(cfg, args)
+        return args.handler(_config_from_args(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

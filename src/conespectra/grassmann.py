@@ -11,14 +11,12 @@ the tail of the orbit yields the limit set Omega^-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ExtensionDomain, span_distance
 
 __all__ = [
-    "KappaMatrix",
     "NonpositiveRho",
     "NonConvergent",
     "kappa_matrix",
@@ -35,14 +33,6 @@ class NonpositiveRho(ValueError):
 
 class NonConvergent(RuntimeError):
     """The flow's tail keeps splitting into new clusters as the schedule extends."""
-
-
-@dataclass(frozen=True)
-class KappaMatrix:
-    """Matrix of kappa_rho on the domain quotient in the canonical basis."""
-
-    rho: float
-    matrix: np.ndarray
 
 
 def _basis_blocks(basis) -> list:
@@ -67,7 +57,7 @@ def _basis_blocks(basis) -> list:
     return blocks
 
 
-def kappa_matrix(basis, rho: float) -> KappaMatrix:
+def kappa_matrix(basis, rho: float) -> np.ndarray:
     """Matrix of the dilation kappa_rho in the given canonical basis.
 
     Parameters
@@ -95,7 +85,7 @@ def kappa_matrix(basis, rho: float) -> KappaMatrix:
         else:
             raise ValueError(f"log chains of length {size} are out of scope")
         pos += size
-    return KappaMatrix(rho=rho, matrix=mat)
+    return mat
 
 
 def flow(domain: ExtensionDomain, basis, rho: float) -> ExtensionDomain:
@@ -104,8 +94,7 @@ def flow(domain: ExtensionDomain, basis, rho: float) -> ExtensionDomain:
         raise ValueError(
             f"domain lives in dimension {domain.quotient_dim_D}, basis has {len(basis)} functions"
         )
-    kappa = kappa_matrix(basis, rho)
-    moved = kappa.matrix @ domain.basis_matrix
+    moved = kappa_matrix(basis, rho) @ domain.basis_matrix
     if moved.shape[1] == 0:
         return ExtensionDomain(domain.quotient_dim_D, moved)
     q, _ = np.linalg.qr(moved)

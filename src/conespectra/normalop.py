@@ -29,16 +29,17 @@ __all__ = [
     "decaying_trace",
     "normal_invertible",
     "ray_minimal_growth_normal",
+    "strip_mode",
     "DEFAULT_PROBE_RADII",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 # angular tolerance below which the trace and the domain line are
 # treated as collinear (non-invertible)
 COLLINEAR_TOL = 1e-9
 
 DEFAULT_PROBE_RADII = (0.1, 1.0, 10.0, 100.0)
+
+_ONE_PAIR_SCOPE = "scope: model must contribute exactly one 2-dimensional mode quotient"
 
 
 class LambdaOnSpectrumCut(ValueError):
@@ -72,9 +73,20 @@ def _check_off_cut(lam: complex) -> complex:
     return lam
 
 
-def _strip_modes(model: ConeModelOperator):
+def strip_mode(model: ConeModelOperator):
+    """(mode_k, nu) of the one mode whose two singular functions span the quotient.
+
+    Returns None when the quotient is trivial (D_min = D_max) and raises
+    ValueError for any other quotient, which the exact criterion here
+    does not cover.
+    """
     basis = singular_basis(model)
-    return basis, sorted({sf.mode_k for sf in basis})
+    if not basis:
+        return None
+    if len(basis) != 2 or basis[0].mode_k != basis[1].mode_k:
+        raise ValueError(_ONE_PAIR_SCOPE)
+    k = basis[0].mode_k
+    return k, math.sqrt(model.geometry.mu(k))
 
 
 def decaying_trace(model: ConeModelOperator, mode_k: int, lam: complex) -> DecayingSolutionTrace:
@@ -87,17 +99,24 @@ def decaying_trace(model: ConeModelOperator, mode_k: int, lam: complex) -> Decay
                     + A (w/2)^{-nu} / Gamma(1-nu) * x^{-nu} + O(x^{2-nu}),
 
     and for nu = 0: K_0(w x) = -(log(w/2) + gamma_E) * 1 - 1 * log x + O(x^2 log x).
-    The coefficient pair is returned normalized to unit norm.
+    The coefficient pair is returned normalized to unit norm.  The mode
+    must contribute exactly that pair to the quotient; a one-function
+    quotient (integer nu >= 1, where A is infinite) is rejected.
     """
     require_valid(model)
     lam = _check_off_cut(lam)
-    _, modes = _strip_modes(model)
-    if mode_k not in modes:
+    count = sum(sf.mode_k == mode_k for sf in singular_basis(model))
+    if count == 0:
         raise ValueError(f"mode {mode_k} contributes no singular functions for this weight")
+    if count != 2:
+        raise ValueError(
+            f"mode {mode_k} has a {count}-function quotient; the K_nu series "
+            "covers the two-function pair only"
+        )
     nu = math.sqrt(model.geometry.mu(mode_k))
     w = np.sqrt(complex(-lam))  # principal branch; Re w > 0 off the cut
     if nu == 0.0:
-        coeffs = np.array([-(np.log(w / 2.0) + EULER_GAMMA), -1.0], dtype=complex)
+        coeffs = np.array([-(np.log(w / 2.0) + np.euler_gamma), -1.0], dtype=complex)
     else:
         a_const = math.pi / (2.0 * math.sin(nu * math.pi))
         coeffs = np.array(
@@ -129,10 +148,10 @@ def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: co
     if domain.quotient_dim_D != 2 or domain.dim_d != 1:
         raise ValueError("scope: quotient_dim_D = 2 with a 1-dimensional domain required")
     lam = _check_off_cut(lam)
-    basis, modes = _strip_modes(model)
-    if len(basis) != 2 or len(modes) != 1:
-        raise ValueError("scope: model must contribute exactly one 2-dimensional mode quotient")
-    trace = decaying_trace(model, modes[0], lam)
+    sm = strip_mode(model)
+    if sm is None:
+        raise ValueError(_ONE_PAIR_SCOPE)
+    trace = decaying_trace(model, sm[0], lam)
     line = domain.basis_matrix[:, 0]
     return bool(_sine_angle(trace.coeffs, line) >= COLLINEAR_TOL)
 

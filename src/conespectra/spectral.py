@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +20,7 @@ import scipy.linalg
 from scipy.special import gamma as _gamma_fn
 from scipy.special import jv, jvp, yv
 
-from .model import Ray, complex_to_pair
+from .model import Ray
 
 __all__ = [
     "IllConditionedMass",
@@ -33,6 +31,8 @@ __all__ = [
     "CompletenessCertificate",
     "solve_pencil",
     "resolvent_norm",
+    "ray_resolvent_norms",
+    "ray_growth_verdict",
     "ray_minimal_growth_full",
     "completeness_residual",
     "oracle_eigenvalues",
@@ -42,8 +42,6 @@ __all__ = [
     "embedding_singular_values",
     "completeness_certificate",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 MASS_CONDITION_LIMIT = 1e12
 RETAIN_FRACTION = 0.8
@@ -60,26 +58,6 @@ class TrustLimitExceeded(ValueError):
 
 class RootFindingError(RuntimeError):
     """The secular-equation scan failed to converge on some root."""
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CONESPECTRA_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when CONESPECTRA_THREADS allows."""
-    items = list(items)
-    workers = min(_worker_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -238,19 +216,13 @@ def resolvent_norm(pencil, lam: complex) -> float:
     return float(1.0 / s[-1])
 
 
-def ray_minimal_growth_full(
+def ray_resolvent_norms(
     pencil,
     ray: Ray,
     radii: Sequence[float],
     result: Optional[SpectralResult] = None,
-) -> RayVerdict:
-    """Probe the resolvent along a ray and fit its decay rate.
-
-    The ray is Minimal when the log-log slope of the resolvent norm
-    against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
-    bounded over the probes.  Probe radii must stay at or below the
-    trust limit 0.1 * max retained |eigenvalue|.
-    """
+) -> list:
+    """Resolvent norms at r e^{i theta} for the probe radii r of ray_minimal_growth_full."""
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise ValueError("need at least 3 probe radii for a slope fit")
@@ -266,38 +238,39 @@ def ray_minimal_growth_full(
             f"max probe radius {radii[-1]:.6g} exceeds trust limit {trust:.6g}"
         )
     theta = ray.angle_theta
-    norms = parallel_map(
-        lambda r: resolvent_norm(pencil, r * cmath.exp(1j * theta)), radii
-    )
+    return [resolvent_norm(pencil, r * cmath.exp(1j * theta)) for r in radii]
+
+
+def ray_growth_verdict(ray: Ray, radii: Sequence[float], norms: Sequence[float]) -> RayVerdict:
+    """The verdict of ray_minimal_growth_full from norms already probed along the ray."""
+    radii = [float(r) for r in radii]
+    witness = {"radii": radii, "norms": [float(v) for v in norms]}
     if not all(math.isfinite(v) for v in norms):
         hit = radii[next(i for i, v in enumerate(norms) if not math.isfinite(v))]
-        return RayVerdict(
-            ray=ray,
-            verdict="Fails",
-            sup_bound=math.inf,
-            slope=None,
-            witness={"radii": radii, "norms": [float(v) for v in norms]},
-            note=f"resolvent does not exist at |lambda| = {hit:.6g} on the ray",
-        )
+        note = f"resolvent does not exist at |lambda| = {hit:.6g} on the ray"
+        return RayVerdict(ray, "Fails", sup_bound=math.inf, witness=witness, note=note)
     sup_bound = float(max(r * v for r, v in zip(radii, norms)))
     slope = float(np.polyfit(np.log(radii), np.log(norms), 1)[0])
     if SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]:
-        return RayVerdict(
-            ray=ray,
-            verdict="Minimal",
-            sup_bound=sup_bound,
-            slope=slope,
-            witness=None,
-            note="",
-        )
-    return RayVerdict(
-        ray=ray,
-        verdict="Fails",
-        sup_bound=sup_bound,
-        slope=slope,
-        witness={"radii": radii, "norms": [float(v) for v in norms]},
-        note="resolvent growth along the ray is not O(1/|lambda|)",
-    )
+        return RayVerdict(ray, "Minimal", sup_bound=sup_bound, slope=slope)
+    note = "resolvent growth along the ray is not O(1/|lambda|)"
+    return RayVerdict(ray, "Fails", sup_bound, slope, witness=witness, note=note)
+
+
+def ray_minimal_growth_full(
+    pencil,
+    ray: Ray,
+    radii: Sequence[float],
+    result: Optional[SpectralResult] = None,
+) -> RayVerdict:
+    """Probe the resolvent along a ray and fit its decay rate.
+
+    The ray is Minimal when the log-log slope of the resolvent norm
+    against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
+    bounded over the probes.  Probe radii must stay at or below the
+    trust limit 0.1 * max retained |eigenvalue|.
+    """
+    return ray_growth_verdict(ray, radii, ray_resolvent_norms(pencil, ray, radii, result))
 
 
 def _cluster_defective(result: SpectralResult, count: int):
@@ -440,7 +413,7 @@ def _secular_closed(nu: float, a: complex, b: complex, R: float, lam: np.ndarray
     w = np.sqrt(lam.astype(complex))
     z = w * R
     if nu == 0.0:
-        wz = 0.5 * math.pi * yv(0, z) - (np.log(z / 2.0) + EULER_GAMMA) * jv(0, z)
+        wz = 0.5 * math.pi * yv(0, z) - (np.log(z / 2.0) + np.euler_gamma) * jv(0, z)
         return (a + b * math.log(R)) * jv(0, z) + b * wz
     half_w = np.log(w / 2.0)
     return a * _gamma_fn(1.0 + nu) * np.exp(-nu * half_w) * jv(nu, z) + b * _gamma_fn(

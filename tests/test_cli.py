@@ -13,6 +13,7 @@ import subprocess
 import pytest
 
 import conespectra.cli as cli
+import conespectra.spectral as spectral
 from conespectra.spectral import IllConditionedMass
 
 
@@ -83,6 +84,24 @@ class TestConfigErrors:
         assert run_cli("flow", "--schedule-len", 4, "--out", tmp_path) == 2
         assert "schedule-len" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("embed", "--nh", 16),  # fewer singular values than the fit range
+            ("example52", "--gamma", -1.5),  # four-function quotient
+            ("normal-check", "--gamma", -2),  # no single 2-dimensional mode quotient
+            ("example53", "--gamma", -2),
+            ("example53", "--nh", 20),  # too few retained pairs for the residuals
+        ],
+    )
+    def test_out_of_scope_input_exits_2_before_any_stage(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestExitCodeMapping:
     def test_threshold_miss_exits_1(self, tmp_path, capsys):
@@ -94,10 +113,10 @@ class TestExitCodeMapping:
         assert payload["max_relative_error"] > cli.ORACLE_MATCH_RTOL
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        def explode(cfg, enriched=True):
+        def explode(pencil):
             raise IllConditionedMass("synthetic failure")
 
-        monkeypatch.setattr(cli, "_spectrum_stage", explode)
+        monkeypatch.setattr(cli, "solve_pencil", explode)
         assert run_cli("spectrum", "--out", tmp_path) == 3
         err = capsys.readouterr().err
         assert "numerical failure in stage 'spectrum'" in err
@@ -237,6 +256,28 @@ class TestFullPipelines:
         assert report["stages"]["spectrum"]["nu"] == 0.0
         assert report["stages"]["flow"]["distance_regime"] == "log"
         assert report["stages"]["spectrum"]["enriched"] is True
+
+    def test_example53_probes_each_point_once(self, tmp_path, capsys, monkeypatch):
+        counts = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(spectral, "resolvent_norm")
+        count(cli, "ray_minimal_growth_normal")
+        # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
+        assert cli.main(["example53", "--nh", "60", "--out", str(tmp_path)]) in (0, 1)
+        assert (tmp_path / "certificate.json").exists()
+        rays = cli.DEFAULT_RAYS
+        assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
+        assert counts["ray_minimal_growth_normal"] == len(rays) == 2
 
     def test_friedrichs_sector_short_circuits(self, tmp_path, capsys):
         # alpha = 1: no strip roots, D_min = D_max, spectrum only

@@ -42,24 +42,24 @@ class TestKappaMatrix:
     def test_power_basis_scales_diagonally(self, sector_basis):
         km = kappa_matrix(sector_basis, 0.5)
         expected = np.diag([0.5 ** (2.0 / 3.0), 0.5 ** (-2.0 / 3.0)])
-        assert np.allclose(km.matrix, expected, atol=1e-14)
-        assert km.rho == 0.5
+        assert type(km) is np.ndarray
+        assert np.allclose(km, expected, atol=1e-14)
 
     def test_log_basis_picks_up_shear(self, closed_basis):
         # u(x) = log x maps to log(rho x) = log rho * 1 + log x
         km = kappa_matrix(closed_basis, 0.5)
         expected = np.array([[1.0, math.log(0.5)], [0.0, 1.0]])
-        assert np.allclose(km.matrix, expected, atol=1e-14)
+        assert np.allclose(km, expected, atol=1e-14)
 
     def test_group_law_under_composition(self, sector_basis, closed_basis):
         for basis in (sector_basis, closed_basis):
-            k1 = kappa_matrix(basis, 0.3).matrix
-            k2 = kappa_matrix(basis, 0.5).matrix
-            k12 = kappa_matrix(basis, 0.15).matrix
+            k1 = kappa_matrix(basis, 0.3)
+            k2 = kappa_matrix(basis, 0.5)
+            k12 = kappa_matrix(basis, 0.15)
             assert np.allclose(k1 @ k2, k12, atol=1e-13)
 
     def test_identity_at_rho_one(self, closed_basis):
-        assert np.allclose(kappa_matrix(closed_basis, 1.0).matrix, np.eye(2), atol=1e-15)
+        assert np.allclose(kappa_matrix(closed_basis, 1.0), np.eye(2), atol=1e-15)
 
     def test_nonpositive_rho_rejected(self, closed_basis):
         with pytest.raises(NonpositiveRho):

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import kve
 
+from conespectra.indicial import singular_basis
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, Ray, SectorLink
 from conespectra.normalop import (
     DEFAULT_PROBE_RADII,
@@ -132,6 +133,16 @@ class TestDecayingTraceOracle:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             decaying_trace(CLOSED, 3, 4.0j)
+
+    def test_integer_nu_one_function_quotient_rejected(self):
+        # gamma = -2 on the closed link: mode 1 has nu = 1 and contributes
+        # x^{-1} alone, where A = pi / (2 sin(nu pi)) is infinite
+        model = ConeModelOperator(
+            order_m=2, dim_n=2, weight_gamma=-2.0, geometry=ClosedLink(), outer_radius_R=1.0
+        )
+        assert [sf.mode_k for sf in singular_basis(model)].count(1) == 1
+        with pytest.raises(ValueError, match="two-function pair"):
+            decaying_trace(model, 1, -1 + 1j)
 
 
 class TestNormalInvertible:

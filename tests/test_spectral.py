@@ -25,7 +25,6 @@ from scipy.special import i0, iv, j0, jn_zeros, jv, k0, y0, yv
 from conespectra.discretize import DiscreteOperatorPencil, RadialGrid, assemble_mode_pencil
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, Ray, SectorLink
 from conespectra.spectral import (
-    EULER_GAMMA,
     CompletenessCertificate,
     IllConditionedMass,
     RayVerdict,
@@ -35,7 +34,6 @@ from conespectra.spectral import (
     completeness_residual,
     dirichlet_mode_eigenvalues,
     oracle_eigenvalues,
-    parallel_map,
     ray_minimal_growth_full,
     resolvent_norm,
     schatten_fit,
@@ -285,10 +283,10 @@ def real_secular(nu: float, a: float, b: float, lam: float) -> float:
             z = math.sqrt(lam)
             if z == 0.0:
                 return a  # W(0) = 0, J0(0) = 1
-            w_ent = 0.5 * math.pi * y0(z) - (math.log(0.5 * z) + EULER_GAMMA) * j0(z)
+            w_ent = 0.5 * math.pi * y0(z) - (math.log(0.5 * z) + np.euler_gamma) * j0(z)
             return a * j0(z) + b * w_ent
         y = math.sqrt(-lam)
-        w_ent = -(k0(y) + (math.log(0.5 * y) + EULER_GAMMA) * i0(y))
+        w_ent = -(k0(y) + (math.log(0.5 * y) + np.euler_gamma) * i0(y))
         return a * i0(y) + b * w_ent
     if lam >= 0.0:
         z = math.sqrt(lam)
@@ -391,7 +389,7 @@ class TestOracleEigenvalues:
         got = oracle_eigenvalues(nu, 1.0, 1.0j, 1.0, 5)
         w = np.sqrt(got)
         if nu == 0.0:
-            w_ent = 0.5 * math.pi * yv(0, w) - (np.log(0.5 * w) + EULER_GAMMA) * jv(0, w)
+            w_ent = 0.5 * math.pi * yv(0, w) - (np.log(0.5 * w) + np.euler_gamma) * jv(0, w)
             res = jv(0, w) + 1.0j * w_ent
         else:
             res = sp_gamma(1 + nu) * (0.5 * w) ** (-nu) * jv(nu, w) + 1.0j * sp_gamma(
@@ -567,14 +565,3 @@ class TestCompletenessCertificate:
                 complete=False,
             )
 
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("CONESPECTRA_THREADS", "1")
-        assert parallel_map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-        monkeypatch.setenv("CONESPECTRA_THREADS", "4")
-        assert parallel_map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
