@@ -3,9 +3,11 @@ scaling limits, rays of minimal growth, and completeness experiments."""
 
 from .model import (
     ClosedLink,
+    CompletenessCertificate,
     ConeModelOperator,
     ExtensionDomain,
     Ray,
+    RayVerdict,
     SectorLink,
     WeightedSobolevParams,
     validate_model,
@@ -43,9 +45,7 @@ from .discretize import (
     load_pencil,
 )
 from .spectral import (
-    CompletenessCertificate,
     IllConditionedMass,
-    RayVerdict,
     RootFindingError,
     SpectralResult,
     TrustLimitExceeded,

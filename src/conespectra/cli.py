@@ -40,6 +40,7 @@ from .model import (
     ConeModelOperator,
     ExtensionDomain,
     Ray,
+    RayVerdict,
     WeightedSobolevParams,
     _check_known_keys,
     complex_from_pair,
@@ -66,7 +67,6 @@ from .discretize import RadialGrid, assemble_mode_pencil, assemble_embedding_gra
 from .spectral import (
     RETAIN_FRACTION,
     IllConditionedMass,
-    RayVerdict,
     RootFindingError,
     TrustLimitExceeded,
     completeness_certificate,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterator, Union
+from typing import ClassVar, Iterator, Optional, Union
 
 import numpy as np
 
@@ -20,6 +20,8 @@ __all__ = [
     "Geometry",
     "ConeModelOperator",
     "Ray",
+    "RayVerdict",
+    "CompletenessCertificate",
     "ExtensionDomain",
     "WeightedSobolevParams",
     "validate_model",
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+SLOPE_WINDOW = (-1.15, -0.85)  # log-log resolvent slopes of minimal growth
 
 
 def complex_to_pair(z) -> list:
@@ -216,6 +219,72 @@ class Ray:
 
     def to_json_dict(self) -> dict:
         return {"angle_theta": self.angle_theta}
+
+
+@dataclass(frozen=True)
+class RayVerdict:
+    """Outcome of a minimal-growth check along one ray.
+
+    sup_bound and slope are populated by the resolvent-probing variant;
+    the normal-operator criterion is exact and leaves them None.
+    """
+
+    ray: Ray
+    verdict: str  # "Minimal" | "Fails" | "Uncertified"
+    sup_bound: Optional[float] = None
+    slope: Optional[float] = None
+    witness: Optional[dict] = None
+    note: str = ""
+
+    def __post_init__(self):
+        if self.verdict not in ("Minimal", "Fails", "Uncertified"):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        if self.verdict == "Minimal":
+            if self.slope is not None and not (
+                SLOPE_WINDOW[0] <= self.slope <= SLOPE_WINDOW[1]
+            ):
+                raise ValueError("Minimal verdict with slope outside the growth window")
+            if self.sup_bound is not None and not math.isfinite(self.sup_bound):
+                raise ValueError("Minimal verdict requires a finite sup bound")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "theta": self.ray.angle_theta,
+            "verdict": self.verdict,
+            "sup_bound": self.sup_bound,
+            "slope": self.slope,
+            "witness": self.witness,
+            "note": self.note,
+        }
+
+
+@dataclass(frozen=True)
+class CompletenessCertificate:
+    """Ray-fan certificate: all rays minimal and no angular gap too wide."""
+
+    n: int
+    m: int
+    schatten_p: float
+    rays: tuple
+    max_gap: float
+    complete: bool
+
+    def __post_init__(self):
+        should = all(v.verdict == "Minimal" for v in self.rays) and (
+            self.max_gap <= math.pi * self.m / self.n + 1e-12
+        )
+        if bool(self.complete) != should:
+            raise ValueError("certificate flag inconsistent with its own rule")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "m": self.m,
+            "schatten_p": self.schatten_p,
+            "rays": [v.to_json_dict() for v in self.rays],
+            "max_gap": self.max_gap,
+            "complete": self.complete,
+        }
 
 
 def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:

@@ -20,8 +20,15 @@ from scipy.special import gamma as _gamma
 
 from .grassmann import default_rho_schedule, omega_minus
 from .indicial import singular_basis
-from .model import ConeModelOperator, ExtensionDomain, Ray, SectorLink, complex_to_pair, require_valid
-from .spectral import RayVerdict
+from .model import (
+    ConeModelOperator,
+    ExtensionDomain,
+    Ray,
+    RayVerdict,
+    SectorLink,
+    complex_to_pair,
+    require_valid,
+)
 
 __all__ = [
     "DecayingSolutionTrace",
@@ -137,6 +144,20 @@ def _sine_angle(u: np.ndarray, v: np.ndarray) -> float:
     return abs(u[0] * v[1] - u[1] * v[0])
 
 
+def _invertible(domain: ExtensionDomain, trace: DecayingSolutionTrace) -> bool:
+    """Whether the trace is not collinear with the line of a 1-dimensional domain."""
+    if domain.quotient_dim_D != 2 or domain.dim_d != 1:
+        raise ValueError("scope: quotient_dim_D = 2 with a 1-dimensional domain required")
+    return bool(_sine_angle(trace.coeffs, domain.basis_matrix[:, 0]) >= COLLINEAR_TOL)
+
+
+def _one_pair_mode(model: ConeModelOperator) -> int:
+    sm = strip_mode(model)
+    if sm is None:
+        raise ValueError(_ONE_PAIR_SCOPE)
+    return sm[0]
+
+
 def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: complex) -> bool:
     """Whether the normal operator on the given domain is invertible at lambda.
 
@@ -145,15 +166,7 @@ def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: co
     collinear with the domain line (then the decaying solution satisfies
     the domain's boundary condition, i.e. lambda is an eigenvalue).
     """
-    if domain.quotient_dim_D != 2 or domain.dim_d != 1:
-        raise ValueError("scope: quotient_dim_D = 2 with a 1-dimensional domain required")
-    lam = _check_off_cut(lam)
-    sm = strip_mode(model)
-    if sm is None:
-        raise ValueError(_ONE_PAIR_SCOPE)
-    trace = decaying_trace(model, sm[0], lam)
-    line = domain.basis_matrix[:, 0]
-    return bool(_sine_angle(trace.coeffs, line) >= COLLINEAR_TOL)
+    return _invertible(domain, decaying_trace(model, _one_pair_mode(model), lam))
 
 
 def ray_minimal_growth_normal(
@@ -184,18 +197,19 @@ def ray_minimal_growth_normal(
     basis = singular_basis(model)
     schedule = default_rho_schedule() if rho_schedule is None else rho_schedule
     limits = omega_minus(domain, basis, schedule, tol=cluster_tol)
-    candidates = list(limits) + [domain]
-    for cand in candidates:
-        for r in radii:
-            lam = r * cmath.exp(1j * theta)
-            if not normal_invertible(model, cand, lam):
+    # the trace depends on lambda only: one per radius serves every candidate
+    mode_k = _one_pair_mode(model)
+    traces = [decaying_trace(model, mode_k, r * cmath.exp(1j * theta)) for r in radii]
+    for cand in list(limits) + [domain]:
+        for trace in traces:
+            if not _invertible(cand, trace):
                 return RayVerdict(
                     ray=ray,
                     verdict="Fails",
                     sup_bound=None,
                     slope=None,
                     witness={
-                        "lambda": complex_to_pair(lam),
+                        "lambda": complex_to_pair(trace.lam),
                         "domain": [complex_to_pair(z) for z in cand.basis_matrix[:, 0]],
                     },
                     note="decaying trace is collinear with the domain line at the witness lambda",

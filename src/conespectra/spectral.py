@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.special import gamma as _gamma_fn
 from scipy.special import jv, jvp, yv
 
-from .model import Ray
+from .model import SLOPE_WINDOW, CompletenessCertificate, Ray, RayVerdict
 
 __all__ = [
     "IllConditionedMass",
@@ -45,7 +45,6 @@ __all__ = [
 
 MASS_CONDITION_LIMIT = 1e12
 RETAIN_FRACTION = 0.8
-SLOPE_WINDOW = (-1.15, -0.85)
 
 
 class IllConditionedMass(RuntimeError):
@@ -89,72 +88,6 @@ class SpectralResult:
     def trust_limit(self) -> float:
         """Largest |lambda| at which resolvent probes are meaningful."""
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
-
-
-@dataclass(frozen=True)
-class RayVerdict:
-    """Outcome of a minimal-growth check along one ray.
-
-    sup_bound and slope are populated by the resolvent-probing variant;
-    the normal-operator criterion is exact and leaves them None.
-    """
-
-    ray: Ray
-    verdict: str  # "Minimal" | "Fails" | "Uncertified"
-    sup_bound: Optional[float] = None
-    slope: Optional[float] = None
-    witness: Optional[dict] = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.verdict not in ("Minimal", "Fails", "Uncertified"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "Minimal":
-            if self.slope is not None and not (
-                SLOPE_WINDOW[0] <= self.slope <= SLOPE_WINDOW[1]
-            ):
-                raise ValueError("Minimal verdict with slope outside the growth window")
-            if self.sup_bound is not None and not math.isfinite(self.sup_bound):
-                raise ValueError("Minimal verdict requires a finite sup bound")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.ray.angle_theta,
-            "verdict": self.verdict,
-            "sup_bound": self.sup_bound,
-            "slope": self.slope,
-            "witness": self.witness,
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
-class CompletenessCertificate:
-    """Ray-fan certificate: all rays minimal and no angular gap too wide."""
-
-    n: int
-    m: int
-    schatten_p: float
-    rays: tuple
-    max_gap: float
-    complete: bool
-
-    def __post_init__(self):
-        should = all(v.verdict == "Minimal" for v in self.rays) and (
-            self.max_gap <= math.pi * self.m / self.n + 1e-12
-        )
-        if bool(self.complete) != should:
-            raise ValueError("certificate flag inconsistent with its own rule")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "schatten_p": self.schatten_p,
-            "rays": [v.to_json_dict() for v in self.rays],
-            "max_gap": self.max_gap,
-            "complete": self.complete,
-        }
 
 
 def solve_pencil(pencil) -> SpectralResult:
@@ -220,7 +153,7 @@ def ray_resolvent_norms(
     pencil,
     ray: Ray,
     radii: Sequence[float],
-    result: Optional[SpectralResult] = None,
+    result: SpectralResult,
 ) -> list:
     """Resolvent norms at r e^{i theta} for the probe radii r of ray_minimal_growth_full."""
     radii = [float(r) for r in radii]
@@ -230,8 +163,6 @@ def ray_resolvent_norms(
         r1 <= r0 for r0, r1 in zip(radii, radii[1:])
     ):
         raise ValueError("probe radii must be positive and strictly increasing")
-    if result is None:
-        result = solve_pencil(pencil)
     trust = result.trust_limit
     if radii[-1] > trust * (1.0 + 1e-12):
         raise TrustLimitExceeded(
@@ -261,14 +192,15 @@ def ray_minimal_growth_full(
     pencil,
     ray: Ray,
     radii: Sequence[float],
-    result: Optional[SpectralResult] = None,
+    result: SpectralResult,
 ) -> RayVerdict:
     """Probe the resolvent along a ray and fit its decay rate.
 
     The ray is Minimal when the log-log slope of the resolvent norm
     against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
     bounded over the probes.  Probe radii must stay at or below the
-    trust limit 0.1 * max retained |eigenvalue|.
+    trust limit 0.1 * max retained |eigenvalue| of `result`, the
+    pencil's own eigensolve.
     """
     return ray_growth_verdict(ray, radii, ray_resolvent_norms(pencil, ray, radii, result))
 
@@ -381,7 +313,25 @@ def completeness_residual(result: SpectralResult, M, f, N_list):
 #            W(z) = (pi/2) Y_0(z) - (log(z/2) + gamma_E) J_0(z)
 # Both are entire in lambda; for small |wR| the power series is used to
 # dodge the removable sqrt/log branch points.
+#
+# The roots are read off circles |lambda| = rho (Delves & Lyness, Math.
+# Comp. 1967): the winding of F counts the roots inside, one FFT of log F
+# gives their power sums, and Newton polishes the roots of the polynomial
+# those sums define.  A disk is the region that sorting by |lambda| asks
+# for, so no root off the real axis is missed.  Power sums about 0 lose
+# small roots once a disk holds more than about fifteen, so sqrt(rho),
+# which grows by pi/R per root of the Dirichlet problem, starts at
+# (min(how_many, 8) + 1) pi/R and steps out by 8 pi/R while the count is
+# short; each step solves only for the roots outside the previous circle.
+# A rejected circle (one hugging a root, or too many new roots to
+# resolve) is pulled halfway back towards the previous one.
 # ---------------------------------------------------------------------------
+
+_CONTOUR_SAMPLES = 1024
+_CONTOUR_SAMPLE_CAP = 1 << 16
+_RADIUS_ATTEMPTS = 100
+_POWER_SUM_TOL = 1e-3
+_ROOTS_PER_STEP = 8
 
 
 def _secular_series(nu: float, a: complex, b: complex, R: float, lam: np.ndarray):
@@ -436,48 +386,6 @@ def _wrap_angle(d: np.ndarray) -> np.ndarray:
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-class _ContourHitsRoot(Exception):
-    pass
-
-
-def _winding_number(F, x0: float, x1: float, y0: float, y1: float) -> int:
-    """Winding of F around the counterclockwise rectangle boundary.
-
-    Edge sampling is refined wherever the phase steps by more than
-    pi/2; a persistent jump signals a root on (or hugging) the contour
-    and raises _ContourHitsRoot so the caller can nudge the box.
-    """
-    corners = np.array(
-        [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    )
-    ts = np.linspace(0.0, 4.0, 4 * 24 + 1)
-
-    def points(t):
-        edge = np.minimum(np.floor(t).astype(int), 3)
-        frac = t - edge
-        start = corners[edge]
-        end = corners[(edge + 1) % 4]
-        return start + frac * (end - start)
-
-    for _ in range(48):
-        vals = F(points(ts))
-        if np.any(np.abs(vals) == 0.0):
-            raise _ContourHitsRoot
-        steps = _wrap_angle(np.diff(np.angle(vals)))
-        bad = np.abs(steps) > 0.5 * math.pi
-        if not np.any(bad):
-            total = float(np.sum(steps)) / (2.0 * math.pi)
-            wind = round(total)
-            if abs(total - wind) > 0.25:
-                raise _ContourHitsRoot
-            return wind
-        if len(ts) > 300_000:
-            raise _ContourHitsRoot
-        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        ts = np.sort(np.concatenate([ts, mids]))
-    raise _ContourHitsRoot
-
-
 def _newton_polish(F, z0: complex, step_scale: float) -> Optional[complex]:
     z = complex(z0)
     for _ in range(80):
@@ -495,43 +403,54 @@ def _newton_polish(F, z0: complex, step_scale: float) -> Optional[complex]:
     return None
 
 
-def _scan_rectangle(F, x0, x1, y0, y1, resolution, found, failures, depth=0):
-    """Recursive argument-principle subdivision; appends (root, mult) to found."""
-    try:
-        wind = _winding_number(F, x0, x1, y0, y1)
-    except _ContourHitsRoot:
-        if depth > 90:
-            failures.append(complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-            return
-        # nudge the box outward slightly so the root moves off the contour
-        dx = 1e-4 * (x1 - x0) + 1e-12
-        dy = 1e-4 * (y1 - y0) + 1e-12
-        _scan_rectangle(
-            F, x0 - dx, x1 + dx, y0 - dy, y1 + dy, resolution, found, failures, depth + 1
-        )
-        return
-    if wind == 0:
-        return
-    width = x1 - x0
-    height = y1 - y0
-    diag = math.hypot(width, height)
-    if diag <= resolution:
-        center = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        root = _newton_polish(F, center, diag)
-        if root is None:
-            failures.append(center)
-        else:
-            found.append((root, wind))
-        return
-    # split off-center so roots sitting on symmetric lines miss the cut
-    if width >= height:
-        xm = x0 + 0.511 * width
-        _scan_rectangle(F, x0, xm, y0, y1, resolution, found, failures, depth + 1)
-        _scan_rectangle(F, xm, x1, y0, y1, resolution, found, failures, depth + 1)
-    else:
-        ym = y0 + 0.511 * height
-        _scan_rectangle(F, x0, x1, y0, ym, resolution, found, failures, depth + 1)
-        _scan_rectangle(F, x0, x1, ym, y1, resolution, found, failures, depth + 1)
+def _disk_roots(F, rho: float, known: list) -> Optional[list]:
+    """Every root of F in |lambda| < rho given the known ones, or None to reject the circle.
+
+    The phase of F is sampled on |lambda| = rho, doubling the samples
+    until no wrapped step exceeds pi/4.  Its winding is the root count N;
+    with g = log F - i N theta periodic, the Fourier coefficients of g
+    give the power sums S_p of lambda/rho over the roots.  Less the
+    known roots' share, Newton's identities turn them into a monic
+    polynomial whose roots are polished on F.  The polished roots must
+    lie inside the circle and, with the known ones, reproduce S_1..S_N;
+    otherwise two estimates polished onto one root and a root is missing.
+    """
+    m = _CONTOUR_SAMPLES
+    while True:
+        theta = 2.0 * math.pi * np.arange(m) / m
+        vals = F(rho * np.exp(1j * theta))
+        if not np.all(np.isfinite(vals) & (vals != 0.0)):
+            return None
+        steps = _wrap_angle(np.diff(np.angle(vals), append=np.angle(vals[0])))
+        if np.max(np.abs(steps)) <= 0.25 * math.pi:
+            break
+        if m >= _CONTOUR_SAMPLE_CAP:
+            return None
+        m *= 2
+    count = round(float(np.sum(steps)) / (2.0 * math.pi))
+    if count <= len(known):
+        return list(known) if count == len(known) else None
+    phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    coeffs = np.fft.fft(np.log(np.abs(vals)) + 1j * (phase - count * theta)) / m
+    p = np.arange(1, count + 1)
+    sums = -p * coeffs[m - p]
+
+    def power_sums(roots):
+        return ((np.array(roots, dtype=complex) / rho)[np.newaxis, :] ** p[:, np.newaxis]).sum(axis=1)
+
+    new_sums = sums - power_sums(known)
+    poly = [1.0 + 0.0j]
+    for k in range(1, count - len(known) + 1):  # Newton's identities
+        poly.append(-sum(new_sums[i - 1] * poly[k - i] for i in range(1, k + 1)) / k)
+    roots = list(known)
+    for z in np.roots(poly):
+        root = _newton_polish(F, rho * z, rho / 50.0)
+        if root is None or abs(root) >= rho:
+            return None
+        roots.append(root)
+    if np.max(np.abs(sums - power_sums(roots))) > _POWER_SUM_TOL:
+        return None
+    return roots
 
 
 def oracle_eigenvalues(
@@ -541,15 +460,19 @@ def oracle_eigenvalues(
 
     Independent of any discretization: the spectrum of the mode
     operator with tip coefficients (a, b) and Dirichlet condition at R
-    is computed by an argument-principle rectangle scan of the entire
-    secular function, with Newton polishing.  Multiple roots are
-    repeated per multiplicity.
+    is read off the entire secular function on disks |lambda| < rho.
+    The argument principle counts the roots inside, contour power sums
+    locate them, and Newton polishing on the secular function refines
+    them.  rho grows until the disk holds at least how_many roots, so
+    the returned roots are the how_many smallest in modulus wherever
+    they lie in the plane.  Multiple roots are repeated per
+    multiplicity.
 
     Raises
     ------
     RootFindingError
-        When polishing fails near a located root or too few roots are
-        found after domain expansion.
+        When the fixed number of circles runs out before one holds
+        how_many polished roots that reproduce its count and power sums.
     """
     if not (0.0 <= nu < 1.0):
         raise ValueError("secular oracle covers nu in [0, 1)")
@@ -565,43 +488,23 @@ def oracle_eigenvalues(
     def F(lam):
         return _secular_values(nu, a, b, R, lam)
 
-    scale = (math.pi / R) ** 2
-    re_hi = scale * (how_many + 3.0) ** 2
-    roots: list = []
-    for _ in range(4):
-        found: list = []
-        failures: list = []
-        im_half = max(9.0 * scale, 0.12 * re_hi)
-        _scan_rectangle(
-            F,
-            -2.0 * scale,
-            re_hi,
-            -im_half,
-            im_half,
-            resolution=1e-7 * scale,
-            found=found,
-            failures=failures,
-        )
-        if failures:
-            locs = ", ".join(f"{z:.6g}" for z in failures[:4])
-            raise RootFindingError(f"root polishing failed near lambda in {{{locs}}}")
-        roots = []
-        for root, mult in found:
-            for prev, _ in roots:
-                if abs(root - prev) <= 1e-7 * max(1.0, abs(root)):
-                    break
-            else:
-                roots.append((root, mult))
-        roots = [r for r, mult in roots for _ in range(mult)]
-        if len(roots) >= how_many:
-            break
-        re_hi *= 1.9
-    if len(roots) < how_many:
-        raise RootFindingError(
-            f"found only {len(roots)} roots where {how_many} were requested"
-        )
-    roots.sort(key=lambda z: (abs(z), z.real, z.imag))
-    return np.array(roots[:how_many], dtype=complex)
+    step = _ROOTS_PER_STEP * math.pi / R
+    known: list = []
+    inner = 0.0  # sqrt of the radius whose roots are known
+    outer = (min(how_many, _ROOTS_PER_STEP) + 1.0) * math.pi / R
+    for _ in range(_RADIUS_ATTEMPTS):
+        roots = _disk_roots(F, outer * outer, known)
+        if roots is None:
+            outer = 0.5 * (inner + outer)  # hugs a root, or too many new ones
+        elif len(roots) < how_many:
+            known, inner, outer = roots, outer, outer + step
+        else:
+            roots.sort(key=lambda z: (abs(z), z.real, z.imag))
+            return np.array(roots[:how_many], dtype=complex)
+    raise RootFindingError(
+        f"{_RADIUS_ATTEMPTS} circles gave no {how_many} roots "
+        "that reproduce the contour count and power sums"
+    )
 
 
 def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray:

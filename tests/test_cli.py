@@ -5,15 +5,22 @@ whole module stays fast enough for routine runs; one subprocess test
 covers the installed console script.
 """
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conespectra.cli as cli
+import conespectra.normalop as normalop
 import conespectra.spectral as spectral
+from conespectra.normalop import DEFAULT_PROBE_RADII
 from conespectra.spectral import IllConditionedMass
 
 
@@ -120,6 +127,50 @@ class TestExitCodeMapping:
         assert run_cli("spectrum", "--out", tmp_path) == 3
         err = capsys.readouterr().err
         assert "numerical failure in stage 'spectrum'" in err
+
+
+SUBCOMMANDS = (
+    "indicial",
+    "flow",
+    "normal-check",
+    "spectrum",
+    "resolvent",
+    "complete",
+    "embed",
+    "certify",
+    "example52",
+    "example53",
+)
+
+
+def _optional_flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v!r}"]))
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+FLAG_SETS = st.tuples(
+    _optional_flag("alpha", st.floats(0.1, 2.0 * math.pi, **_finite)),
+    _optional_flag("gamma", st.floats(-3.0, 1.0, **_finite)),
+    *(_optional_flag(name, st.floats(-3.0, 3.0, **_finite)) for name in ("a", "a-im", "b", "b-im")),
+    _optional_flag("theta", st.floats(0.0, 2.0 * math.pi, **_finite)),
+    st.integers(16, 60).map(lambda n: [f"--nh={n}"]),
+).map(lambda flags: [arg for flag in flags for arg in flag])
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(SUBCOMMANDS), flags=FLAG_SETS)
+    def test_any_flag_set_exits_with_a_documented_code(self, command, flags):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            argv = [command, *flags, "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestStandaloneStages:
@@ -272,12 +323,15 @@ class TestFullPipelines:
 
         count(spectral, "resolvent_norm")
         count(cli, "ray_minimal_growth_normal")
+        count(normalop, "decaying_trace")
         # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
         assert cli.main(["example53", "--nh", "60", "--out", str(tmp_path)]) in (0, 1)
         assert (tmp_path / "certificate.json").exists()
         rays = cli.DEFAULT_RAYS
         assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
         assert counts["ray_minimal_growth_normal"] == len(rays) == 2
+        # one decaying trace per probe point serves every candidate domain
+        assert counts["decaying_trace"] == len(rays) * len(DEFAULT_PROBE_RADII) == 8
 
     def test_friedrichs_sector_short_circuits(self, tmp_path, capsys):
         # alpha = 1: no strip roots, D_min = D_max, spectrum only

@@ -8,7 +8,8 @@ does not share code with the implementation under test.
     the real secular function built directly from scipy's j/y/i/k
     Bessel families;
   * complex-extension roots against values frozen from the validated
-    build, plus a residual check in the analytic secular function;
+    build, plus a residual check in the analytic secular function and a
+    30-digit mpmath root refinement;
   * rescaling R against the exact homogeneity law of the problem.
 """
 
@@ -334,6 +335,10 @@ FROZEN_COMPLEX_ROOTS = {
 }
 
 
+# seeded closed-link pair whose fifth root sits far off the real axis
+SEED4_PAIR = (-1.1606431576220568 - 0.0036792633802781066j, -0.4408554390768262 + 0.10509835798959383j)
+
+
 class TestOracleEigenvalues:
     def test_friedrichs_pair_are_bessel_zero_squares(self):
         got = oracle_eigenvalues(2.0 / 3.0, 1.0, 0.0, 1.0, 5)
@@ -352,6 +357,11 @@ class TestOracleEigenvalues:
         got = oracle_eigenvalues(0.0, 1.0, 0.0, 1.0, 5)
         ref = jn_zeros(0, 5) ** 2
         assert np.allclose(got.real, ref, rtol=1e-10)
+
+    def test_sixty_roots_match_classical_j0_zeros(self):
+        # far more roots than one circle resolves: the disk has to grow
+        got = oracle_eigenvalues(0.0, 1.0, 0.0, 1.0, 60)
+        assert np.allclose(got, jn_zeros(0, 60) ** 2, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize(
         "nu,a,b,window",
@@ -396,6 +406,36 @@ class TestOracleEigenvalues:
                 1 - nu
             ) * (0.5 * w) ** nu * jv(-nu, w)
         assert np.max(np.abs(res)) < 1e-9
+
+    def test_off_axis_root_of_a_random_closed_link_pair_is_found(self):
+        # the fifth root by modulus lies far below the real axis; the
+        # sixth, 277.265 - 13.742i, sits near the axis
+        got = oracle_eigenvalues(0.0, *SEED4_PAIR, 1.0, 5)
+        target = -65.7633 - 170.9458j
+        assert np.min(np.abs(got - target)) <= 1e-6 * abs(target)
+
+    @pytest.mark.parametrize(
+        "nu,a,b",
+        [(0.0, 1.0, 1.0j), (2.0 / 3.0, 1.0, 1.0j), (0.0, *SEED4_PAIR)],
+        ids=["frozen-nu0", "frozen-nu2/3", "seed4-closed"],
+    )
+    def test_roots_agree_with_30_digit_mpmath_refinement(self, nu, a, b):
+        mp = pytest.importorskip("mpmath").mp
+        got = oracle_eigenvalues(nu, a, b, 1.0, 5)
+
+        def secular(lam):
+            w = mp.sqrt(lam)
+            if nu == 0.0:
+                w_ent = mp.pi / 2 * mp.bessely(0, w) - (mp.log(w / 2) + mp.euler) * mp.besselj(0, w)
+                return a * mp.besselj(0, w) + b * w_ent
+            return a * mp.gamma(1 + nu) * (w / 2) ** (-nu) * mp.besselj(nu, w) + b * mp.gamma(
+                1 - nu
+            ) * (w / 2) ** nu * mp.besselj(-nu, w)
+
+        with mp.workdps(30):
+            refs = [complex(mp.findroot(secular, mp.mpc(z.real, z.imag))) for z in got]
+        for z, ref in zip(got, refs):
+            assert abs(z - ref) <= 1e-10 * abs(ref)
 
     def test_rescaling_radius_is_exact_homogeneity(self):
         # u(x) on (0, R) pulls back to y = x/R with coordinates
