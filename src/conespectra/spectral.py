@@ -6,6 +6,15 @@ completeness residuals of eigenvector expansions, Weyl and Schatten
 exponent fits, and an independent Bessel secular-equation oracle for
 the radial model problem L_nu u = -u'' - u'/x + nu^2 u/x^2 with
 u(R) = 0 and tip coefficients (a, b) on the singular pair.
+
+The mass M is Hermitian positive definite, so the eigensolve and every
+resolvent probe share one reduction: M = L L^H (Cholesky) and
+C = L^{-1} K L^{-H}, whose standard eigenpairs (lambda, y) give the
+pencil's as (lambda, L^{-H} y), and whose shifted singular values give
+the resolvent norm in the M-inner product.  One complex Hessenberg-QR
+eigensolve of C costs about a tenth of a QZ on (K, M); its backward
+error on (K, M) is about cond(M) times machine epsilon instead of
+epsilon, and cond(M) is gated at 1e12.
 """
 
 from __future__ import annotations
@@ -66,7 +75,9 @@ class SpectralResult:
     The top 20% of |lambda| is treated as discretization-polluted;
     `n_retained` marks the trusted prefix.  K and M are kept so that
     downstream projections can fall back to invariant subspaces of the
-    same pencil.
+    same pencil.  `residuals` holds ||K v - lambda M v|| / ||v|| for
+    each pair, and `mass_condition` is cond(M) as the solver gate
+    measured it.
     """
 
     eigenvalues: np.ndarray
@@ -75,6 +86,7 @@ class SpectralResult:
     n_retained: int
     K: np.ndarray
     M: np.ndarray
+    mass_condition: float
 
     @property
     def retained_eigenvalues(self) -> np.ndarray:
@@ -90,11 +102,38 @@ class SpectralResult:
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """0.5 (M + M^H) as a new Fortran-ordered array, ready to be factored in place."""
+    Mh = M.conj().T
+    Mh += M
+    Mh *= 0.5
+    return Mh
+
+
+def _reduce(K: np.ndarray, Mh: np.ndarray):
+    """Cholesky factor L of the Hermitian mass Mh = L L^H, and C = L^{-1} K L^{-H}.
+
+    Mh is overwritten by L.  C is Fortran-ordered, so LAPACK routines
+    may overwrite it without a copy.
+    """
+    L = scipy.linalg.cholesky(Mh, lower=True, overwrite_a=True)
+    KLh = scipy.linalg.solve_triangular(L, K.conj().T, lower=True, overwrite_b=True)
+    np.conjugate(KLh, out=KLh)  # now the transpose of K L^{-H}
+    C = scipy.linalg.solve_triangular(L, KLh.T, lower=True, check_finite=False)
+    return L, C
+
+
 def solve_pencil(pencil) -> SpectralResult:
     """Dense generalized eigensolve of K v = lambda M v.
 
-    Eigenpairs are sorted by ascending |lambda| (ties by real then
-    imaginary part); the trailing 20% is flagged as untrusted.
+    The Hermitian positive definite mass is factored as M = L L^H, and
+    the standard eigenproblem C y = lambda y with C = L^{-1} K L^{-H} is
+    solved in its place; v = L^{-H} y.  This costs about a tenth of a
+    QZ on (K, M), and its backward error on (K, M) is about cond(M)
+    times machine epsilon instead of QZ's epsilon; `residuals` records
+    it for every pair.  Eigenpairs are sorted by ascending |lambda|
+    (ties by real then imaginary part); the trailing 20% is flagged as
+    untrusted.
 
     Raises
     ------
@@ -105,18 +144,27 @@ def solve_pencil(pencil) -> SpectralResult:
     M = np.asarray(pencil.M, dtype=complex)
     if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("pencil matrices must be square and of equal shape")
-    mass_eigs = scipy.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    Mh = _hermitian_part(M)
+    mass_eigs = scipy.linalg.eigvalsh(Mh)
     if mass_eigs[0] <= 0.0:
         raise IllConditionedMass("mass matrix is not positive definite")
-    cond = mass_eigs[-1] / mass_eigs[0]
+    cond = float(mass_eigs[-1] / mass_eigs[0])
     if cond > MASS_CONDITION_LIMIT:
         raise IllConditionedMass(f"mass matrix condition number {cond:.3e} exceeds 1e12")
 
-    lam, vec = scipy.linalg.eig(K, M)
+    L, C = _reduce(K, Mh)
+    lam, y = scipy.linalg.eig(C, overwrite_a=True, check_finite=False)
+    del C  # overwritten by the Schur form
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
-    vec = vec[:, order]
-    defect = K @ vec - (M @ vec) * lam[np.newaxis, :]
+    vec = scipy.linalg.solve_triangular(
+        L, y[:, order], lower=True, trans="C", overwrite_b=True, check_finite=False
+    )
+    del Mh, L, y  # L was factored in Mh's memory; free both before the residuals
+    defect = K @ vec
+    mass_vec = M @ vec
+    mass_vec *= lam
+    defect -= mass_vec
     residuals = np.linalg.norm(defect, axis=0) / np.linalg.norm(vec, axis=0)
     n = len(lam)
     n_retained = max(1, math.floor(RETAIN_FRACTION * n))
@@ -127,23 +175,23 @@ def solve_pencil(pencil) -> SpectralResult:
         n_retained=n_retained,
         K=K,
         M=M,
+        mass_condition=cond,
     )
 
 
 def resolvent_norm(pencil, lam: complex) -> float:
     """Operator norm of (A - lambda)^{-1} in the M-inner product.
 
-    Computed as 1 / sigma_min of the M-symmetrized shifted pencil
-    L^{-1}(K - lambda M)L^{-H} with M = L L^H; returns +inf when lambda
-    is (numerically) an eigenvalue.
+    Computed as 1 / sigma_min of C - lambda I, the M-symmetrized shifted
+    pencil L^{-1}(K - lambda M)L^{-H} with M = L L^H and C = L^{-1} K L^{-H}
+    from the same reduction as solve_pencil; returns +inf when lambda is
+    (numerically) an eigenvalue.
     """
     K = np.asarray(pencil.K, dtype=complex)
     M = np.asarray(pencil.M, dtype=complex)
-    L = scipy.linalg.cholesky(0.5 * (M + M.conj().T), lower=True)
-    A = K - complex(lam) * M
-    X = scipy.linalg.solve_triangular(L, A, lower=True)
-    Y = scipy.linalg.solve_triangular(L, X.conj().T, lower=True).conj().T
-    s = scipy.linalg.svdvals(Y)
+    _, C = _reduce(K, _hermitian_part(M))
+    C[np.diag_indices_from(C)] -= complex(lam)
+    s = scipy.linalg.svdvals(C, overwrite_a=True, check_finite=False)
     if s[0] == 0.0 or s[-1] < 1e-13 * s[0]:
         return math.inf
     return float(1.0 / s[-1])

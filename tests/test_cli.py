@@ -1,17 +1,20 @@
 """End-to-end driver tests: exit codes, artifacts, determinism.
 
 The heavyweight pipelines run in-process through main(argv) so the
-whole module stays fast enough for routine runs; one subprocess test
-covers the installed console script.
+whole module stays fast enough for routine runs; two subprocess tests
+cover the installed console script and ``python -m conespectra``.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +121,31 @@ class TestExitCodeMapping:
         payload = read_json(tmp_path / "spectrum.json")
         assert payload["ok"] is False
         assert payload["max_relative_error"] > cli.ORACLE_MATCH_RTOL
+
+    def test_spectrum_pairs_eigenvalues_with_the_nearest_oracle_roots(self, tmp_path, capsys):
+        # seeded closed-link pair: at N_h = 100 the pencil sorts its copy of the
+        # off-axis root -65.76-170.95i 4th by modulus and the oracle 5th; pairing by
+        # sorted index read 1.614 there, the nearest-root pairing reads 0.140
+        cfg = cli._default_config_dict("closed")
+        a, b = (-1.1606431576220568 - 0.0036792633802781066j, -0.4408554390768262 + 0.10509835798959383j)
+        cfg["extension"] = {"a": [a.real, a.imag], "b": [b.real, b.imag]}
+        cfg["discretization"]["N_h"] = 100
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("spectrum", "--config", path) == 1
+        payload = read_json(tmp_path / "out" / "spectrum.json")
+        assert payload["max_relative_error"] == pytest.approx(0.1402, abs=1e-3)
+        assert payload["max_relative_error"] == max(payload["relative_errors"])
+        moduli = [math.hypot(*z) for z in payload["eigenvalues_smallest"]]
+        assert moduli == sorted(moduli)
+        assert abs(complex(*payload["eigenvalues_smallest"][3]) - (-51.29 - 149.73j)) < 0.01
+
+    def test_spectrum_reports_solver_diagnostics(self, tmp_path, capsys):
+        run_cli("spectrum", "--nh", 60, "--out", tmp_path)
+        payload = read_json(tmp_path / "spectrum.json")
+        assert 1.0 < payload["mass_condition"] <= 1e12
+        assert 0.0 < payload["max_retained_residual"] < 1e-6
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def explode(pencil):
@@ -356,3 +384,18 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "critical strip" in proc.stdout
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conespectra", "indicial", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "critical strip" in proc.stdout
+        assert (tmp_path / "indicial.json").exists()

@@ -18,6 +18,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import cholesky, eigh
 from scipy.optimize import brentq
 from scipy.special import gamma as sp_gamma
@@ -158,6 +159,55 @@ class TestResolventNorm:
                 compute_uv=False,
             )[-1]
             assert resolvent_norm(pen, z1) == pytest.approx(dense, rel=1e-10)
+
+    def test_matches_explicit_shifted_svd_on_friedrichs(self, friedrichs_pencil, friedrichs_result):
+        K, M = friedrichs_pencil.K, friedrichs_pencil.M
+        L = cholesky(M, lower=True)
+        trust = friedrichs_result.trust_limit
+        for z in (1.0j, -5.0, 0.1 * trust * np.exp(0.75j * math.pi), trust * 1j, 2.5 + 0.5j):
+            shifted = scipy.linalg.solve_triangular(L, K - z * M, lower=True)
+            reduced = scipy.linalg.solve_triangular(L, shifted.conj().T, lower=True).conj().T
+            dense = 1.0 / np.linalg.svd(reduced, compute_uv=False)[-1]
+            assert resolvent_norm(friedrichs_pencil, z) == pytest.approx(dense, rel=1e-10)
+
+
+# seeded closed-link pair whose fifth root sits far off the real axis
+SEED4_PAIR = (-1.1606431576220568 - 0.0036792633802781066j, -0.4408554390768262 + 0.10509835798959383j)
+
+
+@pytest.fixture(scope="module", params=[100, 200], ids=lambda n: f"N{n}")
+def qz_reference(request):
+    """Enriched pencils of both geometries and their test-local QZ eigenvalues."""
+    cases = []
+    for model, mode_k in ((CLOSED, 0), (SECTOR, 1)):
+        for a, b in ((1.0, 1.0j), SEED4_PAIR):
+            grid = RadialGrid.geometric(1.0, request.param, 0.9)
+            pen = assemble_mode_pencil(model, mode_k, grid, ExtensionDomain.line([a, b]))
+            cases.append((pen, solve_pencil(pen), scipy.linalg.eigvals(pen.K, pen.M)))
+    return cases
+
+
+class TestReductionAgainstQZ:
+    """The Cholesky-reduced eigensolve against a QZ on (K, M) as the reference."""
+
+    def test_retained_eigenvalues_match_qz(self, qz_reference):
+        for _, res, qz in qz_reference:
+            lam = res.retained_eigenvalues
+            nearest = np.argmin(np.abs(lam[:, np.newaxis] - qz[np.newaxis, :]), axis=1)
+            assert len(set(nearest)) == len(lam)
+            assert np.max(np.abs(lam - qz[nearest]) / np.abs(qz[nearest])) <= 1e-7
+
+    def test_backward_error_of_the_lowest_pairs(self, qz_reference):
+        for pen, res, _ in qz_reference:
+            K, M = pen.K, pen.M
+            lam, V = res.eigenvalues[:40], res.eigenvectors[:, :40]
+            defect = np.linalg.norm(K @ V - (M @ V) * lam, axis=0)
+            scale = (np.linalg.norm(K, 2) + np.abs(lam) * np.linalg.norm(M, 2)) * np.linalg.norm(V, axis=0)
+            assert np.max(defect / scale) <= 1e-10
+
+    def test_mass_condition_is_the_gate_value(self, qz_reference):
+        for pen, res, _ in qz_reference:
+            assert res.mass_condition == pytest.approx(np.linalg.cond(pen.M), rel=1e-6)
 
 
 class TestRayMinimalGrowthFull:
@@ -333,10 +383,6 @@ FROZEN_COMPLEX_ROOTS = {
         192.3248199150 - 0.6124962562j,
     ],
 }
-
-
-# seeded closed-link pair whose fifth root sits far off the real axis
-SEED4_PAIR = (-1.1606431576220568 - 0.0036792633802781066j, -0.4408554390768262 + 0.10509835798959383j)
 
 
 class TestOracleEigenvalues:
