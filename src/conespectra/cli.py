@@ -31,12 +31,15 @@ import itertools
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .model import (
     ConeModelOperator,
     ExtensionDomain,
@@ -837,21 +840,37 @@ def _write_record(out: Path, stage: Stage, record: Record) -> None:
 
 
 def _run_stages(run: Run, stages, echo: bool = False) -> dict:
-    """Check every stage's scope, then run the stages in order and write their artifacts."""
+    """Check every stage's scope, then run the stages in order and write their artifacts.
+
+    timings.json, kept apart from the deterministic artifacts, records
+    the wall time of each stage that completed (computing and writing
+    it) in run order, also when a later stage fails, and the versions
+    of the package, numpy and scipy.
+    """
     for stage in stages:
         for check in stage.scope:
             check(run)
     out = run.cfg.outputs_dir
     out.mkdir(parents=True, exist_ok=True)
-    for stage in stages:
-        try:
-            record = stage.run(run)
-        except _NUMERICAL_ERRORS as exc:
-            raise StageFailure(stage.name, exc) from exc
-        _write_record(out, stage, record)
-        run.records[stage.name] = record
-        if echo:
-            print(stage.line(record.payload))
+    timings = []
+    try:
+        for stage in stages:
+            start = time.perf_counter()
+            try:
+                record = stage.run(run)
+            except _NUMERICAL_ERRORS as exc:
+                raise StageFailure(stage.name, exc) from exc
+            _write_record(out, stage, record)
+            timings.append({"stage": stage.name, "wall_s": time.perf_counter() - start})
+            run.records[stage.name] = record
+            if echo:
+                print(stage.line(record.payload))
+    finally:
+        versions = {"conespectra": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+        _write_json(
+            out / "timings.json",
+            {"schema_version": SCHEMA_VERSION, "stages": timings, "versions": versions},
+        )
     return run.records
 
 

@@ -13,6 +13,21 @@ The enrichment-enrichment stiffness entry is assembled in operator form
 <A s, s> = int [L, omega] s0 * conj(omega s0) x dx over supp(omega'),
 which is finite because L s0 = 0; the weak energy form diverges at the
 tip for nu > 0 and must not be used there.
+
+The pencil is assembled in batches: every cell's local integrals are
+one row of a (cells, points) array, summed along the row, and the cell
+values are then placed into the dense K and M.  The hat block uses 8
+Gauss points per cell, or 8 log-spaced subcells of 8 points on cells
+wider than 0.3 x0 when nu > 0, all cells at once; the enrichment
+border and mass use 16 log-spaced subcells on every cell below R/2,
+32 cells at a time so that their scratch arrays stay small whatever
+the grid size.  The summation order is that of a cell-by-cell loop, so
+K and M are bit-identical to it: each cell integral is a pairwise
+np.sum over its points in subcell order; a hat diagonal entry is cell
+i's right-right term plus cell i+1's left-left term; an off-diagonal
+entry is cell i+1's left-right term; a border entry of dof i is cell
+i's right part, then cell i+1's left part; and the enrichment mass is
+a sequential sum over cells followed by the tip closed form.
 """
 
 from __future__ import annotations
@@ -50,6 +65,9 @@ TIP_FLOOR_RATIO = 1e-3
 
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
+# cells per batch of enrichment integrals (128 points each): bounds their
+# scratch arrays whatever the grid size
+_BORDER_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -172,22 +190,52 @@ def _enrichment_s0(x, nu: float, a: complex, b: complex):
     return val, der
 
 
-def _gauss_on(a: float, b: float, rule=_GAUSS8):
-    xi, wi = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * xi, half * wi
+def _cell_rule(x0: np.ndarray, x1: np.ndarray, n_sub: int):
+    """8-point Gauss points and weights on the cells [x0, x1], one row per cell.
+
+    With n_sub > 1 each cell is split into n_sub log-spaced subcells
+    (x0 > 0), whose points follow one another along the row.
+    """
+    xi, wi = _GAUSS8
+    if n_sub == 1:
+        lo, hi = x0[:, None], x1[:, None]
+    else:
+        edges = x0[:, None] * (x1 / x0)[:, None] ** (np.arange(n_sub + 1) / n_sub)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    shape = (len(x0), 8 * n_sub)
+    pts = (mid[:, :, None] + half[:, :, None] * xi).reshape(shape)
+    return pts, (half[:, :, None] * wi).reshape(shape)
 
 
-def _gauss_geometric(a: float, b: float, n_sub: int, rule=_GAUSS8):
-    """Gauss points on [a, b] split into n_sub log-spaced subcells (a > 0)."""
-    edges = a * (b / a) ** (np.arange(n_sub + 1) / n_sub)
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        p, w = _gauss_on(lo, hi, rule)
-        pts.append(p)
-        wts.append(w)
-    return np.concatenate(pts), np.concatenate(wts)
+def _hat_shapes(pts: np.ndarray, x0: np.ndarray, x1: np.ndarray):
+    """Values at pts and slopes of the left and right hats of the cells [x0, x1]."""
+    h = (x1 - x0)[:, None]
+    values = ((x1[:, None] - pts) / h, (pts - x0[:, None]) / h)
+    return values, (-1.0 / h, 1.0 / h)
+
+
+def _border_cells(x0: np.ndarray, x1: np.ndarray, R: float, nu: float, a: complex, b: complex):
+    """Hat-enrichment integrals of the cells [x0, x1] over their part below R/2.
+
+    Returns the stiffness and mass of the enrichment against each
+    cell's left and right hat, and the enrichment's own mass on the
+    cell, as arrays over the cells: (k_left, k_right, m_left, m_right,
+    m_enrichment).
+    """
+    pts, wts = _cell_rule(x0, np.minimum(x1, R / 2.0), 16)
+    w, w1, _ = cutoff(pts, R)
+    s0, s0p = _enrichment_s0(pts, nu, a, b)
+    s_val = w * s0
+    s_der = w1 * s0 + w * s0p
+    (vl, vr), (dl, dr) = _hat_shapes(pts, x0, x1)
+    k_left, k_right = (
+        np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts), axis=1)
+        for vi, di in ((vl, dl), (vr, dr))
+    )
+    m_left, m_right = (np.sum(wts * (s_val * vi * pts), axis=1) for vi in (vl, vr))
+    return k_left, k_right, m_left, m_right, np.sum(wts * (np.abs(s_val) ** 2 * pts), axis=1)
 
 
 def assemble_mode_pencil(
@@ -251,61 +299,47 @@ def assemble_mode_pencil(
     K = np.zeros((n, n), dtype=complex)
     M = np.zeros((n, n), dtype=complex)
 
-    # hat block, cell by cell; dof i sits at node index i+1
-    for ci in range(n_nodes - 1):
-        x0, x1 = nodes[ci], nodes[ci + 1]
-        h = x1 - x0
-        # steep 1/x potential on wide-relative cells: split geometrically
-        n_sub = 8 if (nu > 0.0 and h / x0 > 0.3) else 1
-        if n_sub == 1:
-            pts, wts = _gauss_on(x0, x1)
-        else:
-            pts, wts = _gauss_geometric(x0, x1, n_sub)
-        local = []  # (dof, values, slope)
-        if 1 <= ci <= n_nodes - 2:
-            local.append((ci - 1, (x1 - pts) / h, -1.0 / h))
-        if ci + 1 <= n_nodes - 2:
-            local.append((ci, (pts - x0) / h, 1.0 / h))
-        for i, vi, di in local:
-            for j, vj, dj in local:
-                if j < i:
-                    continue
-                stiff = np.sum(wts * (di * dj * pts + (nu**2) * vi * vj / pts))
-                mass = np.sum(wts * (vi * vj * pts))
-                K[i, j] += stiff
-                M[i, j] += mass
-                if i != j:
-                    K[j, i] += stiff
-                    M[j, i] += mass
+    # hat block: (left, right) hat integrals of every cell at once; dof i
+    # sits at node index i+1, so it is cell i's right hat and cell i+1's left
+    x0, x1 = nodes[:-1], nodes[1:]
+    # steep 1/x potential on wide-relative cells: split geometrically
+    wide = (nu > 0.0) & ((x1 - x0) / x0 > 0.3)
+    stiff = np.empty((3, n_nodes - 1))  # rows: left-left, left-right, right-right
+    mass = np.empty((3, n_nodes - 1))
+    for cells, n_sub in ((~wide, 1), (wide, 8)):
+        pts, wts = _cell_rule(x0[cells], x1[cells], n_sub)
+        (vl, vr), (dl, dr) = _hat_shapes(pts, x0[cells], x1[cells])
+        pairs = ((vl, dl, vl, dl), (vl, dl, vr, dr), (vr, dr, vr, dr))
+        for row, (vi, di, vj, dj) in enumerate(pairs):
+            stiff[row, cells] = np.sum(wts * (di * dj * pts + (nu**2) * vi * vj / pts), axis=1)
+            mass[row, cells] = np.sum(wts * (vi * vj * pts), axis=1)
+    dof = np.arange(n_core)
+    for A, (ll, lr, rr) in ((K, stiff), (M, mass)):
+        A[dof, dof] += rr[:-1]
+        A[dof, dof] += ll[1:]
+        A[dof[:-1], dof[1:]] += lr[1:-1]
+        A[dof[1:], dof[:-1]] += lr[1:-1]
 
     if d == 1:
         e = n_core  # enrichment column index
         half = R / 2.0
-        # hat-enrichment couplings and the enrichment mass, cellwise
-        for ci in range(n_nodes - 1):
-            x0 = nodes[ci]
-            if x0 >= half:
-                break
-            x1 = min(nodes[ci + 1], half)
-            pts, wts = _gauss_geometric(x0, x1, 16)
-            w, w1, _ = cutoff(pts, R)
-            s0, s0p = _enrichment_s0(pts, nu, a, b)
-            s_val = w * s0
-            s_der = w1 * s0 + w * s0p
-            h = nodes[ci + 1] - nodes[ci]
-            local = []
-            if 1 <= ci <= n_nodes - 2:
-                local.append((ci - 1, (nodes[ci + 1] - pts) / h, -1.0 / h))
-            if ci + 1 <= n_nodes - 2:
-                local.append((ci, (pts - nodes[ci]) / h, 1.0 / h))
-            for i, vi, di in local:
-                kie = np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts))
-                mie = np.sum(wts * (s_val * vi * pts))
-                K[i, e] += kie
-                K[e, i] += np.conj(kie)
-                M[i, e] += mie
-                M[e, i] += np.conj(mie)
-            M[e, e] += np.sum(wts * (np.abs(s_val) ** 2 * pts))
+        # hat-enrichment couplings and the enrichment mass on the cells below R/2
+        m = int(np.count_nonzero(nodes[:-1] < half))
+        x0, x1 = nodes[:m], nodes[1 : m + 1]
+        batches = [
+            _border_cells(x0[lo : lo + _BORDER_BATCH], x1[lo : lo + _BORDER_BATCH], R, nu, a, b)
+            for lo in range(0, m, _BORDER_BATCH)
+        ]
+        kl, kr, ml, mr, mee = (np.concatenate(parts) for parts in zip(*batches))
+        right = np.arange(min(m, n_core))  # cell i's right hat is dof i
+        left = np.arange(1, m)  # cell i's left hat is dof i-1
+        for A, (on_left, on_right) in ((K, (kl, kr)), (M, (ml, mr))):
+            A[right, e] += on_right[right]
+            A[e, right] += np.conj(on_right[right])
+            A[left - 1, e] += on_left[left]
+            A[e, left - 1] += np.conj(on_left[left])
+        # summed over cells in order, not pairwise (see the module docstring)
+        M[e, e] += np.add.accumulate(mee)[-1]
 
         # tip closed form on (0, node_1], where omega = 1
         c = nodes[0]
@@ -325,7 +359,7 @@ def assemble_mode_pencil(
         M[e, e] += mee_tip
 
         # <A s, s> in operator form over supp(omega') = [R/4, R/2]
-        pts, wts = _gauss_geometric(R / 4.0, half, 24)
+        (pts,), (wts,) = _cell_rule(np.array([R / 4.0]), np.array([half]), 24)
         w, w1, w2 = cutoff(pts, R)
         s0, s0p = _enrichment_s0(pts, nu, a, b)
         commutator = -w2 * s0 - 2.0 * w1 * s0p - w1 * s0 / pts

@@ -146,7 +146,11 @@ def boundary_spectrum(model: ConeModelOperator, strip: tuple) -> list:
     return roots
 
 
-def singular_basis(model: ConeModelOperator) -> list:
+# singular_basis per model; a model is a frozen, hashable dataclass
+_BASES: dict = {}
+
+
+def singular_basis(model: ConeModelOperator) -> tuple:
     """Canonical basis of D_max/D_min for the model's own weight.
 
     One SingularFunction per strip root and log power, ordered by
@@ -154,8 +158,16 @@ def singular_basis(model: ConeModelOperator) -> list:
     ascending log power.  Roots exactly on a strip boundary are cleanly
     excluded (open interval); roots inside the guard band but not
     exactly on a line are numerically ambiguous and raise
-    WeightOnSpectrum instead of being classified silently.
+    WeightOnSpectrum instead of being classified silently.  The basis
+    is computed once per model and returned as the same tuple after.
     """
+    basis = _BASES.get(model)
+    if basis is None:
+        basis = _BASES[model] = _singular_basis(model)
+    return basis
+
+
+def _singular_basis(model: ConeModelOperator) -> tuple:
     require_valid(model)
     lo, hi = critical_strip(model)
     cutoff = max(abs(lo), abs(hi)) + 1.0
@@ -179,7 +191,7 @@ def singular_basis(model: ConeModelOperator) -> list:
                     description=_describe(root.mode_k, e, p),
                 )
             )
-    return out
+    return tuple(out)
 
 
 def dmin_is_weighted_sobolev(model: ConeModelOperator) -> bool:

@@ -179,19 +179,44 @@ def solve_pencil(pencil) -> SpectralResult:
     )
 
 
+# (K, M, C) of the last read-only pencil that resolvent_norm probed
+_last_reduction = (None, None, None)
+
+
+def _reduced_operator(K: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """C = L^{-1} K L^{-H} of the pencil, reduced once for consecutive probes.
+
+    The last C is kept with its K and M, matched by identity, when both
+    are read-only (as DiscreteOperatorPencil's are), so that they cannot
+    change under it; a pencil with writable matrices is reduced anew
+    on every call.  Two threads racing here cost at most one extra
+    reduction: the cache is one tuple, read and replaced whole.
+    """
+    global _last_reduction
+    last_K, last_M, C = _last_reduction
+    if last_K is K and last_M is M:
+        return C
+    _, C = _reduce(K, _hermitian_part(M))
+    if not (K.flags.writeable or M.flags.writeable):
+        C.flags.writeable = False
+        _last_reduction = (K, M, C)
+    return C
+
+
 def resolvent_norm(pencil, lam: complex) -> float:
     """Operator norm of (A - lambda)^{-1} in the M-inner product.
 
     Computed as 1 / sigma_min of C - lambda I, the M-symmetrized shifted
     pencil L^{-1}(K - lambda M)L^{-H} with M = L L^H and C = L^{-1} K L^{-H}
     from the same reduction as solve_pencil; returns +inf when lambda is
-    (numerically) an eigenvalue.
+    (numerically) an eigenvalue.  Consecutive probes of one pencil share
+    the reduction.
     """
     K = np.asarray(pencil.K, dtype=complex)
     M = np.asarray(pencil.M, dtype=complex)
-    _, C = _reduce(K, _hermitian_part(M))
-    C[np.diag_indices_from(C)] -= complex(lam)
-    s = scipy.linalg.svdvals(C, overwrite_a=True, check_finite=False)
+    shifted = _reduced_operator(K, M).copy(order="K")
+    shifted[np.diag_indices_from(shifted)] -= complex(lam)
+    s = scipy.linalg.svdvals(shifted, overwrite_a=True, check_finite=False)
     if s[0] == 0.0 or s[-1] < 1e-13 * s[0]:
         return math.inf
     return float(1.0 / s[-1])

@@ -119,7 +119,7 @@ def test_criterion_1_indicial_structure(capsys):
                 outer_radius_R=1.0,
             )
         )
-        == []
+        == ()
         for alpha in (1.0, 2.0, 3.0)
     )
 

@@ -156,6 +156,15 @@ class TestExitCodeMapping:
         err = capsys.readouterr().err
         assert "numerical failure in stage 'spectrum'" in err
 
+    def test_failure_keeps_the_times_of_the_stages_before_it(self, tmp_path, capsys, monkeypatch):
+        def explode(*args, **kwargs):
+            raise IllConditionedMass("synthetic failure")
+
+        monkeypatch.setattr(cli, "ray_resolvent_norms", explode)
+        assert run_cli("resolvent", "--nh", 60, "--out", tmp_path) == 3
+        timings = read_json(tmp_path / "timings.json")
+        assert [t["stage"] for t in timings["stages"]] == ["spectrum"]
+
 
 SUBCOMMANDS = (
     "indicial",
@@ -301,6 +310,20 @@ class TestFullPipelines:
             "report.json",
         ):
             assert (out / name).exists(), name
+
+    def test_timings_name_every_stage_that_ran(self, sector_run, tmp_path, capsys):
+        _, out = sector_run
+        timings = read_json(out / "timings.json")
+        ran = [stage.name for stage in cli.STAGES if stage.report is not None]
+        assert [t["stage"] for t in timings["stages"]] == ran
+        assert all(t["wall_s"] >= 0.0 for t in timings["stages"])
+        assert set(timings["versions"]) == {"conespectra", "numpy", "scipy"}
+        # a subcommand times the stages it reads as well as its own
+        assert run_cli("certify", "--nh", 60, "--out", tmp_path) in (0, 1)
+        timings = read_json(tmp_path / "timings.json")
+        expected = ["normal-check", "spectrum", "resolvent", "certify"]
+        assert [t["stage"] for t in timings["stages"]] == expected
+        assert all(t["wall_s"] >= 0.0 for t in timings["stages"])
 
     def test_sector_rerun_is_deterministic(self, sector_run, tmp_path, capsys):
         _, first = sector_run

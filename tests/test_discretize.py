@@ -234,6 +234,132 @@ class TestPencilAssembly:
             assemble_mode_pencil(narrow, 1, grid, ExtensionDomain.line([1.0, 1.0]))
 
 
+# seeded closed-link pair whose fifth root sits far off the real axis
+SEED4_PAIR = (-1.1606431576220568 - 0.0036792633802781066j, -0.4408554390768262 + 0.10509835798959383j)
+GAUSS8 = np.polynomial.legendre.leggauss(8)
+
+
+def gauss_on(a, b):
+    xi, wi = GAUSS8
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid + half * xi, half * wi
+
+
+def gauss_geometric(a, b, n_sub):
+    edges = a * (b / a) ** (np.arange(n_sub + 1) / n_sub)
+    pts, wts = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        p, w = gauss_on(lo, hi)
+        pts.append(p)
+        wts.append(w)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def enrichment_s0(x, nu, a, b):
+    if nu == 0.0:
+        return a + b * np.log(x), b / x
+    return a * x**nu + b * x ** (-nu), a * nu * x ** (nu - 1.0) - b * nu * x ** (-nu - 1.0)
+
+
+def loop_assembly(nodes, nu, R, ab):
+    """The cell-by-cell reference loop: K and M of the mode pencil, one cell at a time."""
+    n_nodes = len(nodes)
+    n_core = n_nodes - 2
+    n = n_core + (ab is not None)
+    K = np.zeros((n, n), dtype=complex)
+    M = np.zeros((n, n), dtype=complex)
+    for ci in range(n_nodes - 1):
+        x0, x1 = nodes[ci], nodes[ci + 1]
+        h = x1 - x0
+        n_sub = 8 if (nu > 0.0 and h / x0 > 0.3) else 1
+        pts, wts = gauss_on(x0, x1) if n_sub == 1 else gauss_geometric(x0, x1, n_sub)
+        local = []
+        if 1 <= ci <= n_nodes - 2:
+            local.append((ci - 1, (x1 - pts) / h, -1.0 / h))
+        if ci + 1 <= n_nodes - 2:
+            local.append((ci, (pts - x0) / h, 1.0 / h))
+        for i, vi, di in local:
+            for j, vj, dj in local:
+                if j < i:
+                    continue
+                stiff = np.sum(wts * (di * dj * pts + (nu**2) * vi * vj / pts))
+                mass = np.sum(wts * (vi * vj * pts))
+                K[i, j] += stiff
+                M[i, j] += mass
+                if i != j:
+                    K[j, i] += stiff
+                    M[j, i] += mass
+    if ab is None:
+        return K, M
+    a, b = ab
+    e, half = n_core, R / 2.0
+    for ci in range(n_nodes - 1):
+        x0 = nodes[ci]
+        if x0 >= half:
+            break
+        pts, wts = gauss_geometric(x0, min(nodes[ci + 1], half), 16)
+        w, w1, _ = cutoff(pts, R)
+        s0, s0p = enrichment_s0(pts, nu, a, b)
+        s_val = w * s0
+        s_der = w1 * s0 + w * s0p
+        h = nodes[ci + 1] - nodes[ci]
+        local = []
+        if 1 <= ci <= n_nodes - 2:
+            local.append((ci - 1, (nodes[ci + 1] - pts) / h, -1.0 / h))
+        if ci + 1 <= n_nodes - 2:
+            local.append((ci, (pts - nodes[ci]) / h, 1.0 / h))
+        for i, vi, di in local:
+            kie = np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts))
+            mie = np.sum(wts * (s_val * vi * pts))
+            K[i, e] += kie
+            K[e, i] += np.conj(kie)
+            M[i, e] += mie
+            M[e, i] += np.conj(mie)
+        M[e, e] += np.sum(wts * (np.abs(s_val) ** 2 * pts))
+    c = nodes[0]
+    if nu == 0.0:
+        lc = math.log(c)
+        M[e, e] += (
+            abs(a) ** 2 * c**2 / 2.0
+            + 2.0 * (a * np.conj(b)).real * (c**2 / 2.0) * (lc - 0.5)
+            + abs(b) ** 2 * (c**2 / 2.0) * (lc**2 - lc + 0.5)
+        )
+    else:
+        M[e, e] += (
+            abs(a) ** 2 * c ** (2.0 * nu + 2.0) / (2.0 * nu + 2.0)
+            + 2.0 * (a * np.conj(b)).real * c**2 / 2.0
+            + abs(b) ** 2 * c ** (2.0 - 2.0 * nu) / (2.0 - 2.0 * nu)
+        )
+    pts, wts = gauss_geometric(R / 4.0, half, 24)
+    w, w1, w2 = cutoff(pts, R)
+    s0, s0p = enrichment_s0(pts, nu, a, b)
+    commutator = -w2 * s0 - 2.0 * w1 * s0p - w1 * s0 / pts
+    K[e, e] = np.sum(wts * (commutator * np.conj(w * s0) * pts))
+    return K, M
+
+
+class TestBatchedAssemblyIsBitIdentical:
+    """The batched assembly against the cell-by-cell loop: the same bits in K and M."""
+
+    # uniform sector grids have cells wider than 0.3 x0: the 8-subcell hat path
+    @pytest.mark.parametrize("N_h", [16, 60, 200])
+    @pytest.mark.parametrize("grading", ["geometric", "uniform"])
+    @pytest.mark.parametrize("model,k", [(CLOSED, 0), (SECTOR, 1)], ids=["closed", "sector"])
+    @pytest.mark.parametrize("ab", [None, (1.0, 1.0j), SEED4_PAIR], ids=["minimal", "1-i", "seed4"])
+    def test_matches_the_cell_loop(self, model, k, grading, N_h, ab):
+        if grading == "geometric":
+            grid = RadialGrid.geometric(1.0, N_h, 0.9)
+        else:
+            grid = RadialGrid.uniform(1.0, N_h)
+        domain = None if ab is None else ExtensionDomain.line(list(ab))
+        pen = assemble_mode_pencil(model, k, grid, domain)
+        K, M = loop_assembly(grid.nodes, pen.nu, 1.0, ab)
+        assert np.array_equal(pen.K, K) and np.array_equal(pen.M, M)
+        # signed zeros too: pencil.bin stores the bits
+        assert pen.K.tobytes() == K.tobytes() and pen.M.tobytes() == M.tobytes()
+
+
 class TestEmbeddingGrams:
     HIGH = WeightedSobolevParams(smoothness_s=1, weight=1.0, dim_n=1)
     LOW = WeightedSobolevParams(smoothness_s=0, weight=0.0, dim_n=1)

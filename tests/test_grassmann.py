@@ -177,4 +177,4 @@ class TestOmegaMinus:
             outer_radius_R=1.0,
         )
         basis = singular_basis(narrow)
-        assert basis == []
+        assert basis == ()

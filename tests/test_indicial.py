@@ -93,18 +93,25 @@ class TestSingularBasis:
         ]
 
     def test_narrow_sector_has_trivial_quotient(self):
-        assert singular_basis(make(SectorLink(alpha=1.0))) == []
-        assert singular_basis(make(SectorLink(alpha=0.9 * math.pi))) == []
+        assert singular_basis(make(SectorLink(alpha=1.0))) == ()
+        assert singular_basis(make(SectorLink(alpha=0.9 * math.pi))) == ()
 
     def test_alpha_pi_exact_boundary_mode_excluded(self):
         # nu_1 = 1.0 exactly: the root sits on the strip line, not inside
-        assert singular_basis(make(SectorLink(alpha=math.pi))) == []
+        assert singular_basis(make(SectorLink(alpha=math.pi))) == ()
 
     def test_guard_band_raises_weight_on_spectrum(self):
         # nu_1 within 1e-12 of the strip edge but not exactly on it
         alpha = math.pi / (1.0 - 1e-13)
         with pytest.raises(WeightOnSpectrum):
             singular_basis(make(SectorLink(alpha=alpha)))
+
+    def test_computed_once_per_model(self):
+        first = singular_basis(make(SectorLink(alpha=1.5 * math.pi)))
+        again = singular_basis(make(SectorLink(alpha=1.5 * math.pi)))
+        assert again == first and len(first) == 2
+        assert again is first
+        assert isinstance(first, tuple)
 
     def test_descriptions_name_the_profile(self):
         basis = singular_basis(make(ClosedLink()))

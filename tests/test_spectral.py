@@ -15,6 +15,7 @@ does not share code with the implementation under test.
 
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma as sp_gamma
 from scipy.special import i0, iv, j0, jn_zeros, jv, k0, y0, yv
 
+import conespectra.spectral as spectral
 from conespectra.discretize import DiscreteOperatorPencil, RadialGrid, assemble_mode_pencil
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, Ray, SectorLink
 from conespectra.spectral import (
@@ -159,6 +161,20 @@ class TestResolventNorm:
                 compute_uv=False,
             )[-1]
             assert resolvent_norm(pen, z1) == pytest.approx(dense, rel=1e-10)
+
+    def test_probes_of_one_pencil_share_one_reduction(self, monkeypatch):
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), None)
+        writable = SimpleNamespace(K=pen.K.copy(), M=pen.M.copy())
+        calls = []
+        reduce = spectral._reduce
+        monkeypatch.setattr(spectral, "_reduce", lambda K, Mh: calls.append(1) or reduce(K, Mh))
+        probes = (1.0j, -5.0, 2.5 + 0.5j)
+        shared = [resolvent_norm(pen, z) for z in probes]
+        assert len(calls) == 1
+        # writable matrices could change between probes: each probe reduces anew
+        fresh = [resolvent_norm(writable, z) for z in probes]
+        assert len(calls) == 1 + len(probes)
+        assert shared == fresh
 
     def test_matches_explicit_shifted_svd_on_friedrichs(self, friedrichs_pencil, friedrichs_result):
         K, M = friedrichs_pencil.K, friedrichs_pencil.M
