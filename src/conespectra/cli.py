@@ -27,6 +27,7 @@ outputs directory; identical configs give byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -127,13 +128,18 @@ class ExperimentConfig:
 
     def __init__(self, model, a, b, rays, N_h, grading_q, t_max, outputs_dir):
         self.model = model
-        self.a = complex(a)
-        self.b = complex(b)
+        try:
+            self.a = complex(a)
+            self.b = complex(b)
+            self.N_h = int(N_h)
+            self.grading_q = float(grading_q)
+            self.t_max = float(t_max)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed number: {exc}") from exc
         self.rays = list(rays)
-        self.N_h = int(N_h)
-        self.grading_q = float(grading_q)
-        self.t_max = float(t_max)
         self.outputs_dir = Path(outputs_dir)
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise ConfigError("extension coefficients (a, b) must be finite")
         if self.a == 0 and self.b == 0:
             raise ConfigError("extension coefficients (a, b) must not both be zero")
         if not self.rays:
@@ -142,8 +148,8 @@ class ExperimentConfig:
             raise ConfigError("discretization.N_h must be at least 16")
         if not (0.0 < self.grading_q < 1.0):
             raise ConfigError("discretization.grading_q must be in (0, 1)")
-        if not (self.t_max > 0.0):
-            raise ConfigError("discretization.t_max must be positive")
+        if not (0.0 < self.t_max < math.inf):
+            raise ConfigError("discretization.t_max must be positive and finite")
         errs = validate_model(model)
         if errs:
             raise ConfigError("invalid geometry: " + "; ".join(errs))
@@ -539,7 +545,7 @@ def _resolvent(run: Run) -> Record:
     rows = []
     verdicts = []
     for ray in run.cfg.rays:
-        norms = ray_resolvent_norms(spec.pencil, ray, radii, result=spec.result)
+        norms = ray_resolvent_norms(ray, radii, spec.result)
         verdicts.append(ray_growth_verdict(ray, radii, norms))
         rows.extend((r, ray.angle_theta, nrm, r * nrm) for r, nrm in zip(radii, norms))
     payload = {
@@ -556,7 +562,7 @@ def _resolvent(run: Run) -> Record:
 def _complete(run: Run) -> Record:
     spec = run.records["spectrum"]
     f = _bump_vector(spec.pencil, spec.grid)
-    pairs = completeness_residual(spec.result, spec.pencil.M, f, list(RESIDUAL_COUNTS))
+    pairs = completeness_residual(spec.result, f, list(RESIDUAL_COUNTS))
     res = dict(pairs)
     ratio = res[40] / res[5] if res[5] > 0 else 0.0
     nonincreasing = all(

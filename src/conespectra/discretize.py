@@ -443,20 +443,24 @@ def assemble_embedding_grams(
     return g_high, g_low
 
 
-_EXPORT_VERSION = 1
+# layout fields of every container export_pencil writes; load_pencil reads no other
+_LAYOUT = {
+    "format_version": 1,
+    "matrices": ["K", "M"],
+    "dtype": "complex128",
+    "order": "row-major",
+    "byteorder": "little",
+}
+_HEADER_KEYS = set(_LAYOUT) | {"n", "basis_labels", "nu", "outer_radius_R", "enrichment"}
 
 
 def export_pencil(pencil: DiscreteOperatorPencil, path) -> None:
     """Write the pencil to a binary container: JSON preamble + row-major little-endian doubles."""
     n = pencil.size
     header = {
-        "format_version": _EXPORT_VERSION,
+        **_LAYOUT,
         "n": n,
         "basis_labels": list(pencil.basis_labels),
-        "matrices": ["K", "M"],
-        "dtype": "complex128",
-        "order": "row-major",
-        "byteorder": "little",
         "nu": pencil.nu,
         "outer_radius_R": pencil.outer_radius_R,
         "enrichment": None
@@ -472,22 +476,40 @@ def export_pencil(pencil: DiscreteOperatorPencil, path) -> None:
 
 
 def load_pencil(path) -> DiscreteOperatorPencil:
+    """Read a container of export_pencil back.
+
+    Raises ValueError unless the header has exactly export_pencil's
+    fields and layout with a positive n and n basis labels, followed by
+    exactly the 2 n^2 complex values of K and M.
+    """
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError("truncated pencil container")
+        (hlen,) = struct.unpack("<Q", prefix)
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != _EXPORT_VERSION:
-            raise ValueError(f"unsupported container version {header.get('format_version')!r}")
-        n = int(header["n"])
-        raw = fh.read(2 * n * n * 16)
-    if len(raw) != 2 * n * n * 16:
-        raise ValueError("truncated pencil container")
-    K = np.frombuffer(raw[: n * n * 16], dtype="<c16").reshape(n, n).astype(complex)
-    M = np.frombuffer(raw[n * n * 16 :], dtype="<c16").reshape(n, n).astype(complex)
-    enrich = header.get("enrichment")
+        raw = fh.read()
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise ValueError("pencil header fields differ from export_pencil's")
+    layout = {key: header[key] for key in _LAYOUT}
+    if layout != _LAYOUT:
+        raise ValueError(f"unsupported pencil layout {layout}")
+    n = header["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"pencil size n must be a positive integer, got {n!r}")
+    labels = header["basis_labels"]
+    if not isinstance(labels, list) or len(labels) != n:
+        raise ValueError(f"pencil header needs a list of n = {n} basis labels")
+    block = n * n * 16
+    if len(raw) != 2 * block:
+        raise ValueError(f"{len(raw)} data bytes, not {2 * block}: truncated or trailing data")
+    K = np.frombuffer(raw[:block], dtype="<c16").reshape(n, n).astype(complex)
+    M = np.frombuffer(raw[block:], dtype="<c16").reshape(n, n).astype(complex)
+    enrich = header["enrichment"]
     return DiscreteOperatorPencil(
         K=K,
         M=M,
-        basis_labels=list(header["basis_labels"]),
+        basis_labels=labels,
         nu=float(header["nu"]),
         outer_radius_R=float(header["outer_radius_R"]),
         enrichment_coeffs=None

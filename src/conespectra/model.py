@@ -212,7 +212,10 @@ class Ray:
     angle_theta: float
 
     def __post_init__(self):
-        th = float(self.angle_theta) % TWO_PI
+        th = float(self.angle_theta)
+        if not math.isfinite(th):
+            raise ValueError(f"ray angle must be finite, got {th!r}")
+        th %= TWO_PI
         if th == TWO_PI:  # fmod edge
             th = 0.0
         object.__setattr__(self, "angle_theta", th)

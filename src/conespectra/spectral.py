@@ -11,10 +11,12 @@ The mass M is Hermitian positive definite, so the eigensolve and every
 resolvent probe share one reduction: M = L L^H (Cholesky) and
 C = L^{-1} K L^{-H}, whose standard eigenpairs (lambda, y) give the
 pencil's as (lambda, L^{-H} y), and whose shifted singular values give
-the resolvent norm in the M-inner product.  One complex Hessenberg-QR
-eigensolve of C costs about a tenth of a QZ on (K, M); its backward
-error on (K, M) is about cond(M) times machine epsilon instead of
-epsilon, and cond(M) is gated at 1e12.
+the resolvent norm in the M-inner product.  solve_pencil computes C
+once and keeps it on its SpectralResult; the probes take that result,
+not the pencil, and shift its C.  One complex Hessenberg-QR eigensolve
+of C costs about a tenth of a QZ on (K, M); its backward error on
+(K, M) is about cond(M) times machine epsilon instead of epsilon, and
+cond(M) is gated at 1e12.
 """
 
 from __future__ import annotations
@@ -74,10 +76,13 @@ class SpectralResult:
 
     The top 20% of |lambda| is treated as discretization-polluted;
     `n_retained` marks the trusted prefix.  K and M are kept so that
-    downstream projections can fall back to invariant subspaces of the
-    same pencil.  `residuals` holds ||K v - lambda M v|| / ||v|| for
-    each pair, and `mass_condition` is cond(M) as the solver gate
-    measured it.
+    downstream projections use the same mass and can fall back to
+    invariant subspaces of the same pencil.  `reduced` is the read-only
+    C = L^{-1} K L^{-H} (M = L L^H) that the eigensolve reduced the
+    pencil to; every resolvent probe of the result shifts that C, so
+    the pencil is reduced once however many probes follow.  `residuals`
+    holds ||K v - lambda M v|| / ||v|| for each pair, and
+    `mass_condition` is cond(M) as the solver gate measured it.
     """
 
     eigenvalues: np.ndarray
@@ -86,6 +91,7 @@ class SpectralResult:
     n_retained: int
     K: np.ndarray
     M: np.ndarray
+    reduced: np.ndarray
     mass_condition: float
 
     @property
@@ -102,19 +108,11 @@ class SpectralResult:
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
 
 
-def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    """0.5 (M + M^H) as a new Fortran-ordered array, ready to be factored in place."""
-    Mh = M.conj().T
-    Mh += M
-    Mh *= 0.5
-    return Mh
-
-
 def _reduce(K: np.ndarray, Mh: np.ndarray):
     """Cholesky factor L of the Hermitian mass Mh = L L^H, and C = L^{-1} K L^{-H}.
 
     Mh is overwritten by L.  C is Fortran-ordered, so LAPACK routines
-    may overwrite it without a copy.
+    may overwrite a copy of it made with order="K" without another copy.
     """
     L = scipy.linalg.cholesky(Mh, lower=True, overwrite_a=True)
     KLh = scipy.linalg.solve_triangular(L, K.conj().T, lower=True, overwrite_b=True)
@@ -131,7 +129,8 @@ def solve_pencil(pencil) -> SpectralResult:
     solved in its place; v = L^{-H} y.  This costs about a tenth of a
     QZ on (K, M), and its backward error on (K, M) is about cond(M)
     times machine epsilon instead of QZ's epsilon; `residuals` records
-    it for every pair.  Eigenpairs are sorted by ascending |lambda|
+    it for every pair.  C is kept, read-only, as `reduced` for the
+    resolvent probes.  Eigenpairs are sorted by ascending |lambda|
     (ties by real then imaginary part); the trailing 20% is flagged as
     untrusted.
 
@@ -144,7 +143,9 @@ def solve_pencil(pencil) -> SpectralResult:
     M = np.asarray(pencil.M, dtype=complex)
     if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("pencil matrices must be square and of equal shape")
-    Mh = _hermitian_part(M)
+    Mh = M.conj().T  # Fortran-ordered, so that the Cholesky factors it in place
+    Mh += M
+    Mh *= 0.5
     mass_eigs = scipy.linalg.eigvalsh(Mh)
     if mass_eigs[0] <= 0.0:
         raise IllConditionedMass("mass matrix is not positive definite")
@@ -153,8 +154,8 @@ def solve_pencil(pencil) -> SpectralResult:
         raise IllConditionedMass(f"mass matrix condition number {cond:.3e} exceeds 1e12")
 
     L, C = _reduce(K, Mh)
-    lam, y = scipy.linalg.eig(C, overwrite_a=True, check_finite=False)
-    del C  # overwritten by the Schur form
+    C.flags.writeable = False
+    lam, y = scipy.linalg.eig(C, check_finite=False)
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
     vec = scipy.linalg.solve_triangular(
@@ -175,46 +176,20 @@ def solve_pencil(pencil) -> SpectralResult:
         n_retained=n_retained,
         K=K,
         M=M,
+        reduced=C,
         mass_condition=cond,
     )
 
 
-# (K, M, C) of the last read-only pencil that resolvent_norm probed
-_last_reduction = (None, None, None)
-
-
-def _reduced_operator(K: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """C = L^{-1} K L^{-H} of the pencil, reduced once for consecutive probes.
-
-    The last C is kept with its K and M, matched by identity, when both
-    are read-only (as DiscreteOperatorPencil's are), so that they cannot
-    change under it; a pencil with writable matrices is reduced anew
-    on every call.  Two threads racing here cost at most one extra
-    reduction: the cache is one tuple, read and replaced whole.
-    """
-    global _last_reduction
-    last_K, last_M, C = _last_reduction
-    if last_K is K and last_M is M:
-        return C
-    _, C = _reduce(K, _hermitian_part(M))
-    if not (K.flags.writeable or M.flags.writeable):
-        C.flags.writeable = False
-        _last_reduction = (K, M, C)
-    return C
-
-
-def resolvent_norm(pencil, lam: complex) -> float:
+def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     """Operator norm of (A - lambda)^{-1} in the M-inner product.
 
     Computed as 1 / sigma_min of C - lambda I, the M-symmetrized shifted
     pencil L^{-1}(K - lambda M)L^{-H} with M = L L^H and C = L^{-1} K L^{-H}
-    from the same reduction as solve_pencil; returns +inf when lambda is
-    (numerically) an eigenvalue.  Consecutive probes of one pencil share
-    the reduction.
+    the reduction `result.reduced` of the solve; returns +inf when
+    lambda is (numerically) an eigenvalue.
     """
-    K = np.asarray(pencil.K, dtype=complex)
-    M = np.asarray(pencil.M, dtype=complex)
-    shifted = _reduced_operator(K, M).copy(order="K")
+    shifted = result.reduced.copy(order="K")
     shifted[np.diag_indices_from(shifted)] -= complex(lam)
     s = scipy.linalg.svdvals(shifted, overwrite_a=True, check_finite=False)
     if s[0] == 0.0 or s[-1] < 1e-13 * s[0]:
@@ -222,12 +197,7 @@ def resolvent_norm(pencil, lam: complex) -> float:
     return float(1.0 / s[-1])
 
 
-def ray_resolvent_norms(
-    pencil,
-    ray: Ray,
-    radii: Sequence[float],
-    result: SpectralResult,
-) -> list:
+def ray_resolvent_norms(ray: Ray, radii: Sequence[float], result: SpectralResult) -> list:
     """Resolvent norms at r e^{i theta} for the probe radii r of ray_minimal_growth_full."""
     radii = [float(r) for r in radii]
     if len(radii) < 3:
@@ -242,7 +212,7 @@ def ray_resolvent_norms(
             f"max probe radius {radii[-1]:.6g} exceeds trust limit {trust:.6g}"
         )
     theta = ray.angle_theta
-    return [resolvent_norm(pencil, r * cmath.exp(1j * theta)) for r in radii]
+    return [resolvent_norm(result, r * cmath.exp(1j * theta)) for r in radii]
 
 
 def ray_growth_verdict(ray: Ray, radii: Sequence[float], norms: Sequence[float]) -> RayVerdict:
@@ -261,21 +231,15 @@ def ray_growth_verdict(ray: Ray, radii: Sequence[float], norms: Sequence[float])
     return RayVerdict(ray, "Fails", sup_bound, slope, witness=witness, note=note)
 
 
-def ray_minimal_growth_full(
-    pencil,
-    ray: Ray,
-    radii: Sequence[float],
-    result: SpectralResult,
-) -> RayVerdict:
+def ray_minimal_growth_full(ray: Ray, radii: Sequence[float], result: SpectralResult) -> RayVerdict:
     """Probe the resolvent along a ray and fit its decay rate.
 
     The ray is Minimal when the log-log slope of the resolvent norm
     against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
     bounded over the probes.  Probe radii must stay at or below the
-    trust limit 0.1 * max retained |eigenvalue| of `result`, the
-    pencil's own eigensolve.
+    trust limit 0.1 * max retained |eigenvalue| of `result`.
     """
-    return ray_growth_verdict(ray, radii, ray_resolvent_norms(pencil, ray, radii, result))
+    return ray_growth_verdict(ray, radii, ray_resolvent_norms(ray, radii, result))
 
 
 def _cluster_defective(result: SpectralResult, count: int):
@@ -324,14 +288,15 @@ def _cluster_defective(result: SpectralResult, count: int):
     return V
 
 
-def completeness_residual(result: SpectralResult, M, f, N_list):
+def completeness_residual(result: SpectralResult, f, N_list):
     """M-orthogonal projection defects of f onto nested eigenvector spans.
 
-    For each N in N_list, f (unit M-norm) is projected onto the span of
-    the first N retained eigenvectors; the returned (N, residual) pairs
-    are nonincreasing in N by construction of the nested spans.
+    For each N in N_list, f (unit norm in the mass `result.M`) is
+    projected onto the span of the first N retained eigenvectors; the
+    returned (N, residual) pairs are nonincreasing in N by construction
+    of the nested spans.
     """
-    M = np.asarray(M, dtype=complex)
+    M = result.M
     f = np.asarray(f, dtype=complex).reshape(-1)
     N_list = [int(N) for N in N_list]
     if not N_list:

@@ -287,7 +287,7 @@ def test_criterion_5_minimal_growth_slope(pencils, capsys):
     pencil, result, _ = pencils("sector", 1.0, 1.0j, 400)
     trust = result.trust_limit
     radii = [trust * 1e-3, trust * 1e-2, trust * 1e-1, trust]
-    verdict = ray_minimal_growth_full(pencil, Ray(0.5 * math.pi), radii, result=result)
+    verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=result)
     slope_ok = verdict.slope is not None and -1.15 <= verdict.slope <= -0.85
     sup_ok = verdict.sup_bound is not None and verdict.sup_bound <= 10.0
     elapsed = time.perf_counter() - t0
@@ -314,7 +314,7 @@ def test_criterion_6_completeness_residuals(pencils, capsys):
     for kind in ("closed", "sector"):
         pencil, result, grid = pencils(kind, 1.0, 1.0j, 400)
         f = _bump_vector(pencil, grid)
-        pairs = completeness_residual(result, pencil.M, f, counts)
+        pairs = completeness_residual(result, f, counts)
         res = dict(pairs)
         ratio = res[40] / res[5]
         nonincreasing = all(

@@ -102,6 +102,10 @@ class TestConfigErrors:
             ("normal-check", "--gamma", -2),  # no single 2-dimensional mode quotient
             ("example53", "--gamma", -2),
             ("example53", "--nh", 20),  # too few retained pairs for the residuals
+            ("normal-check", "--theta=nan"),  # non-finite inputs
+            ("resolvent", "--theta=inf", "--nh", 60),
+            ("spectrum", "--a=nan"),
+            ("spectrum", "--b-im=inf"),
         ],
     )
     def test_out_of_scope_input_exits_2_before_any_stage(self, argv, tmp_path, capsys):
@@ -111,6 +115,19 @@ class TestConfigErrors:
         assert "config error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("t_max", math.inf), ("N_h", math.inf), ("N_h", math.nan)])
+    def test_non_finite_config_file_value_exits_2(self, key, value, tmp_path, capsys):
+        cfg = cli._default_config_dict("sector")
+        cfg["discretization"][key] = value
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("embed", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodeMapping:
@@ -373,6 +390,7 @@ class TestFullPipelines:
             monkeypatch.setattr(module, name, counted)
 
         count(spectral, "resolvent_norm")
+        count(spectral, "_reduce")
         count(cli, "ray_minimal_growth_normal")
         count(normalop, "decaying_trace")
         # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
@@ -380,6 +398,8 @@ class TestFullPipelines:
         assert (tmp_path / "certificate.json").exists()
         rays = cli.DEFAULT_RAYS
         assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
+        # the probes shift the solve's own reduction instead of making another
+        assert counts["_reduce"] == 1
         assert counts["ray_minimal_growth_normal"] == len(rays) == 2
         # one decaying trace per probe point serves every candidate domain
         assert counts["decaying_trace"] == len(rays) * len(DEFAULT_PROBE_RADII) == 8

@@ -6,7 +6,9 @@ symmetry structure (Hermitian for real extension data, a definite skew
 part for genuinely complex data) is asserted at the matrix level.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -433,4 +435,43 @@ class TestPersistence:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_pencil(path)
+
+    @staticmethod
+    def _exported(tmp_path):
+        grid = RadialGrid.geometric(1.0, 32, 0.9)
+        pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
+        path = tmp_path / "pencil.bin"
+        export_pencil(pen, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("matrices", ["M", "K"]),
+            ("dtype", "complex64"),
+            ("order", "column-major"),
+            ("byteorder", "big"),
+            ("format_version", 2),
+            ("n", 0),
+            ("n", -1),
+            ("surprise", 1),
+        ],
+    )
+    def test_load_rejects_a_tampered_header(self, tmp_path, field, value):
+        path = self._exported(tmp_path)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", data[:8])
+        header = json.loads(data[8 : 8 + hlen])
+        header[field] = value
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + data[8 + hlen :])
+        with pytest.raises(ValueError):
+            load_pencil(path)
+
+    def test_load_rejects_trailing_data(self, tmp_path):
+        path = self._exported(tmp_path)
+        load_pencil(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
             load_pencil(path)

@@ -108,6 +108,11 @@ class TestRay:
         assert Ray(-0.5 * math.pi).angle_theta == pytest.approx(1.5 * math.pi)
         assert Ray(0.0).angle_theta == 0.0
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            Ray(theta)
+
     def test_json_dict(self):
         assert Ray(1.0).to_json_dict() == {"angle_theta": 1.0}
 

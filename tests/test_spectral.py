@@ -15,7 +15,6 @@ does not share code with the implementation under test.
 
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,21 +124,21 @@ class TestSolvePencil:
 
 
 class TestResolventNorm:
-    def test_hermitian_norm_is_inverse_distance(self, friedrichs_pencil):
+    def test_hermitian_norm_is_inverse_distance(self, friedrichs_pencil, friedrichs_result):
         lam_all = eigh(friedrichs_pencil.K, friedrichs_pencil.M, eigvals_only=True)
         for z in (3.0 + 4.0j, -7.0, 100.0j, 55.5):
             dist = np.min(np.abs(lam_all - z))
-            norm = resolvent_norm(friedrichs_pencil, z)
+            norm = resolvent_norm(friedrichs_result, z)
             assert norm == pytest.approx(1.0 / dist, rel=1e-8)
 
     def test_sentinel_at_eigenvalue(self):
         pen = make_pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
-        assert resolvent_norm(pen, 2.0) == math.inf
+        assert resolvent_norm(solve_pencil(pen), 2.0) == math.inf
 
-    def test_negative_ray_bound_on_friedrichs_sector(self, friedrichs_pencil):
+    def test_negative_ray_bound_on_friedrichs_sector(self, friedrichs_result):
         # positive operator: r * ||R(-r)|| <= r / (r + lambda_1) < 1
         for r in (1.0, 10.0, 100.0, 1000.0):
-            assert r * resolvent_norm(friedrichs_pencil, -r) < 1.0
+            assert r * resolvent_norm(friedrichs_result, -r) < 1.0
 
     def test_first_resolvent_equation_on_random_pencils(self):
         rng = np.random.default_rng(20)
@@ -160,21 +159,19 @@ class TestResolventNorm:
                 np.linalg.solve(L, (K - z1 * M)) @ np.linalg.inv(L.conj().T),
                 compute_uv=False,
             )[-1]
-            assert resolvent_norm(pen, z1) == pytest.approx(dense, rel=1e-10)
+            assert resolvent_norm(solve_pencil(pen), z1) == pytest.approx(dense, rel=1e-10)
 
     def test_probes_of_one_pencil_share_one_reduction(self, monkeypatch):
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), None)
-        writable = SimpleNamespace(K=pen.K.copy(), M=pen.M.copy())
         calls = []
         reduce = spectral._reduce
         monkeypatch.setattr(spectral, "_reduce", lambda K, Mh: calls.append(1) or reduce(K, Mh))
-        probes = (1.0j, -5.0, 2.5 + 0.5j)
-        shared = [resolvent_norm(pen, z) for z in probes]
+        res = solve_pencil(pen)
+        for z in (1.0j, -5.0, 2.5 + 0.5j):
+            resolvent_norm(res, z)
         assert len(calls) == 1
-        # writable matrices could change between probes: each probe reduces anew
-        fresh = [resolvent_norm(writable, z) for z in probes]
-        assert len(calls) == 1 + len(probes)
-        assert shared == fresh
+        with pytest.raises(ValueError, match="read-only"):
+            res.reduced[0, 0] = 0.0
 
     def test_matches_explicit_shifted_svd_on_friedrichs(self, friedrichs_pencil, friedrichs_result):
         K, M = friedrichs_pencil.K, friedrichs_pencil.M
@@ -184,7 +181,7 @@ class TestResolventNorm:
             shifted = scipy.linalg.solve_triangular(L, K - z * M, lower=True)
             reduced = scipy.linalg.solve_triangular(L, shifted.conj().T, lower=True).conj().T
             dense = 1.0 / np.linalg.svd(reduced, compute_uv=False)[-1]
-            assert resolvent_norm(friedrichs_pencil, z) == pytest.approx(dense, rel=1e-10)
+            assert resolvent_norm(friedrichs_result, z) == pytest.approx(dense, rel=1e-10)
 
 
 # seeded closed-link pair whose fifth root sits far off the real axis
@@ -227,46 +224,37 @@ class TestReductionAgainstQZ:
 
 
 class TestRayMinimalGrowthFull:
-    def test_vertical_ray_minimal_on_friedrichs(self, friedrichs_pencil, friedrichs_result):
+    def test_vertical_ray_minimal_on_friedrichs(self, friedrichs_result):
         trust = friedrichs_result.trust_limit
         radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
-        verdict = ray_minimal_growth_full(
-            friedrichs_pencil, Ray(0.5 * math.pi), radii, result=friedrichs_result
-        )
+        verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=friedrichs_result)
         assert verdict.verdict == "Minimal"
         assert -1.15 <= verdict.slope <= -0.85
         assert math.isfinite(verdict.sup_bound)
 
-    def test_positive_real_ray_fails(self, friedrichs_pencil, friedrichs_result):
+    def test_positive_real_ray_fails(self, friedrichs_result):
         # the ray theta=0 runs through the positive spectrum: aim the
         # outermost probe at the first eigenvalue itself
         lam1 = abs(friedrichs_result.eigenvalues[0])
         radii = (1e-3 * lam1, 1e-2 * lam1, 1e-1 * lam1, lam1)
-        verdict = ray_minimal_growth_full(
-            friedrichs_pencil, Ray(0.0), radii, result=friedrichs_result
-        )
+        verdict = ray_minimal_growth_full(Ray(0.0), radii, result=friedrichs_result)
         assert verdict.verdict == "Fails"
         assert verdict.witness is not None
 
-    def test_trust_limit_enforced(self, friedrichs_pencil, friedrichs_result):
+    def test_trust_limit_enforced(self, friedrichs_result):
         trust = friedrichs_result.trust_limit
         with pytest.raises(TrustLimitExceeded):
             ray_minimal_growth_full(
-                friedrichs_pencil,
                 Ray(0.5 * math.pi),
                 (trust * 1e-2, trust * 1e-1, trust * 2.0),
                 result=friedrichs_result,
             )
 
-    def test_needs_three_increasing_radii(self, friedrichs_pencil, friedrichs_result):
+    def test_needs_three_increasing_radii(self, friedrichs_result):
         with pytest.raises(ValueError):
-            ray_minimal_growth_full(
-                friedrichs_pencil, Ray(0.5 * math.pi), (1.0, 10.0), result=friedrichs_result
-            )
+            ray_minimal_growth_full(Ray(0.5 * math.pi), (1.0, 10.0), result=friedrichs_result)
         with pytest.raises(ValueError):
-            ray_minimal_growth_full(
-                friedrichs_pencil, Ray(0.5 * math.pi), (10.0, 1.0, 100.0), result=friedrichs_result
-            )
+            ray_minimal_growth_full(Ray(0.5 * math.pi), (10.0, 1.0, 100.0), result=friedrichs_result)
 
 
 class TestRayVerdictInvariants:
@@ -287,7 +275,7 @@ class TestCompletenessResidual:
     def test_first_eigenvector_projects_exactly(self, friedrichs_pencil, friedrichs_result):
         v = friedrichs_result.eigenvectors[:, 0]
         nrm = math.sqrt(abs(v.conj() @ friedrichs_pencil.M @ v))
-        rows = completeness_residual(friedrichs_result, friedrichs_pencil.M, v / nrm, [1, 3])
+        rows = completeness_residual(friedrichs_result, v / nrm, [1, 3])
         assert rows[0] == (1, pytest.approx(0.0, abs=1e-8))
         assert rows[1][1] <= 1e-8
 
@@ -295,27 +283,20 @@ class TestCompletenessResidual:
         rng = np.random.default_rng(3)
         f = rng.normal(size=friedrichs_pencil.size) + 1j * rng.normal(size=friedrichs_pencil.size)
         nrm = math.sqrt(abs(f.conj() @ friedrichs_pencil.M @ f))
-        rows = completeness_residual(
-            friedrichs_result, friedrichs_pencil.M, f / nrm, [2, 5, 10, 20, 40]
-        )
+        rows = completeness_residual(friedrichs_result, f / nrm, [2, 5, 10, 20, 40])
         vals = [r for _, r in rows]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
     def test_unit_norm_precondition(self, friedrichs_pencil, friedrichs_result):
         f = np.ones(friedrichs_pencil.size)
         with pytest.raises(ValueError, match="unit"):
-            completeness_residual(friedrichs_result, friedrichs_pencil.M, f, [5])
+            completeness_residual(friedrichs_result, f, [5])
 
     def test_n_beyond_retained_rejected(self, friedrichs_pencil, friedrichs_result):
         v = friedrichs_result.eigenvectors[:, 0]
         nrm = math.sqrt(abs(v.conj() @ friedrichs_pencil.M @ v))
         with pytest.raises(ValueError):
-            completeness_residual(
-                friedrichs_result,
-                friedrichs_pencil.M,
-                v / nrm,
-                [friedrichs_result.n_retained + 1],
-            )
+            completeness_residual(friedrichs_result, v / nrm, [friedrichs_result.n_retained + 1])
 
     def test_defective_cluster_uses_invariant_subspace(self):
         # Jordan block at lambda=1: the two eigenvectors collapse onto
@@ -333,7 +314,7 @@ class TestCompletenessResidual:
         res = solve_pencil(pen)
         assert res.n_retained == 3
         f = np.array([0.0, 0.8, 0.6, 0.0], dtype=complex)
-        rows = completeness_residual(res, pen.M, f, [1, 2, 3])
+        rows = completeness_residual(res, f, [1, 2, 3])
         assert rows[0][1] == pytest.approx(1.0, abs=1e-9)
         assert rows[1][1] == pytest.approx(0.6, abs=1e-9)
         assert rows[2][1] <= 1e-9
