@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import hashlib
 import itertools
 import json
 import math
+import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -128,10 +131,15 @@ class ExperimentConfig:
 
     def __init__(self, model, a, b, rays, N_h, grading_q, t_max, outputs_dir):
         self.model = model
+        # an exact integer: int() would truncate 40.7 and parse "400"
+        if isinstance(N_h, bool) or not (
+            isinstance(N_h, numbers.Integral) or (isinstance(N_h, float) and N_h.is_integer())
+        ):
+            raise ConfigError(f"discretization.N_h must be an integer, got {N_h!r}")
+        self.N_h = int(N_h)
         try:
             self.a = complex(a)
             self.b = complex(b)
-            self.N_h = int(N_h)
             self.grading_q = float(grading_q)
             self.t_max = float(t_max)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -850,8 +858,8 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
 
     timings.json, kept apart from the deterministic artifacts, records
     the wall time of each stage that completed (computing and writing
-    it) in run order, also when a later stage fails, and the versions
-    of the package, numpy and scipy.
+    it) in run order, also when a later stage fails, with the run's
+    provenance (see _provenance).
     """
     for stage in stages:
         for check in stage.scope:
@@ -872,12 +880,36 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
             if echo:
                 print(stage.line(record.payload))
     finally:
-        versions = {"conespectra": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
         _write_json(
             out / "timings.json",
-            {"schema_version": SCHEMA_VERSION, "stages": timings, "versions": versions},
+            {"schema_version": SCHEMA_VERSION, "stages": timings, **_provenance(run.cfg)},
         )
     return run.records
+
+
+def _provenance(cfg: ExperimentConfig) -> dict:
+    """The versions, BLAS builds, thread variables and config hash that timings.json records.
+
+    The hash is the sha256 of the config as canonical JSON (sorted keys,
+    no whitespace) without its outputs directory, so reruns of one
+    experiment share it wherever they write.
+    """
+    config = cfg.to_json_dict()
+    del config["outputs_dir"]
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    blas = {}
+    for module in (np, scipy):
+        build = module.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        blas[module.__name__] = {"name": build.get("name"), "version": build.get("version")}
+    return {
+        "versions": {"conespectra": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "blas": blas,
+        "thread_env": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
 
 
 def _run_command(cfg: ExperimentConfig, args) -> int:

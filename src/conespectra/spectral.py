@@ -11,12 +11,22 @@ The mass M is Hermitian positive definite, so the eigensolve and every
 resolvent probe share one reduction: M = L L^H (Cholesky) and
 C = L^{-1} K L^{-H}, whose standard eigenpairs (lambda, y) give the
 pencil's as (lambda, L^{-H} y), and whose shifted singular values give
-the resolvent norm in the M-inner product.  solve_pencil computes C
-once and keeps it on its SpectralResult; the probes take that result,
-not the pencil, and shift its C.  One complex Hessenberg-QR eigensolve
-of C costs about a tenth of a QZ on (K, M); its backward error on
-(K, M) is about cond(M) times machine epsilon instead of epsilon, and
-cond(M) is gated at 1e12.
+the resolvent norm in the M-inner product.  One complex Hessenberg-QR
+eigensolve of C costs about a tenth of a QZ on (K, M); its backward
+error on (K, M) is about cond(M) times machine epsilon instead of
+epsilon, and cond(M) is gated at 1e12.
+
+The probes use the structure of an enriched pencil: K is Hermitian
+except for an imaginary part i tau_K in its last diagonal entry (the
+enrichment corner).  L is lower triangular, so L^{-1} e_n = e_n / L_nn
+and C is Hermitian but for i tau, tau = Im C[n-1, n-1], in the same
+corner.  With H = Q diag(mu) Q^H the Hermitian part of C (corner made
+real) and w = Q^H e_n, C - lambda is unitarily similar to
+diag(mu - lambda) + i tau w w^H (Golub, SIAM Rev. 1973), and each
+probe's extreme singular values are roots of a 2 x 2 secular count,
+O(n) per probe.  The result diagonalizes H once, on its first probe,
+and keeps only (mu, |w|^2, tau).  A pencil whose K is not of that form
+is rejected by the probes with ValueError.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,10 +90,18 @@ class SpectralResult:
     downstream projections use the same mass and can fall back to
     invariant subspaces of the same pencil.  `reduced` is the read-only
     C = L^{-1} K L^{-H} (M = L L^H) that the eigensolve reduced the
-    pencil to; every resolvent probe of the result shifts that C, so
-    the pencil is reduced once however many probes follow.  `residuals`
-    holds ||K v - lambda M v|| / ||v|| for each pair, and
-    `mass_condition` is cond(M) as the solver gate measured it.
+    pencil to.  `residuals` holds ||K v - lambda M v|| / ||v|| for each
+    pair, and `mass_condition` is cond(M) as the solver gate measured it.
+
+    `probe_basis` is what every resolvent probe of the result reads:
+    the eigenvalues mu of the Hermitian part of C with its corner made
+    real, the weights |w_k|^2 of its eigenvectors' last row, and the
+    corner's tau = Im C[n-1, n-1].  It is computed by one Hermitian
+    eigensolve on the first probe and cached on the result, so a result
+    that is never probed pays nothing and a probed one pays once; it
+    holds O(n) numbers.  It needs K Hermitian except for its last
+    diagonal entry, as enriched pencils are, and raises ValueError
+    otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -106,6 +125,25 @@ class SpectralResult:
     def trust_limit(self) -> float:
         """Largest |lambda| at which resolvent probes are meaningful."""
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
+
+    @cached_property
+    def probe_basis(self) -> tuple:
+        """(mu, |w|^2, tau) of the reduction C = Q (diag(mu) + i tau w w^H) Q^H."""
+        K = self.K
+        skew_imag = K.imag + K.imag.T
+        skew_imag[-1, -1] = 0.0
+        if np.any(skew_imag) or np.any(K.real != K.real.T):
+            raise ValueError(
+                "resolvent probes need K Hermitian except for its last diagonal entry"
+            )
+        del skew_imag
+        C = self.reduced
+        H = np.conjugate(C.T, order="F")  # Fortran-ordered: eigh overwrites it, no copy
+        H += C
+        H *= 0.5  # the Hermitian part of C, with a real corner
+        mu, Q = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False)
+        weights = Q[-1].real ** 2 + Q[-1].imag ** 2
+        return mu, weights, float(C[-1, -1].imag)
 
 
 def _reduce(K: np.ndarray, Mh: np.ndarray):
@@ -181,20 +219,85 @@ def solve_pencil(pencil) -> SpectralResult:
     )
 
 
+def _singular_values_below(d, moduli2, weights, tau: float, s: float) -> int:
+    """Number of singular values below s > 0 of B = diag(d) + i tau w w^H.
+
+    moduli2 holds |d_k|^2 and weights |w_k|^2.  The count follows from
+    Haynsworth inertia additivity on the Hermitian dilation
+    [[-s, B], [B^H, -s]], which has n + #{sigma_j < s} negative
+    eigenvalues, written as a block diagonal plus the rank-two update
+    bordered by [[0, -i/tau], [i/tau, 0]] (one negative eigenvalue):
+    the 2 x 2 blocks [[-s, d_k], [conj(d_k), -s]] have n + #{|d_k| < s}
+    negative eigenvalues, and the 2 x 2 Schur complement has
+    eigenvalues -a +- |h + i/tau| with, for alpha_k = |w_k|^2 / (|d_k|^2 - s^2),
+    a = s sum alpha_k and h = sum alpha_k d_k.  Their signs follow from
+    a and tau^2 (a^2 - |h + i/tau|^2), which equals
+    tau^2 (sum alpha (sum alpha |d - c|^2 - sum |w|^2) - |sum alpha (d - c)|^2)
+    - 1 - 2 tau sum alpha Im d for any c.  Taking c = d_k at the pole
+    nearest to s cancels that pole's alpha_k^2 terms exactly, so the
+    count stays right next to a pole; an s on a pole moves up by one ulp.
+    """
+    while True:
+        gap = moduli2 - s * s
+        if gap.all():
+            break
+        s = float(np.nextafter(s, math.inf))
+    alpha = weights / gap
+    total = float(alpha.sum())
+    shifted = d - d[np.argmin(np.abs(gap))]
+    moment = float(alpha @ (shifted.real**2 + shifted.imag**2))
+    det = tau * tau * (total * (moment - float(weights.sum())) - abs(complex(alpha @ shifted)) ** 2)
+    det -= 1.0 + 2.0 * tau * float(alpha @ d.imag)
+    negative = 1 if det <= 0.0 else 2 if total > 0.0 else 0
+    return int(np.count_nonzero(gap < 0.0)) + negative - 1
+
+
+def _bisect(lo: float, hi: float, above) -> float:
+    """The point where above(s) turns true in (lo, hi], to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     """Operator norm of (A - lambda)^{-1} in the M-inner product.
 
-    Computed as 1 / sigma_min of C - lambda I, the M-symmetrized shifted
+    That is 1 / sigma_min of C - lambda I, the M-symmetrized shifted
     pencil L^{-1}(K - lambda M)L^{-H} with M = L L^H and C = L^{-1} K L^{-H}
-    the reduction `result.reduced` of the solve; returns +inf when
-    lambda is (numerically) an eigenvalue.
+    the reduction of the solve.  C - lambda is unitarily similar to
+    B = diag(mu - lambda) + i tau w w^H (see `SpectralResult.probe_basis`),
+    so its extreme singular values are found by bisection on an O(n)
+    count, each inside the bracket that Weyl's inequality gives for a
+    rank-one update of norm |tau| ||w||^2.  Returns +inf when lambda is
+    (numerically) an eigenvalue: sigma_min < 1e-13 sigma_max.
+
+    Raises
+    ------
+    ValueError
+        If the result's K is not Hermitian apart from its last diagonal entry.
     """
-    shifted = result.reduced.copy(order="K")
-    shifted[np.diag_indices_from(shifted)] -= complex(lam)
-    s = scipy.linalg.svdvals(shifted, overwrite_a=True, check_finite=False)
-    if s[0] == 0.0 or s[-1] < 1e-13 * s[0]:
+    mu, weights, tau = result.probe_basis
+    d = mu - complex(lam)
+    moduli2 = d.real**2 + d.imag**2
+    n = len(d)
+    spread = abs(tau) * float(weights.sum())
+
+    def below(s):
+        return _singular_values_below(d, moduli2, weights, tau, s)
+
+    top = math.sqrt(moduli2.max())
+    s_max = _bisect(max(top - spread, 0.0), top + spread, lambda s: below(s) == n)
+    floor = 1e-13 * s_max
+    if s_max == 0.0 or below(floor) >= 1:
         return math.inf
-    return float(1.0 / s[-1])
+    bottom = math.sqrt(moduli2.min())
+    s_min = _bisect(max(bottom - spread, floor), bottom + spread, lambda s: below(s) >= 1)
+    return 1.0 / s_min
 
 
 def ray_resolvent_norms(ray: Ray, radii: Sequence[float], result: SpectralResult) -> list:

@@ -6,6 +6,7 @@ cover the installed console script and ``python -m conespectra``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -116,8 +117,8 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("t_max", math.inf), ("N_h", math.inf), ("N_h", math.nan)])
-    def test_non_finite_config_file_value_exits_2(self, key, value, tmp_path, capsys):
+    @staticmethod
+    def assert_config_file_exits_2(key, value, tmp_path, capsys):
         cfg = cli._default_config_dict("sector")
         cfg["discretization"][key] = value
         cfg["outputs_dir"] = str(tmp_path / "out")
@@ -128,6 +129,25 @@ class TestConfigErrors:
         assert "config error" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("key, value", [("t_max", math.inf), ("N_h", math.inf), ("N_h", math.nan)])
+    def test_non_finite_config_file_value_exits_2(self, key, value, tmp_path, capsys):
+        self.assert_config_file_exits_2(key, value, tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", [40.7, 400.5, "400", "40", True, [400], None])
+    def test_non_integer_grid_size_exits_2(self, value, tmp_path, capsys):
+        err = self.assert_config_file_exits_2("N_h", value, tmp_path, capsys)
+        assert "N_h must be an integer" in err
+
+    def test_integral_float_grid_size_is_an_integer(self, tmp_path, capsys):
+        cfg = cli._default_config_dict("sector")
+        cfg["discretization"]["N_h"] = 60.0
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("embed", "--config", path) in (0, 1)
+        assert read_json(tmp_path / "out" / "embed.json")["N_h"] == 60
 
 
 class TestExitCodeMapping:
@@ -335,12 +355,31 @@ class TestFullPipelines:
         assert [t["stage"] for t in timings["stages"]] == ran
         assert all(t["wall_s"] >= 0.0 for t in timings["stages"])
         assert set(timings["versions"]) == {"conespectra", "numpy", "scipy"}
+        # provenance: the BLAS builds, the thread variables and the config hash
+        for module in ("numpy", "scipy"):
+            assert set(timings["blas"][module]) == {"name", "version"}
+            assert isinstance(timings["blas"][module]["name"], str)
+        assert set(timings["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        for var, value in timings["thread_env"].items():
+            assert value == os.environ.get(var)
+        config = read_json(out / "report.json")["config"]
+        del config["outputs_dir"]
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert timings["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
         # a subcommand times the stages it reads as well as its own
         assert run_cli("certify", "--nh", 60, "--out", tmp_path) in (0, 1)
         timings = read_json(tmp_path / "timings.json")
         expected = ["normal-check", "spectrum", "resolvent", "certify"]
         assert [t["stage"] for t in timings["stages"]] == expected
         assert all(t["wall_s"] >= 0.0 for t in timings["stages"])
+        # the same experiment written elsewhere shares the hash; another N_h does not
+        assert timings["config_sha256"] != read_json(out / "timings.json")["config_sha256"]
+        assert run_cli("certify", "--nh", 60, "--out", tmp_path / "again") in (0, 1)
+        assert read_json(tmp_path / "again" / "timings.json")["config_sha256"] == timings["config_sha256"]
+        # and none of it reaches stdout or the report
+        stdout = capsys.readouterr().out
+        assert timings["config_sha256"] not in stdout and "OPENBLAS" not in stdout
+        assert "config_sha256" not in (out / "report.json").read_text()
 
     def test_sector_rerun_is_deterministic(self, sector_run, tmp_path, capsys):
         _, first = sector_run
@@ -398,7 +437,7 @@ class TestFullPipelines:
         assert (tmp_path / "certificate.json").exists()
         rays = cli.DEFAULT_RAYS
         assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
-        # the probes shift the solve's own reduction instead of making another
+        # the probes read the solve's own reduction instead of making another
         assert counts["_reduce"] == 1
         assert counts["ray_minimal_growth_normal"] == len(rays) == 2
         # one decaying trace per probe point serves every candidate domain

@@ -13,12 +13,15 @@ does not share code with the implementation under test.
   * rescaling R against the exact homogeneity law of the problem.
 """
 
+import cmath
 import math
 import os
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky, eigh
 from scipy.optimize import brentq
 from scipy.special import gamma as sp_gamma
@@ -66,6 +69,25 @@ def make_pencil(K, M) -> DiscreteOperatorPencil:
         outer_radius_R=1.0,
         enrichment_coeffs=None,
     )
+
+
+def random_structured_stiffness(rng, n):
+    """A real symmetric matrix with a complex border, its conjugate, and an imaginary corner."""
+    S = rng.normal(size=(n, n))
+    K = (S + S.T).astype(complex)
+    border = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    K[-1, :-1] = border
+    K[:-1, -1] = border.conj()
+    K[-1, -1] = rng.normal() + 1j * rng.normal()
+    return K
+
+
+def dense_resolvent_norm(K, M, lam):
+    """1 / sigma_min of L^{-1}(K - lambda M)L^{-H}, M = L L^H, by a dense SVD."""
+    L = cholesky(M, lower=True)
+    shifted = scipy.linalg.solve_triangular(L, K - lam * M, lower=True)
+    reduced = scipy.linalg.solve_triangular(L, shifted.conj().T, lower=True).conj().T
+    return 1.0 / np.linalg.svd(reduced, compute_uv=False)[-1]
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +166,7 @@ class TestResolventNorm:
         rng = np.random.default_rng(20)
         for _ in range(5):
             n = 6
-            K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            K = random_structured_stiffness(rng, n)
             B = rng.normal(size=(n, n))
             M = B @ B.T + n * np.eye(n)
             pen = make_pencil(K, M)
@@ -161,6 +183,61 @@ class TestResolventNorm:
             )[-1]
             assert resolvent_norm(solve_pencil(pen), z1) == pytest.approx(dense, rel=1e-10)
 
+    def test_singular_value_count_at_and_between_poles(self):
+        # the bisection's first midpoints land on the poles |d_k| = s, so
+        # the count must be right there too, and raise no float warning
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            d = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.integers(0, 2)
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
+            w /= np.linalg.norm(w)
+            tau = rng.normal() * rng.choice([0.0, 1.0, 10.0])
+            sigma = np.linalg.svd(np.diag(d) + 1j * tau * np.outer(w, w.conj()), compute_uv=False)
+            moduli2 = d.real**2 + d.imag**2
+            for s in np.concatenate((np.sqrt(moduli2), rng.uniform(0.01, 3.0, 4))):
+                if np.min(np.abs(sigma - s)) < 1e-9:
+                    continue
+                with np.errstate(all="raise"):
+                    count = spectral._singular_values_below(d, moduli2, np.abs(w) ** 2, tau, s)
+                assert count == np.count_nonzero(sigma < s)
+
+    def test_unstructured_pencil_is_rejected(self):
+        # a K with skew-Hermitian entries off the enrichment corner is
+        # outside the rank-one structure the probes are derived from
+        rng = np.random.default_rng(20)
+        n = 6
+        K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        res = solve_pencil(make_pencil(K, np.eye(n)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            resolvent_norm(res, 1.5 + 2.0j)
+        radii = (1e-3 * res.trust_limit, 1e-2 * res.trust_limit, 1e-1 * res.trust_limit)
+        with pytest.raises(ValueError, match="Hermitian"):
+            ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=res)
+        # one skew entry is enough, even a real one
+        K = random_structured_stiffness(rng, n)
+        K[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            resolvent_norm(solve_pencil(make_pencil(K, np.eye(n))), 1.0j)
+
+    def test_one_hermitian_eigensolve_per_probed_result(self, monkeypatch):
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), ExtensionDomain.line([1.0, 1.0j]))
+        calls = []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        unprobed = solve_pencil(pen)
+        assert unprobed.trust_limit > 0.0 and len(unprobed.retained_eigenvalues) > 0
+        assert calls == []
+        probed = solve_pencil(pen)
+        trust = probed.trust_limit
+        radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
+        for theta in (0.5 * math.pi, 1.5 * math.pi, 2.0):
+            ray_minimal_growth_full(Ray(theta), radii, result=probed)
+        resolvent_norm(probed, -5.0)
+        assert len(calls) == 1
+        mu, weights, _ = probed.probe_basis
+        assert mu.shape == weights.shape == (pen.size,)
+
     def test_probes_of_one_pencil_share_one_reduction(self, monkeypatch):
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), None)
         calls = []
@@ -175,13 +252,33 @@ class TestResolventNorm:
 
     def test_matches_explicit_shifted_svd_on_friedrichs(self, friedrichs_pencil, friedrichs_result):
         K, M = friedrichs_pencil.K, friedrichs_pencil.M
-        L = cholesky(M, lower=True)
         trust = friedrichs_result.trust_limit
         for z in (1.0j, -5.0, 0.1 * trust * np.exp(0.75j * math.pi), trust * 1j, 2.5 + 0.5j):
-            shifted = scipy.linalg.solve_triangular(L, K - z * M, lower=True)
-            reduced = scipy.linalg.solve_triangular(L, shifted.conj().T, lower=True).conj().T
-            dense = 1.0 / np.linalg.svd(reduced, compute_uv=False)[-1]
+            dense = dense_resolvent_norm(K, M, z)
             assert resolvent_norm(friedrichs_result, z) == pytest.approx(dense, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        closed=st.booleans(),
+        ab=st.tuples(*[st.floats(-2.0, 2.0)] * 4).filter(lambda v: max(map(abs, v)) > 0.1),
+        n_h=st.integers(16, 120),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        radius=st.floats(1e-3, 1.0),
+    )
+    def test_matches_dense_svd_on_enriched_pencils(self, closed, ab, n_h, theta, radius):
+        model, mode_k = (CLOSED, 0) if closed else (SECTOR, 1)
+        line = ExtensionDomain.line([complex(ab[0], ab[1]), complex(ab[2], ab[3])])
+        pen = assemble_mode_pencil(model, mode_k, RadialGrid.geometric(1.0, n_h, 0.9), line)
+        res = solve_pencil(pen)
+        lam = radius * res.trust_limit * cmath.exp(1j * theta)
+        s_ref = 1.0 / dense_resolvent_norm(pen.K, pen.M, lam)
+        s = 1.0 / resolvent_norm(res, lam)
+        # the reference rounds K - lambda M before two triangular solves,
+        # so by Weyl it is off by about eps (||K|| + |lambda| ||M||) ||M^-1||
+        # in absolute terms; the structured route's own error is smaller
+        mass = scipy.linalg.eigvalsh(pen.M)
+        unit = np.finfo(float).eps * (np.linalg.norm(pen.K, 2) + abs(lam) * mass[-1]) / mass[0]
+        assert abs(s - s_ref) <= 8.0 * unit
 
 
 # seeded closed-link pair whose fifth root sits far off the real axis
