@@ -143,6 +143,7 @@ class SpectralResult:
         H *= 0.5  # the Hermitian part of C, with a real corner
         mu, Q = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False)
         weights = Q[-1].real ** 2 + Q[-1].imag ** 2
+        mu.flags.writeable = weights.flags.writeable = False  # shared by every probe
         return mu, weights, float(C[-1, -1].imag)
 
 
@@ -284,14 +285,13 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     mu, weights, tau = result.probe_basis
     d = mu - complex(lam)
     moduli2 = d.real**2 + d.imag**2
-    n = len(d)
     spread = abs(tau) * float(weights.sum())
 
     def below(s):
         return _singular_values_below(d, moduli2, weights, tau, s)
 
     top = math.sqrt(moduli2.max())
-    s_max = _bisect(max(top - spread, 0.0), top + spread, lambda s: below(s) == n)
+    s_max = _bisect(max(top - spread, 0.0), top + spread, lambda s: below(s) == len(d))
     floor = 1e-13 * s_max
     if s_max == 0.0 or below(floor) >= 1:
         return math.inf

@@ -237,6 +237,8 @@ class TestResolventNorm:
         assert len(calls) == 1
         mu, weights, _ = probed.probe_basis
         assert mu.shape == weights.shape == (pen.size,)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
 
     def test_probes_of_one_pencil_share_one_reduction(self, monkeypatch):
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), None)
