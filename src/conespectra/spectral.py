@@ -7,26 +7,30 @@ exponent fits, and an independent Bessel secular-equation oracle for
 the radial model problem L_nu u = -u'' - u'/x + nu^2 u/x^2 with
 u(R) = 0 and tip coefficients (a, b) on the singular pair.
 
-The mass M is Hermitian positive definite, so the eigensolve and every
-resolvent probe share one reduction: M = L L^H (Cholesky) and
-C = L^{-1} K L^{-H}, whose standard eigenpairs (lambda, y) give the
-pencil's as (lambda, L^{-H} y), and whose shifted singular values give
-the resolvent norm in the M-inner product.  One complex Hessenberg-QR
-eigensolve of C costs about a tenth of a QZ on (K, M); its backward
-error on (K, M) is about cond(M) times machine epsilon instead of
+The mass M is Hermitian positive definite, so the pencil is reduced
+once: M = L L^H (Cholesky) and C = L^{-1} K L^{-H}, whose standard
+eigenpairs (lambda, y) give the pencil's as (lambda, L^{-H} y).  The
+reduction's backward error on (K, M) is about cond(M) times machine
 epsilon, and cond(M) is gated at 1e12.
 
-The probes use the structure of an enriched pencil: K is Hermitian
-except for an imaginary part i tau_K in its last diagonal entry (the
-enrichment corner).  L is lower triangular, so L^{-1} e_n = e_n / L_nn
-and C is Hermitian but for i tau, tau = Im C[n-1, n-1], in the same
-corner.  With H = Q diag(mu) Q^H the Hermitian part of C (corner made
-real) and w = Q^H e_n, C - lambda is unitarily similar to
-diag(mu - lambda) + i tau w w^H (Golub, SIAM Rev. 1973), and each
+The solve and the resolvent probes use the structure of an enriched
+pencil: K is Hermitian except for an imaginary part i tau_K in its
+last diagonal entry (the enrichment corner), and a pencil whose K is
+not of that form is rejected with ValueError.  L is lower triangular,
+so L^{-1} e_n = e_n / L_nn and C is Hermitian but for i tau,
+tau = Im C[n-1, n-1], in the same corner.  With H = Q diag(mu) Q^H the
+Hermitian part of C (corner made real) and w = Q^H e_n, C - lambda is
+unitarily similar to diag(mu - lambda) + i tau w w^H (Golub, SIAM Rev.
+1973).  One Hermitian eigensolve of H therefore serves everything:
+the eigenvalues of C are the roots of the secular function
+g(lambda) = 1 + i tau sum_k |w_k|^2 / (mu_k - lambda), found together
+by an Aberth-Ehrlich iteration (Bini & Robol, J. Comput. Appl. Math.
+2014), each eigenvector is Q (w / (mu - lambda)), and each resolvent
 probe's extreme singular values are roots of a 2 x 2 secular count,
-O(n) per probe.  The result diagonalizes H once, on its first probe,
-and keeps only (mu, |w|^2, tau).  A pencil whose K is not of that form
-is rejected by the probes with ValueError.
+O(n) per probe, from the (mu, |w|^2, tau) that the result keeps.  The
+Hermitian eigensolve is accurate to eps ||H|| only, which is coarse
+for the small eigenvalues of a graded pencil, so each eigenvalue is
+refined by a two-sided Rayleigh quotient on (K, M) itself.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,6 +70,10 @@ __all__ = [
 
 MASS_CONDITION_LIMIT = 1e12
 RETAIN_FRACTION = 0.8
+# Aberth sweeps before the eigensolve gives up; a root stops once
+# |g| <= _ABERTH_TOL * eps * (its rounding-error bound)
+_ABERTH_SWEEPS = 200
+_ABERTH_TOL = 4.0
 
 
 class IllConditionedMass(RuntimeError):
@@ -78,7 +85,7 @@ class TrustLimitExceeded(ValueError):
 
 
 class RootFindingError(RuntimeError):
-    """The secular-equation scan failed to converge on some root."""
+    """A secular-equation root search failed to converge on some root."""
 
 
 @dataclass(frozen=True)
@@ -88,20 +95,17 @@ class SpectralResult:
     The top 20% of |lambda| is treated as discretization-polluted;
     `n_retained` marks the trusted prefix.  K and M are kept so that
     downstream projections use the same mass and can fall back to
-    invariant subspaces of the same pencil.  `reduced` is the read-only
-    C = L^{-1} K L^{-H} (M = L L^H) that the eigensolve reduced the
-    pencil to.  `residuals` holds ||K v - lambda M v|| / ||v|| for each
+    invariant subspaces of the same pencil.  Each eigenvector has unit
+    M-norm.  `residuals` holds ||K v - lambda M v|| / ||v|| for each
     pair, and `mass_condition` is cond(M) as the solver gate measured it.
 
-    `probe_basis` is what every resolvent probe of the result reads:
-    the eigenvalues mu of the Hermitian part of C with its corner made
-    real, the weights |w_k|^2 of its eigenvectors' last row, and the
-    corner's tau = Im C[n-1, n-1].  It is computed by one Hermitian
-    eigensolve on the first probe and cached on the result, so a result
-    that is never probed pays nothing and a probed one pays once; it
-    holds O(n) numbers.  It needs K Hermitian except for its last
-    diagonal entry, as enriched pencils are, and raises ValueError
-    otherwise.
+    `rank_one_form` is (mu, |w|^2, tau) of the reduction
+    C = Q (diag(mu) + i tau w w^H) Q^H: the eigenvalues mu of the
+    Hermitian part of C with its corner made real, the squared moduli
+    of its eigenvectors' last row, and the corner's tau = Im C[n-1, n-1].
+    The solve computed it for its own eigenpairs; every resolvent probe
+    of the result reads it.  It holds O(n) numbers, and its arrays are
+    read-only.
     """
 
     eigenvalues: np.ndarray
@@ -110,7 +114,7 @@ class SpectralResult:
     n_retained: int
     K: np.ndarray
     M: np.ndarray
-    reduced: np.ndarray
+    rank_one_form: tuple
     mass_condition: float
 
     @property
@@ -126,26 +130,6 @@ class SpectralResult:
         """Largest |lambda| at which resolvent probes are meaningful."""
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
 
-    @cached_property
-    def probe_basis(self) -> tuple:
-        """(mu, |w|^2, tau) of the reduction C = Q (diag(mu) + i tau w w^H) Q^H."""
-        K = self.K
-        skew_imag = K.imag + K.imag.T
-        skew_imag[-1, -1] = 0.0
-        if np.any(skew_imag) or np.any(K.real != K.real.T):
-            raise ValueError(
-                "resolvent probes need K Hermitian except for its last diagonal entry"
-            )
-        del skew_imag
-        C = self.reduced
-        H = np.conjugate(C.T, order="F")  # Fortran-ordered: eigh overwrites it, no copy
-        H += C
-        H *= 0.5  # the Hermitian part of C, with a real corner
-        mu, Q = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False)
-        weights = Q[-1].real ** 2 + Q[-1].imag ** 2
-        mu.flags.writeable = weights.flags.writeable = False  # shared by every probe
-        return mu, weights, float(C[-1, -1].imag)
-
 
 def _reduce(K: np.ndarray, Mh: np.ndarray):
     """Cholesky factor L of the Hermitian mass Mh = L L^H, and C = L^{-1} K L^{-H}.
@@ -160,28 +144,159 @@ def _reduce(K: np.ndarray, Mh: np.ndarray):
     return L, C
 
 
+def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
+    """All roots of g(lambda) = 1 + i tau sum_k weights_k / (mu_k - lambda).
+
+    mu must be distinct, weights positive and tau nonzero; then g has
+    one root per pole, the roots of p = g prod_k (mu_k - lambda).  They
+    are refined together by the Aberth-Ehrlich iteration from
+    mu_k + i tau weights_k, with Newton correction p/p' =
+    1 / (g'/g - sum_k 1/(mu_k - lambda)).  A root stops when |g| is
+    within _ABERTH_TOL eps of the rounding error of evaluating g there,
+    1 + |tau| sum_k weights_k (|mu_k - lambda| + |mu_k| + |lambda|) / |mu_k - lambda|^2
+    (the last terms are the rounding of mu_k - lambda, which dominates
+    next to a pole), or when its step stops shrinking at a size below
+    sqrt(eps) |lambda|, as it does in the rounding noise around a
+    multiple root.  Each sweep holds two (roots left) x n temporaries.
+
+    Raises
+    ------
+    RootFindingError
+        If some root has not stopped after _ABERTH_SWEEPS sweeps.
+    """
+    eps = np.finfo(float).eps
+    lam = mu + 1j * tau * weights
+    scaled = weights * np.abs(mu)
+    last = np.full(len(mu), np.inf)  # each root's previous step size
+    left = np.arange(len(mu))
+    sweeps = 0
+    while left.size:
+        if sweeps == _ABERTH_SWEEPS:
+            raise RootFindingError(
+                f"{left.size} eigenvalues of the rank-one form did not converge "
+                f"in {_ABERTH_SWEEPS} Aberth sweeps"
+            )
+        sweeps += 1
+        z = lam[left]
+        D = mu - z[:, np.newaxis]
+        np.reciprocal(D, out=D)  # D[j, k] = 1 / (mu_k - z_j)
+        total = D @ weights
+        pole_sum = D.sum(axis=1)
+        A = np.abs(D)
+        bound = A @ weights
+        A *= A
+        bound += A @ scaled + np.abs(z) * (A @ weights)
+        del A
+        D *= D
+        slope = D @ weights  # g' / (i tau)
+        del D
+        g = 1.0 + 1j * tau * total
+        converged = np.abs(g) <= _ABERTH_TOL * eps * (1.0 + abs(tau) * bound)
+        converged &= np.isfinite(bound)  # an overflow next to a pole is no convergence
+        rows = np.arange(left.size)
+        E = z[:, np.newaxis] - lam
+        E[rows, left] = 1.0
+        np.reciprocal(E, out=E)
+        E[rows, left] = 0.0
+        repulsion = E.sum(axis=1)  # sum over the other roots of 1 / (z_j - lambda_i)
+        del E
+        newton = g / (1j * tau * slope - g * pole_sum)
+        step = newton / (1.0 - newton * repulsion)
+        size = np.abs(step)
+        stalled = (size >= last[left]) & (size <= math.sqrt(eps) * np.abs(z))
+        moving = ~(converged | stalled)
+        lam[left[moving]] -= step[moving]
+        last[left] = size
+        left = left[moving]
+    return lam
+
+
+def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
+    """Eigenpairs of B = diag(mu) + i tau w w^H, sorted as solve_pencil sorts.
+
+    mu is ascending.  Poles that drop out of the secular function are
+    deflated.  Where tau = 0 or w_k = 0, or where both the root's
+    distance |tau| |w_k|^2 from mu_k is within eps |mu_k| and
+    |tau w_k| <= 8 eps max(|mu|, |tau|) (Dongarra & Sorensen, SIAM J.
+    Sci. Stat. Comput. 1987), mu_k is an eigenvalue with eigenvector
+    e_k: that moves the eigenvalue by at most one rounding and B by at
+    most 2 |tau w_k|.  Of r equal poles one carries their joint weight
+    while mu is an eigenvalue r - 1 more times, with eigenvectors
+    orthogonal to w on those r coordinates.  The other eigenvalues are
+    the roots of the secular function, each with eigenvector
+    w / (mu - lambda) and left eigenvector w / (mu - conj(lambda)).
+    Returns the eigenvalues, the eigenvectors (unit norm) and the left
+    eigenvectors (unscaled) as columns.
+    """
+    n = len(mu)
+    eps = np.finfo(float).eps
+    weights = w.real**2 + w.imag**2
+    coupling = abs(tau) * np.abs(w)
+    negligible = coupling * np.abs(w) <= eps * np.abs(mu)
+    negligible &= coupling <= 8.0 * eps * max(float(np.max(np.abs(mu))), abs(tau))
+    poles = np.flatnonzero(~negligible)
+    runs = np.split(poles, np.flatnonzero(np.diff(mu[poles])) + 1) if poles.size else []
+    heads = np.array([run[0] for run in runs], dtype=int)
+    lam = mu.astype(complex)
+    lam[heads] = _aberth_roots(mu[heads], np.array([weights[run].sum() for run in runs]), tau)
+    order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
+    lam = lam[order]
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)  # the eigenpair that each pole or deflated mu_k became
+    Z = mu[:, np.newaxis] - lam
+    X = mu[:, np.newaxis] - lam.conj()
+    with np.errstate(divide="ignore", invalid="ignore"):  # the deflated columns, replaced below
+        np.divide(w[:, np.newaxis], Z, out=Z)
+        np.divide(w[:, np.newaxis], X, out=X)
+    deflated = np.setdiff1d(np.arange(n), heads)
+    Z[:, column[deflated]] = 0.0
+    Z[deflated, column[deflated]] = 1.0
+    for run in runs:
+        if run.size > 1:  # mu's eigenvectors on the run orthogonal to w
+            Z[np.ix_(run, column[run[1:]])] = np.linalg.qr(w[run, np.newaxis], mode="complete")[0][:, 1:]
+    Z /= np.sqrt(np.vecdot(Z, Z, axis=0).real)
+    X[:, column[deflated]] = Z[:, column[deflated]]  # B and B^H share these
+    return lam, Z, X
+
+
+def _check_rank_one_structure(K: np.ndarray) -> None:
+    """Raise ValueError unless K is Hermitian except for its last diagonal entry."""
+    skew_imag = K.imag + K.imag.T
+    skew_imag[-1, -1] = 0.0
+    if np.any(skew_imag) or np.any(K.real != K.real.T):
+        raise ValueError("the solve needs K Hermitian except for its last diagonal entry")
+
+
 def solve_pencil(pencil) -> SpectralResult:
     """Dense generalized eigensolve of K v = lambda M v.
 
     The Hermitian positive definite mass is factored as M = L L^H, and
-    the standard eigenproblem C y = lambda y with C = L^{-1} K L^{-H} is
-    solved in its place; v = L^{-H} y.  This costs about a tenth of a
-    QZ on (K, M), and its backward error on (K, M) is about cond(M)
-    times machine epsilon instead of QZ's epsilon; `residuals` records
-    it for every pair.  C is kept, read-only, as `reduced` for the
-    resolvent probes.  Eigenpairs are sorted by ascending |lambda|
-    (ties by real then imaginary part); the trailing 20% is flagged as
-    untrusted.
+    C = L^{-1} K L^{-H} is brought to its rank-one form: one Hermitian
+    eigensolve H = Q diag(mu) Q^H of its Hermitian part, w = Q^H e_n and
+    tau = Im C[n-1, n-1].  The eigenvalues are the roots of the secular
+    function of (mu, |w|^2, tau), and the eigenvectors are
+    v = L^{-H} Q (w / (mu - lambda)), one matrix product for all of
+    them, normalized to unit M-norm; the left eigenvectors, another
+    product, give each eigenvalue a two-sided Rayleigh quotient on
+    (K, M).  The backward error on (K, M) is about cond(M) times
+    machine epsilon; `residuals` records it for every pair.  Eigenpairs
+    are sorted by ascending |lambda| (ties by real then imaginary part);
+    the trailing 20% is flagged as untrusted.
 
     Raises
     ------
+    ValueError
+        If K is not Hermitian apart from its last diagonal entry.
     IllConditionedMass
         If cond(M) > 1e12 or M is not positive definite.
+    RootFindingError
+        If the secular iteration does not converge.
     """
     K = np.asarray(pencil.K, dtype=complex)
     M = np.asarray(pencil.M, dtype=complex)
     if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("pencil matrices must be square and of equal shape")
+    _check_rank_one_structure(K)
     Mh = M.conj().T  # Fortran-ordered, so that the Cholesky factors it in place
     Mh += M
     Mh *= 0.5
@@ -193,19 +308,48 @@ def solve_pencil(pencil) -> SpectralResult:
         raise IllConditionedMass(f"mass matrix condition number {cond:.3e} exceeds 1e12")
 
     L, C = _reduce(K, Mh)
-    C.flags.writeable = False
-    lam, y = scipy.linalg.eig(C, check_finite=False)
-    order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
-    lam = lam[order]
-    vec = scipy.linalg.solve_triangular(
-        L, y[:, order], lower=True, trans="C", overwrite_b=True, check_finite=False
-    )
-    del Mh, L, y  # L was factored in Mh's memory; free both before the residuals
-    defect = K @ vec
+    tau = float(C[-1, -1].imag)
+    H = np.conjugate(C.T, order="F")  # Fortran-ordered: eigh overwrites it, no copy
+    H += C
+    H *= 0.5  # the Hermitian part of C, with a real corner
+    del C
+    mu, Q = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False)
+    del H
+    w = Q[-1].conj()
+    # L^{-H} Q in Q's memory, so that L (factored in Mh's memory) goes before the roots
+    LhQ = scipy.linalg.solve_triangular(L, Q, lower=True, trans="C", overwrite_b=True, check_finite=False)
+    del Mh, L, Q
+    lam, Z, X = _rank_one_eigenpairs(mu, w, tau)
+    vec = LhQ @ Z
+    del Z
+    left = LhQ @ X  # the left eigenvectors of (K, M)
+    del LhQ, X
+    stiff_vec = K @ vec
     mass_vec = M @ vec
-    mass_vec *= lam
-    defect -= mass_vec
-    residuals = np.linalg.norm(defect, axis=0) / np.linalg.norm(vec, axis=0)
+    # The eigensolve of H leaves an error of about eps ||H|| in small
+    # eigenvalues of a graded pencil.  One two-sided Rayleigh quotient
+    # on (K, M) itself removes it to second order (Ostrowski); it is
+    # kept where it lowers the pair's residual, which a defective pair,
+    # with its left and right eigenvectors nearly M-orthogonal, does not.
+    refined = np.vecdot(left, stiff_vec, axis=0) / np.vecdot(left, mass_vec, axis=0)
+    del left
+
+    def defects(values):
+        defect = mass_vec * values
+        np.subtract(stiff_vec, defect, out=defect)
+        return np.sqrt(np.vecdot(defect, defect, axis=0).real)
+
+    plain = defects(lam)
+    better = defects(refined)
+    del stiff_vec, mass_vec
+    keep = better < plain
+    lam = np.where(keep, refined, lam)
+    residuals = np.where(keep, better, plain) / np.sqrt(np.vecdot(vec, vec, axis=0).real)
+    order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
+    if np.any(order != np.arange(len(lam))):  # the refinement swapped a near tie
+        lam, vec, residuals = lam[order], vec[:, order], residuals[order]
+    weights = w.real**2 + w.imag**2
+    mu.flags.writeable = weights.flags.writeable = False  # shared by every probe
     n = len(lam)
     n_retained = max(1, math.floor(RETAIN_FRACTION * n))
     return SpectralResult(
@@ -215,7 +359,7 @@ def solve_pencil(pencil) -> SpectralResult:
         n_retained=n_retained,
         K=K,
         M=M,
-        reduced=C,
+        rank_one_form=(mu, weights, tau),
         mass_condition=cond,
     )
 
@@ -271,18 +415,13 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     That is 1 / sigma_min of C - lambda I, the M-symmetrized shifted
     pencil L^{-1}(K - lambda M)L^{-H} with M = L L^H and C = L^{-1} K L^{-H}
     the reduction of the solve.  C - lambda is unitarily similar to
-    B = diag(mu - lambda) + i tau w w^H (see `SpectralResult.probe_basis`),
+    B = diag(mu - lambda) + i tau w w^H (see `SpectralResult.rank_one_form`),
     so its extreme singular values are found by bisection on an O(n)
     count, each inside the bracket that Weyl's inequality gives for a
     rank-one update of norm |tau| ||w||^2.  Returns +inf when lambda is
     (numerically) an eigenvalue: sigma_min < 1e-13 sigma_max.
-
-    Raises
-    ------
-    ValueError
-        If the result's K is not Hermitian apart from its last diagonal entry.
     """
-    mu, weights, tau = result.probe_basis
+    mu, weights, tau = result.rank_one_form
     d = mu - complex(lam)
     moduli2 = d.real**2 + d.imag**2
     spread = abs(tau) * float(weights.sum())

@@ -193,6 +193,16 @@ class TestExitCodeMapping:
         err = capsys.readouterr().err
         assert "numerical failure in stage 'spectrum'" in err
 
+    def test_secular_iteration_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one Aberth sweep cannot settle every eigenvalue of the
+        # non-self-adjoint pencil (the default one is Hermitian)
+        monkeypatch.setattr(spectral, "_ABERTH_SWEEPS", 1)
+        argv = ["example53", "--a", "1", "--b-im", "1", "--nh", "60", "--out", str(tmp_path)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in stage 'spectrum'" in err
+        assert "Aberth" in err
+
     def test_failure_keeps_the_times_of_the_stages_before_it(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise IllConditionedMass("synthetic failure")

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, eigh
 from scipy.optimize import brentq
@@ -202,40 +202,40 @@ class TestResolventNorm:
                     count = spectral._singular_values_below(d, moduli2, np.abs(w) ** 2, tau, s)
                 assert count == np.count_nonzero(sigma < s)
 
-    def test_unstructured_pencil_is_rejected(self):
+    def test_unstructured_pencil_is_rejected(self, monkeypatch):
         # a K with skew-Hermitian entries off the enrichment corner is
-        # outside the rank-one structure the probes are derived from
+        # outside the rank-one structure the solve and the probes are
+        # derived from, and is turned away before any eigensolve
+        calls = []
+        for name in ("eig", "eigh", "eigvalsh", "eigvals"):
+            original = getattr(scipy.linalg, name)
+            monkeypatch.setattr(scipy.linalg, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
         rng = np.random.default_rng(20)
         n = 6
         K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        res = solve_pencil(make_pencil(K, np.eye(n)))
         with pytest.raises(ValueError, match="Hermitian"):
-            resolvent_norm(res, 1.5 + 2.0j)
-        radii = (1e-3 * res.trust_limit, 1e-2 * res.trust_limit, 1e-1 * res.trust_limit)
-        with pytest.raises(ValueError, match="Hermitian"):
-            ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=res)
+            solve_pencil(make_pencil(K, np.eye(n)))
         # one skew entry is enough, even a real one
         K = random_structured_stiffness(rng, n)
         K[0, 1] += 1e-9
         with pytest.raises(ValueError, match="Hermitian"):
-            resolvent_norm(solve_pencil(make_pencil(K, np.eye(n))), 1.0j)
+            solve_pencil(make_pencil(K, np.eye(n)))
+        assert calls == []
 
     def test_one_hermitian_eigensolve_per_probed_result(self, monkeypatch):
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), ExtensionDomain.line([1.0, 1.0j]))
         calls = []
         eigh = scipy.linalg.eigh
         monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        unprobed = solve_pencil(pen)
-        assert unprobed.trust_limit > 0.0 and len(unprobed.retained_eigenvalues) > 0
-        assert calls == []
         probed = solve_pencil(pen)
+        assert len(calls) == 1
         trust = probed.trust_limit
         radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
         for theta in (0.5 * math.pi, 1.5 * math.pi, 2.0):
             ray_minimal_growth_full(Ray(theta), radii, result=probed)
         resolvent_norm(probed, -5.0)
         assert len(calls) == 1
-        mu, weights, _ = probed.probe_basis
+        mu, weights, _ = probed.rank_one_form
         assert mu.shape == weights.shape == (pen.size,)
         with pytest.raises(ValueError, match="read-only"):
             weights[0] = 0.0
@@ -249,8 +249,10 @@ class TestResolventNorm:
         for z in (1.0j, -5.0, 2.5 + 0.5j):
             resolvent_norm(res, z)
         assert len(calls) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            res.reduced[0, 0] = 0.0
+        mu, weights, _ = res.rank_one_form
+        for stored in (mu, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
 
     def test_matches_explicit_shifted_svd_on_friedrichs(self, friedrichs_pencil, friedrichs_result):
         K, M = friedrichs_pencil.K, friedrichs_pencil.M
@@ -320,6 +322,82 @@ class TestReductionAgainstQZ:
     def test_mass_condition_is_the_gate_value(self, qz_reference):
         for pen, res, _ in qz_reference:
             assert res.mass_condition == pytest.approx(np.linalg.cond(pen.M), rel=1e-6)
+
+
+def assert_matches_qz(pen, res):
+    """Retained eigenvalues within 1e-7 of distinct QZ ones; lowest 40 pairs backward stable."""
+    qz = scipy.linalg.eigvals(pen.K, pen.M)
+    lam = res.retained_eigenvalues
+    nearest = np.argmin(np.abs(lam[:, np.newaxis] - qz[np.newaxis, :]), axis=1)
+    assert len(set(nearest)) == len(lam)
+    assert np.max(np.abs(lam - qz[nearest]) / np.abs(qz[nearest])) <= 1e-7
+    K, M = pen.K, pen.M
+    lam, V = res.eigenvalues[:40], res.eigenvectors[:, :40]
+    defect = np.linalg.norm(K @ V - (M @ V) * lam, axis=0)
+    scale = (np.linalg.norm(K, 2) + np.abs(lam) * np.linalg.norm(M, 2)) * np.linalg.norm(V, axis=0)
+    assert np.max(defect / scale) <= 1e-10
+
+
+class TestRankOneSolve:
+    """The secular eigensolve of the rank-one form against dense references."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        closed=st.booleans(),
+        ab=st.tuples(*[st.floats(-2.0, 2.0)] * 4).filter(lambda v: max(map(abs, v)) > 0.1),
+        n_h=st.integers(16, 200),
+    )
+    # the Hermitian eigensolve alone puts the lowest pair's backward error at 1.1e-10
+    @example(closed=False, ab=(0.0, 1.4242435131718016, 1.9454426775335971, 1.4242435131718016), n_h=112)
+    # a root 2.6e-7 off its pole, far below eps ||H||, that must not be deflated
+    @example(closed=False, ab=(0.0, 3.7014954463724576e-07, 1.0, 1.0), n_h=92)
+    def test_matches_qz_on_random_enriched_pencils(self, closed, ab, n_h):
+        model, mode_k = (CLOSED, 0) if closed else (SECTOR, 1)
+        line = ExtensionDomain.line([complex(ab[0], ab[1]), complex(ab[2], ab[3])])
+        pen = assemble_mode_pencil(model, mode_k, RadialGrid.geometric(1.0, n_h, 0.9), line)
+        assert_matches_qz(pen, solve_pencil(pen))
+
+    def test_finds_every_root_where_plain_newton_collapses_two(self):
+        # Newton from the same starts lands two of these roots on one
+        pair = (-0.43970179 + 1.89877125j, 0.50104594 + 0.77449134j)
+        pen = assemble_mode_pencil(CLOSED, 0, RadialGrid.geometric(1.0, 120, 0.9), ExtensionDomain.line(pair))
+        res = solve_pencil(pen)
+        qz = scipy.linalg.eigvals(pen.K, pen.M)
+        nearest = np.argmin(np.abs(res.eigenvalues[:, np.newaxis] - qz[np.newaxis, :]), axis=1)
+        assert sorted(nearest) == list(range(pen.size))
+        assert_matches_qz(pen, res)
+
+    def test_deflates_equal_poles_and_vanishing_weights(self):
+        rng = np.random.default_rng(5)
+        mu = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
+        w = rng.normal(size=7) + 1j * rng.normal(size=7)
+        w[3] = 0.0  # leaves one mu = 3 pole next to two equal ones
+        w /= np.linalg.norm(w)
+        for tau in (0.7, -40.0, 1e-300, 0.0):
+            B = np.diag(mu) + 1j * tau * np.outer(w, w.conj())
+            lam, Z, X = spectral._rank_one_eigenpairs(mu, w, tau)
+            assert np.allclose(np.linalg.norm(Z, axis=0), 1.0, atol=1e-14)
+            assert np.max(np.linalg.norm(B @ Z - Z * lam, axis=0)) <= 1e-14 * np.linalg.norm(B, 2)
+            left = np.linalg.norm(B.conj().T @ X - X * lam.conj(), axis=0) / np.linalg.norm(X, axis=0)
+            assert np.max(left) <= 1e-14 * np.linalg.norm(B, 2)
+            assert np.linalg.matrix_rank(Z) == 7
+            ref = np.linalg.eigvals(B)
+            assert np.max(np.min(np.abs(lam[:, np.newaxis] - ref), axis=1)) <= 1e-13 * np.linalg.norm(B, 2)
+
+    def test_vanishing_corner_solves_like_a_hermitian_pencil(self):
+        # tau of 1e-305 would put every root within 1e-305 of its pole
+        line = ExtensionDomain.line([0.0, complex(1.0, 1.7e-305)])
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 16, 0.9), line)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            res = solve_pencil(pen)
+        assert np.all(np.isfinite(res.eigenvectors))
+        assert_matches_qz(pen, res)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_ABERTH_SWEEPS", 1)
+        pen = assemble_mode_pencil(CLOSED, 0, RadialGrid.geometric(1.0, 60, 0.9), ExtensionDomain.line([1.0, 1.0j]))
+        with pytest.raises(RootFindingError, match="Aberth"):
+            solve_pencil(pen)
 
 
 class TestRayMinimalGrowthFull:
@@ -398,9 +476,26 @@ class TestCompletenessResidual:
             completeness_residual(friedrichs_result, v / nrm, [friedrichs_result.n_retained + 1])
 
     def test_defective_cluster_uses_invariant_subspace(self):
-        # Jordan block at lambda=1: the two eigenvectors collapse onto
-        # e_1, but the cluster's invariant subspace is span{e_1, e_2},
-        # which the projection must recover
+        # a Hermitian block with imaginary corner i 2: its eigenvalue
+        # 1 + i is a double root whose two computed eigenvectors collapse
+        # onto (1, i), but the cluster's invariant subspace is
+        # span{e_3, e_4}, which the projection must recover
+        K = np.zeros((4, 4), dtype=complex)
+        K[0, 0], K[1, 1] = 5.0, 50.0
+        K[2:, 2:] = [[1.0, 1.0], [1.0, 1.0 + 2.0j]]
+        res = solve_pencil(make_pencil(K, np.eye(4)))
+        assert res.n_retained == 3
+        assert np.allclose(res.eigenvalues[:2], 1.0 + 1.0j, atol=1e-6)
+        # a Rayleigh quotient with nearly M-orthogonal left and right
+        # eigenvectors would leave these pairs at residuals near 3e-8
+        assert np.max(res.residuals) <= 1e-12 * 50.0
+        f = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
+        rows = completeness_residual(res, f, [1, 2, 3])
+        assert rows[0][1] == pytest.approx(math.sqrt(0.68), abs=1e-6)
+        assert rows[1][1] == pytest.approx(0.6, abs=1e-9)
+        assert rows[2][1] <= 1e-9
+
+    def test_jordan_block_outside_the_structure_is_rejected(self):
         K = np.array(
             [
                 [1.0, 1.0, 0.0, 0.0],
@@ -409,14 +504,8 @@ class TestCompletenessResidual:
                 [0.0, 0.0, 0.0, 50.0],
             ]
         )
-        pen = make_pencil(K, np.eye(4))
-        res = solve_pencil(pen)
-        assert res.n_retained == 3
-        f = np.array([0.0, 0.8, 0.6, 0.0], dtype=complex)
-        rows = completeness_residual(res, f, [1, 2, 3])
-        assert rows[0][1] == pytest.approx(1.0, abs=1e-9)
-        assert rows[1][1] == pytest.approx(0.6, abs=1e-9)
-        assert rows[2][1] <= 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            solve_pencil(make_pencil(K, np.eye(4)))
 
 
 # ----------------------------------------------------------------------
