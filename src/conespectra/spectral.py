@@ -220,13 +220,17 @@ def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
     |tau w_k| <= 8 eps max(|mu|, |tau|) (Dongarra & Sorensen, SIAM J.
     Sci. Stat. Comput. 1987), mu_k is an eigenvalue with eigenvector
     e_k: that moves the eigenvalue by at most one rounding and B by at
-    most 2 |tau w_k|.  Of r equal poles one carries their joint weight
-    while mu is an eigenvalue r - 1 more times, with eigenvectors
-    orthogonal to w on those r coordinates.  The other eigenvalues are
-    the roots of the secular function, each with eigenvector
-    w / (mu - lambda) and left eigenvector w / (mu - conj(lambda)).
-    Returns the eigenvalues, the eigenvectors (unit norm) and the left
-    eigenvectors (unscaled) as columns.
+    most 2 |tau w_k|.  The other eigenvalues are the roots of the
+    secular function, each with eigenvector w / (mu - lambda) and left
+    eigenvector w / (mu - conj(lambda)).  Returns the eigenvalues, the
+    eigenvectors (unit norm) and the left eigenvectors (unscaled) as
+    columns.
+
+    Raises
+    ------
+    RootFindingError
+        If two poles that are not deflated are equal: the secular
+        function then misses an eigenvalue at the pole.
     """
     n = len(mu)
     eps = np.finfo(float).eps
@@ -235,10 +239,10 @@ def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
     negligible = coupling * np.abs(w) <= eps * np.abs(mu)
     negligible &= coupling <= 8.0 * eps * max(float(np.max(np.abs(mu))), abs(tau))
     poles = np.flatnonzero(~negligible)
-    runs = np.split(poles, np.flatnonzero(np.diff(mu[poles])) + 1) if poles.size else []
-    heads = np.array([run[0] for run in runs], dtype=int)
+    if np.any(np.diff(mu[poles]) == 0.0):
+        raise RootFindingError("the rank-one form has two equal poles that both carry weight")
     lam = mu.astype(complex)
-    lam[heads] = _aberth_roots(mu[heads], np.array([weights[run].sum() for run in runs]), tau)
+    lam[poles] = _aberth_roots(mu[poles], weights[poles], tau)
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
     column = np.empty(n, dtype=int)
@@ -248,13 +252,10 @@ def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
     with np.errstate(divide="ignore", invalid="ignore"):  # the deflated columns, replaced below
         np.divide(w[:, np.newaxis], Z, out=Z)
         np.divide(w[:, np.newaxis], X, out=X)
-    deflated = np.setdiff1d(np.arange(n), heads)
+    deflated = np.flatnonzero(negligible)
     Z[:, column[deflated]] = 0.0
     Z[deflated, column[deflated]] = 1.0
-    for run in runs:
-        if run.size > 1:  # mu's eigenvectors on the run orthogonal to w
-            Z[np.ix_(run, column[run[1:]])] = np.linalg.qr(w[run, np.newaxis], mode="complete")[0][:, 1:]
-    Z /= np.sqrt(np.vecdot(Z, Z, axis=0).real)
+    Z /= np.linalg.norm(Z, axis=0)
     X[:, column[deflated]] = Z[:, column[deflated]]  # B and B^H share these
     return lam, Z, X
 
@@ -331,20 +332,21 @@ def solve_pencil(pencil) -> SpectralResult:
     # on (K, M) itself removes it to second order (Ostrowski); it is
     # kept where it lowers the pair's residual, which a defective pair,
     # with its left and right eigenvectors nearly M-orthogonal, does not.
-    refined = np.vecdot(left, stiff_vec, axis=0) / np.vecdot(left, mass_vec, axis=0)
+    np.conjugate(left, out=left)
+    refined = np.einsum("ij,ij->j", left, stiff_vec) / np.einsum("ij,ij->j", left, mass_vec)
     del left
 
     def defects(values):
         defect = mass_vec * values
         np.subtract(stiff_vec, defect, out=defect)
-        return np.sqrt(np.vecdot(defect, defect, axis=0).real)
+        return np.linalg.norm(defect, axis=0)
 
     plain = defects(lam)
     better = defects(refined)
     del stiff_vec, mass_vec
     keep = better < plain
     lam = np.where(keep, refined, lam)
-    residuals = np.where(keep, better, plain) / np.sqrt(np.vecdot(vec, vec, axis=0).real)
+    residuals = np.where(keep, better, plain) / np.linalg.norm(vec, axis=0)
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     if np.any(order != np.arange(len(lam))):  # the refinement swapped a near tie
         lam, vec, residuals = lam[order], vec[:, order], residuals[order]

@@ -367,11 +367,11 @@ class TestRankOneSolve:
         assert sorted(nearest) == list(range(pen.size))
         assert_matches_qz(pen, res)
 
-    def test_deflates_equal_poles_and_vanishing_weights(self):
+    def test_deflates_vanishing_weights(self):
         rng = np.random.default_rng(5)
-        mu = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
+        mu = np.array([1.0, 1.5, 2.0, 3.0, 3.0, 3.5, 4.0])
         w = rng.normal(size=7) + 1j * rng.normal(size=7)
-        w[3] = 0.0  # leaves one mu = 3 pole next to two equal ones
+        w[3] = 0.0  # leaves one weighted mu = 3 pole next to a deflated one
         w /= np.linalg.norm(w)
         for tau in (0.7, -40.0, 1e-300, 0.0):
             B = np.diag(mu) + 1j * tau * np.outer(w, w.conj())
@@ -383,6 +383,12 @@ class TestRankOneSolve:
             assert np.linalg.matrix_rank(Z) == 7
             ref = np.linalg.eigvals(B)
             assert np.max(np.min(np.abs(lam[:, np.newaxis] - ref), axis=1)) <= 1e-13 * np.linalg.norm(B, 2)
+
+    def test_equal_weighted_poles_raise(self):
+        mu = np.array([1.0, 2.0, 2.0, 3.0])
+        w = np.full(4, 0.5 + 0.0j)
+        with pytest.raises(RootFindingError, match="equal poles"):
+            spectral._rank_one_eigenpairs(mu, w, 0.7)
 
     def test_vanishing_corner_solves_like_a_hermitian_pencil(self):
         # tau of 1e-305 would put every root within 1e-305 of its pole
