@@ -255,9 +255,14 @@ def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
     deflated = np.flatnonzero(negligible)
     Z[:, column[deflated]] = 0.0
     Z[deflated, column[deflated]] = 1.0
-    Z /= np.linalg.norm(Z, axis=0)
+    Z /= _column_norms(Z)
     X[:, column[deflated]] = Z[:, column[deflated]]  # B and B^H share these
     return lam, Z, X
+
+
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a complex X, with no temporary of X's size."""
+    return np.sqrt(np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag))
 
 
 def _check_rank_one_structure(K: np.ndarray) -> None:
@@ -339,14 +344,14 @@ def solve_pencil(pencil) -> SpectralResult:
     def defects(values):
         defect = mass_vec * values
         np.subtract(stiff_vec, defect, out=defect)
-        return np.linalg.norm(defect, axis=0)
+        return _column_norms(defect)
 
     plain = defects(lam)
     better = defects(refined)
     del stiff_vec, mass_vec
     keep = better < plain
     lam = np.where(keep, refined, lam)
-    residuals = np.where(keep, better, plain) / np.linalg.norm(vec, axis=0)
+    residuals = np.where(keep, better, plain) / _column_norms(vec)
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     if np.any(order != np.arange(len(lam))):  # the refinement swapped a near tie
         lam, vec, residuals = lam[order], vec[:, order], residuals[order]

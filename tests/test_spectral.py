@@ -390,6 +390,14 @@ class TestRankOneSolve:
         with pytest.raises(RootFindingError, match="equal poles"):
             spectral._rank_one_eigenpairs(mu, w, 0.7)
 
+    def test_runs_without_numpy_2_vector_functions(self, monkeypatch):
+        # the package declares numpy>=1.24, which has none of these
+        for name in ("vecdot", "matvec", "vecmat"):
+            monkeypatch.delattr(np, name, raising=False)
+        monkeypatch.delattr(np.linalg, "vecdot", raising=False)
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), ExtensionDomain.line([1.0, 1.0j]))
+        assert_matches_qz(pen, solve_pencil(pen))
+
     def test_vanishing_corner_solves_like_a_hermitian_pencil(self):
         # tau of 1e-305 would put every root within 1e-305 of its pole
         line = ExtensionDomain.line([0.0, complex(1.0, 1.7e-305)])
