@@ -37,6 +37,7 @@ from .normalop import (
     ray_minimal_growth_normal,
 )
 from .discretize import (
+    ArrowTridiagonal,
     DiscreteOperatorPencil,
     RadialGrid,
     assemble_embedding_grams,

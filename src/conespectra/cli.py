@@ -340,7 +340,7 @@ def _bump_vector(pencil, grid: RadialGrid) -> np.ndarray:
     coeffs = vals.astype(complex)
     if pencil.size == len(x) + 1:
         coeffs = np.concatenate([coeffs, [0.0 + 0.0j]])
-    norm = math.sqrt(abs(np.vdot(coeffs, pencil.M @ coeffs)))
+    norm = math.sqrt(abs(np.vdot(coeffs, pencil.mass.dot(coeffs))))
     return coeffs / norm
 
 

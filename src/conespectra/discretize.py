@@ -14,15 +14,18 @@ The enrichment-enrichment stiffness entry is assembled in operator form
 which is finite because L s0 = 0; the weak energy form diverges at the
 tip for nu > 0 and must not be used there.
 
-The pencil is assembled in batches: every cell's local integrals are
-one row of a (cells, points) array, summed along the row, and the cell
-values are then placed into the dense K and M.  The hat block uses 8
+K and M are arrow-tridiagonal: a real symmetric tridiagonal hat block,
+plus, when enriched, one complex border column with its conjugate row
+and a corner.  The pencil stores those parts and nothing else (see
+ArrowTridiagonal).  It is assembled in batches: every cell's local
+integrals are one row of a (cells, points) array, summed along the row,
+and the cell values are then added into the parts.  The hat block uses 8
 Gauss points per cell, or 8 log-spaced subcells of 8 points on cells
 wider than 0.3 x0 when nu > 0, all cells at once; the enrichment
 border and mass use 16 log-spaced subcells on every cell below R/2,
 32 cells at a time so that their scratch arrays stay small whatever
 the grid size.  The summation order is that of a cell-by-cell loop, so
-K and M are bit-identical to it: each cell integral is a pairwise
+the dense K and M are bit-identical to it: each cell integral is a pairwise
 np.sum over its points in subcell order; a hat diagonal entry is cell
 i's right-right term plus cell i+1's left-left term; an off-diagonal
 entry is cell i+1's left-right term; a border entry of dof i is cell
@@ -51,6 +54,7 @@ from .model import (
 
 __all__ = [
     "RadialGrid",
+    "ArrowTridiagonal",
     "DiscreteOperatorPencil",
     "assemble_mode_pencil",
     "assemble_embedding_grams",
@@ -136,25 +140,153 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class DiscreteOperatorPencil:
-    """Stiffness/mass pair of one mode in the weighted pairing, plus metadata."""
+class ArrowTridiagonal:
+    """The n x n matrix [[T, b], [b^H, c]] of a mode pencil, stored as its parts.
 
-    K: np.ndarray
-    M: np.ndarray
+    T is real symmetric tridiagonal of size n - d, with diagonal `diag`
+    and off-diagonal `off`; d in {0, 1} complex border columns b (the
+    rows of `border`, shape (d, n - d)) sit beside it with their
+    conjugates below, and `corner` (shape (d,)) holds the d x d corner c.
+    The matrix is Hermitian when c is real.  The arrays are read-only.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    border: np.ndarray
+    corner: np.ndarray
+
+    def __post_init__(self):
+        for name, kind in (("diag", float), ("off", float), ("border", complex), ("corner", complex)):
+            value = np.asarray(getattr(self, name))
+            if kind is float and not np.isrealobj(value):
+                raise ValueError(f"the tridiagonal block's {name} must be real")
+            value = value.astype(kind)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        core = len(self.diag) if self.diag.ndim == 1 else 0
+        d = len(self.corner) if self.corner.ndim == 1 else 2
+        if core < 1 or d > 1 or self.off.shape != (core - 1,) or self.border.shape != (d, core):
+            raise ValueError("arrow-tridiagonal parts of inconsistent shapes")
+
+    @property
+    def size(self) -> int:
+        return len(self.diag) + len(self.corner)
+
+    @classmethod
+    def from_dense(cls, A, d: int) -> "ArrowTridiagonal":
+        """The parts of a dense A with d border rows, which must have exactly this structure.
+
+        Raises
+        ------
+        ValueError
+            If A is not square with n > d, d is not 0 or 1, or A has a
+            nonzero outside the arrow, a complex or asymmetric tridiagonal
+            block, or a border row that is not the conjugate of its column.
+        """
+        A = np.asarray(A)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or d not in (0, 1) or A.shape[0] <= d:
+            raise ValueError("an arrow-tridiagonal matrix is square with more rows than border rows")
+        core = A.shape[0] - d
+        T = A[:core, :core]
+        diag, off = np.diagonal(T), np.diagonal(T, 1)
+        in_band = np.count_nonzero(diag) + np.count_nonzero(off) + np.count_nonzero(np.diagonal(T, -1))
+        if not (
+            np.count_nonzero(T) == in_band
+            and np.array_equal(off, np.diagonal(T, -1))
+            and np.isreal(diag).all()
+            and np.isreal(off).all()
+            and np.array_equal(A[core:, :core], A[:core, core:].T.conj())
+        ):
+            raise ValueError(
+                "not a Hermitian arrow-tridiagonal matrix: a real symmetric tridiagonal block, "
+                "a border column with its conjugate row, and a corner"
+            )
+        return cls(diag.real, off.real, A[:core, core:].T, np.diagonal(A[core:, core:]))
+
+    def dense(self, order: str = "C") -> np.ndarray:
+        """The n x n complex matrix.
+
+        Every entry but the corner is added onto zeros, as assembly adds
+        its cell integrals, so a zero's sign is that of the cell loop's.
+        """
+        core = len(self.diag)
+        A = np.zeros((self.size, self.size), dtype=complex, order=order)
+        dof = np.arange(core)
+        A[dof, dof] += self.diag
+        A[dof[:-1], dof[1:]] += self.off
+        A[dof[1:], dof[:-1]] += self.off
+        A[:core, core:] += self.border.T
+        A[core:, :core] += self.border.conj()
+        A[core:, core:] = np.diag(self.corner)
+        return A
+
+    def dot(self, X) -> np.ndarray:
+        """The product with X of shape (n,) or (n, m), from the parts.
+
+        Elementwise products and sums only, with one scratch array of
+        X's size, so that no BLAS kernel runs.
+        """
+        X = np.asarray(X)
+        Xm = X.reshape(self.size, -1)
+        core = len(self.diag)
+        top, tail = Xm[:core], Xm[core:]
+        Y = np.empty(Xm.shape, dtype=complex)
+        scratch = np.empty((core, Xm.shape[1]), dtype=complex)
+        np.multiply(self.diag[:, np.newaxis], top, out=Y[:core])
+        np.multiply(self.off[:, np.newaxis], top[1:], out=scratch[1:])
+        Y[: core - 1] += scratch[1:]
+        np.multiply(self.off[:, np.newaxis], top[:-1], out=scratch[1:])
+        Y[1:core] += scratch[1:]
+        for b, c, x, y in zip(self.border, self.corner, tail, Y[core:]):  # d = 0 or 1 rows
+            np.multiply(b[:, np.newaxis], x, out=scratch)
+            Y[:core] += scratch
+            np.multiply(c, x, out=y)
+            y += np.einsum("k,km->m", b.conj(), top)
+        return Y.reshape(X.shape)
+
+
+@dataclass(frozen=True)
+class DiscreteOperatorPencil:
+    """Stiffness/mass pair of one mode in the weighted pairing, plus metadata.
+
+    K and M are stored as their arrow-tridiagonal parts: the hat blocks
+    T_K and T_M, the enrichment borders and the corners (d = 1), or the
+    hat blocks alone for the minimal pencil (d = 0).  The mass must be
+    Hermitian, so its corner is real; the stiffness corner carries the
+    enrichment's imaginary part.  `K` and `M` are dense read-only views,
+    built on each access.
+    """
+
+    stiffness: ArrowTridiagonal
+    mass: ArrowTridiagonal
     basis_labels: list
     nu: float
     outer_radius_R: float
     enrichment_coeffs: Optional[tuple]  # (a, b) or None for the minimal pencil
 
     def __post_init__(self):
-        for name in ("K", "M"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            mat.flags.writeable = False
-            object.__setattr__(self, name, mat)
+        K, M = self.stiffness, self.mass
+        if len(K.diag) != len(M.diag) or len(K.corner) != len(M.corner):
+            raise ValueError("stiffness and mass of different shapes")
+        if np.any(M.corner.imag):
+            raise ValueError("the mass must be Hermitian: its corner is not real")
 
     @property
     def size(self) -> int:
-        return self.K.shape[0]
+        return self.stiffness.size
+
+    @property
+    def K(self) -> np.ndarray:
+        return _read_only(self.stiffness.dense())
+
+    @property
+    def M(self) -> np.ndarray:
+        return _read_only(self.mass.dense())
+
+
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False
+    return A
 
 
 def cutoff(x, R: float):
@@ -295,9 +427,6 @@ def assemble_mode_pencil(
 
     n_nodes = grid.count
     n_core = n_nodes - 2  # hats at interior nodes; first and outer hat dropped
-    n = n_core + d
-    K = np.zeros((n, n), dtype=complex)
-    M = np.zeros((n, n), dtype=complex)
 
     # hat block: (left, right) hat integrals of every cell at once; dof i
     # sits at node index i+1, so it is cell i's right hat and cell i+1's left
@@ -313,15 +442,12 @@ def assemble_mode_pencil(
         for row, (vi, di, vj, dj) in enumerate(pairs):
             stiff[row, cells] = np.sum(wts * (di * dj * pts + (nu**2) * vi * vj / pts), axis=1)
             mass[row, cells] = np.sum(wts * (vi * vj * pts), axis=1)
-    dof = np.arange(n_core)
-    for A, (ll, lr, rr) in ((K, stiff), (M, mass)):
-        A[dof, dof] += rr[:-1]
-        A[dof, dof] += ll[1:]
-        A[dof[:-1], dof[1:]] += lr[1:-1]
-        A[dof[1:], dof[:-1]] += lr[1:-1]
+    # a diagonal entry is cell i's right-right term plus cell i+1's left-left
+    bands = [(rr[:-1] + ll[1:], lr[1:-1]) for ll, lr, rr in (stiff, mass)]
+    borders = [np.zeros((d, n_core), dtype=complex) for _ in range(2)]
+    corners = [np.zeros(d, dtype=complex) for _ in range(2)]
 
     if d == 1:
-        e = n_core  # enrichment column index
         half = R / 2.0
         # hat-enrichment couplings and the enrichment mass on the cells below R/2
         m = int(np.count_nonzero(nodes[:-1] < half))
@@ -333,13 +459,9 @@ def assemble_mode_pencil(
         kl, kr, ml, mr, mee = (np.concatenate(parts) for parts in zip(*batches))
         right = np.arange(min(m, n_core))  # cell i's right hat is dof i
         left = np.arange(1, m)  # cell i's left hat is dof i-1
-        for A, (on_left, on_right) in ((K, (kl, kr)), (M, (ml, mr))):
-            A[right, e] += on_right[right]
-            A[e, right] += np.conj(on_right[right])
-            A[left - 1, e] += on_left[left]
-            A[e, left - 1] += np.conj(on_left[left])
-        # summed over cells in order, not pairwise (see the module docstring)
-        M[e, e] += np.add.accumulate(mee)[-1]
+        for (border,), (on_left, on_right) in zip(borders, ((kl, kr), (ml, mr))):
+            border[right] += on_right[right]
+            border[left - 1] += on_left[left]
 
         # tip closed form on (0, node_1], where omega = 1
         c = nodes[0]
@@ -356,14 +478,15 @@ def assemble_mode_pencil(
                 + 2.0 * (a * np.conj(b)).real * c**2 / 2.0
                 + abs(b) ** 2 * c ** (2.0 - 2.0 * nu) / (2.0 - 2.0 * nu)
             )
-        M[e, e] += mee_tip
+        # summed over cells in order, not pairwise (see the module docstring)
+        corners[1][0] = np.add.accumulate(mee)[-1] + mee_tip
 
         # <A s, s> in operator form over supp(omega') = [R/4, R/2]
         (pts,), (wts,) = _cell_rule(np.array([R / 4.0]), np.array([half]), 24)
         w, w1, w2 = cutoff(pts, R)
         s0, s0p = _enrichment_s0(pts, nu, a, b)
         commutator = -w2 * s0 - 2.0 * w1 * s0p - w1 * s0 / pts
-        K[e, e] = np.sum(wts * (commutator * np.conj(w * s0) * pts))
+        corners[0][0] = np.sum(wts * (commutator * np.conj(w * s0) * pts))
 
     labels = [f"hat_{j}" for j in range(2, n_nodes)]
     if d == 1:
@@ -371,9 +494,13 @@ def assemble_mode_pencil(
             labels.append("enrichment ω·(a + b·log x)")
         else:
             labels.append(f"enrichment ω·(a·x^{nu:.6g} + b·x^-{nu:.6g})")
+    stiffness, mass = (
+        ArrowTridiagonal(diag, off, border, corner)
+        for (diag, off), border, corner in zip(bands, borders, corners)
+    )
     return DiscreteOperatorPencil(
-        K=K,
-        M=M,
+        stiffness=stiffness,
+        mass=mass,
         basis_labels=labels,
         nu=nu,
         outer_radius_R=R,
@@ -445,21 +572,27 @@ def assemble_embedding_grams(
 
 # layout fields of every container export_pencil writes; load_pencil reads no other
 _LAYOUT = {
-    "format_version": 1,
-    "matrices": ["K", "M"],
-    "dtype": "complex128",
-    "order": "row-major",
+    "format_version": 2,
+    "arrays": ["k_diag", "k_off", "m_diag", "m_off", "k_border", "m_border", "corners"],
+    "real_dtype": "float64",
+    "complex_dtype": "complex128",
     "byteorder": "little",
 }
-_HEADER_KEYS = set(_LAYOUT) | {"n", "basis_labels", "nu", "outer_radius_R", "enrichment"}
+_HEADER_KEYS = set(_LAYOUT) | {"n", "border_rows", "basis_labels", "nu", "outer_radius_R", "enrichment"}
 
 
 def export_pencil(pencil: DiscreteOperatorPencil, path) -> None:
-    """Write the pencil to a binary container: JSON preamble + row-major little-endian doubles."""
-    n = pencil.size
+    """Write the pencil to a binary container: JSON preamble + its parts as little-endian numbers.
+
+    After the header come T_K's diagonal and off-diagonal and T_M's, as
+    float64; then the stiffness and mass border rows and the corners
+    (stiffness, then mass), as complex128.
+    """
+    K, M = pencil.stiffness, pencil.mass
     header = {
         **_LAYOUT,
-        "n": n,
+        "n": pencil.size,
+        "border_rows": len(K.corner),
         "basis_labels": list(pencil.basis_labels),
         "nu": pencil.nu,
         "outer_radius_R": pencil.outer_radius_R,
@@ -471,16 +604,20 @@ def export_pencil(pencil: DiscreteOperatorPencil, path) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(pencil.K).astype("<c16").tobytes())
-        fh.write(np.ascontiguousarray(pencil.M).astype("<c16").tobytes())
+        for part in (K.diag, K.off, M.diag, M.off):
+            fh.write(part.astype("<f8").tobytes())
+        for part in (K.border, M.border, np.concatenate((K.corner, M.corner))):
+            fh.write(part.astype("<c16").tobytes())
 
 
 def load_pencil(path) -> DiscreteOperatorPencil:
     """Read a container of export_pencil back.
 
     Raises ValueError unless the header has exactly export_pencil's
-    fields and layout with a positive n and n basis labels, followed by
-    exactly the 2 n^2 complex values of K and M.
+    fields and layout (a version-1 file, which held dense K and M, is
+    refused), with a positive n, 0 or 1 border rows d < n and n basis
+    labels, followed by exactly the parts' 4(n - d) - 2 real and
+    2d(n - d + 1) complex values.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(8)
@@ -494,21 +631,28 @@ def load_pencil(path) -> DiscreteOperatorPencil:
     layout = {key: header[key] for key in _LAYOUT}
     if layout != _LAYOUT:
         raise ValueError(f"unsupported pencil layout {layout}")
-    n = header["n"]
+    n, d = header["n"], header["border_rows"]
     if type(n) is not int or n < 1:
         raise ValueError(f"pencil size n must be a positive integer, got {n!r}")
+    if type(d) is not int or d not in (0, 1) or d >= n:
+        raise ValueError(f"border_rows must be 0 or 1 and below n = {n}, got {d!r}")
     labels = header["basis_labels"]
     if not isinstance(labels, list) or len(labels) != n:
         raise ValueError(f"pencil header needs a list of n = {n} basis labels")
-    block = n * n * 16
-    if len(raw) != 2 * block:
-        raise ValueError(f"{len(raw)} data bytes, not {2 * block}: truncated or trailing data")
-    K = np.frombuffer(raw[:block], dtype="<c16").reshape(n, n).astype(complex)
-    M = np.frombuffer(raw[block:], dtype="<c16").reshape(n, n).astype(complex)
+    core = n - d
+    sizes = [(core, "<f8"), (core - 1, "<f8")] * 2 + [(d * core, "<c16")] * 2 + [(2 * d, "<c16")]
+    expected = sum(count * np.dtype(kind).itemsize for count, kind in sizes)
+    if len(raw) != expected:
+        raise ValueError(f"{len(raw)} data bytes, not {expected}: truncated or trailing data")
+    parts, offset = [], 0
+    for count, kind in sizes:
+        parts.append(np.frombuffer(raw, dtype=kind, count=count, offset=offset))
+        offset += count * np.dtype(kind).itemsize
+    k_diag, k_off, m_diag, m_off, k_border, m_border, corners = parts
     enrich = header["enrichment"]
     return DiscreteOperatorPencil(
-        K=K,
-        M=M,
+        stiffness=ArrowTridiagonal(k_diag, k_off, k_border.reshape(d, core), corners[:d]),
+        mass=ArrowTridiagonal(m_diag, m_off, m_border.reshape(d, core), corners[d:]),
         basis_labels=labels,
         nu=float(header["nu"]),
         outer_radius_R=float(header["outer_radius_R"]),

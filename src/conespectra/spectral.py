@@ -1,4 +1,4 @@
-"""Dense spectral experiments on discrete operator pencils.
+"""Spectral experiments on arrow-tridiagonal operator pencils.
 
 Everything here works on a (K, M) pencil in a fixed basis: generalized
 eigensolves, resolvent norms along rays with log-log growth fits,
@@ -7,17 +7,17 @@ exponent fits, and an independent Bessel secular-equation oracle for
 the radial model problem L_nu u = -u'' - u'/x + nu^2 u/x^2 with
 u(R) = 0 and tip coefficients (a, b) on the singular pair.
 
-The mass M is Hermitian positive definite, so the pencil is reduced
-once: M = L L^H (Cholesky) and C = L^{-1} K L^{-H}, whose standard
-eigenpairs (lambda, y) give the pencil's as (lambda, L^{-H} y).  The
-reduction's backward error on (K, M) is about cond(M) times machine
-epsilon, and cond(M) is gated at 1e12.
-
-The solve and the resolvent probes use the structure of an enriched
-pencil: K is Hermitian except for an imaginary part i tau_K in its
-last diagonal entry (the enrichment corner), and a pencil whose K is
-not of that form is rejected with ValueError.  L is lower triangular,
-so L^{-1} e_n = e_n / L_nn and C is Hermitian but for i tau,
+The pencil stores K and M as their parts (discretize.ArrowTridiagonal):
+a real symmetric tridiagonal hat block, and for an enriched pencil one
+complex border with its conjugate and a corner.  M is Hermitian positive
+definite, and K is Hermitian except for an imaginary part i tau_K in
+its corner; no other pencil can be built.  cond(M), gated at 1e12, and
+the products of K and M with vectors are computed from the parts in
+O(n) per vector.  The solve still reduces the pencil densely: M = L L^H
+(Cholesky) and C = L^{-1} K L^{-H}, whose standard eigenpairs
+(lambda, y) give the pencil's as (lambda, L^{-H} y), with a backward
+error on (K, M) of about cond(M) times machine epsilon.  L is lower
+triangular, so L^{-1} e_n = e_n / L_nn and C is Hermitian but for i tau,
 tau = Im C[n-1, n-1], in the same corner.  With H = Q diag(mu) Q^H the
 Hermitian part of C (corner made real) and w = Q^H e_n, C - lambda is
 unitarily similar to diag(mu - lambda) + i tau w w^H (Golub, SIAM Rev.
@@ -93,7 +93,7 @@ class SpectralResult:
     """Full eigendecomposition of a pencil, sorted by |lambda|.
 
     The top 20% of |lambda| is treated as discretization-polluted;
-    `n_retained` marks the trusted prefix.  K and M are kept so that
+    `n_retained` marks the trusted prefix.  The pencil is kept so that
     downstream projections use the same mass and can fall back to
     invariant subspaces of the same pencil.  Each eigenvector has unit
     M-norm.  `residuals` holds ||K v - lambda M v|| / ||v|| for each
@@ -112,8 +112,7 @@ class SpectralResult:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     n_retained: int
-    K: np.ndarray
-    M: np.ndarray
+    pencil: object
     rank_one_form: tuple
     mass_condition: float
 
@@ -122,26 +121,122 @@ class SpectralResult:
         return self.eigenvalues[: self.n_retained]
 
     @property
-    def retained_eigenvectors(self) -> np.ndarray:
-        return self.eigenvectors[:, : self.n_retained]
-
-    @property
     def trust_limit(self) -> float:
         """Largest |lambda| at which resolvent probes are meaningful."""
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
 
 
-def _reduce(K: np.ndarray, Mh: np.ndarray):
+def _reduce(Kh: np.ndarray, Mh: np.ndarray):
     """Cholesky factor L of the Hermitian mass Mh = L L^H, and C = L^{-1} K L^{-H}.
 
-    Mh is overwritten by L.  C is Fortran-ordered, so LAPACK routines
-    may overwrite a copy of it made with order="K" without another copy.
+    Kh is K^H.  Both are Fortran-ordered and overwritten: Mh by L, Kh
+    by L^{-1} K^H.  C is Fortran-ordered, so LAPACK routines may
+    overwrite a copy of it made with order="K" without another copy.
     """
     L = scipy.linalg.cholesky(Mh, lower=True, overwrite_a=True)
-    KLh = scipy.linalg.solve_triangular(L, K.conj().T, lower=True, overwrite_b=True)
+    KLh = scipy.linalg.solve_triangular(L, Kh, lower=True, overwrite_b=True)
     np.conjugate(KLh, out=KLh)  # now the transpose of K L^{-H}
     C = scipy.linalg.solve_triangular(L, KLh.T, lower=True, check_finite=False)
     return L, C
+
+
+def _mass_extremes(mass) -> tuple:
+    """The smallest and largest eigenvalue of the arrow-tridiagonal mass M, in O(n).
+
+    The tridiagonal block T has extreme eigenvalues theta_min and
+    theta_max (LAPACK bisection, to eps ||T||).  With a border b and a
+    corner c, M - sigma has the inertia of T - sigma plus the sign of
+    the Schur complement s(sigma) = c - sigma - b^H (T - sigma)^{-1} b
+    (Haynsworth additivity; Parlett, The Symmetric Eigenvalue Problem),
+    and s decreases wherever it is finite.  So M is positive definite
+    exactly when theta_min > 0 and s(0) > 0, and M's extreme
+    eigenvalues are the roots of s below theta_min and above theta_max,
+    or theta_min and theta_max themselves where s has no such root.
+    Each evaluation of s and s' = -1 - ||(T - sigma)^{-1} b||^2 is one
+    positive definite tridiagonal solve (LAPACK ptsv).  The roots are
+    those of s times the distance to the nearer pole theta, which has
+    s's sign there and is nearly linear where s has a pole, so that
+    Newton steps (`_sign_change`) do not crawl away from it.
+
+    Raises
+    ------
+    IllConditionedMass
+        If M is not positive definite.
+    """
+    core = len(mass.diag)
+    theta_min, theta_max = (
+        float(scipy.linalg.eigvalsh_tridiagonal(mass.diag, mass.off, select="i", select_range=(k, k))[0])
+        for k in (0, core - 1)
+    )
+    if theta_min <= 0.0:
+        raise IllConditionedMass("mass matrix is not positive definite")
+    if not len(mass.border):
+        return theta_min, theta_max
+    b = mass.border[0]
+    c = float(mass.corner[0].real)
+    rhs = np.column_stack((b.real, b.imag))  # T is real, so b^H (T - sigma)^{-1} b is too
+    off = mass.off if core > 1 else np.zeros(1)  # the ptsv wrapper wants one entry even then
+
+    def cleared(sigma):
+        """(h, h') at sigma outside [theta_min, theta_max], h = s |sigma - theta|; h is -+inf past theta."""
+        below = sigma < theta_min
+        # T - sigma below the block's spectrum, sigma - T above it: both positive definite
+        diag, band = (mass.diag - sigma, off) if below else (sigma - mass.diag, -off)
+        _, _, x, info = scipy.linalg.lapack.dptsv(diag, band, rhs)
+        if info:
+            return (-math.inf if below else math.inf), math.nan
+        quad = float(np.sum(rhs * x))  # b^H (T - sigma)^{-1} b, up to sign
+        s = c - sigma - (quad if below else -quad)
+        slope = -1.0 - float(np.sum(x * x))
+        if below:
+            return s * (theta_min - sigma), slope * (theta_min - sigma) - s
+        return s * (sigma - theta_max), slope * (sigma - theta_max) + s
+
+    at_zero = cleared(0.0)
+    if at_zero[0] <= 0.0:
+        raise IllConditionedMass("mass matrix is not positive definite")
+    # One solve just beyond each pole tells whether s has its root
+    # further out; if not, theta is M's eigenvalue to within that reach.
+    reach = 4.0 * np.finfo(float).eps * theta_max
+    lowest, highest = theta_min, theta_max
+    if theta_min > reach and cleared(theta_min - reach)[0] <= 0.0:
+        lowest = _sign_change(cleared, 0.0, theta_min - reach, 0.0, at_zero)
+    if cleared(theta_max + reach)[0] >= 0.0:
+        top = max(theta_max, c) + math.sqrt(float(np.sum(rhs * rhs)))  # Weyl: no eigenvalue above
+        highest = _sign_change(cleared, theta_max + reach, top, top, cleared(top))
+    return lowest, highest
+
+
+def _sign_change(f, lo: float, hi: float, x: float, fx: tuple) -> float:
+    """Where f turns from positive to negative in [lo, hi], from x with fx = (f(x), f'(x)).
+
+    A Newton step is taken when it stays inside the bracket that the
+    signs of f have set and is at most half the step before the last
+    one; otherwise the bracket is bisected (rtsafe of Numerical
+    Recipes).  The search ends on an exact zero, on a step below
+    2 eps |x|, or when the bracket holds no float between its ends.
+    Where f keeps one sign, the end that f's sign points to is returned.
+    """
+    eps = np.finfo(float).eps
+    last = before = math.inf  # the last two step sizes
+    while True:
+        value, slope = fx
+        if value == 0.0:
+            return x
+        if value > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = value / slope
+        if abs(step) <= 2.0 * eps * abs(x):
+            return x - step
+        if not (lo < x - step < hi) or abs(step) > 0.5 * before:
+            step = x - 0.5 * (lo + hi)
+            if not lo < x - step < hi:
+                return x - step
+        before, last = last, abs(step)
+        x -= step
+        fx = f(x)
 
 
 def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
@@ -265,55 +360,42 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag))
 
 
-def _check_rank_one_structure(K: np.ndarray) -> None:
-    """Raise ValueError unless K is Hermitian except for its last diagonal entry."""
-    skew_imag = K.imag + K.imag.T
-    skew_imag[-1, -1] = 0.0
-    if np.any(skew_imag) or np.any(K.real != K.real.T):
-        raise ValueError("the solve needs K Hermitian except for its last diagonal entry")
-
-
 def solve_pencil(pencil) -> SpectralResult:
-    """Dense generalized eigensolve of K v = lambda M v.
+    """Generalized eigensolve of K v = lambda M v for an arrow-tridiagonal pencil.
 
-    The Hermitian positive definite mass is factored as M = L L^H, and
-    C = L^{-1} K L^{-H} is brought to its rank-one form: one Hermitian
-    eigensolve H = Q diag(mu) Q^H of its Hermitian part, w = Q^H e_n and
-    tau = Im C[n-1, n-1].  The eigenvalues are the roots of the secular
-    function of (mu, |w|^2, tau), and the eigenvectors are
-    v = L^{-H} Q (w / (mu - lambda)), one matrix product for all of
-    them, normalized to unit M-norm; the left eigenvectors, another
-    product, give each eigenvalue a two-sided Rayleigh quotient on
-    (K, M).  The backward error on (K, M) is about cond(M) times
-    machine epsilon; `residuals` records it for every pair.  Eigenpairs
-    are sorted by ascending |lambda| (ties by real then imaginary part);
-    the trailing 20% is flagged as untrusted.
+    The gate reads cond(M) off the mass's parts (`_mass_extremes`).
+    The Hermitian positive definite mass is then factored as
+    M = L L^H, and C = L^{-1} K L^{-H} is brought to its rank-one form:
+    one Hermitian eigensolve H = Q diag(mu) Q^H of its Hermitian part,
+    w = Q^H e_n and tau = Im C[n-1, n-1].  The eigenvalues are the
+    roots of the secular function of (mu, |w|^2, tau), and the
+    eigenvectors are v = L^{-H} Q (w / (mu - lambda)), one matrix
+    product for all of them, normalized to unit M-norm; the left
+    eigenvectors, another product, give each eigenvalue a two-sided
+    Rayleigh quotient on (K, M), whose products with the eigenvectors
+    are formed from the parts.  The backward error on (K, M) is about
+    cond(M) times machine epsilon; `residuals` records it for every
+    pair.  Eigenpairs are sorted by ascending |lambda| (ties by real
+    then imaginary part); the trailing 20% is flagged as untrusted.
 
     Raises
     ------
-    ValueError
-        If K is not Hermitian apart from its last diagonal entry.
     IllConditionedMass
         If cond(M) > 1e12 or M is not positive definite.
     RootFindingError
         If the secular iteration does not converge.
     """
-    K = np.asarray(pencil.K, dtype=complex)
-    M = np.asarray(pencil.M, dtype=complex)
-    if K.shape != M.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("pencil matrices must be square and of equal shape")
-    _check_rank_one_structure(K)
-    Mh = M.conj().T  # Fortran-ordered, so that the Cholesky factors it in place
-    Mh += M
-    Mh *= 0.5
-    mass_eigs = scipy.linalg.eigvalsh(Mh)
-    if mass_eigs[0] <= 0.0:
-        raise IllConditionedMass("mass matrix is not positive definite")
-    cond = float(mass_eigs[-1] / mass_eigs[0])
+    stiffness, mass = pencil.stiffness, pencil.mass
+    low, high = _mass_extremes(mass)
+    cond = high / low
     if cond > MASS_CONDITION_LIMIT:
         raise IllConditionedMass(f"mass matrix condition number {cond:.3e} exceeds 1e12")
 
-    L, C = _reduce(K, Mh)
+    Mh = mass.dense(order="F")  # the Cholesky factors it in place
+    Kh = stiffness.dense()
+    np.conjugate(Kh, out=Kh)
+    L, C = _reduce(Kh.T, Mh)  # Kh.T = K^H, Fortran-ordered
+    del Kh
     tau = float(C[-1, -1].imag)
     H = np.conjugate(C.T, order="F")  # Fortran-ordered: eigh overwrites it, no copy
     H += C
@@ -330,8 +412,8 @@ def solve_pencil(pencil) -> SpectralResult:
     del Z
     left = LhQ @ X  # the left eigenvectors of (K, M)
     del LhQ, X
-    stiff_vec = K @ vec
-    mass_vec = M @ vec
+    stiff_vec = stiffness.dot(vec)
+    mass_vec = mass.dot(vec)
     # The eigensolve of H leaves an error of about eps ||H|| in small
     # eigenvalues of a graded pencil.  One two-sided Rayleigh quotient
     # on (K, M) itself removes it to second order (Ostrowski); it is
@@ -364,8 +446,7 @@ def solve_pencil(pencil) -> SpectralResult:
         eigenvectors=vec,
         residuals=residuals,
         n_retained=n_retained,
-        K=K,
-        M=M,
+        pencil=pencil,
         rank_one_form=(mu, weights, tau),
         mass_condition=cond,
     )
@@ -526,7 +607,7 @@ def _cluster_defective(result: SpectralResult, count: int):
             return np.abs(alpha - _c * beta) <= _t * np.abs(beta)
 
         _, _, alpha, beta, _, Z = scipy.linalg.ordqz(
-            result.K, result.M, sort=select, output="complex"
+            result.pencil.K, result.pencil.M, sort=select, output="complex"
         )
         picked = int(np.sum(select(alpha, beta)))
         width = min(len(members), picked)
@@ -540,12 +621,12 @@ def _cluster_defective(result: SpectralResult, count: int):
 def completeness_residual(result: SpectralResult, f, N_list):
     """M-orthogonal projection defects of f onto nested eigenvector spans.
 
-    For each N in N_list, f (unit norm in the mass `result.M`) is
+    For each N in N_list, f (unit norm in the pencil's mass M) is
     projected onto the span of the first N retained eigenvectors; the
     returned (N, residual) pairs are nonincreasing in N by construction
     of the nested spans.
     """
-    M = result.M
+    mass = result.pencil.mass
     f = np.asarray(f, dtype=complex).reshape(-1)
     N_list = [int(N) for N in N_list]
     if not N_list:
@@ -557,7 +638,7 @@ def completeness_residual(result: SpectralResult, f, N_list):
         raise ValueError(
             f"N = {max_n} exceeds the retained eigenpair count {result.n_retained}"
         )
-    fnorm = math.sqrt(abs(np.vdot(f, M @ f)))
+    fnorm = math.sqrt(abs(np.vdot(f, mass.dot(f))))
     if abs(fnorm - 1.0) > 1e-6:
         raise ValueError("test vector must have unit M-norm")
 
@@ -574,15 +655,15 @@ def completeness_residual(result: SpectralResult, f, N_list):
         for _ in range(2):
             for q, mq in zip(basis, Mq):
                 v -= q * np.vdot(mq, v)
-        vnorm = math.sqrt(abs(np.vdot(v, M @ v)))
+        vnorm = math.sqrt(abs(np.vdot(v, mass.dot(v))))
         if vnorm > 1e-8:
             q = v / vnorm
-            mq = M @ q
+            mq = mass.dot(q)
             basis.append(q)
             Mq.append(mq)
             r = r - q * np.vdot(mq, r)
         while ti < len(targets) and targets[ti] == idx + 1:
-            out[targets[ti]] = math.sqrt(abs(np.vdot(r, M @ r)))
+            out[targets[ti]] = math.sqrt(abs(np.vdot(r, mass.dot(r))))
             ti += 1
     return [(N, out[N]) for N in N_list]
 

@@ -15,6 +15,8 @@ import pytest
 from scipy.integrate import quad
 
 from conespectra.discretize import (
+    ArrowTridiagonal,
+    DiscreteOperatorPencil,
     RadialGrid,
     TIP_FLOOR_RATIO,
     WeightedSobolevParams,
@@ -236,6 +238,58 @@ class TestPencilAssembly:
             assemble_mode_pencil(narrow, 1, grid, ExtensionDomain.line([1.0, 1.0]))
 
 
+class TestArrowTridiagonal:
+    def test_dense_parts_round_trip(self, grid):
+        pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
+        for A in (pen.K, pen.M):
+            assert ArrowTridiagonal.from_dense(A, 1).dense().tobytes() == A.tobytes()
+        minimal = assemble_mode_pencil(CLOSED, 0, grid, None)
+        assert len(minimal.stiffness.corner) == 0 and minimal.K.shape == (minimal.size, minimal.size)
+
+    def test_product_matches_the_dense_view(self, grid):
+        pen = assemble_mode_pencil(CLOSED, 0, grid, ExtensionDomain.line([0.5, 2.0 - 1.0j]))
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(pen.size, 5)) + 1j * rng.normal(size=(pen.size, 5))
+        for part, A in ((pen.stiffness, pen.K), (pen.mass, pen.M)):
+            scale = np.linalg.norm(A) * np.linalg.norm(V)
+            assert np.linalg.norm(part.dot(V) - A @ V) <= 1e-15 * scale
+            assert np.linalg.norm(part.dot(V[:, 0]) - A @ V[:, 0]) <= 1e-15 * scale
+
+    def test_rejects_what_is_not_an_arrow(self):
+        rng = np.random.default_rng(4)
+        T = np.diag(rng.normal(size=6)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+        A = T.astype(complex)
+        A[-1, :-1] = rng.normal(size=5) + 1j
+        A[:-1, -1] = A[-1, :-1].conj()
+        ArrowTridiagonal.from_dense(A, 1)
+        for i, j, value in ((0, 2, 1.0), (0, 1, 2.0), (2, 2, 1.0 + 1e-9j), (5, 0, 7.0)):
+            bad = A.copy()
+            bad[i, j] = value
+            with pytest.raises(ValueError, match="Hermitian"):
+                ArrowTridiagonal.from_dense(bad, 1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            ArrowTridiagonal.from_dense(A, 0)  # the border lies outside a tridiagonal matrix
+        with pytest.raises(ValueError):
+            ArrowTridiagonal.from_dense(A, 2)
+        with pytest.raises(ValueError):
+            ArrowTridiagonal(np.ones(3), np.ones(3), np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="real"):
+            ArrowTridiagonal(np.ones(3) + 1j, np.ones(2), np.zeros((0, 3)), np.zeros(0))
+
+    def test_pencil_needs_a_hermitian_mass(self, grid):
+        pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
+        M = pen.mass
+        with pytest.raises(ValueError, match="Hermitian"):
+            DiscreteOperatorPencil(
+                stiffness=pen.stiffness,
+                mass=ArrowTridiagonal(M.diag, M.off, M.border, M.corner + 1e-3j),
+                basis_labels=pen.basis_labels,
+                nu=pen.nu,
+                outer_radius_R=pen.outer_radius_R,
+                enrichment_coeffs=pen.enrichment_coeffs,
+            )
+
+
 # seeded closed-link pair whose fifth root sits far off the real axis
 SEED4_PAIR = (-1.1606431576220568 - 0.0036792633802781066j, -0.4408554390768262 + 0.10509835798959383j)
 GAUSS8 = np.polynomial.legendre.leggauss(8)
@@ -448,13 +502,17 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("matrices", ["M", "K"]),
-            ("dtype", "complex64"),
-            ("order", "column-major"),
+            ("arrays", ["m_diag", "m_off", "k_diag", "k_off", "m_border", "k_border", "corners"]),
+            ("real_dtype", "float32"),
+            ("complex_dtype", "complex64"),
             ("byteorder", "big"),
-            ("format_version", 2),
+            ("format_version", 1),
+            ("format_version", 3),
             ("n", 0),
             ("n", -1),
+            ("border_rows", 2),
+            ("border_rows", 0),
+            ("border_rows", True),
             ("surprise", 1),
         ],
     )
@@ -468,6 +526,49 @@ class TestPersistence:
         path.write_bytes(struct.pack("<Q", len(blob)) + blob + data[8 + hlen :])
         with pytest.raises(ValueError):
             load_pencil(path)
+
+    def test_load_rejects_a_version_1_file(self, tmp_path):
+        # the dense layout that version 1 wrote: header, then K and M row-major
+        grid = RadialGrid.geometric(1.0, 32, 0.9)
+        pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
+        header = {
+            "format_version": 1,
+            "matrices": ["K", "M"],
+            "dtype": "complex128",
+            "order": "row-major",
+            "byteorder": "little",
+            "n": pen.size,
+            "basis_labels": list(pen.basis_labels),
+            "nu": pen.nu,
+            "outer_radius_R": pen.outer_radius_R,
+            "enrichment": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "pencil.bin"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + pen.K.tobytes() + pen.M.tobytes())
+        with pytest.raises(ValueError):
+            load_pencil(path)
+
+    def test_stores_the_parts_only(self, tmp_path):
+        # about 30 KB at N_h = 400, where the dense K and M took 5.1 MB
+        grid = RadialGrid.geometric(1.0, 400, 0.9)
+        pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
+        path = tmp_path / "pencil.bin"
+        export_pencil(pen, path)
+        (hlen,) = struct.unpack("<Q", path.read_bytes()[:8])
+        core = pen.size - 1
+        assert path.stat().st_size == 8 + hlen + 8 * (4 * core - 2) + 16 * (2 * core + 2)
+        assert path.stat().st_size < 40_000
+        back = load_pencil(path)
+        assert back.K.tobytes() == pen.K.tobytes() and back.M.tobytes() == pen.M.tobytes()
+
+    def test_round_trip_of_the_minimal_pencil(self, tmp_path):
+        pen = assemble_mode_pencil(CLOSED, 0, RadialGrid.geometric(1.0, 32, 0.9), None)
+        path = tmp_path / "pencil.bin"
+        export_pencil(pen, path)
+        back = load_pencil(path)
+        assert back.size == pen.size and back.enrichment_coeffs is None
+        assert back.K.tobytes() == pen.K.tobytes() and back.M.tobytes() == pen.M.tobytes()
 
     def test_load_rejects_trailing_data(self, tmp_path):
         path = self._exported(tmp_path)
