@@ -530,6 +530,9 @@ def _spectrum(run: Run) -> Record:
         "n_retained": result.n_retained,
         "mass_condition": result.mass_condition,
         "max_retained_residual": float(np.max(result.residuals[: result.n_retained])),
+        "aberth_sweeps": result.aberth_sweeps,
+        "deflated_poles": result.deflated_poles,
+        "refined_pairs": result.refined_pairs,
         "eigenvalues_smallest": [complex_to_pair(z) for z in computed],
         "oracle": [complex_to_pair(z) for z in oracle],
         "relative_errors": errors,

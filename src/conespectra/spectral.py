@@ -13,24 +13,32 @@ complex border with its conjugate and a corner.  M is Hermitian positive
 definite, and K is Hermitian except for an imaginary part i tau_K in
 its corner; no other pencil can be built.  cond(M), gated at 1e12, and
 the products of K and M with vectors are computed from the parts in
-O(n) per vector.  The solve still reduces the pencil densely: M = L L^H
-(Cholesky) and C = L^{-1} K L^{-H}, whose standard eigenpairs
-(lambda, y) give the pencil's as (lambda, L^{-H} y), with a backward
-error on (K, M) of about cond(M) times machine epsilon.  L is lower
-triangular, so L^{-1} e_n = e_n / L_nn and C is Hermitian but for i tau,
-tau = Im C[n-1, n-1], in the same corner.  With H = Q diag(mu) Q^H the
-Hermitian part of C (corner made real) and w = Q^H e_n, C - lambda is
-unitarily similar to diag(mu - lambda) + i tau w w^H (Golub, SIAM Rev.
-1973).  One Hermitian eigensolve of H therefore serves everything:
-the eigenvalues of C are the roots of the secular function
+O(n) per vector.  The solve reduces the pencil to C = L^{-1} K L^{-H},
+with M = L L^H, whose standard eigenpairs (lambda, y) give the
+pencil's as (lambda, L^{-H} y), with a backward error on (K, M) of
+about cond(M) times machine epsilon.  L has the arrow shape of M: a
+bidiagonal Cholesky factor L_T of the mass's hat block T_M, and one
+last row.  So C is formed from the parts in O(n^2): its (n-1) x (n-1)
+block A = L_T^{-1} T_K L_T^{-T} is real symmetric, the rest is one
+complex border and a corner, and only the imaginary part of the corner,
+tau = tau_K / L_nn^2, keeps C from being Hermitian.  One real eigensolve
+A = U diag(theta) U^T, the solve's only O(n^3) step, turns C in the
+basis diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
+(Golub, SIAM Rev. 1973; O'Leary & Stewart, J. Comput. Phys. 1990).  Its
+Hermitian part, with the corner made real, has eigenvalues mu (one
+eigenvalue-only call on a real arrowhead) and eigenvectors whose last
+entries w follow from mu in closed form, and the arrowhead minus lambda
+is unitarily similar to diag(mu - lambda) + i tau w w^H.  The
+eigenvalues of C are therefore the roots of the secular function
 g(lambda) = 1 + i tau sum_k |w_k|^2 / (mu_k - lambda), found together
 by an Aberth-Ehrlich iteration (Bini & Robol, J. Comput. Appl. Math.
-2014), each eigenvector is Q (w / (mu - lambda)), and each resolvent
-probe's extreme singular values are roots of a 2 x 2 secular count,
-O(n) per probe, from the (mu, |w|^2, tau) that the result keeps.  The
-Hermitian eigensolve is accurate to eps ||H|| only, which is coarse
-for the small eigenvalues of a graded pencil, so each eigenvalue is
-refined by a two-sided Rayleigh quotient on (K, M) itself.
+2014) and polished by one Newton step on the arrowhead's own secular
+function; each eigenvector is [z / (lambda - theta); 1] in that basis,
+and each resolvent probe's extreme singular values are roots of a
+2 x 2 secular count, O(n) per probe, from the (mu, |w|^2, tau) that the
+result keeps.  The eigensolves are accurate to eps ||C|| only, which is
+coarse for the small eigenvalues of a graded pencil, so each eigenvalue
+is refined by a two-sided Rayleigh quotient on (K, M) itself.
 """
 
 from __future__ import annotations
@@ -74,6 +82,11 @@ RETAIN_FRACTION = 0.8
 # |g| <= _ABERTH_TOL * eps * (its rounding-error bound)
 _ABERTH_SWEEPS = 200
 _ABERTH_TOL = 4.0
+# eigenvector columns per block of the Rayleigh refinement's products
+_REFINE_BLOCK = 64
+# an eigenvalue of the Hermitian arrowhead this many eps ||B|| from a pole
+# takes its distance to it from a Newton step, not from the subtraction
+_NEAR_POLE = 1024.0
 
 
 class IllConditionedMass(RuntimeError):
@@ -103,9 +116,16 @@ class SpectralResult:
     C = Q (diag(mu) + i tau w w^H) Q^H: the eigenvalues mu of the
     Hermitian part of C with its corner made real, the squared moduli
     of its eigenvectors' last row, and the corner's tau = Im C[n-1, n-1].
-    The solve computed it for its own eigenpairs; every resolvent probe
-    of the result reads it.  It holds O(n) numbers, and its arrays are
-    read-only.
+    The solve reads them off the arrowhead that C becomes in the
+    eigenbasis of its real block, for its own eigenpairs; every
+    resolvent probe of the result reads them.  It holds O(n) numbers,
+    and its arrays are read-only.  A minimal pencil has tau = 0 and
+    zero weights.
+
+    `aberth_sweeps`, `deflated_poles` and `refined_pairs` count the
+    Aberth sweeps, the eigenvalues taken from a pole instead of the
+    iteration (every one of a minimal pencil), and the pairs whose
+    Rayleigh refinement was kept.
     """
 
     eigenvalues: np.ndarray
@@ -115,6 +135,9 @@ class SpectralResult:
     pencil: object
     rank_one_form: tuple
     mass_condition: float
+    aberth_sweeps: int
+    deflated_poles: int
+    refined_pairs: int
 
     @property
     def retained_eigenvalues(self) -> np.ndarray:
@@ -124,20 +147,6 @@ class SpectralResult:
     def trust_limit(self) -> float:
         """Largest |lambda| at which resolvent probes are meaningful."""
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
-
-
-def _reduce(Kh: np.ndarray, Mh: np.ndarray):
-    """Cholesky factor L of the Hermitian mass Mh = L L^H, and C = L^{-1} K L^{-H}.
-
-    Kh is K^H.  Both are Fortran-ordered and overwritten: Mh by L, Kh
-    by L^{-1} K^H.  C is Fortran-ordered, so LAPACK routines may
-    overwrite a copy of it made with order="K" without another copy.
-    """
-    L = scipy.linalg.cholesky(Mh, lower=True, overwrite_a=True)
-    KLh = scipy.linalg.solve_triangular(L, Kh, lower=True, overwrite_b=True)
-    np.conjugate(KLh, out=KLh)  # now the transpose of K L^{-H}
-    C = scipy.linalg.solve_triangular(L, KLh.T, lower=True, check_finite=False)
-    return L, C
 
 
 def _mass_extremes(mass) -> tuple:
@@ -239,7 +248,7 @@ def _sign_change(f, lo: float, hi: float, x: float, fx: tuple) -> float:
         fx = f(x)
 
 
-def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
+def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> tuple:
     """All roots of g(lambda) = 1 + i tau sum_k weights_k / (mu_k - lambda).
 
     mu must be distinct, weights positive and tau nonzero; then g has
@@ -253,6 +262,7 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray
     next to a pole), or when its step stops shrinking at a size below
     sqrt(eps) |lambda|, as it does in the rounding noise around a
     multiple root.  Each sweep holds two (roots left) x n temporaries.
+    Returns the roots and the number of sweeps.
 
     Raises
     ------
@@ -275,15 +285,15 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray
         z = lam[left]
         D = mu - z[:, np.newaxis]
         np.reciprocal(D, out=D)  # D[j, k] = 1 / (mu_k - z_j)
-        total = D @ weights
+        total = np.einsum("ij,j->i", D, weights)
         pole_sum = D.sum(axis=1)
         A = np.abs(D)
-        bound = A @ weights
+        bound = np.einsum("ij,j->i", A, weights)
         A *= A
-        bound += A @ scaled + np.abs(z) * (A @ weights)
+        bound += np.einsum("ij,j->i", A, scaled) + np.abs(z) * np.einsum("ij,j->i", A, weights)
         del A
         D *= D
-        slope = D @ weights  # g' / (i tau)
+        slope = np.einsum("ij,j->i", D, weights)  # g' / (i tau)
         del D
         g = 1.0 + 1j * tau * total
         converged = np.abs(g) <= _ABERTH_TOL * eps * (1.0 + abs(tau) * bound)
@@ -303,23 +313,21 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray
         lam[left[moving]] -= step[moving]
         last[left] = size
         left = left[moving]
-    return lam
+    return lam, sweeps
 
 
-def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
-    """Eigenpairs of B = diag(mu) + i tau w w^H, sorted as solve_pencil sorts.
+def _rank_one_roots(mu: np.ndarray, weights: np.ndarray, tau: float):
+    """Eigenvalues of B = diag(mu) + i tau w w^H with |w|^2 = weights, in mu's order.
 
     mu is ascending.  Poles that drop out of the secular function are
-    deflated.  Where tau = 0 or w_k = 0, or where both the root's
+    deflated: where tau = 0 or w_k = 0, or where both the root's
     distance |tau| |w_k|^2 from mu_k is within eps |mu_k| and
     |tau w_k| <= 8 eps max(|mu|, |tau|) (Dongarra & Sorensen, SIAM J.
-    Sci. Stat. Comput. 1987), mu_k is an eigenvalue with eigenvector
-    e_k: that moves the eigenvalue by at most one rounding and B by at
-    most 2 |tau w_k|.  The other eigenvalues are the roots of the
-    secular function, each with eigenvector w / (mu - lambda) and left
-    eigenvector w / (mu - conj(lambda)).  Returns the eigenvalues, the
-    eigenvectors (unit norm) and the left eigenvectors (unscaled) as
-    columns.
+    Sci. Stat. Comput. 1987), mu_k is an eigenvalue: that moves it by at
+    most one rounding and B by at most 2 |tau w_k|.  The other
+    eigenvalues are the roots of the secular function (`_aberth_roots`).
+    Returns the eigenvalues, the mask of deflated poles and the number
+    of Aberth sweeps.
 
     Raises
     ------
@@ -327,32 +335,208 @@ def _rank_one_eigenpairs(mu: np.ndarray, w: np.ndarray, tau: float):
         If two poles that are not deflated are equal: the secular
         function then misses an eigenvalue at the pole.
     """
-    n = len(mu)
     eps = np.finfo(float).eps
-    weights = w.real**2 + w.imag**2
-    coupling = abs(tau) * np.abs(w)
-    negligible = coupling * np.abs(w) <= eps * np.abs(mu)
+    coupling = abs(tau) * np.sqrt(weights)
+    negligible = abs(tau) * weights <= eps * np.abs(mu)
     negligible &= coupling <= 8.0 * eps * max(float(np.max(np.abs(mu))), abs(tau))
     poles = np.flatnonzero(~negligible)
     if np.any(np.diff(mu[poles]) == 0.0):
         raise RootFindingError("the rank-one form has two equal poles that both carry weight")
     lam = mu.astype(complex)
-    lam[poles] = _aberth_roots(mu[poles], weights[poles], tau)
+    lam[poles], sweeps = _aberth_roots(mu[poles], weights[poles], tau)
+    return lam, negligible, sweeps
+
+
+def _to_arrowhead(stiffness, mass):
+    """The reduction C = L^{-1} K L^{-H}, M = L L^H, brought to an arrowhead by one real eigh.
+
+    L is the arrow-shaped Cholesky factor [[L_T, 0], [l^H, l_n]] of M:
+    T_M = L_T L_T^T with L_T lower bidiagonal (LAPACK pttrf), L_T l = m_c
+    and l_n^2 = m_ee - ||l||^2, the mass's Schur complement.  With
+    g = L_T^{-T} l, C = [[A, h], [h^H, eta + i tau]] for the real
+    symmetric A = L_T^{-1} T_K L_T^{-T} (two banded triangular solves,
+    tbtrs, on the dense T_K), h = L_T^{-1} (k_c - T_K g) / l_n and the
+    corner (g^H T_K g - 2 Re g^H k_c + k_ee) / l_n^2.  The eigensolve
+    A = U diag(theta) U^T, the only O(n^3) step, turns C in the basis
+    diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
+    with z = U^T h.
+
+    Returns theta (ascending), W = L_T^{-T} U, which makes
+    L^{-H} diag(U, 1) = [[W, -g / l_n], [0, 1 / l_n]], and for an
+    enriched pencil (z, eta, tau, g / l_n, 1 / l_n), else None.
+    """
+    core = len(mass.diag)
+    off = mass.off if core > 1 else np.zeros(1)  # the pttrf wrapper wants one entry even then
+    diag, off, _ = scipy.linalg.lapack.dpttrf(mass.diag, off)  # T_M = L D L^T; the gate proved it definite
+    factor = np.zeros((2, core), order="F")  # L_T = L D^{1/2} in LAPACK's lower band storage
+    np.sqrt(diag, out=factor[0])
+    np.multiply(off[: core - 1], factor[0, :-1], out=factor[1, :-1])
+
+    def solve(B, trans="N"):
+        """L_T^{-1} B, or L_T^{-T} B, for a real B; a Fortran-ordered B is overwritten."""
+        return scipy.linalg.lapack.dtbtrs(factor, B, uplo="L", trans=trans, overwrite_b=True)[0]
+
+    A = np.zeros((core, core), order="F")
+    dof = np.arange(core)
+    A[dof, dof] = stiffness.diag
+    A[dof[:-1], dof[1:]] = A[dof[1:], dof[:-1]] = stiffness.off
+    A = solve(solve(A).T)  # L_T^{-1} (L_T^{-1} T_K)^T, as T_K is symmetric
+    theta, U = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False)
+    del A
+    border = None
+    if len(mass.border):
+        m_c, k_c = mass.border[0], stiffness.border[0]
+        ell = solve(np.column_stack((m_c.real, m_c.imag)))  # the columns are the real and imaginary parts
+        ell_n = math.sqrt(float(mass.corner[0].real) - float(np.sum(ell * ell)))
+        g = solve(ell, trans="T")
+        g = g[:, 0] + 1j * g[:, 1]
+        Tg = stiffness.diag * g
+        Tg[:-1] += stiffness.off * g[1:]
+        Tg[1:] += stiffness.off * g[:-1]
+        corner = (np.vdot(g, Tg).real - 2.0 * np.vdot(g, k_c).real + complex(stiffness.corner[0])) / ell_n**2
+        h = k_c - Tg
+        z = scipy.linalg.blas.dgemm(1.0 / ell_n, U, solve(np.column_stack((h.real, h.imag))), trans_a=True)
+        z = z[:, 0] + 1j * z[:, 1]
+        border = (z, float(corner.real), float(corner.imag), g / ell_n, 1.0 / ell_n)
+    return theta, solve(U, trans="T"), border
+
+
+def _nearest_pole_step(t: np.ndarray, moduli2: np.ndarray, corner, x: np.ndarray):
+    """One Newton step from each x towards a root of f = corner - x - sum_j moduli2_j / (t_j - x).
+
+    t is ascending.  The step is taken on h = (t_j - x) f with t_j the
+    pole nearest to x, which stays smooth where f has its pole, so that
+    a root far closer to t_j than x is still reached (as in
+    `_mass_extremes`), and it gives the new offset t_j - x as
+    (d^2 r' - moduli2_j) / (d r' - r) with d the old offset and r the sum
+    without pole j, free of the cancellation in t_j - x.  Where that is
+    not finite the old offset stays.  Returns j and the new offsets.
+    """
+    right = np.searchsorted(t, x.real)
+    below, above = np.maximum(right - 1, 0), np.minimum(right, len(t) - 1)
+    pick = np.where(np.abs(x.real - t[below]) <= np.abs(t[above] - x.real), below, above)
+    rows = np.arange(len(x))
+    d = t[pick] - x
+    R = t - x[:, np.newaxis]
+    R[rows, pick] = 1.0
+    np.reciprocal(R, out=R)
+    R[rows, pick] = 0.0  # the sums leave the nearest pole out
+    rest = corner - x - np.einsum("ij,j->i", R, moduli2)
+    R *= R
+    slope = -1.0 - np.einsum("ij,j->i", R, moduli2)
+    del R
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = (d * d * slope - moduli2[pick]) / (d * slope - rest)
+    taken = np.isfinite(moved)
+    d[taken] = moved[taken]
+    return pick, d
+
+
+def _arrowhead_eigenvalues(theta: np.ndarray, z: np.ndarray, eta: float, tau: float):
+    """Eigenvalues of the arrowhead B = [[diag(theta), z], [z^H, eta + i tau]], and its rank-one form.
+
+    theta is ascending.  A border entry |z_j| <= 8 eps ||B|| (Dongarra &
+    Sorensen) is deflated: theta_j is an eigenvalue with eigenvector
+    e_j, and B moves by at most |z_j|.  The Hermitian part of B with its
+    corner made real has the eigenvalues mu of the real arrowhead
+    [[diag(theta), |z|], [|z|, eta]] (one eigenvalue-only eigensolve) and
+    the squared last entries |w_k|^2 = 1 / (1 + sum_j |z_j|^2 / (mu_k - theta_j)^2)
+    of its eigenvectors, so B is unitarily similar to
+    diag(mu) + i tau w w^H.  Where mu_k is within _NEAR_POLE eps ||B||
+    of its nearest pole, mu_k - theta_j is rounding, and the weight takes
+    that distance from `_nearest_pole_step` instead.  Its eigenvalues are the secular roots of
+    (mu, |w|^2, tau) (`_rank_one_roots`), each then taken one Newton step
+    towards a root of B's own secular function
+    f(lambda) = eta + i tau - lambda - sum_j |z_j|^2 / (theta_j - lambda),
+    for which the eigenvectors of `_arrowhead_vectors` are exact.  The
+    step is taken on (theta_j - lambda) f with theta_j the nearest pole,
+    which has no pole there (as in `_mass_extremes`), and yields the
+    offset theta_j - lambda directly, so that the eigenvector's entry
+    z_j / (lambda - theta_j) stays accurate for a root within rounding
+    of theta_j.
+
+    Returns the eigenvalues sorted as solve_pencil sorts them; for each,
+    the index j of its nearest pole theta_j (-1 when every z_j is
+    deflated) and the offset theta_j - lambda, which is 0 exactly for a
+    deflated theta_j; the rank-one form (mu, |w|^2) with mu ascending;
+    the Aberth sweeps; and the count of deflated poles, of either kind.
+
+    Raises
+    ------
+    RootFindingError
+        If two equal theta_j both carry weight, or from `_rank_one_roots`.
+    """
+    eps = np.finfo(float).eps
+    modulus = np.abs(z)
+    scale = max(float(np.max(np.abs(theta))), abs(complex(eta, tau)), float(np.max(modulus)))
+    flat = modulus <= 8.0 * eps * scale
+    live = np.flatnonzero(~flat)
+    if np.any(np.diff(theta[live]) == 0.0):
+        raise RootFindingError("the arrowhead has two equal poles that both carry weight")
+    # corner first, then theta descending: a graded pencil's arrowhead is then
+    # graded downwards, and Householder tridiagonalization keeps its small
+    # eigenvalues to high relative accuracy
+    H = np.diag(np.append(eta, theta[live[::-1]]))
+    H[1:, 0] = modulus[live[::-1]]  # the lower triangle, which eigvalsh reads
+    nu = scipy.linalg.eigvalsh(H, overwrite_a=True, check_finite=False)
+    del H
+    t, moduli2 = theta[live], modulus[live] ** 2
+    gap = nu[:, np.newaxis] - t
+    if live.size:
+        # next to a pole, nu - theta_j is rounding: take the offset from
+        # the pole-cleared Newton step instead
+        pick, offset = _nearest_pole_step(t, moduli2, eta, nu)
+        rows = np.flatnonzero(np.abs(offset) <= _NEAR_POLE * eps * scale)
+        gap[rows, pick[rows]] = -offset[rows]
+    with np.errstate(divide="ignore", over="ignore"):  # nu_k on a pole: weight 0
+        np.divide(moduli2, np.square(gap, out=gap), out=gap)
+    nu_weights = 1.0 / (1.0 + gap.sum(axis=1))
+    del gap
+    mu = np.concatenate((theta[flat], nu))
+    order = np.argsort(mu, kind="stable")
+    mu = mu[order]
+    weights = np.concatenate((np.zeros(len(theta) - len(live)), nu_weights))[order]
+    near = np.concatenate((np.flatnonzero(flat), np.full(len(nu), -1)))[order]
+    lam, negligible, sweeps = _rank_one_roots(mu, weights, tau)
+    offset = np.zeros(len(lam), dtype=complex)
+    fix = np.flatnonzero(near < 0)
+    if live.size:
+        pick, offset[fix] = _nearest_pole_step(t, moduli2, complex(eta, tau), lam[fix])
+        lam[fix] = t[pick] - offset[fix]
+        near[fix] = live[pick]
+
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
-    lam = lam[order]
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)  # the eigenpair that each pole or deflated mu_k became
-    Z = mu[:, np.newaxis] - lam
-    X = mu[:, np.newaxis] - lam.conj()
-    with np.errstate(divide="ignore", invalid="ignore"):  # the deflated columns, replaced below
-        np.divide(w[:, np.newaxis], Z, out=Z)
-        np.divide(w[:, np.newaxis], X, out=X)
-    deflated = np.flatnonzero(negligible)
-    Z[:, column[deflated]] = 0.0
-    Z[deflated, column[deflated]] = 1.0
-    Z /= _column_norms(Z)
-    X[:, column[deflated]] = Z[:, column[deflated]]  # B and B^H share these
-    return lam, Z, X
+    return lam[order], near[order], offset[order], mu, weights, sweeps, int(np.count_nonzero(negligible))
+
+
+def _arrowhead_vectors(theta: np.ndarray, z: np.ndarray, lam: np.ndarray, near: np.ndarray, offset: np.ndarray,
+                       left: bool = False):
+    """Eigenvectors of the arrowhead B of `_arrowhead_eigenvalues` as columns.
+
+    Right: [z / (lambda - theta); 1] with unit norm.  Left (eigenvectors
+    of B^H for conj(lambda)): [z / (conj(lambda) - theta); 1], unscaled.
+    The entry at each eigenvalue's nearest pole divides by the offset
+    theta_j - lambda that the eigenvalue came with.  A column with a zero
+    offset belongs to a deflated theta_j and is e_j, and the deflated
+    z_j count as 0 in the other columns.
+    """
+    cols = np.flatnonzero(near >= 0)
+    deflated = cols[offset[cols] == 0.0]
+    cols = cols[offset[cols] != 0.0]
+    z = z.copy()
+    z[near[deflated]] = 0.0
+    Y = np.empty((len(theta) + 1, len(lam)), dtype=complex)
+    top = Y[:-1]
+    np.subtract(lam.conj() if left else lam, theta[:, np.newaxis], out=top)
+    top[near[cols], cols] = -(offset[cols].conj() if left else offset[cols])
+    top[:, deflated] = 1.0
+    np.divide(z[:, np.newaxis], top, out=top)
+    Y[-1] = 1.0
+    Y[:, deflated] = 0.0
+    Y[near[deflated], deflated] = 1.0
+    if not left:
+        Y /= _column_norms(Y)
+    return Y
 
 
 def _column_norms(X: np.ndarray) -> np.ndarray:
@@ -360,23 +544,48 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag))
 
 
+def _lift(W: np.ndarray, g: np.ndarray, inv_ell_n: float, Y: np.ndarray) -> np.ndarray:
+    """L^{-H} diag(U, 1) Y = [[W, -g], [0, 1 / l_n]] Y for `_to_arrowhead`'s W, g / l_n (here g) and 1 / l_n.
+
+    W multiplies Y's float pairs, one real matrix product, and the
+    border column is a rank-one update in place; Y's last row is real.
+    The solve runs its matrix products on scipy's BLAS, like its
+    eigensolves, and its sums in numpy's einsum loops: numpy links an
+    OpenBLAS of its own, whose idle threads spin, and on two cores a
+    numpy BLAS call just before a scipy eigensolve slows the eigensolve
+    two- to threefold.
+    """
+    V = np.empty(Y.shape, dtype=complex)
+    # (Y's float pairs)^T W^T into V's, Fortran-ordered transposes: no copy
+    scipy.linalg.blas.dgemm(1.0, Y[:-1].view(float).T, W, trans_b=True, c=V[:-1].view(float).T, overwrite_c=True)
+    # V[:-1] -= g Y[-1] in place: BLAS geru on the Fortran-ordered transpose
+    scipy.linalg.blas.zgeru(-1.0, Y[-1], g, a=V[:-1].T, overwrite_a=True)
+    V[-1] = Y[-1].real * inv_ell_n
+    return V
+
+
 def solve_pencil(pencil) -> SpectralResult:
     """Generalized eigensolve of K v = lambda M v for an arrow-tridiagonal pencil.
 
     The gate reads cond(M) off the mass's parts (`_mass_extremes`).
-    The Hermitian positive definite mass is then factored as
-    M = L L^H, and C = L^{-1} K L^{-H} is brought to its rank-one form:
-    one Hermitian eigensolve H = Q diag(mu) Q^H of its Hermitian part,
-    w = Q^H e_n and tau = Im C[n-1, n-1].  The eigenvalues are the
-    roots of the secular function of (mu, |w|^2, tau), and the
-    eigenvectors are v = L^{-H} Q (w / (mu - lambda)), one matrix
-    product for all of them, normalized to unit M-norm; the left
+    The reduction C = L^{-1} K L^{-H}, M = L L^H with L the mass's
+    arrow-shaped Cholesky factor, is formed from the parts and brought to
+    the arrowhead [[diag(theta), z], [z^H, eta + i tau]] by one real
+    eigensolve of its (n-1) x (n-1) block (`_to_arrowhead`), the only
+    O(n^3) step.  The eigenvalues are the roots of the secular function
+    of the rank-one form (mu, |w|^2, tau) of that arrowhead, polished by
+    one Newton step on its own secular function
+    (`_arrowhead_eigenvalues`); the eigenvectors are its closed-form ones
+    (`_arrowhead_vectors`) taken back by L^{-H} diag(U, 1), one real
+    matrix product for all of them, with unit M-norm; the left
     eigenvectors, another product, give each eigenvalue a two-sided
     Rayleigh quotient on (K, M), whose products with the eigenvectors
-    are formed from the parts.  The backward error on (K, M) is about
-    cond(M) times machine epsilon; `residuals` records it for every
-    pair.  Eigenpairs are sorted by ascending |lambda| (ties by real
-    then imaginary part); the trailing 20% is flagged as untrusted.
+    are formed from the parts.  A minimal pencil (no border) is real and
+    definite: its eigenpairs are (theta, L_T^{-T} U).  The backward error
+    on (K, M) is about cond(M) times machine epsilon; `residuals` records
+    it for every pair.  Eigenpairs are sorted by ascending |lambda| (ties
+    by real then imaginary part); the trailing 20% is flagged as
+    untrusted.
 
     Raises
     ------
@@ -391,55 +600,41 @@ def solve_pencil(pencil) -> SpectralResult:
     if cond > MASS_CONDITION_LIMIT:
         raise IllConditionedMass(f"mass matrix condition number {cond:.3e} exceeds 1e12")
 
-    Mh = mass.dense(order="F")  # the Cholesky factors it in place
-    Kh = stiffness.dense()
-    np.conjugate(Kh, out=Kh)
-    L, C = _reduce(Kh.T, Mh)  # Kh.T = K^H, Fortran-ordered
-    del Kh
-    tau = float(C[-1, -1].imag)
-    H = np.conjugate(C.T, order="F")  # Fortran-ordered: eigh overwrites it, no copy
-    H += C
-    H *= 0.5  # the Hermitian part of C, with a real corner
-    del C
-    mu, Q = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False)
-    del H
-    w = Q[-1].conj()
-    # L^{-H} Q in Q's memory, so that L (factored in Mh's memory) goes before the roots
-    LhQ = scipy.linalg.solve_triangular(L, Q, lower=True, trans="C", overwrite_b=True, check_finite=False)
-    del Mh, L, Q
-    lam, Z, X = _rank_one_eigenpairs(mu, w, tau)
-    vec = LhQ @ Z
-    del Z
-    left = LhQ @ X  # the left eigenvectors of (K, M)
-    del LhQ, X
-    stiff_vec = stiffness.dot(vec)
-    mass_vec = mass.dot(vec)
-    # The eigensolve of H leaves an error of about eps ||H|| in small
+    theta, W, border = _to_arrowhead(stiffness, mass)
+    if border is None:
+        lam, mu, weights, tau = theta.astype(complex), theta, np.zeros(len(theta)), 0.0
+        sweeps, deflated = 0, len(theta)
+        vec = left = W.astype(complex)
+    else:
+        z, eta, tau, g, inv_ell_n = border
+        lam, near, offset, mu, weights, sweeps, deflated = _arrowhead_eigenvalues(theta, z, eta, tau)
+        vec = _lift(W, g, inv_ell_n, _arrowhead_vectors(theta, z, lam, near, offset))
+        left = _lift(W, g, inv_ell_n, _arrowhead_vectors(theta, z, lam, near, offset, left=True))
+    del W
+    # The eigensolves leave an error of about eps ||C|| in small
     # eigenvalues of a graded pencil.  One two-sided Rayleigh quotient
     # on (K, M) itself removes it to second order (Ostrowski); it is
     # kept where it lowers the pair's residual, which a defective pair,
     # with its left and right eigenvectors nearly M-orthogonal, does not.
-    np.conjugate(left, out=left)
-    refined = np.einsum("ij,ij->j", left, stiff_vec) / np.einsum("ij,ij->j", left, mass_vec)
+    # The products with K and M are formed a block of columns at a time.
+    n = len(lam)
+    refined = np.empty(n, dtype=complex)
+    plain, better = np.empty(n), np.empty(n)
+    for start in range(0, n, _REFINE_BLOCK):
+        cols = slice(start, start + _REFINE_BLOCK)
+        stiff_vec, mass_vec = stiffness.dot(vec[:, cols]), mass.dot(vec[:, cols])
+        conj_left = left[:, cols].conj()
+        refined[cols] = np.einsum("ij,ij->j", conj_left, stiff_vec) / np.einsum("ij,ij->j", conj_left, mass_vec)
+        plain[cols] = _column_norms(stiff_vec - mass_vec * lam[cols])
+        better[cols] = _column_norms(stiff_vec - mass_vec * refined[cols])
     del left
-
-    def defects(values):
-        defect = mass_vec * values
-        np.subtract(stiff_vec, defect, out=defect)
-        return _column_norms(defect)
-
-    plain = defects(lam)
-    better = defects(refined)
-    del stiff_vec, mass_vec
     keep = better < plain
     lam = np.where(keep, refined, lam)
     residuals = np.where(keep, better, plain) / _column_norms(vec)
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     if np.any(order != np.arange(len(lam))):  # the refinement swapped a near tie
         lam, vec, residuals = lam[order], vec[:, order], residuals[order]
-    weights = w.real**2 + w.imag**2
     mu.flags.writeable = weights.flags.writeable = False  # shared by every probe
-    n = len(lam)
     n_retained = max(1, math.floor(RETAIN_FRACTION * n))
     return SpectralResult(
         eigenvalues=lam,
@@ -449,6 +644,9 @@ def solve_pencil(pencil) -> SpectralResult:
         pencil=pencil,
         rank_one_form=(mu, weights, tau),
         mass_condition=cond,
+        aberth_sweeps=sweeps,
+        deflated_poles=deflated,
+        refined_pairs=int(np.count_nonzero(keep)),
     )
 
 

@@ -416,6 +416,15 @@ class TestFullPipelines:
         assert rep1["config"].pop("outputs_dir") != rep2["config"].pop("outputs_dir")
         assert rep1 == rep2
 
+    def test_solve_counters_are_integers_and_rerun_equal(self, sector_run, tmp_path, capsys):
+        _, first = sector_run
+        names = ("aberth_sweeps", "deflated_poles", "refined_pairs")
+        counters = {name: read_json(first / "spectrum.json")[name] for name in names}
+        assert all(type(value) is int and value >= 0 for value in counters.values()), counters
+        second = tmp_path / "again"
+        assert cli.main(["example53", "--out", str(second)]) == 0
+        assert {name: read_json(second / "spectrum.json")[name] for name in names} == counters
+
     def test_closed_pipeline_passes(self, tmp_path, capsys):
         out = tmp_path / "ex52"
         assert cli.main(["example52", "--out", str(out)]) == 0
@@ -439,7 +448,7 @@ class TestFullPipelines:
             monkeypatch.setattr(module, name, counted)
 
         count(spectral, "resolvent_norm")
-        count(spectral, "_reduce")
+        count(spectral, "_to_arrowhead")
         count(cli, "ray_minimal_growth_normal")
         count(normalop, "decaying_trace")
         # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
@@ -448,7 +457,7 @@ class TestFullPipelines:
         rays = cli.DEFAULT_RAYS
         assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
         # the probes read the solve's own reduction instead of making another
-        assert counts["_reduce"] == 1
+        assert counts["_to_arrowhead"] == 1
         assert counts["ray_minimal_growth_normal"] == len(rays) == 2
         # one decaying trace per probe point serves every candidate domain
         assert counts["decaying_trace"] == len(rays) * len(DEFAULT_PROBE_RADII) == 8

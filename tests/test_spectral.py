@@ -241,18 +241,21 @@ class TestResolventNorm:
         assert calls == []
 
     def test_one_hermitian_eigensolve_per_probed_result(self, monkeypatch):
+        # the solve makes one eigh with vectors and one eigenvalue-only
+        # call; the probes make neither
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), ExtensionDomain.line([1.0, 1.0j]))
         calls = []
-        eigh = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(scipy.linalg, name)
+            monkeypatch.setattr(scipy.linalg, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
         probed = solve_pencil(pen)
-        assert len(calls) == 1
+        assert calls == ["eigh", "eigvalsh"]
         trust = probed.trust_limit
         radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
         for theta in (0.5 * math.pi, 1.5 * math.pi, 2.0):
             ray_minimal_growth_full(Ray(theta), radii, result=probed)
         resolvent_norm(probed, -5.0)
-        assert len(calls) == 1
+        assert calls == ["eigh", "eigvalsh"]
         mu, weights, _ = probed.rank_one_form
         assert mu.shape == weights.shape == (pen.size,)
         with pytest.raises(ValueError, match="read-only"):
@@ -261,8 +264,8 @@ class TestResolventNorm:
     def test_probes_of_one_pencil_share_one_reduction(self, monkeypatch):
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), None)
         calls = []
-        reduce = spectral._reduce
-        monkeypatch.setattr(spectral, "_reduce", lambda K, Mh: calls.append(1) or reduce(K, Mh))
+        reduce = spectral._to_arrowhead
+        monkeypatch.setattr(spectral, "_to_arrowhead", lambda K, M: calls.append(1) or reduce(K, M))
         res = solve_pencil(pen)
         for z in (1.0j, -5.0, 2.5 + 0.5j):
             resolvent_norm(res, z)
@@ -320,7 +323,7 @@ def qz_reference(request):
 
 
 class TestReductionAgainstQZ:
-    """The Cholesky-reduced eigensolve against a QZ on (K, M) as the reference."""
+    """The arrowhead-reduced eigensolve against a QZ on (K, M) as the reference."""
 
     def test_retained_eigenvalues_match_qz(self, qz_reference):
         for _, res, qz in qz_reference:
@@ -367,6 +370,41 @@ class TestStructuredGateAndProducts:
     def test_minimal_pencil_gate_is_the_tridiagonal_condition(self, friedrichs_pencil, friedrichs_result):
         cond = np.linalg.cond(friedrichs_pencil.M)
         assert friedrichs_result.mass_condition == pytest.approx(cond, rel=100.0 * np.finfo(float).eps * cond)
+
+    @pytest.mark.parametrize("geometry", ["closed", "sector"])
+    def test_solve_makes_one_real_eigensolve_and_no_dense_factorization(self, monkeypatch, geometry):
+        model, mode_k = (CLOSED, 0) if geometry == "closed" else (SECTOR, 1)
+        pen = assemble_mode_pencil(model, mode_k, RadialGrid.geometric(1.0, 100, 0.9), ExtensionDomain.line([1.0, 1.0j]))
+        calls = []
+        for name in ("cholesky", "solve_triangular", "eigh", "eigvalsh"):
+            original = getattr(scipy.linalg, name)
+
+            def spy(a, *args, _n=name, _f=original, **kwargs):
+                calls.append((_n, np.asarray(a).dtype.kind, np.shape(a), kwargs.get("eigvals_only", False)))
+                return _f(a, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, spy)
+        res = solve_pencil(pen)
+        n = pen.size
+        # one real eigh with vectors of the (n-1) x (n-1) block, one real
+        # eigenvalue-only call on the arrowhead, and nothing complex or dense
+        assert calls == [("eigh", "f", (n - 1, n - 1), False), ("eigvalsh", "f", (n, n), False)]
+        assert_matches_qz(pen, res)
+
+    def test_minimal_pencil_is_the_real_definite_problem(self, friedrichs_pencil, friedrichs_result):
+        K, M = friedrichs_pencil.K.real, friedrichs_pencil.M.real
+        ref = scipy.linalg.eigh(K, M, eigvals_only=True)
+        lam = friedrichs_result.eigenvalues
+        assert not lam.imag.any()
+        assert np.max(np.abs(np.sort(lam.real) - ref) / np.abs(ref)) <= 1e-12
+        V = friedrichs_result.eigenvectors
+        assert np.max(np.abs(V.conj().T @ M @ V - np.eye(len(lam)))) <= 1e-12
+        # tau = 0 and no weights: the probes are inverse distances
+        # (TestResolventNorm.test_hermitian_norm_is_inverse_distance)
+        mu, weights, tau = friedrichs_result.rank_one_form
+        assert tau == 0.0 and not weights.any()
+        assert friedrichs_result.aberth_sweeps == 0
+        assert friedrichs_result.deflated_poles == len(lam)
 
     def test_indefinite_mass_raises(self):
         # T is positive definite but the border's Schur complement at 0 is not
@@ -443,22 +481,55 @@ class TestRankOneSolve:
         w = rng.normal(size=7) + 1j * rng.normal(size=7)
         w[3] = 0.0  # leaves one weighted mu = 3 pole next to a deflated one
         w /= np.linalg.norm(w)
+        weights = w.real**2 + w.imag**2
         for tau in (0.7, -40.0, 1e-300, 0.0):
             B = np.diag(mu) + 1j * tau * np.outer(w, w.conj())
-            lam, Z, X = spectral._rank_one_eigenpairs(mu, w, tau)
-            assert np.allclose(np.linalg.norm(Z, axis=0), 1.0, atol=1e-14)
-            assert np.max(np.linalg.norm(B @ Z - Z * lam, axis=0)) <= 1e-14 * np.linalg.norm(B, 2)
-            left = np.linalg.norm(B.conj().T @ X - X * lam.conj(), axis=0) / np.linalg.norm(X, axis=0)
-            assert np.max(left) <= 1e-14 * np.linalg.norm(B, 2)
-            assert np.linalg.matrix_rank(Z) == 7
+            lam, deflated, _ = spectral._rank_one_roots(mu, weights, tau)
+            assert list(np.flatnonzero(deflated)) == ([3] if abs(tau) > 1e-100 else list(range(7)))
+            assert np.all(lam[deflated] == mu[deflated])
             ref = np.linalg.eigvals(B)
             assert np.max(np.min(np.abs(lam[:, np.newaxis] - ref), axis=1)) <= 1e-13 * np.linalg.norm(B, 2)
+            assert np.max(np.min(np.abs(ref[:, np.newaxis] - lam), axis=1)) <= 1e-13 * np.linalg.norm(B, 2)
 
     def test_equal_weighted_poles_raise(self):
         mu = np.array([1.0, 2.0, 2.0, 3.0])
-        w = np.full(4, 0.5 + 0.0j)
         with pytest.raises(RootFindingError, match="equal poles"):
-            spectral._rank_one_eigenpairs(mu, w, 0.7)
+            spectral._rank_one_roots(mu, np.full(4, 0.25), 0.7)
+        with pytest.raises(RootFindingError, match="equal poles"):
+            spectral._arrowhead_eigenvalues(mu, np.full(4, 0.5 + 0.0j), 1.0, 0.7)
+
+    def test_arrowhead_eigenpairs_with_vanishing_border_entries(self):
+        # z_j = 0 makes theta_j an eigenvalue with eigenvector e_j, here
+        # next to an equal theta that carries weight; z_1 = 1e-12 is not
+        # deflated, and puts a root within rounding of theta_1
+        rng = np.random.default_rng(5)
+        theta = np.array([1.0, 1.5, 2.0, 3.0, 3.0, 3.5, 4.0])
+        z = rng.normal(size=7) + 1j * rng.normal(size=7)
+        z[[3, 5]] = 0.0
+        z[1] = 1e-12
+        for tau in (0.7, -40.0, 1e-300, 0.0):
+            B = np.diag(np.append(theta, 2.5 + 1j * tau)).astype(complex)
+            B[:-1, -1] = z
+            B[-1, :-1] = z.conj()
+            lam, near, offset, mu, weights, _, deflated = spectral._arrowhead_eigenvalues(theta, z, 2.5, tau)
+            assert sorted(near[offset == 0.0]) == [3, 5] and deflated >= 2
+            Y = spectral._arrowhead_vectors(theta, z, lam, near, offset)
+            X = spectral._arrowhead_vectors(theta, z, lam, near, offset, left=True)
+            scale = np.linalg.norm(B, 2)
+            assert np.allclose(np.linalg.norm(Y, axis=0), 1.0, atol=1e-14)
+            assert np.max(np.linalg.norm(B @ Y - Y * lam, axis=0)) <= 1e-14 * scale
+            left = np.linalg.norm(B.conj().T @ X - X * lam.conj(), axis=0) / np.linalg.norm(X, axis=0)
+            assert np.max(left) <= 1e-14 * scale
+            assert np.linalg.matrix_rank(Y) == 8
+            ref = np.linalg.eigvals(B)
+            assert np.max(np.min(np.abs(lam[:, np.newaxis] - ref), axis=1)) <= 1e-13 * scale
+            # the rank-one form is that of the Hermitian part, corner made real
+            hermitian = B.copy()
+            hermitian[-1, -1] = 2.5
+            values, vectors = np.linalg.eigh(hermitian)
+            assert np.allclose(mu, values, rtol=0.0, atol=1e-14 * scale)
+            live = weights > 1e-20
+            assert np.allclose(weights[live], np.abs(vectors[-1, live]) ** 2, rtol=1e-12, atol=0.0)
 
     def test_runs_without_numpy_2_vector_functions(self, monkeypatch):
         # the package declares numpy>=1.24, which has none of these
