@@ -166,6 +166,18 @@ class ExperimentConfig:
         except WeightOnSpectrum as exc:
             raise ConfigError(str(exc)) from exc
 
+    @property
+    def line(self) -> ExtensionDomain:
+        """The extension line [a : b] through its unit representative, which every stage uses.
+
+        (a, b) is divided by its largest part before its norm, so that
+        nothing overflows or underflows; the config echo keeps the raw pair.
+        """
+        parts = np.array([self.a.real, self.a.imag, self.b.real, self.b.imag])
+        parts /= np.max(np.abs(parts))
+        parts /= math.hypot(*parts)
+        return ExtensionDomain.line(parts.view(complex))
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         try:
@@ -319,7 +331,7 @@ def _build_pencil(cfg: ExperimentConfig):
     if sm is None:
         mode_k, domain = next(iter(cfg.model.geometry.modes_by_abs())), None
     else:
-        mode_k, domain = sm[0], ExtensionDomain.line([cfg.a, cfg.b])
+        mode_k, domain = sm[0], cfg.line
     return assemble_mode_pencil(cfg.model, mode_k, grid, domain), mode_k, grid
 
 
@@ -353,11 +365,11 @@ def _oracle_for(cfg: ExperimentConfig, pencil, how_many: int) -> np.ndarray:
     return dirichlet_mode_eigenvalues(pencil.nu, R, how_many).astype(complex)
 
 
-def _flow_expectation(cfg: ExperimentConfig, nu: float):
-    """Expected flow limit line and the distance tolerance regime."""
+def _flow_expectation(domain: ExtensionDomain, nu: float):
+    """Expected flow limit line of the domain and the distance tolerance regime."""
     if nu == 0.0:
         return ExtensionDomain.line([1.0, 0.0]), "log"
-    if cfg.b != 0:
+    if domain.basis_matrix[1, 0] != 0:
         return ExtensionDomain.line([0.0, 1.0]), "power"
     return ExtensionDomain.line([1.0, 0.0]), "power"
 
@@ -442,10 +454,10 @@ def _flow(run: Run) -> Record:
             }
         )
     mode_k, nu = strip_mode(cfg.model)
-    domain = ExtensionDomain.line([cfg.a, cfg.b])
+    domain = cfg.line
     schedule = default_rho_schedule(run.schedule_len)
     limits = omega_minus(domain, basis, schedule)
-    expected, regime = _flow_expectation(cfg, nu)
+    expected, regime = _flow_expectation(domain, nu)
     rows = []
     # Log-regime flows approach the limit like 1/|log rho|, so the clustered
     # terminal representative is still O(1/|log rho_min|) away from the ideal
@@ -490,7 +502,7 @@ def _normal_check(run: Run) -> Record:
                 "ok": True,
             }
         )
-    domain = ExtensionDomain.line([cfg.a, cfg.b])
+    domain = cfg.line
     verdicts = tuple(ray_minimal_growth_normal(cfg.model, domain, ray) for ray in cfg.rays)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -644,9 +656,15 @@ def _rays_off_cut(run: Run) -> None:
         raise ConfigError("theta = 0 lies on the spectral cut")
 
 
-def _schedule_long_enough(run: Run) -> None:
-    if run.schedule_len < 8:
-        raise ConfigError("--schedule-len must be at least 8")
+# the flow schedule 10^(-j/4), j = 1..L, must reach below 1e-8 (omega_minus)
+# and end on a normal float
+SCHEDULE_LEN_RANGE = (33, math.floor(-4.0 * math.log10(np.finfo(float).tiny)))
+
+
+def _schedule_in_range(run: Run) -> None:
+    low, high = SCHEDULE_LEN_RANGE
+    if not low <= run.schedule_len <= high:
+        raise ConfigError(f"--schedule-len must be in [{low}, {high}]")
 
 
 def _pencil_weight(run: Run) -> None:
@@ -759,7 +777,7 @@ STAGES = (
             f"({p['distance_regime']} regime): {'ok' if p['ok'] else 'MISS'}"
         ),
         "flow",
-        scope=(_schedule_long_enough, _one_pair_quotient),
+        scope=(_schedule_in_range, _one_pair_quotient),
     ),
     Stage(
         "normal-check",

@@ -254,7 +254,8 @@ class DiscreteOperatorPencil:
     hat blocks alone for the minimal pencil (d = 0).  The mass must be
     Hermitian, so its corner is real; the stiffness corner carries the
     enrichment's imaginary part.  `K` and `M` are dense read-only views,
-    built on each access.
+    built on each access, for tests and the benchmark tracer; no
+    production code builds them.
     """
 
     stiffness: ArrowTridiagonal

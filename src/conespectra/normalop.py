@@ -138,7 +138,12 @@ def decaying_trace(model: ConeModelOperator, mode_k: int, lam: complex) -> Decay
 
 
 def _sine_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """|sin| of the angle between two nonzero 2-vectors (complex lines)."""
+    """|sin| of the angle between two nonzero 2-vectors (complex lines).
+
+    Each is scaled by its largest modulus first, so that no norm
+    underflows or overflows.
+    """
+    u, v = (x / np.max(np.abs(x)) for x in (u, v))
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
     return abs(u[0] * v[1] - u[1] * v[0])

@@ -771,13 +771,18 @@ def ray_minimal_growth_full(ray: Ray, radii: Sequence[float], result: SpectralRe
 
 
 def _cluster_defective(result: SpectralResult, count: int):
-    """Replace numerically defective eigenvector clusters by invariant subspaces.
+    """Replace numerically defective eigenvector clusters by Jordan chains.
 
     Eigenvalues closer than 1e-6 (relative) whose eigenvectors are
-    parallel within 1e-3 rad span too little; the cluster's columns are
-    swapped for an orthonormal basis of the corresponding deflating
-    subspace of (K, M), which carries the generalized eigenvectors.
+    parallel within 1e-3 rad span too little.  A cluster at c keeps its
+    first eigenvector v_0; member k >= 1 becomes the Jordan chain's [x; 0],
+    normalized: the solution of the consistent (K - c M) v = M v_{k-1}
+    that ends in 0, as v_0 does not.  (T_K - c T_M) x = (M v_{k-1})_top is
+    one tridiagonal solve (LAPACK gtsv), nonsingular for non-real c; a
+    pencil with tau = 0 forms no cluster.  A singular pivot raises LinAlgError.
     """
+    stiffness, mass = result.pencil.stiffness, result.pencil.mass
+    core = len(stiffness.diag)
     lam = result.eigenvalues[:count]
     V = result.eigenvectors[:, :count].copy()
     used = np.zeros(count, dtype=bool)
@@ -798,21 +803,15 @@ def _cluster_defective(result: SpectralResult, count: int):
         if len(members) < 2:
             continue
         used[members] = True
-        center = lam[members[0]]
-        tol = 1e-5 * max(1.0, abs(center))
-
-        def select(alpha, beta, _c=center, _t=tol):
-            return np.abs(alpha - _c * beta) <= _t * np.abs(beta)
-
-        _, _, alpha, beta, _, Z = scipy.linalg.ordqz(
-            result.pencil.K, result.pencil.M, sort=select, output="complex"
-        )
-        picked = int(np.sum(select(alpha, beta)))
-        width = min(len(members), picked)
-        if width >= 1:
-            basis = np.linalg.qr(Z[:, :width])[0]
-            for col, member in zip(range(width), members):
-                V[:, member] = basis[:, col]
+        c = lam[members[0]]
+        diag = stiffness.diag - c * mass.diag
+        off = stiffness.off - c * mass.off if core > 1 else np.zeros(1)  # the gtsv wrapper wants one entry even then
+        for prev, member in zip(members, members[1:]):
+            x, info = scipy.linalg.lapack.zgtsv(off, diag, off, mass.dot(V[:, prev])[:core])[3:]
+            if info:
+                raise np.linalg.LinAlgError(f"T_K - c T_M is singular at the defective eigenvalue c = {c:.6g}")
+            V[:, member] = 0.0
+            V[:core, member] = x / np.linalg.norm(x)
     return V
 
 

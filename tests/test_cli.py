@@ -95,6 +95,12 @@ class TestConfigErrors:
         assert run_cli("flow", "--schedule-len", 4, "--out", tmp_path) == 2
         assert "schedule-len" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [32, 1231, 1300, 100_000_000])
+    def test_flow_schedule_out_of_range_exits_2_and_names_the_range(self, length, tmp_path, capsys):
+        # 10^(-L/4) must reach below 1e-8 and stay a normal float; no schedule is built
+        assert run_cli("flow", "--schedule-len", length, "--out", tmp_path) == 2
+        assert "--schedule-len must be in [33, 1230]" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -289,6 +295,12 @@ class TestStandaloneStages:
         assert rows[0] == "rho,distance"
         assert len(rows) == 65
 
+    @pytest.mark.parametrize("length", [33, 1230])
+    def test_flow_schedule_range_ends_run(self, length, tmp_path, capsys):
+        assert run_cli("flow", "--schedule-len", length, "--out", tmp_path) == 0
+        assert read_json(tmp_path / "flow.json")["ok"] is True
+        assert len((tmp_path / "flow.csv").read_text().strip().splitlines()) == length + 1
+
     def test_normal_check_default_rays(self, tmp_path, capsys):
         assert run_cli("normal-check", "--out", tmp_path) == 0
         out = capsys.readouterr().out
@@ -472,6 +484,40 @@ class TestFullPipelines:
         assert set(report["stages"]) == {"indicial", "spectrum"}
         assert "D_min = D_max" in report["notes"]
         assert report["stages"]["spectrum"]["enriched"] is False
+
+
+# rescaled extension lines, each with the unit line it must reproduce
+RESCALED_LINES = [
+    (("example53", "--a", 100, "--b-im", 100), ("example53", "--a", 1, "--b-im", 1)),
+    (("example53", "--a", 1, "--b-im", 100), ("example53", "--a", 0.01, "--b-im", 1)),
+    (("example52", "--a", 1000, "--b-im", 1000), ("example52", "--a", 1, "--b-im", 1)),
+    (("spectrum", "--a", 1e200, "--b-im", 1e200), ("spectrum", "--a", 1, "--b-im", 1)),
+    (("example53", "--a", 1e-300), ("example53",)),
+    (("example53", "--a", 1e-320), ("example53",)),
+]
+
+
+class TestExtensionLineScale:
+    @pytest.mark.parametrize("scaled, unit", RESCALED_LINES)
+    def test_rescaled_line_runs_as_its_unit_line(self, scaled, unit, tmp_path, capsys):
+        runs = []
+        for argv in (unit, scaled):
+            out = tmp_path / f"run{len(runs)}"
+            code = run_cli(*argv, "--out", out)
+            runs.append((code, capsys.readouterr().out, out))
+        (unit_code, unit_stdout, unit_out), (code, stdout, out) = runs
+        assert code == unit_code == 0
+        assert stdout == unit_stdout
+        names = sorted(p.name for p in unit_out.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            if name == "report.json":
+                # the config echo keeps the raw (a, b)
+                report, unit_report = read_json(out / name), read_json(unit_out / name)
+                assert report["config"]["extension"] != unit_report["config"]["extension"]
+                assert (report["stages"], report["passed"]) == (unit_report["stages"], unit_report["passed"])
+            elif name != "timings.json":
+                assert (out / name).read_bytes() == (unit_out / name).read_bytes(), name
 
 
 class TestConsoleScript:

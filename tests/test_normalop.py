@@ -163,6 +163,13 @@ class TestNormalInvertible:
         with pytest.raises(LambdaOnSpectrumCut):
             normal_invertible(CLOSED, ExtensionDomain.line([1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("unit, scale", [([1.0, 0.0], 1e-300), ([1.0, 1.0j], 1e-170), ([1.0, 1.0j], 1e200)])
+    def test_rescaled_line_keeps_its_verdicts(self, unit, scale):
+        # the line's norm underflows or overflows unless it is scaled first
+        for dom in (ExtensionDomain.line(unit), ExtensionDomain.line([scale * c for c in unit])):
+            assert normal_invertible(SECTOR, dom, -1.0) is True
+            assert ray_minimal_growth_normal(SECTOR, dom, Ray(0.5 * math.pi)).verdict == "Minimal"
+
 
 class TestRayCertificates:
     @pytest.mark.parametrize("theta", [0.5 * math.pi, math.pi, 1.5 * math.pi])

@@ -20,10 +20,10 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, eigh
-from scipy.optimize import brentq
+from scipy.optimize import brentq, nnls
 from scipy.special import gamma as sp_gamma
 from scipy.special import i0, iv, j0, jn_zeros, jv, k0, y0, yv
 
@@ -102,6 +102,41 @@ def dense_resolvent_norm(K, M, lam):
     shifted = scipy.linalg.solve_triangular(L, K - lam * M, lower=True)
     reduced = scipy.linalg.solve_triangular(L, shifted.conj().T, lower=True).conj().T
     return 1.0 / np.linalg.svd(reduced, compute_uv=False)[-1]
+
+
+def double_root_pencil():
+    """diag(5, 50) with [[1, 1], [1, 1 + 2i]] beside it, M = I: a Jordan block at 1 + i, spanning e_3 and e_4."""
+    K = np.zeros((4, 4), dtype=complex)
+    K[0, 0], K[1, 1] = 5.0, 50.0
+    K[2:, 2:] = [[1.0, 1.0], [1.0, 1.0 + 2.0j]]
+    return make_pencil(K, np.eye(4))
+
+
+def defective_arrow_pencil(rng, n):
+    """An arrow pencil (D K D, D^2) with an exactly double, defective eigenvalue lambda_0, and lambda_0.
+
+    K = [[T, Q z], [(Q z)^H, corner]] for a random real symmetric
+    tridiagonal T = Q diag(theta) Q^T.  With |z_j|^2 = beta_j >= 0 and
+    sum_j beta_j / (theta_j - lambda_0)^2 = -1, and the corner
+    lambda_0 + sum_j beta_j / (theta_j - lambda_0), the arrowhead's secular
+    function has a double root at lambda_0; the positive diagonal D keeps
+    that.  Returns None where no such beta exists.
+    """
+    core = n - 1
+    diag, off = rng.normal(size=core), rng.normal(size=core - 1)
+    theta, Q = scipy.linalg.eigh_tridiagonal(diag, off)
+    lam0 = complex(rng.uniform(theta[0], theta[-1]), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0))
+    poles = 1.0 / (theta - lam0) ** 2
+    beta, misfit = nnls(np.vstack((poles.real, poles.imag)), np.array([-1.0, 0.0]))
+    if misfit > 1e-12:
+        return None
+    z = Q @ (np.sqrt(beta) * np.exp(2j * math.pi * rng.uniform(size=core)))
+    corner = lam0 + np.sum(beta / (theta - lam0))
+    d = np.exp(rng.uniform(-2.0, 2.0, size=n))
+    stiffness = ArrowTridiagonal(diag * d[:-1] ** 2, off * d[:-2] * d[1:-1], [z * d[:-1] * d[-1]], [corner * d[-1] ** 2])
+    mass = ArrowTridiagonal(d[:-1] ** 2, np.zeros(core - 1), np.zeros((1, core)), [d[-1] ** 2])
+    labels = tuple(f"e_{i}" for i in range(n))
+    return DiscreteOperatorPencil(stiffness, mass, labels, nu=0.0, outer_radius_R=1.0, enrichment_coeffs=None), lam0
 
 
 @pytest.fixture(scope="module")
@@ -661,6 +696,49 @@ class TestCompletenessResidual:
         )
         with pytest.raises(ValueError, match="Hermitian"):
             solve_pencil(make_pencil(K, np.eye(4)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))
+    def test_jordan_chain_spans_the_deflating_subspace(self, seed, n):
+        built = defective_arrow_pencil(np.random.default_rng(seed), n)
+        assume(built is not None)
+        pencil, lam0 = built
+        res = solve_pencil(pencil)
+        V = spectral._cluster_defective(res, n)
+        tol = 1e-5 * max(1.0, abs(lam0))
+        cluster = np.flatnonzero(np.abs(res.eigenvalues - lam0) <= tol)
+        assert len(cluster) == 2
+        # the cluster keeps its first eigenvector and replaces the other
+        assert np.array_equal(V[:, cluster[0]], res.eigenvectors[:, cluster[0]])
+        assert not np.allclose(V[:, cluster[1]], res.eigenvectors[:, cluster[1]])
+
+        def near(alpha, beta):
+            return np.abs(alpha - lam0 * beta) <= tol * np.abs(beta)
+
+        _, _, alpha, beta, _, Z = scipy.linalg.ordqz(pencil.K, pencil.M, sort=near, output="complex")
+        assert np.count_nonzero(near(alpha, beta)) == 2
+        assert math.sin(np.max(scipy.linalg.subspace_angles(V[:, cluster], Z[:, :2]))) <= 1e-6
+
+    def test_defective_cluster_needs_no_dense_pencil_or_qz(self, monkeypatch):
+        pencil = double_root_pencil()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the completeness stage built the dense pencil or ran QZ")
+
+        monkeypatch.setattr(scipy.linalg, "ordqz", refuse)
+        monkeypatch.setattr(ArrowTridiagonal, "dense", refuse)
+        monkeypatch.setattr(DiscreteOperatorPencil, "K", property(refuse))
+        monkeypatch.setattr(DiscreteOperatorPencil, "M", property(refuse))
+        rows = completeness_residual(solve_pencil(pencil), np.array([0.6, 0.0, 0.0, 0.8]), [2, 3])
+        assert rows[0][1] == pytest.approx(0.6, abs=1e-9)
+        assert rows[1][1] <= 1e-9
+
+    def test_singular_chain_pivot_is_a_linalg_error(self, monkeypatch):
+        res = solve_pencil(double_root_pencil())
+        gtsv = scipy.linalg.lapack.zgtsv
+        monkeypatch.setattr(scipy.linalg.lapack, "zgtsv", lambda *args: gtsv(*args)[:4] + (2,))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            completeness_residual(res, np.array([0.6, 0.0, 0.0, 0.8]), [3])
 
 
 # ----------------------------------------------------------------------
