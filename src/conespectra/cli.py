@@ -65,12 +65,11 @@ from .indicial import (
 )
 from .grassmann import (
     NonConvergent,
+    _orbit_and_limits,
     default_rho_schedule,
-    flow,
     grassmann_distance,
-    omega_minus,
 )
-from .normalop import ray_minimal_growth_normal, strip_mode
+from .normalop import ray_normal_verdict, strip_mode
 from .discretize import RadialGrid, assemble_mode_pencil, assemble_embedding_grams, export_pencil
 from .spectral import (
     RETAIN_FRACTION,
@@ -145,6 +144,8 @@ class ExperimentConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed number: {exc}") from exc
         self.rays = list(rays)
+        if not isinstance(outputs_dir, (str, os.PathLike)):
+            raise ConfigError(f"outputs_dir must be a path string, got {outputs_dir!r}")
         self.outputs_dir = Path(outputs_dir)
         if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
             raise ConfigError("extension coefficients (a, b) must be finite")
@@ -260,21 +261,24 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         d = _default_config_dict(getattr(args, "default_kind", "sector"))
 
-    d.setdefault("geometry", {})
-    d.setdefault("extension", {})
-    d.setdefault("discretization", {})
+    for key in ("geometry", "extension", "discretization"):
+        if not isinstance(d.setdefault(key, {}), dict):
+            raise ConfigError(f"'{key}' must be a JSON object, got {d[key]!r}")
     if args.alpha is not None:
         d["geometry"]["geometry"] = {"kind": "sector_link", "alpha": args.alpha}
     if args.gamma is not None:
         d["geometry"]["weight_gamma"] = args.gamma
-    for flag, key in (("a", "a"), ("b", "b")):
-        re_part = getattr(args, flag)
-        im_part = getattr(args, flag + "_im")
+    for key in ("a", "b"):
+        re_part = getattr(args, key)
+        im_part = getattr(args, key + "_im")
         if re_part is not None or im_part is not None:
-            prev = d["extension"].get(key, [1.0, 0.0] if key == "a" else [0.0, 0.0])
+            try:
+                prev = complex_from_pair(d["extension"].get(key, 1.0 if key == "a" else 0.0))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"extension.{key}: {exc}") from exc
             d["extension"][key] = [
-                re_part if re_part is not None else prev[0],
-                im_part if im_part is not None else prev[1],
+                re_part if re_part is not None else prev.real,
+                im_part if im_part is not None else prev.imag,
             ]
     if args.theta is not None:
         d["rays"] = [args.theta]
@@ -456,7 +460,7 @@ def _flow(run: Run) -> Record:
     mode_k, nu = strip_mode(cfg.model)
     domain = cfg.line
     schedule = default_rho_schedule(run.schedule_len)
-    limits = omega_minus(domain, basis, schedule)
+    orbit, limits = _orbit_and_limits(domain, basis, schedule)
     expected, regime = _flow_expectation(domain, nu)
     rows = []
     # Log-regime flows approach the limit like 1/|log rho|, so the clustered
@@ -467,12 +471,13 @@ def _flow(run: Run) -> Record:
     else:
         limit_tol = 1e-2
     ok = len(limits) == 1 and limits[0].same_span(expected, tol=limit_tol)
-    for rho in schedule:
-        dist = grassmann_distance(flow(domain, basis, rho), expected)
+    for rho, flowed in zip(schedule, orbit):
+        dist = grassmann_distance(flowed, expected)
         rows.append((float(rho), dist))
         if regime == "log" and rho <= 1e-2 and dist > 10.0 / abs(math.log(rho)):
             ok = False
-    terminal = grassmann_distance(flow(domain, basis, 1e-8), expected)
+    # row 32 is rho = 10^(-32/4), which is 1e-8 exactly (SCHEDULE_LEN_RANGE starts at 33)
+    terminal = rows[31][1]
     if regime == "power":
         ok = ok and terminal < 1e-3
     else:
@@ -488,7 +493,7 @@ def _flow(run: Run) -> Record:
         "schedule_length": int(run.schedule_len),
         "ok": bool(ok),
     }
-    return Record(payload, tables={"flow.csv": (("rho", "distance"), rows)})
+    return Record(payload, tables={"flow.csv": (("rho", "distance"), rows)}, result=tuple(limits))
 
 
 def _normal_check(run: Run) -> Record:
@@ -502,8 +507,8 @@ def _normal_check(run: Run) -> Record:
                 "ok": True,
             }
         )
-    domain = cfg.line
-    verdicts = tuple(ray_minimal_growth_normal(cfg.model, domain, ray) for ray in cfg.rays)
+    lines = [*run.records["flow"].result, cfg.line]
+    verdicts = tuple(ray_normal_verdict(cfg.model, ray, lines) for ray in cfg.rays)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "verdicts": [v.to_json_dict() for v in verdicts],
@@ -656,8 +661,8 @@ def _rays_off_cut(run: Run) -> None:
         raise ConfigError("theta = 0 lies on the spectral cut")
 
 
-# the flow schedule 10^(-j/4), j = 1..L, must reach below 1e-8 (omega_minus)
-# and end on a normal float
+# the flow schedule 10^(-j/4), j = 1..L, must reach below 1e-8 (omega_minus; row
+# 32 is 1e-8 itself, the terminal distance) and end on a normal float
 SCHEDULE_LEN_RANGE = (33, math.floor(-4.0 * math.log10(np.finfo(float).tiny)))
 
 
@@ -786,6 +791,7 @@ STAGES = (
         _show_normal_check,
         lambda p: "[normal-check] " + _ray_list(p),
         "normal_check",
+        needs=("flow",),
         scope=(_rays_off_cut, _one_pair_quotient),
     ),
     Stage(

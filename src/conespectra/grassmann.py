@@ -118,37 +118,22 @@ def default_rho_schedule(length: int = 64) -> np.ndarray:
     return 10.0 ** (-j / 4.0)
 
 
-def _cluster_tail(flowed, tol: float) -> list:
+# clustering tolerance of the orbit's tail, in grassmann_distance
+CLUSTER_TOL = 0.05
+
+
+def _cluster_tail(flowed) -> list:
     """Greedy clustering of the trailing quarter, most-converged point first."""
     tail_len = max(1, len(flowed) // 4)
     reps = []
     for dom in reversed(flowed[-tail_len:]):
-        if all(grassmann_distance(dom, rep) >= tol for rep in reps):
+        if all(grassmann_distance(dom, rep) >= CLUSTER_TOL for rep in reps):
             reps.append(dom)
     return reps
 
 
-def omega_minus(domain: ExtensionDomain, basis, rho_schedule=None, tol: float = 0.05) -> list:
-    """Limit set of the kappa-flow orbit of a domain as rho -> 0.
-
-    Flows the domain along the schedule, clusters the trailing quarter
-    of the orbit at tolerance tol, and returns one representative per
-    cluster (the most-converged member).  When more than one cluster is
-    found the schedule is extended geometrically (up to twice); a stable
-    multi-cluster tail is returned as-is, while clusters that keep
-    moving raise NonConvergent.
-
-    Parameters
-    ----------
-    domain : ExtensionDomain
-    basis : list of SingularFunction
-    rho_schedule : array-like, optional
-        Strictly decreasing positive reals reaching below 1e-8.
-    tol : float
-        Clustering tolerance in grassmann_distance.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+def _orbit_and_limits(domain: ExtensionDomain, basis, rho_schedule=None) -> tuple:
+    """(orbit, limit set): the flowed domains, extensions included, and what omega_minus returns."""
     schedule = default_rho_schedule() if rho_schedule is None else np.asarray(rho_schedule, dtype=float)
     if schedule.ndim != 1 or len(schedule) < 8:
         raise ValueError("rho_schedule must be a 1-d array with at least 8 points")
@@ -160,23 +145,43 @@ def omega_minus(domain: ExtensionDomain, basis, rho_schedule=None, tol: float = 
         raise ValueError("rho_schedule must reach below 1e-8")
 
     flowed = [flow(domain, basis, r) for r in schedule]
-    reps = _cluster_tail(flowed, tol)
+    reps = _cluster_tail(flowed)
     extensions = 0
     while len(reps) > 1 and extensions < 2:
         ratio = schedule[-1] / schedule[-2]
         extra = schedule[-1] * ratio ** np.arange(1, len(schedule) + 1)
         flowed.extend(flow(domain, basis, r) for r in extra)
         schedule = np.concatenate([schedule, extra])
-        new_reps = _cluster_tail(flowed, tol)
+        new_reps = _cluster_tail(flowed)
         stable = len(new_reps) == len(reps) and all(
-            any(grassmann_distance(nr, r) < tol for r in reps) for nr in new_reps
+            any(grassmann_distance(nr, r) < CLUSTER_TOL for r in reps) for nr in new_reps
         )
         if stable:
-            return new_reps
+            return flowed, new_reps
         reps = new_reps
         extensions += 1
     if len(reps) > 1:
         raise NonConvergent(
             f"flow tail still splits into {len(reps)} clusters after extending the schedule"
         )
-    return reps
+    return flowed, reps
+
+
+def omega_minus(domain: ExtensionDomain, basis, rho_schedule=None) -> list:
+    """Limit set of the kappa-flow orbit of a domain as rho -> 0.
+
+    Flows the domain along the schedule, clusters the trailing quarter
+    of the orbit at CLUSTER_TOL, and returns one representative per
+    cluster (the most-converged member).  When more than one cluster is
+    found the schedule is extended geometrically (up to twice); a stable
+    multi-cluster tail is returned as-is, while clusters that keep
+    moving raise NonConvergent.
+
+    Parameters
+    ----------
+    domain : ExtensionDomain
+    basis : list of SingularFunction
+    rho_schedule : array-like, optional
+        Strictly decreasing positive reals reaching below 1e-8.
+    """
+    return _orbit_and_limits(domain, basis, rho_schedule)[1]

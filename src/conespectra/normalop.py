@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .grassmann import default_rho_schedule, omega_minus
+from .grassmann import omega_minus
 from .indicial import singular_basis
 from .model import (
     ConeModelOperator,
@@ -36,6 +36,7 @@ __all__ = [
     "decaying_trace",
     "normal_invertible",
     "ray_minimal_growth_normal",
+    "ray_normal_verdict",
     "strip_mode",
     "DEFAULT_PROBE_RADII",
 ]
@@ -75,6 +76,8 @@ class DecayingSolutionTrace:
 
 def _check_off_cut(lam: complex) -> complex:
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam.imag == 0.0 and lam.real >= 0.0:
         raise LambdaOnSpectrumCut(f"lambda = {lam} lies on the spectral cut [0, ∞)")
     return lam
@@ -156,11 +159,12 @@ def _invertible(domain: ExtensionDomain, trace: DecayingSolutionTrace) -> bool:
     return bool(_sine_angle(trace.coeffs, domain.basis_matrix[:, 0]) >= COLLINEAR_TOL)
 
 
-def _one_pair_mode(model: ConeModelOperator) -> int:
+def _traces(model: ConeModelOperator, lams) -> list:
+    """The decaying trace at each lambda, in the mode whose pair spans the quotient."""
     sm = strip_mode(model)
     if sm is None:
         raise ValueError(_ONE_PAIR_SCOPE)
-    return sm[0]
+    return [decaying_trace(model, sm[0], lam) for lam in lams]
 
 
 def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: complex) -> bool:
@@ -171,71 +175,55 @@ def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: co
     collinear with the domain line (then the decaying solution satisfies
     the domain's boundary condition, i.e. lambda is an eigenvalue).
     """
-    return _invertible(domain, decaying_trace(model, _one_pair_mode(model), lam))
+    return _invertible(domain, _traces(model, [lam])[0])
 
 
-def ray_minimal_growth_normal(
-    model: ConeModelOperator,
-    domain: ExtensionDomain,
-    ray: Ray,
-    probe_radii=None,
-    rho_schedule=None,
-    cluster_tol: float = 0.05,
-) -> RayVerdict:
-    """Certificate that a ray consists of points of minimal growth for the normal operator.
+def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=None) -> RayVerdict:
+    """The verdict of ray_minimal_growth_normal on candidate lines already computed.
 
     Checks invertibility at lambda = r e^{i theta} for every probe
-    radius, on every flow-limit domain in Omega^-(domain) and on the
-    domain itself.  A collinearity hit anywhere yields verdict "Fails"
-    with a witness; otherwise the ray is certified "Minimal", except for
-    sector geometry with the ray parallel to the real axis, where the
-    exact certificate family does not apply and the verdict is
-    "Uncertified" with the raw outcome recorded in the note.
+    radius on every line, in order: the flow limits in Omega^-(domain),
+    then the domain itself.  The first collinearity hit yields verdict
+    "Fails" with that line and lambda as the witness; otherwise the ray
+    is certified "Minimal", except for sector geometry with the ray
+    parallel to the real axis, where the exact certificate family does
+    not apply and the verdict is "Uncertified" with the raw outcome
+    recorded in the note.
     """
-    require_valid(model)
     theta = ray.angle_theta
     if theta == 0.0:
         raise ValueError("the ray along the positive real axis is the spectral cut itself")
     radii = DEFAULT_PROBE_RADII if probe_radii is None else tuple(float(r) for r in probe_radii)
-    if any(r <= 0 for r in radii):
-        raise ValueError("probe radii must be positive")
-    basis = singular_basis(model)
-    schedule = default_rho_schedule() if rho_schedule is None else rho_schedule
-    limits = omega_minus(domain, basis, schedule, tol=cluster_tol)
-    # the trace depends on lambda only: one per radius serves every candidate
-    mode_k = _one_pair_mode(model)
-    traces = [decaying_trace(model, mode_k, r * cmath.exp(1j * theta)) for r in radii]
-    for cand in list(limits) + [domain]:
+    if not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("probe radii must be positive and finite")
+    # the trace depends on lambda only: one per radius serves every line
+    traces = _traces(model, [r * cmath.exp(1j * theta) for r in radii])
+    for line in lines:
         for trace in traces:
-            if not _invertible(cand, trace):
-                return RayVerdict(
-                    ray=ray,
-                    verdict="Fails",
-                    sup_bound=None,
-                    slope=None,
-                    witness={
-                        "lambda": complex_to_pair(trace.lam),
-                        "domain": [complex_to_pair(z) for z in cand.basis_matrix[:, 0]],
-                    },
-                    note="decaying trace is collinear with the domain line at the witness lambda",
-                )
+            if not _invertible(line, trace):
+                witness = {
+                    "lambda": complex_to_pair(trace.lam),
+                    "domain": [complex_to_pair(z) for z in line.basis_matrix[:, 0]],
+                }
+                note = "decaying trace is collinear with the domain line at the witness lambda"
+                return RayVerdict(ray, "Fails", witness=witness, note=note)
     if isinstance(model.geometry, SectorLink) and abs(theta - math.pi) < 1e-12:
-        return RayVerdict(
-            ray=ray,
-            verdict="Uncertified",
-            sup_bound=None,
-            slope=None,
-            witness=None,
-            note=(
-                "invertibility held at every probe, but rays parallel to the real axis "
-                "are outside the exact certificate family for sector geometry"
-            ),
+        note = (
+            "invertibility held at every probe, but rays parallel to the real axis "
+            "are outside the exact certificate family for sector geometry"
         )
-    return RayVerdict(
-        ray=ray,
-        verdict="Minimal",
-        sup_bound=None,
-        slope=None,
-        witness=None,
-        note="normal operator invertible on all flow limits and the domain at every probe radius",
-    )
+        return RayVerdict(ray, "Uncertified", note=note)
+    note = "normal operator invertible on all flow limits and the domain at every probe radius"
+    return RayVerdict(ray, "Minimal", note=note)
+
+
+def ray_minimal_growth_normal(
+    model: ConeModelOperator, domain: ExtensionDomain, ray: Ray, probe_radii=None
+) -> RayVerdict:
+    """Certificate that a ray consists of points of minimal growth for the normal operator.
+
+    Computes the flow limit set Omega^-(domain) and returns
+    ray_normal_verdict on its lines followed by the domain.
+    """
+    limits = omega_minus(domain, singular_basis(model))
+    return ray_normal_verdict(model, ray, [*limits, domain], probe_radii)

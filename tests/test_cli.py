@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conespectra.cli as cli
+import conespectra.grassmann as grassmann
 import conespectra.normalop as normalop
 import conespectra.spectral as spectral
 from conespectra.normalop import DEFAULT_PROBE_RADII
@@ -154,6 +156,47 @@ class TestConfigErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli("embed", "--config", path) in (0, 1)
         assert read_json(tmp_path / "out" / "embed.json")["N_h"] == 60
+
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [
+            ("geometry", None, ("--alpha", 4)),
+            ("geometry", [1], ("--gamma", -1)),
+            ("extension", [1, 2], ("--a", 1)),
+            ("discretization", [1], ("--nh", 100)),
+        ],
+    )
+    def test_flag_into_a_non_object_block_exits_2(self, key, value, flags, tmp_path, capsys):
+        cfg = sector_config_dict(tmp_path / "out")
+        cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("indicial", "--config", path, *flags) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' must be a JSON object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_merges_into_a_bare_real_coefficient(self, tmp_path, capsys):
+        # a bare real is a valid a; --a-im supplies its imaginary part
+        cfg = sector_config_dict(tmp_path / "out")
+        cfg["extension"] = {"a": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args = cli._build_parser().parse_args(["flow", "--config", str(path), "--a-im", "1"])
+        assert cli._config_from_args(args).a == 5 + 1j
+        assert run_cli("flow", "--config", path, "--a-im", 1) == 0
+
+    @pytest.mark.parametrize("value", [5, None, [], {"dir": "out"}])
+    def test_non_string_outputs_dir_exits_2(self, value, tmp_path, capsys):
+        cfg = sector_config_dict(tmp_path / "out")
+        cfg["outputs_dir"] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("indicial", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert "outputs_dir must be a path string" in err
+        assert "Traceback" not in err
 
 
 class TestExitCodeMapping:
@@ -325,6 +368,25 @@ class TestStandaloneStages:
         assert run_cli("indicial", "--config", path, "--alpha", 1.0) == 0
         assert read_json(out_dir / "indicial.json")["quotient_dim_D"] == 0
 
+    @pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if not c.startswith("example")])
+    def test_subcommand_writes_the_readme_artifacts(self, command, tmp_path, capsys):
+        assert run_cli(command, "--nh", 60, "--out", tmp_path) in (0, 1)
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == readme_artifacts(command) | {"timings.json"}
+
+
+def readme_artifacts(command) -> set:
+    """The files the README's artifact table lists for a subcommand, references expanded."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| command | artifacts |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.+) \|$", table, re.MULTILINE))
+    cell = rows[command]
+    files = set(re.findall(r"`(\w+\.\w+)`", cell))
+    for refs in re.findall(r"the (.+?) artifacts", cell):
+        for name in re.findall(r"`([a-z-]+)`", refs):
+            files |= readme_artifacts(name)
+    return files
+
 
 @pytest.fixture(scope="module")
 def sector_run(tmp_path_factory):
@@ -391,7 +453,7 @@ class TestFullPipelines:
         # a subcommand times the stages it reads as well as its own
         assert run_cli("certify", "--nh", 60, "--out", tmp_path) in (0, 1)
         timings = read_json(tmp_path / "timings.json")
-        expected = ["normal-check", "spectrum", "resolvent", "certify"]
+        expected = ["flow", "normal-check", "spectrum", "resolvent", "certify"]
         assert [t["stage"] for t in timings["stages"]] == expected
         assert all(t["wall_s"] >= 0.0 for t in timings["stages"])
         # the same experiment written elsewhere shares the hash; another N_h does not
@@ -461,7 +523,9 @@ class TestFullPipelines:
 
         count(spectral, "resolvent_norm")
         count(spectral, "_to_arrowhead")
-        count(cli, "ray_minimal_growth_normal")
+        count(cli, "_orbit_and_limits")
+        count(grassmann, "flow")
+        count(cli, "ray_normal_verdict")
         count(normalop, "decaying_trace")
         # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
         assert cli.main(["example53", "--nh", "60", "--out", str(tmp_path)]) in (0, 1)
@@ -470,7 +534,11 @@ class TestFullPipelines:
         assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
         # the probes read the solve's own reduction instead of making another
         assert counts["_to_arrowhead"] == 1
-        assert counts["ray_minimal_growth_normal"] == len(rays) == 2
+        # the flow stage computes the orbit and its limit set Omega^- once, and
+        # flow.csv and the normal check read them instead of flowing again
+        assert counts["_orbit_and_limits"] == 1
+        assert counts["flow"] == len(grassmann.default_rho_schedule()) == 64
+        assert counts["ray_normal_verdict"] == len(rays) == 2
         # one decaying trace per probe point serves every candidate domain
         assert counts["decaying_trace"] == len(rays) * len(DEFAULT_PROBE_RADII) == 8
 

@@ -23,6 +23,7 @@ from conespectra.normalop import (
     decaying_trace,
     normal_invertible,
     ray_minimal_growth_normal,
+    ray_normal_verdict,
 )
 
 CLOSED = ConeModelOperator(
@@ -130,6 +131,13 @@ class TestDecayingTraceOracle:
         with pytest.raises(LambdaOnSpectrumCut):
             decaying_trace(CLOSED, 0, 5.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, -math.inf, complex(0.0, math.inf), complex(-1.0, math.nan)])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            decaying_trace(CLOSED, 0, lam)
+        with pytest.raises(ValueError, match="finite"):
+            normal_invertible(SECTOR, ExtensionDomain.line([1.0, 1.0]), lam)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             decaying_trace(CLOSED, 3, 4.0j)
@@ -218,6 +226,23 @@ class TestRayCertificates:
             ray_minimal_growth_normal(
                 CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi), probe_radii=(0.0, 1.0)
             )
+
+    @pytest.mark.parametrize("radii", [(math.nan, 1.0, 2.0), (math.inf,)])
+    def test_non_finite_probe_radius_rejected(self, radii):
+        with pytest.raises(ValueError, match="finite"):
+            ray_minimal_growth_normal(
+                CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi), probe_radii=radii
+            )
+
+    def test_verdict_witness_is_the_first_collinear_line(self):
+        # two representatives of the eigen line at 4i, after one generic line
+        coeffs = decaying_trace(SECTOR, 1, 4.0j).coeffs
+        eigen, doubled = (ExtensionDomain.line(list(c * coeffs)) for c in (1.0, 2.0))
+        lines = [ExtensionDomain.line([1.0, 1.0]), eigen, doubled]
+        verdict = ray_normal_verdict(SECTOR, Ray(0.5 * math.pi), lines, probe_radii=(1.0, 4.0))
+        assert verdict.verdict == "Fails"
+        assert complex(*verdict.witness["lambda"]) == pytest.approx(4.0j)
+        assert verdict.witness["domain"] == [[z.real, z.imag] for z in coeffs]
 
     def test_json_payload_shape(self):
         verdict = ray_minimal_growth_normal(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi))
