@@ -10,7 +10,6 @@ from .model import (
     RayVerdict,
     SectorLink,
     WeightedSobolevParams,
-    validate_model,
 )
 from .indicial import (
     IndicialRoot,

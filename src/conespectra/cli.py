@@ -32,7 +32,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -51,13 +50,12 @@ from .model import (
     RayVerdict,
     WeightedSobolevParams,
     _check_known_keys,
+    _number,
     complex_from_pair,
     complex_to_pair,
     matrix_to_json,
-    validate_model,
 )
 from .indicial import (
-    WeightOnSpectrum,
     boundary_spectrum,
     critical_strip,
     dmin_is_weighted_sobolev,
@@ -116,8 +114,7 @@ _NUMERICAL_ERRORS = (
     RootFindingError,
     NonConvergent,
     np.linalg.LinAlgError,
-    ZeroDivisionError,
-    FloatingPointError,
+    ArithmeticError,  # ZeroDivisionError, OverflowError, FloatingPointError
 )
 
 
@@ -130,20 +127,12 @@ class ExperimentConfig:
 
     def __init__(self, model, a, b, rays, N_h, grading_q, t_max, outputs_dir):
         self.model = model
-        # an exact integer: int() would truncate 40.7 and parse "400"
-        if isinstance(N_h, bool) or not (
-            isinstance(N_h, numbers.Integral) or (isinstance(N_h, float) and N_h.is_integer())
-        ):
-            raise ConfigError(f"discretization.N_h must be an integer, got {N_h!r}")
-        self.N_h = int(N_h)
-        try:
-            self.a = complex(a)
-            self.b = complex(b)
-            self.grading_q = float(grading_q)
-            self.t_max = float(t_max)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed number: {exc}") from exc
-        self.rays = list(rays)
+        self.a = a
+        self.b = b
+        self.rays = rays
+        self.N_h = N_h
+        self.grading_q = grading_q
+        self.t_max = t_max
         if not isinstance(outputs_dir, (str, os.PathLike)):
             raise ConfigError(f"outputs_dir must be a path string, got {outputs_dir!r}")
         self.outputs_dir = Path(outputs_dir)
@@ -159,13 +148,6 @@ class ExperimentConfig:
             raise ConfigError("discretization.grading_q must be in (0, 1)")
         if not (0.0 < self.t_max < math.inf):
             raise ConfigError("discretization.t_max must be positive and finite")
-        errs = validate_model(model)
-        if errs:
-            raise ConfigError("invalid geometry: " + "; ".join(errs))
-        try:
-            singular_basis(model)
-        except WeightOnSpectrum as exc:
-            raise ConfigError(str(exc)) from exc
 
     @property
     def line(self) -> ExtensionDomain:
@@ -191,25 +173,20 @@ class ExperimentConfig:
             if geometry is None:
                 raise ConfigError("config needs a 'geometry' block")
             model = ConeModelOperator.from_json_dict(geometry)
+            singular_basis(model)  # WeightOnSpectrum: a root too near a weight line
             ext = d.get("extension", {})
             _check_known_keys(ext, {"a", "b"}, "extension")
-            a = complex_from_pair(ext.get("a", [1.0, 0.0]))
-            b = complex_from_pair(ext.get("b", [0.0, 0.0]))
-            rays = [Ray(float(t)) for t in d.get("rays", list(DEFAULT_RAYS))]
+            a = complex_from_pair(ext.get("a", [1.0, 0.0]), "extension.a")
+            b = complex_from_pair(ext.get("b", [0.0, 0.0]), "extension.b")
+            rays = [Ray(_number(t, "rays")) for t in d.get("rays", list(DEFAULT_RAYS))]
             disc = d.get("discretization", {})
             _check_known_keys(disc, {"N_h", "grading_q", "t_max"}, "discretization")
+            N_h = _number(disc.get("N_h", 400), "discretization.N_h", integral=True)
+            grading_q = _number(disc.get("grading_q", 0.9), "discretization.grading_q")
+            t_max = _number(disc.get("t_max", 20.0), "discretization.t_max")
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(
-            model=model,
-            a=a,
-            b=b,
-            rays=rays,
-            N_h=disc.get("N_h", 400),
-            grading_q=disc.get("grading_q", 0.9),
-            t_max=disc.get("t_max", 20.0),
-            outputs_dir=d.get("outputs_dir", "out"),
-        )
+        return cls(model, a, b, rays, N_h, grading_q, t_max, d.get("outputs_dir", "out"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,9 +250,10 @@ def _config_from_args(args) -> ExperimentConfig:
         im_part = getattr(args, key + "_im")
         if re_part is not None or im_part is not None:
             try:
-                prev = complex_from_pair(d["extension"].get(key, 1.0 if key == "a" else 0.0))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"extension.{key}: {exc}") from exc
+                default = 1.0 if key == "a" else 0.0
+                prev = complex_from_pair(d["extension"].get(key, default), f"extension.{key}")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             d["extension"][key] = [
                 re_part if re_part is not None else prev.real,
                 im_part if im_part is not None else prev.imag,
@@ -680,6 +658,18 @@ def _pencil_weight(run: Run) -> None:
         )
 
 
+def _grid_reaches_tip(run: Run) -> None:
+    # the enrichment's tip closed form integrates over (0, node_1], where omega = 1
+    cfg = run.cfg
+    R = cfg.model.outer_radius_R
+    first = RadialGrid.geometric(R, cfg.N_h, cfg.grading_q).nodes[0]
+    if singular_basis(cfg.model) and first > R / 4.0:
+        raise ConfigError(
+            f"discretization.grading_q = {cfg.grading_q!r} with N_h = {cfg.N_h} puts the first "
+            f"grid node at {first / R:.4g} R, above R/4: too coarse for the enrichment at the tip"
+        )
+
+
 def _grid_retains_residual_counts(run: Run) -> None:
     cfg = run.cfg
     # N_h - 2 interior hats, plus the enrichment on a nontrivial quotient
@@ -805,7 +795,7 @@ STAGES = (
         ),
         lambda p: f"[spectrum] max relative error vs oracle = {p['max_relative_error']:.3e}",
         "spectrum",
-        scope=(_pencil_weight, _one_pair_quotient),
+        scope=(_pencil_weight, _one_pair_quotient, _grid_reaches_tip),
         gated=True,
     ),
     Stage(

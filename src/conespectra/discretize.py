@@ -49,7 +49,6 @@ from .model import (
     WeightedSobolevParams,
     complex_to_pair,
     complex_from_pair,
-    require_valid,
 )
 
 __all__ = [
@@ -398,8 +397,9 @@ def assemble_mode_pencil(
         On scope violations: nu >= 1 with an enrichment (exponent -nu
         would leave the weighted space), grids too coarse for the tip
         closed form, or unsupported weights.
+    OverflowError, FloatingPointError
+        When an entry is not a finite float, as for outer radius 1e-200 or 1e200.
     """
-    require_valid(model)
     if abs(model.weight_gamma + 1.0) > 1e-12:
         raise ValueError("weighted assembly implemented for weight_gamma = -1 only")
     R = model.outer_radius_R
@@ -499,6 +499,9 @@ def assemble_mode_pencil(
         ArrowTridiagonal(diag, off, border, corner)
         for (diag, off), border, corner in zip(bands, borders, corners)
     )
+    for part in (*bands[0], *bands[1], *borders, *corners):
+        if not np.isfinite(part).all():
+            raise FloatingPointError(f"the mode pencil on (0, {R:g}] has an entry that is not finite")
     return DiscreteOperatorPencil(
         stiffness=stiffness,
         mass=mass,

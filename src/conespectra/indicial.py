@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ConeModelOperator, complex_to_pair, require_valid
+from .model import ConeModelOperator, complex_to_pair
 
 __all__ = [
     "IndicialRoot",
@@ -87,13 +87,15 @@ def _describe(mode_k: int, e: complex, p: int) -> str:
     return "·".join(parts)
 
 
-def _modes_with_nu(model: ConeModelOperator, cutoff: float):
-    """Yield (k, sqrt(mu_k)) for all modes with sqrt(mu_k) <= cutoff.
+def _modes_with_nu(model: ConeModelOperator, lo: float, hi: float):
+    """Yield (k, sqrt(mu_k)) for every mode with a root ±i sqrt(mu_k) in [lo - 1, hi + 1].
 
-    Relies on mu_k nondecreasing in |k| to terminate.
+    Starts at the last mode below that window, so the cost does not grow
+    with |gamma|; relies on mu_k nondecreasing in |k| to terminate.
     """
     geom = model.geometry
-    for k in geom.modes_by_abs():
+    cutoff = max(abs(lo), abs(hi)) + 1.0
+    for k in geom.modes_by_abs(max(0.0, lo - 1.0, -hi - 1.0)):
         nu = math.sqrt(geom.mu(k))
         if nu > cutoff:
             break
@@ -119,15 +121,13 @@ def boundary_spectrum(model: ConeModelOperator, strip: tuple) -> list:
     -------
     list of IndicialRoot, sorted by (|mode_k|, mode_k, Im sigma).
     """
-    require_valid(model)
     lo, hi = float(strip[0]), float(strip[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("strip must be a finite interval")
     if not lo < hi:
         raise ValueError("strip must satisfy lo < hi")
-    cutoff = max(abs(lo), abs(hi)) + 1.0
     roots = []
-    for k, nu in _modes_with_nu(model, cutoff):
+    for k, nu in _modes_with_nu(model, lo, hi):
         if nu == 0.0:
             candidates = [(0j, 2)]
         else:
@@ -168,10 +168,8 @@ def singular_basis(model: ConeModelOperator) -> tuple:
 
 
 def _singular_basis(model: ConeModelOperator) -> tuple:
-    require_valid(model)
     lo, hi = critical_strip(model)
-    cutoff = max(abs(lo), abs(hi)) + 1.0
-    for k, nu in _modes_with_nu(model, cutoff):
+    for k, nu in _modes_with_nu(model, lo, hi):
         for im in {-nu, nu}:
             for line in (lo, hi):
                 if 0.0 < abs(im - line) < LINE_GUARD:
@@ -200,10 +198,8 @@ def dmin_is_weighted_sobolev(model: ConeModelOperator) -> bool:
     True exactly when no indicial root lies on the lower weight line
     Im sigma = -gamma - m (within LINE_GUARD).
     """
-    require_valid(model)
     line = -model.weight_gamma - model.order_m
-    cutoff = abs(line) + 1.0
-    for _k, nu in _modes_with_nu(model, cutoff):
+    for _k, nu in _modes_with_nu(model, line, line):
         if abs(nu - line) < LINE_GUARD or abs(-nu - line) < LINE_GUARD:
             return False
     return True

@@ -9,6 +9,7 @@ are encoded as [re, im] pairs everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Optional, Union
 
@@ -24,8 +25,6 @@ __all__ = [
     "CompletenessCertificate",
     "ExtensionDomain",
     "WeightedSobolevParams",
-    "validate_model",
-    "require_valid",
     "complex_to_pair",
     "complex_from_pair",
     "matrix_to_json",
@@ -42,12 +41,11 @@ def complex_to_pair(z) -> list:
     return [z.real, z.imag]
 
 
-def complex_from_pair(v) -> complex:
-    """Decode [re, im] (bare reals are accepted for convenience)."""
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(float(re), float(im))
+def complex_from_pair(v, name: str = "value") -> complex:
+    """Decode [re, im] (bare reals are accepted for convenience); name labels errors."""
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(_number(v[0], name), _number(v[1], name))
+    return complex(_number(v, name))
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
@@ -59,6 +57,20 @@ def matrix_from_json(rows) -> np.ndarray:
     if out.size == 0:
         out = out.reshape(len(rows), 0)
     return out
+
+
+def _number(value, name: str, integral: bool = False):
+    """A JSON number as a float, or as an int when integral (40.0 reads as 40, 40.7 is rejected).
+
+    Anything else, a boolean or a string included, raises ValueError naming the field.
+    """
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (integral and not whole):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    try:
+        return int(value) if integral else float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of floating-point range") from None
 
 
 def _check_known_keys(d: dict, allowed: set, where: str) -> None:
@@ -75,13 +87,21 @@ class ClosedLink:
 
     kind: ClassVar[str] = "closed_link"
 
+    def __post_init__(self):
+        angle = _number(self.angle_total, "closed_link angle_total")
+        if not math.isclose(angle, TWO_PI):
+            raise ValueError(f"closed_link angle_total must be 2π, got {angle!r}")
+        object.__setattr__(self, "angle_total", angle)
+
     def mu(self, k: int) -> float:
         return float(k) ** 2
 
-    def modes_by_abs(self) -> Iterator[int]:
-        """Yield modes grouped by |k|: 0, -1, 1, -2, 2, ..."""
-        yield 0
-        k = 1
+    def modes_by_abs(self, nu_from: float = 0.0) -> Iterator[int]:
+        """Yield modes grouped by |k|: 0, -1, 1, -2, 2, ..., from |k| = floor(nu_from)."""
+        k = max(0, math.floor(nu_from))
+        if k == 0:
+            yield 0
+            k = 1
         while True:
             yield -k
             yield k
@@ -99,11 +119,20 @@ class SectorLink:
 
     kind: ClassVar[str] = "sector_link"
 
+    def __post_init__(self):
+        alpha = _number(self.alpha, "sector_link alpha")
+        if not 0.0 < alpha < TWO_PI:
+            raise ValueError(f"sector_link alpha must be in (0, 2π), got {alpha!r}")
+        if math.pi / alpha >= math.sqrt(np.finfo(float).max):
+            raise ValueError(f"sector_link alpha = {alpha!r} is too small: (π/alpha)² overflows")
+        object.__setattr__(self, "alpha", alpha)
+
     def mu(self, k: int) -> float:
         return (k * math.pi / self.alpha) ** 2
 
-    def modes_by_abs(self) -> Iterator[int]:
-        k = 1
+    def modes_by_abs(self, nu_from: float = 0.0) -> Iterator[int]:
+        """Yield modes k = 1, 2, ..., from the last k with sqrt(mu_k) <= nu_from."""
+        k = max(1, math.floor(nu_from * self.alpha / math.pi))
         while True:
             yield k
             k += 1
@@ -116,21 +145,25 @@ Geometry = Union[ClosedLink, SectorLink]
 
 
 def geometry_from_json(d: dict) -> Geometry:
+    if not isinstance(d, dict):
+        raise ValueError(f"the model's geometry must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "closed_link":
         _check_known_keys(d, {"kind", "angle_total"}, "geometry")
-        return ClosedLink(angle_total=float(d.get("angle_total", TWO_PI)))
+        return ClosedLink(angle_total=d.get("angle_total", TWO_PI))
     if kind == "sector_link":
         _check_known_keys(d, {"kind", "alpha"}, "geometry")
-        if "alpha" not in d:
-            raise ValueError("sector_link geometry requires alpha")
-        return SectorLink(alpha=float(d["alpha"]))
+        return SectorLink(alpha=d.get("alpha"))  # a missing alpha is None, not a number
     raise ValueError(f"unknown geometry kind: {kind!r}")
 
 
 @dataclass(frozen=True)
 class ConeModelOperator:
-    """Scalar cone model of order m on (0, R] x link, in the x^gamma weighted space."""
+    """Scalar cone model of order m on (0, R] x link, in the x^gamma weighted space.
+
+    Construction checks every field against the implemented derivation
+    (m = n = 2, constant coefficients near the tip) and raises ValueError naming it.
+    """
 
     order_m: int
     dim_n: int
@@ -138,6 +171,31 @@ class ConeModelOperator:
     geometry: Geometry
     outer_radius_R: float
     constant_coefficients_near_tip: bool = True
+
+    def __post_init__(self):
+        for name in ("order_m", "dim_n"):
+            value = _number(getattr(self, name), name, integral=True)
+            if value != 2:
+                raise ValueError(f"{name} must be 2: the implemented case is m = n = 2, got {value}")
+            object.__setattr__(self, name, value)
+        for name in ("weight_gamma", "outer_radius_R"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        g = self.weight_gamma
+        if not -g - self.order_m < -g:  # also false for inf and nan
+            raise ValueError(
+                "weight_gamma must be finite and leave the critical strip (-γ-2, -γ) "
+                f"a nonempty float interval, got {g!r}"
+            )
+        R = self.outer_radius_R
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"outer_radius_R must be positive and finite, got {R!r}")
+        if not isinstance(self.geometry, (ClosedLink, SectorLink)):
+            raise ValueError(f"geometry must be a ClosedLink or SectorLink, got {self.geometry!r}")
+        if self.constant_coefficients_near_tip is not True:
+            raise ValueError(
+                "constant_coefficients_near_tip must be true (a boolean), "
+                f"got {self.constant_coefficients_near_tip!r}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,56 +211,13 @@ class ConeModelOperator:
     def from_json_dict(cls, d: dict) -> "ConeModelOperator":
         _check_known_keys(d, {f.name for f in fields(cls)}, "ConeModelOperator")
         return cls(
-            order_m=int(d["order_m"]),
-            dim_n=int(d["dim_n"]),
-            weight_gamma=float(d["weight_gamma"]),
+            order_m=d["order_m"],
+            dim_n=d["dim_n"],
+            weight_gamma=d["weight_gamma"],
             geometry=geometry_from_json(d["geometry"]),
-            outer_radius_R=float(d["outer_radius_R"]),
-            constant_coefficients_near_tip=bool(d.get("constant_coefficients_near_tip", True)),
+            outer_radius_R=d["outer_radius_R"],
+            constant_coefficients_near_tip=d.get("constant_coefficients_near_tip", True),
         )
-
-
-def validate_model(model: ConeModelOperator) -> list:
-    """Return a list of violation messages; empty means the model is usable."""
-    errs = []
-    if not isinstance(model.order_m, int) or model.order_m <= 0:
-        errs.append("order_m must be a positive integer")
-    if not isinstance(model.dim_n, int) or model.dim_n < 1:
-        errs.append("dim_n must be an integer >= 1")
-    if not math.isfinite(model.weight_gamma):
-        errs.append("weight_gamma must be finite")
-    if not (math.isfinite(model.outer_radius_R) and model.outer_radius_R > 0):
-        errs.append("outer_radius_R must be positive and finite")
-    geom = model.geometry
-    if isinstance(geom, SectorLink):
-        if not (0.0 < geom.alpha < TWO_PI):
-            errs.append("alpha out of (0,2π)")
-    elif isinstance(geom, ClosedLink):
-        if not math.isclose(geom.angle_total, TWO_PI):
-            errs.append("closed link must have angle_total 2π")
-    else:
-        errs.append(f"unknown geometry type {type(geom).__name__}")
-    if not model.constant_coefficients_near_tip:
-        errs.append("constant_coefficients_near_tip must be true")
-    if not errs:
-        # spot-check the link eigenvalue sequence on the first few modes
-        mus = []
-        for k in geom.modes_by_abs():
-            mus.append(geom.mu(k))
-            if len(mus) >= 8:
-                break
-        if any(m < 0 for m in mus):
-            errs.append("link eigenvalues must be nonnegative")
-        grouped = [mus[0]] + [max(mus[i], mus[i + 1]) for i in range(1, len(mus) - 1, 2)]
-        if any(grouped[i] > grouped[i + 1] + 1e-12 for i in range(len(grouped) - 1)):
-            errs.append("link eigenvalues must be nondecreasing in |k|")
-    return errs
-
-
-def require_valid(model: ConeModelOperator) -> None:
-    errs = validate_model(model)
-    if errs:
-        raise ValueError("invalid model: " + "; ".join(errs))
 
 
 @dataclass(frozen=True)
@@ -352,9 +367,6 @@ class ExtensionDomain:
         """One-dimensional subspace spanned by the given coordinate vector."""
         col = np.asarray(coeffs, dtype=complex).reshape(-1, 1)
         return cls(quotient_dim_D=col.shape[0], basis_matrix=col)
-
-    def orthonormal(self) -> np.ndarray:
-        return _orthonormal_columns(self.basis_matrix)
 
     def same_span(self, other: "ExtensionDomain", tol: float = 1e-12) -> bool:
         if self.quotient_dim_D != other.quotient_dim_D or self.dim_d != other.dim_d:

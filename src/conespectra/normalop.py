@@ -27,7 +27,6 @@ from .model import (
     RayVerdict,
     SectorLink,
     complex_to_pair,
-    require_valid,
 )
 
 __all__ = [
@@ -113,7 +112,6 @@ def decaying_trace(model: ConeModelOperator, mode_k: int, lam: complex) -> Decay
     must contribute exactly that pair to the quotient; a one-function
     quotient (integer nu >= 1, where A is infinite) is rejected.
     """
-    require_valid(model)
     lam = _check_off_cut(lam)
     count = sum(sf.mode_k == mode_k for sf in singular_basis(model))
     if count == 0:

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conespectra.cli as cli
@@ -197,6 +197,102 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "outputs_dir must be a path string" in err
         assert "Traceback" not in err
+
+
+# out-of-derivation configs: (argv, config block (None: top level), key,
+# value, exit code, a line stderr must contain); every row exited 0 or 1,
+# or raised, before models checked themselves
+SCOPE_TABLE = [
+    (("indicial",), "geometry", "order_m", 4, 2, "order_m must be 2"),
+    (("indicial",), "geometry", "order_m", 2.5, 2, "order_m must be an integer"),
+    (("certify",), "geometry", "dim_n", 3, 2, "dim_n must be 2"),
+    (("indicial",), "geometry", "weight_gamma", False, 2, "weight_gamma must be a number"),
+    (("indicial",), None, "rays", [True], 2, "rays must be a number"),
+    (("indicial",), "discretization", "grading_q", "0.9", 2, "grading_q must be a number"),
+    (("indicial",), "discretization", "t_max", "20", 2, "t_max must be a number"),
+    (("indicial",), "extension", "a", [True, 0.0], 2, "extension.a must be a number"),
+    (
+        ("indicial",),
+        "geometry",
+        "constant_coefficients_near_tip",
+        "false",
+        2,
+        "constant_coefficients_near_tip must be true",
+    ),
+    (("indicial",), "geometry", "geometry", None, 2, "geometry must be a JSON object"),
+    (
+        ("indicial",),
+        "geometry",
+        "geometry",
+        {"kind": "sector_link", "alpha": 1e-200},
+        2,
+        "alpha = 1e-200 is too small",
+    ),
+    (("example53",), "discretization", "grading_q", 0.999999, 2, "grading_q = 0.999999"),
+    (("spectrum", "--nh", 16), "discretization", "grading_q", 0.95, 2, "grading_q = 0.95 with N_h = 16"),
+    (("example53",), "geometry", "outer_radius_R", 1e-200, 3, "numerical failure in stage 'spectrum'"),
+    (("example53",), "geometry", "outer_radius_R", 1e200, 3, "numerical failure in stage 'spectrum'"),
+]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_GEOMETRY_KEYS = ("kind", "alpha", "angle_total")
+
+
+def _edited_model_block(changes: dict) -> dict:
+    """The default sector model block with some fields, its geometry's included, replaced."""
+    block = cli._default_config_dict("sector")["geometry"]
+    block["geometry"].update((k, v) for k, v in changes.items() if k in _GEOMETRY_KEYS)
+    block.update((k, v) for k, v in changes.items() if k not in _GEOMETRY_KEYS)
+    return block
+
+
+_MODEL_FIELDS = st.sampled_from([*cli._default_config_dict("sector")["geometry"], *_GEOMETRY_KEYS])
+MODEL_BLOCKS = JSON_VALUES | st.dictionaries(
+    _MODEL_FIELDS, st.floats() | JSON_VALUES, max_size=3
+).map(_edited_model_block)
+
+
+class TestOutOfDerivationConfigs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows of the exit-3 rows
+    @pytest.mark.parametrize(
+        "argv, block, key, value, code, line",
+        SCOPE_TABLE,
+        ids=[f"{row[0][0]}-{row[2]}={row[3]!r}" for row in SCOPE_TABLE],
+    )
+    def test_config_exits_with_its_code_and_names_the_cause(
+        self, argv, block, key, value, code, line, tmp_path, capsys
+    ):
+        cfg = cli._default_config_dict("sector")
+        (cfg if block is None else cfg[block])[key] = value
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(*argv, "--config", path) == code
+        err = capsys.readouterr().err
+        assert line in err
+        assert "Traceback" not in err
+        if code == 2:
+            assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(block=MODEL_BLOCKS)
+    @example(block=_edited_model_block({"geometry": None}))
+    @example(block=_edited_model_block({"alpha": 1e-200}))
+    @example(block=_edited_model_block({"weight_gamma": 1e15}))  # no scan from mode 0
+    def test_any_model_block_parses_or_is_a_config_error(self, block):
+        cfg = cli._default_config_dict("sector")
+        cfg["geometry"] = block
+        try:
+            cli.ExperimentConfig.from_json_dict(cfg)
+        except cli.ConfigError:
+            pass
 
 
 class TestExitCodeMapping:

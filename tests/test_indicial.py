@@ -106,6 +106,21 @@ class TestSingularBasis:
         with pytest.raises(WeightOnSpectrum):
             singular_basis(make(SectorLink(alpha=alpha)))
 
+    @pytest.mark.parametrize(
+        "geometry, modes",
+        [
+            (ClosedLink(), [-(10**12 + 1), 10**12 + 1]),
+            (SectorLink(alpha=1.5 * math.pi), [15 * 10**11 + 1, 15 * 10**11 + 2]),
+        ],
+    )
+    def test_large_weight_enumerates_only_the_modes_near_its_strip(self, geometry, modes):
+        # gamma = 1e12: roots with nu in (1e12, 1e12 + 2); a scan from mode 0 takes hours
+        model = make(geometry, gamma=1e12)
+        basis = singular_basis(model)
+        assert [sf.mode_k for sf in basis] == modes
+        assert all(1e12 < sf.exponent_e.real < 1e12 + 2 for sf in basis)
+        assert dmin_is_weighted_sobolev(model) is False  # nu = 1e12 + 2 is on the lower line
+
     def test_computed_once_per_model(self):
         first = singular_basis(make(SectorLink(alpha=1.5 * math.pi)))
         again = singular_basis(make(SectorLink(alpha=1.5 * math.pi)))

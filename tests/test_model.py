@@ -17,7 +17,6 @@ from conespectra.model import (
     matrix_from_json,
     matrix_to_json,
     span_distance,
-    validate_model,
 )
 
 
@@ -65,30 +64,47 @@ class TestGeometry:
 
 
 class TestValidation:
-    def test_valid_models_have_no_violations(self):
-        assert validate_model(closed_model()) == []
-        assert validate_model(sector_model()) == []
+    def test_valid_models_construct(self):
+        closed_model()
+        sector_model()
 
     @pytest.mark.parametrize(
         "kw, fragment",
         [
             (dict(order_m=0), "order_m"),
             (dict(order_m=-2), "order_m"),
+            (dict(order_m=4), "order_m must be 2"),
+            (dict(order_m=2.5), "order_m must be an integer"),
             (dict(dim_n=0), "dim_n"),
+            (dict(dim_n=3), "dim_n must be 2"),
             (dict(weight_gamma=math.inf), "weight_gamma"),
+            (dict(weight_gamma=1e300), "weight_gamma"),
+            (dict(weight_gamma=False), "weight_gamma must be a number"),
             (dict(outer_radius_R=0.0), "outer_radius_R"),
             (dict(outer_radius_R=-1.0), "outer_radius_R"),
+            (dict(geometry="closed_link"), "geometry"),
             (dict(constant_coefficients_near_tip=False), "constant_coefficients"),
+            (dict(constant_coefficients_near_tip="false"), "constant_coefficients"),
         ],
     )
-    def test_bad_fields_are_reported(self, kw, fragment):
-        errs = validate_model(closed_model(**kw))
-        assert any(fragment in e for e in errs)
+    def test_construction_rejects_bad_fields(self, kw, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            closed_model(**kw)
 
-    def test_sector_alpha_range(self):
-        assert validate_model(sector_model(alpha=0.0)) != []
-        assert validate_model(sector_model(alpha=2.0 * math.pi)) != []
-        assert validate_model(sector_model(alpha=1.99 * math.pi)) == []
+    @pytest.mark.parametrize("alpha", [0.0, 2.0 * math.pi, 1e-200, True])
+    def test_sector_alpha_range(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            sector_model(alpha=alpha)
+        sector_model(alpha=1.99 * math.pi)
+
+    def test_closed_link_angle_is_a_full_turn(self):
+        with pytest.raises(ValueError, match="angle_total"):
+            ClosedLink(angle_total=math.pi)
+
+    def test_integral_floats_are_integers(self):
+        model = closed_model(order_m=2.0, dim_n=2.0)
+        assert model.order_m == 2 and isinstance(model.order_m, int)
+        assert model == closed_model()
 
     def test_model_json_round_trip(self):
         for m in (closed_model(), sector_model(alpha=2.5)):
