@@ -370,6 +370,9 @@ def _border_cells(x0: np.ndarray, x1: np.ndarray, R: float, nu: float, a: comple
     return k_left, k_right, m_left, m_right, np.sum(wts * (np.abs(s_val) ** 2 * pts), axis=1)
 
 
+# an outer radius the assembly cannot represent overflows quietly here: the
+# non-finite check at the end reports it as one FloatingPointError
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_mode_pencil(
     model: ConeModelOperator,
     mode_k: int,

@@ -870,26 +870,26 @@ def completeness_residual(result: SpectralResult, f, N_list):
 #
 # A solution behaving like a x^nu + b x^{-nu} at the tip (a + b log x
 # for nu = 0) and vanishing at x = R exists exactly at the roots of an
-# entire secular function F(lambda); fixing the constants by matching
+# entire secular function F = a P + b Q; fixing the constants by matching
 # small-x series gives, with w = sqrt(lambda) (principal branch):
-#   nu > 0:  F = a Gamma(1+nu) (w/2)^{-nu} J_nu(wR)
-#              + b Gamma(1-nu) (w/2)^{+nu} J_{-nu}(wR)
-#   nu = 0:  F = (a + b log R) J_0(wR) + b W(wR),
-#            W(z) = (pi/2) Y_0(z) - (log(z/2) + gamma_E) J_0(z)
-# Both are entire in lambda; for small |wR| the power series is used to
-# dodge the removable sqrt/log branch points.
+#   nu > 0:  P = Gamma(1+nu) (w/2)^{-nu} J_nu(wR),  Q = Gamma(1-nu) (w/2)^{+nu} J_{-nu}(wR)
+#   nu = 0:  P = J_0(wR),  Q = log R J_0(wR) + W(wR),  W(z) = (pi/2) Y_0(z) - (log(z/2) + gamma_E) J_0(z)
+# P and Q are entire with real Taylor coefficients; for small |wR| their
+# power series dodge the removable sqrt/log branch points.
 #
 # The roots are read off circles |lambda| = rho (Delves & Lyness, Math.
 # Comp. 1967): the winding of F counts the roots inside, one FFT of log F
 # gives their power sums, and Newton polishes the roots of the polynomial
-# those sums define.  A disk is the region that sorting by |lambda| asks
-# for, so no root off the real axis is missed.  Power sums about 0 lose
-# small roots once a disk holds more than about fifteen, so sqrt(rho),
-# which grows by pi/R per root of the Dirichlet problem, starts at
-# (min(how_many, 8) + 1) pi/R and steps out by 8 pi/R while the count is
-# short; each step solves only for the roots outside the previous circle.
-# A rejected circle (one hugging a root, or too many new roots to
-# resolve) is pulled halfway back towards the previous one.
+# those sums define, a circle's roots together.  As P(conj l) = conj P(l),
+# and so for Q, a circle reads each conjugate pair of samples once and
+# reflects the parts; F has no such symmetry for complex (a, b).  A disk is
+# the region that sorting by |lambda| asks for, so no root off the real
+# axis is missed.  Power sums about 0 lose small roots once a disk holds
+# more than about fifteen, so sqrt(rho), which grows by pi/R per root of
+# the Dirichlet problem, starts at (min(how_many, 8) + 1) pi/R and steps out
+# by 8 pi/R while the count is short; each step solves only for the roots
+# outside the previous circle.  A rejected circle (one hugging a root, or
+# too many new roots to resolve) is pulled halfway back towards the previous one.
 # ---------------------------------------------------------------------------
 
 _CONTOUR_SAMPLES = 1024
@@ -897,78 +897,81 @@ _CONTOUR_SAMPLE_CAP = 1 << 16
 _RADIUS_ATTEMPTS = 100
 _POWER_SUM_TOL = 1e-3
 _ROOTS_PER_STEP = 8
+_SERIES_BLOCK = 128  # points per block of the power series: its (points, 79) arrays stay near 0.16 MB
 
 
-def _secular_series(nu: float, a: complex, b: complex, R: float, lam: np.ndarray):
-    u = lam * (R * R) / 4.0
-    if nu == 0.0:
-        s_j = np.ones_like(u)
-        s_w = np.zeros_like(u)
-        term = np.ones_like(u)
-        harmonic = 0.0
-        for k in range(1, 80):
-            term = term * (-u) / (k * k)
-            harmonic += 1.0 / k
-            s_j = s_j + term
-            s_w = s_w - harmonic * term
-        return (a + b * math.log(R)) * s_j + b * s_w
-    s_p = np.ones_like(u)
-    s_m = np.ones_like(u)
-    t_p = np.ones_like(u)
-    t_m = np.ones_like(u)
-    for k in range(1, 80):
-        t_p = t_p * (-u) / (k * (k + nu))
-        t_m = t_m * (-u) / (k * (k - nu))
-        s_p = s_p + t_p
-        s_m = s_m + t_m
-    return a * R**nu * s_p + b * R ** (-nu) * s_m
-
-
-def _secular_closed(nu: float, a: complex, b: complex, R: float, lam: np.ndarray):
-    w = np.sqrt(lam.astype(complex))
-    z = w * R
-    if nu == 0.0:
-        wz = 0.5 * math.pi * yv(0, z) - (np.log(z / 2.0) + np.euler_gamma) * jv(0, z)
-        return (a + b * math.log(R)) * jv(0, z) + b * wz
-    half_w = np.log(w / 2.0)
-    return a * _gamma_fn(1.0 + nu) * np.exp(-nu * half_w) * jv(nu, z) + b * _gamma_fn(
-        1.0 - nu
-    ) * np.exp(nu * half_w) * jv(-nu, z)
-
-
-def _secular_values(nu: float, a: complex, b: complex, R: float, lam) -> np.ndarray:
+def _secular_parts(nu: float, R: float, lam) -> tuple:
+    """(P, Q) at lam: the power series where |lambda| R^2 <= 144, the Bessel closed form elsewhere."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    out = np.empty_like(lam)
+    P, Q = np.empty_like(lam), np.empty_like(lam)
     small = np.abs(lam) * R * R <= 144.0
-    if np.any(small):
-        out[small] = _secular_series(nu, a, b, R, lam[small])
-    if np.any(~small):
-        out[~small] = _secular_closed(nu, a, b, R, lam[~small])
-    return out
+    k = np.arange(1.0, 80.0)
+    at = np.flatnonzero(small)
+    for lo in range(0, at.size, _SERIES_BLOCK):
+        block = at[lo : lo + _SERIES_BLOCK]
+        neg_u = lam[block, np.newaxis] * (-0.25 * R * R)
+
+        def series(den, head, weights=1.0):  # head + sum_k weights_k prod_{j<=k} (-u / den_j), in order
+            terms = np.cumprod(neg_u / den, axis=1) * weights
+            terms[:, 0] += head
+            return np.add.accumulate(terms, axis=1)[:, -1]
+
+        if nu == 0.0:  # the terms of W are those of J_0 times -H_k (harmonic numbers)
+            P[block] = series(k * k, 1.0)
+            Q[block] = math.log(R) * P[block] + series(k * k, 0.0, -np.cumsum(1.0 / k))
+        else:
+            P[block] = R**nu * series(k * (k + nu), 1.0)
+            Q[block] = R**-nu * series(k * (k - nu), 1.0)
+    if at.size < lam.size:
+        w = np.sqrt(lam[~small])
+        z = w * R
+        if nu == 0.0:
+            P[~small] = j0 = jv(0, z)
+            Q[~small] = math.log(R) * j0 + 0.5 * math.pi * yv(0, z) - (np.log(z / 2.0) + np.euler_gamma) * j0
+        else:
+            half_w = np.log(w / 2.0)
+            P[~small] = _gamma_fn(1.0 + nu) * np.exp(-nu * half_w) * jv(nu, z)
+            Q[~small] = _gamma_fn(1.0 - nu) * np.exp(nu * half_w) * jv(-nu, z)
+    return P, Q
 
 
-def _wrap_angle(d: np.ndarray) -> np.ndarray:
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
+def _contour_parts(nu: float, R: float, rho: float, m: int) -> tuple:
+    """theta_k = 2 pi k / m and (P, Q) at rho e^{i theta_k}, evaluated for k <= m/2 only."""
+    theta = 2.0 * math.pi * np.arange(m) / m
+    upper = _secular_parts(nu, R, rho * np.exp(1j * theta[: m // 2 + 1]))
+    return (theta, *(np.concatenate((v, np.conj(v[m // 2 - 1 : 0 : -1]))) for v in upper))
 
 
-def _newton_polish(F, z0: complex, step_scale: float) -> Optional[complex]:
-    z = complex(z0)
+def _modulus(z: np.ndarray) -> np.ndarray:  # rounded as abs(complex) is; np.abs may differ in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _newton_polish(F, z0: np.ndarray, step_scale: float) -> Optional[np.ndarray]:
+    """Newton on F from every start at once, each on its own iteration; None if any fails.
+
+    A start stops once its step is at most 1e-13 max(1, |z|), and fails on a zero
+    difference quotient, on moving 50 step_scale away, or on 80 steps without stopping.
+    """
+    z = np.array(z0, dtype=complex)
+    live = np.arange(z.size)
     for _ in range(80):
-        h = 1e-6 * max(1.0, abs(z))
-        f0, fp1, fm1 = F(np.array([z, z + h, z - h]))
+        zl = z[live]
+        h = 1e-6 * np.maximum(1.0, _modulus(zl))
+        f0, fp1, fm1 = F(np.concatenate((zl, zl + h, zl - h))).reshape(3, -1)
         dfdz = (fp1 - fm1) / (2.0 * h)
-        if dfdz == 0.0:
+        if np.any(dfdz == 0.0):
             return None
         dz = f0 / dfdz
-        z = z - dz
-        if abs(z - z0) > 50.0 * step_scale:
+        z[live] = zl = zl - dz
+        if np.any(_modulus(zl - z0[live]) > 50.0 * step_scale):
             return None
-        if abs(dz) <= 1e-13 * max(1.0, abs(z)):
+        live = live[~(_modulus(dz) <= 1e-13 * np.maximum(1.0, _modulus(zl)))]
+        if live.size == 0:
             return z
     return None
 
 
-def _disk_roots(F, rho: float, known: list) -> Optional[list]:
+def _disk_roots(nu: float, a: complex, b: complex, R: float, rho: float, known: list) -> Optional[list]:
     """Every root of F in |lambda| < rho given the known ones, or None to reject the circle.
 
     The phase of F is sampled on |lambda| = rho, doubling the samples
@@ -980,13 +983,18 @@ def _disk_roots(F, rho: float, known: list) -> Optional[list]:
     lie inside the circle and, with the known ones, reproduce S_1..S_N;
     otherwise two estimates polished onto one root and a root is missing.
     """
+
+    def F(lam):
+        P, Q = _secular_parts(nu, R, lam)
+        return a * P + b * Q
+
     m = _CONTOUR_SAMPLES
     while True:
-        theta = 2.0 * math.pi * np.arange(m) / m
-        vals = F(rho * np.exp(1j * theta))
+        theta, P, Q = _contour_parts(nu, R, rho, m)
+        vals = a * P + b * Q
         if not np.all(np.isfinite(vals) & (vals != 0.0)):
             return None
-        steps = _wrap_angle(np.diff(np.angle(vals), append=np.angle(vals[0])))
+        steps = (np.diff(np.angle(vals), append=np.angle(vals[0])) + math.pi) % (2.0 * math.pi) - math.pi
         if np.max(np.abs(steps)) <= 0.25 * math.pi:
             break
         if m >= _CONTOUR_SAMPLE_CAP:
@@ -1007,15 +1015,11 @@ def _disk_roots(F, rho: float, known: list) -> Optional[list]:
     poly = [1.0 + 0.0j]
     for k in range(1, count - len(known) + 1):  # Newton's identities
         poly.append(-sum(new_sums[i - 1] * poly[k - i] for i in range(1, k + 1)) / k)
-    roots = list(known)
-    for z in np.roots(poly):
-        root = _newton_polish(F, rho * z, rho / 50.0)
-        if root is None or abs(root) >= rho:
-            return None
-        roots.append(root)
-    if np.max(np.abs(sums - power_sums(roots))) > _POWER_SUM_TOL:
+    new = _newton_polish(F, rho * np.roots(poly), rho / 50.0)
+    if new is None or np.any(np.abs(new) >= rho):
         return None
-    return roots
+    roots = list(known) + list(new)
+    return None if np.max(np.abs(sums - power_sums(roots))) > _POWER_SUM_TOL else roots
 
 
 def oracle_eigenvalues(
@@ -1041,8 +1045,7 @@ def oracle_eigenvalues(
     """
     if not (0.0 <= nu < 1.0):
         raise ValueError("secular oracle covers nu in [0, 1)")
-    a = complex(a)
-    b = complex(b)
+    a, b = complex(a), complex(b)
     if a == 0 and b == 0:
         raise ValueError("(a, b) must be nonzero")
     if not (R > 0.0 and math.isfinite(R)):
@@ -1050,15 +1053,12 @@ def oracle_eigenvalues(
     if how_many < 1:
         raise ValueError("how_many must be positive")
 
-    def F(lam):
-        return _secular_values(nu, a, b, R, lam)
-
     step = _ROOTS_PER_STEP * math.pi / R
     known: list = []
     inner = 0.0  # sqrt of the radius whose roots are known
     outer = (min(how_many, _ROOTS_PER_STEP) + 1.0) * math.pi / R
     for _ in range(_RADIUS_ATTEMPTS):
-        roots = _disk_roots(F, outer * outer, known)
+        roots = _disk_roots(nu, a, b, R, outer * outer, known)
         if roots is None:
             outer = 0.5 * (inner + outer)  # hugs a root, or too many new ones
         elif len(roots) < how_many:
@@ -1075,34 +1075,34 @@ def oracle_eigenvalues(
 def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray:
     """Eigenvalues (j_{nu,k}/R)^2 of one mode's Dirichlet problem, any nu >= 0.
 
-    Classical Bessel-zero computation (dense scan plus Newton), used
-    both as the (a,b)=(1,0) cross-check of the secular oracle and for
-    multi-mode eigenvalue counting where nu >= 1 modes carry no
-    enrichment.
+    Classical Bessel-zero computation (scan plus Newton), used both as
+    the (a,b)=(1,0) cross-check of the secular oracle and for multi-mode
+    eigenvalue counting where nu >= 1 modes carry no enrichment.
     """
     if nu < 0.0:
         raise ValueError("nu must be nonnegative")
     if how_many < 1:
         raise ValueError("how_many must be positive")
-    # k-th zero sits near (k + nu/2 - 1/4) pi, first zero near nu + 1.86 nu^{1/3}
+    # every zero exceeds nu; the k-th lies near (k + nu/2 - 1/4) pi and below Qu & Wong's (1999) bound in
+    # the k-th Airy zero a_k (DLMF 10.21(viii)), about pi (nu/2)^{1/3} / sqrt|a_k| from the next
+    airy = (3.0 * math.pi * (4 * how_many + 3) / 8.0) ** (2.0 / 3.0)  # about |a_{how_many+1}|
     upper = 0.5 * nu * math.pi + 1.9 * nu ** (1.0 / 3.0) + (how_many + 2) * math.pi + 4.0
-    grid = np.linspace(max(1e-6, 0.5 * nu), upper, max(200, int(upper / 0.05)))
+    if nu > 0.0:
+        upper = min(upper, nu + airy * (nu / 2.0) ** (1.0 / 3.0) + 0.15 * airy**2 * (2.0 / nu) ** (1.0 / 3.0))
+    dx = 0.05 * max(1.0, (nu / 2.0) ** (1.0 / 3.0) / math.sqrt(airy))
+    grid = np.linspace(max(1e-6, nu), upper, max(200, int((upper - nu) / dx)))
     vals = jv(nu, grid)
     sign_change = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     zeros = 0.5 * (grid[sign_change] + grid[sign_change + 1])
     for _ in range(60):
-        f = jv(nu, zeros)
-        fp = jvp(nu, zeros)
-        step = f / fp
+        step = jv(nu, zeros) / jvp(nu, zeros)
         zeros = zeros - step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, upper):
+        if np.max(np.abs(step), initial=0.0) < 1e-14 * max(1.0, upper):
             break
     zeros = np.unique(np.round(zeros / 1e-12) * 1e-12)
-    zeros = zeros[zeros > max(1e-9, nu * 1.0000001 - 1e-9)]
+    zeros = zeros[zeros > max(1e-9, nu)]
     if len(zeros) < how_many:
-        raise RootFindingError(
-            f"Bessel zero scan found {len(zeros)} of {how_many} requested zeros"
-        )
+        raise RootFindingError(f"Bessel zero scan found {len(zeros)} of {how_many} requested zeros")
     return (zeros[:how_many] / R) ** 2
 
 

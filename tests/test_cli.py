@@ -1,8 +1,9 @@
 """End-to-end driver tests: exit codes, artifacts, determinism.
 
 The heavyweight pipelines run in-process through main(argv) so the
-whole module stays fast enough for routine runs; two subprocess tests
-cover the installed console script and ``python -m conespectra``.
+whole module stays fast enough for routine runs; subprocess tests cover
+the installed console script, ``python -m conespectra``, a clean stderr
+and the spectrum stage at two BLAS thread counts.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,20 @@ def run_cli(*argv):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def run_module(*argv, **env_vars):
+    """``python -m conespectra *argv`` in a fresh process, with extra environment variables."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "conespectra", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def sector_config_dict(out_dir):
@@ -260,7 +276,7 @@ MODEL_BLOCKS = JSON_VALUES | st.dictionaries(
 
 
 class TestOutOfDerivationConfigs:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows of the exit-3 rows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the exit-3 rows overflow quietly
     @pytest.mark.parametrize(
         "argv, block, key, value, code, line",
         SCOPE_TABLE,
@@ -280,6 +296,27 @@ class TestOutOfDerivationConfigs:
         assert "Traceback" not in err
         if code == 2:
             assert not (tmp_path / "out").exists()
+
+    def test_unrepresentable_radius_prints_one_line(self, tmp_path):
+        # every overflow of the assembly ends in its non-finite check, and
+        # numpy prints no RuntimeWarning on the way
+        cfg = cli._default_config_dict("sector")
+        cfg["geometry"]["outer_radius_R"] = 1e200
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_module("example53", "--config", path)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "numerical failure in stage 'spectrum': the mode pencil on (0, 1e+200] has an entry that is not finite"
+        ]
+
+    def test_a_narrow_sector_exits_without_a_traceback(self, tmp_path, capsys):
+        # mode 1 has nu = pi / alpha, about 3.1e10: the Bessel-zero scan
+        # runs over a window that grows like nu^(1/3)
+        code = run_cli("example53", "--alpha", 1e-10, "--nh", 60, "--out", tmp_path)
+        assert code in (1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(block=MODEL_BLOCKS)
@@ -684,6 +721,27 @@ class TestExtensionLineScale:
                 assert (out / name).read_bytes() == (unit_out / name).read_bytes(), name
 
 
+class TestThreadCounts:
+    def test_spectrum_stage_agrees_across_blas_thread_counts(self, tmp_path):
+        # threaded BLAS-3 in the eigensolve rounds differently per thread
+        # count, so the numbers agree to the backward error, not to the byte
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_module("spectrum", "--a", 1, "--b-im", 1, "--out", out, OPENBLAS_NUM_THREADS=threads)
+            rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+            runs.append((proc.returncode, proc.stdout, read_json(out / "spectrum.json"), rows[:, 1] + 1j * rows[:, 2]))
+        (code1, stdout1, one, lam1), (code2, stdout2, two, lam2) = runs
+        assert code1 == code2 == 0
+        assert stdout1 == stdout2
+        for key in ("ok", "n_retained", "mode_k", "nu", "enriched"):
+            assert one[key] == two[key], key
+        assert one["oracle"] == two["oracle"]  # the oracle runs no threaded BLAS
+        tol = max(one["max_retained_residual"], two["max_retained_residual"])
+        assert lam1.shape == lam2.shape
+        assert np.max(np.abs(lam1 - lam2) / np.abs(lam1)) <= tol
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("conespectra")
@@ -697,16 +755,7 @@ class TestConsoleScript:
         assert "critical strip" in proc.stdout
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "conespectra", "indicial", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_module("indicial", "--out", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "critical strip" in proc.stdout
         assert (tmp_path / "indicial.json").exists()

@@ -16,6 +16,7 @@ does not share code with the implementation under test.
 import cmath
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -920,6 +921,118 @@ class TestOracleEigenvalues:
             oracle_eigenvalues(0.5, 1.0, 0.0, 1.0, 0)
 
 
+def _scalar_polish(F, z0, step_scale):
+    """The per-root Newton loop the batched polish replaced, kept as its reference."""
+    out = []
+    for start in z0:
+        z = complex(start)
+        for _ in range(80):
+            h = 1e-6 * max(1.0, abs(z))
+            f0, fp1, fm1 = F(np.array([z, z + h, z - h]))
+            dfdz = (fp1 - fm1) / (2.0 * h)
+            if dfdz == 0.0:
+                return None
+            dz = f0 / dfdz
+            z = z - dz
+            if abs(z - start) > 50.0 * step_scale:
+                return None
+            if abs(dz) <= 1e-13 * max(1.0, abs(z)):
+                break
+        else:
+            return None
+        out.append(z)
+    return np.array(out, dtype=complex)
+
+
+def _sweep_oracle_configs():
+    """(nu, a, b) of the benchmark sweep's eight scans at seed 1: closed (nu 0) and sector (nu 2/3)."""
+    seeded = np.random.default_rng(1).standard_normal((2, 2, 2)) / math.sqrt(2.0)
+    sector = [(1.0, 0.0), (1.0, 1j)] + [(complex(*p[0]), complex(*p[1])) for p in seeded]
+    closed = [(1.0, 0.0), (1.0, 1j), (0.0, 1.0), (1.0, 1.0)]
+    return [(0.0, a, b) for a, b in closed] + [(2.0 / 3.0, a, b) for a, b in sector]
+
+
+class TestOracleInternals:
+    @pytest.mark.parametrize(
+        "nu,a,b,how_many",
+        [(nu, a, b, 5) for nu, a, b in _sweep_oracle_configs()] + [(0.0, 1.0, 0.0, 60)],
+    )
+    def test_batched_polish_is_bit_identical_to_the_per_root_loop(self, nu, a, b, how_many, monkeypatch):
+        batched = oracle_eigenvalues(nu, a, b, 1.0, how_many)
+        monkeypatch.setattr(spectral, "_newton_polish", _scalar_polish)
+        reference = oracle_eigenvalues(nu, a, b, 1.0, how_many)
+        assert batched.tobytes() == reference.tobytes()
+
+    def test_a_start_that_leaves_its_radius_rejects_the_circle(self, monkeypatch):
+        def F(lam):
+            return lam - 100.0
+
+        assert spectral._newton_polish(F, np.array([99.0 + 0j]), 1.0) == pytest.approx([100.0])
+        # the second start's first step lands 100 > 50 step_scale away
+        assert spectral._newton_polish(F, np.array([99.0 + 0j, 0j]), 1.0) is None
+        rho = (5.5 * math.pi) ** 2  # holds j_{0,1}^2 .. j_{0,5}^2
+        assert len(spectral._disk_roots(0.0, 1.0, 0.0, 1.0, rho, [])) == 5
+        real = spectral._newton_polish
+        # with no room to move, the first Newton step takes some start out of its radius
+        monkeypatch.setattr(spectral, "_newton_polish", lambda F, z0, scale: real(F, z0, 0.0))
+        assert spectral._disk_roots(0.0, 1.0, 0.0, 1.0, rho, []) is None
+
+    @pytest.mark.parametrize("nu", [0.0, 2.0 / 3.0])
+    @pytest.mark.parametrize("rho", [100.0, 1500.0], ids=["series", "closed-form"])
+    def test_reflected_parts_match_a_direct_evaluation(self, nu, rho):
+        m = spectral._CONTOUR_SAMPLES
+        theta, P, Q = spectral._contour_parts(nu, 1.0, rho, m)
+        lower = slice(m // 2 + 1, m)
+        P_direct, Q_direct = spectral._secular_parts(nu, 1.0, rho * np.exp(1j * theta[lower]))
+        a, b = 1.0, 1j
+        pairs = ((P[lower], P_direct), (Q[lower], Q_direct), (a * P[lower] + b * Q[lower], a * P_direct + b * Q_direct))
+        for got, want in pairs:  # relative to the largest value on the circle: the series cancels
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nu", [0.0, 2.0 / 3.0])
+    def test_series_matches_the_term_by_term_loop(self, nu):
+        # the loop the cumulative product replaced; its products round in
+        # another order, so the two agree to a few eps of sum |term|
+        R = 1.3
+        lam = np.concatenate((np.linspace(-144.0, 144.0, 97), 60.0 * np.exp(1j * np.linspace(0.0, 6.0, 50))))
+        u = lam.astype(complex) / 4.0  # lambda R^2 / 4 for lambda = lam / R^2
+        t_p, t_m, s_p = np.ones_like(u), np.ones_like(u), np.ones_like(u)
+        s_m = np.zeros_like(u) if nu == 0.0 else np.ones_like(u)  # W's series, or J_{-nu}'s
+        size = np.ones(u.shape)
+        harmonic = 0.0
+        for k in range(1, 80):
+            t_p = t_p * (-u) / (k * (k + nu))
+            s_p = s_p + t_p
+            if nu == 0.0:
+                harmonic += 1.0 / k
+                s_m = s_m - harmonic * t_p
+                size += harmonic * np.abs(t_p)
+            else:
+                t_m = t_m * (-u) / (k * (k - nu))
+                s_m = s_m + t_m
+                size += np.abs(t_p) + np.abs(t_m)
+        if nu == 0.0:
+            P_ref, Q_ref = s_p, math.log(R) * s_p + s_m
+        else:
+            P_ref, Q_ref = R**nu * s_p, R**-nu * s_m
+        P, Q = spectral._secular_parts(nu, R, lam / (R * R))
+        tol = 64.0 * np.finfo(float).eps * size * (1.0 + abs(math.log(R)) + R**nu)
+        assert np.all(np.abs(P - P_ref) <= tol)
+        assert np.all(np.abs(Q - Q_ref) <= tol)
+
+    @pytest.mark.parametrize("nu", [0.0, 2.0 / 3.0])
+    def test_series_at_the_sample_cap_stays_small(self, nu):
+        m = spectral._CONTOUR_SAMPLE_CAP
+        lam = 100.0 * np.exp(2j * math.pi * np.arange(m) / m)  # |lambda| R^2 <= 144: all series
+        tracemalloc.start()
+        try:
+            spectral._secular_parts(nu, 1.0, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestDirichletModeEigenvalues:
     def test_integer_order_matches_scipy_zero_table(self):
         got = dirichlet_mode_eigenvalues(0.0, 1.0, 8)
@@ -933,6 +1046,21 @@ class TestDirichletModeEigenvalues:
         assert len(got) == 40
         assert np.all(np.diff(got) > 0)
         assert np.max(np.abs(jv(47.0 * 2.0 / 3.0, np.sqrt(got)))) < 1e-8
+
+    def test_huge_order_scans_a_bounded_window(self):
+        # nu = pi / alpha for a 1e-10 sector: the scan starts at nu and ends
+        # at the Airy-zero bound, so it grows like nu^(1/3), not like nu
+        nu = 3.2e10
+        tracemalloc.start()
+        try:
+            got = np.sqrt(dirichlet_mode_eigenvalues(nu, 1.0, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.all(np.diff(got) > 0)
+        # DLMF 10.21.40: j_{nu,1} = nu + 1.8557571 nu^(1/3) + 1.033150 nu^(-1/3) + O(nu^-1)
+        assert got[0] - nu == pytest.approx(1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3), abs=1e-2)
 
 
 class TestFits:
