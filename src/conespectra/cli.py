@@ -27,7 +27,6 @@ outputs directory; identical configs give byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import itertools
 import json
@@ -53,7 +52,6 @@ from .model import (
     _number,
     complex_from_pair,
     complex_to_pair,
-    matrix_to_json,
 )
 from .indicial import (
     boundary_spectrum,
@@ -136,10 +134,8 @@ class ExperimentConfig:
         if not isinstance(outputs_dir, (str, os.PathLike)):
             raise ConfigError(f"outputs_dir must be a path string, got {outputs_dir!r}")
         self.outputs_dir = Path(outputs_dir)
-        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
-            raise ConfigError("extension coefficients (a, b) must be finite")
-        if self.a == 0 and self.b == 0:
-            raise ConfigError("extension coefficients (a, b) must not both be zero")
+        # every stage runs on the line's unit representative; the config echo keeps (a, b)
+        self.line = ExtensionDomain.line([a, b])
         if not self.rays:
             raise ConfigError("at least one ray is required")
         if self.N_h < 16:
@@ -148,18 +144,6 @@ class ExperimentConfig:
             raise ConfigError("discretization.grading_q must be in (0, 1)")
         if not (0.0 < self.t_max < math.inf):
             raise ConfigError("discretization.t_max must be positive and finite")
-
-    @property
-    def line(self) -> ExtensionDomain:
-        """The extension line [a : b] through its unit representative, which every stage uses.
-
-        (a, b) is divided by its largest part before its norm, so that
-        nothing overflows or underflows; the config echo keeps the raw pair.
-        """
-        parts = np.array([self.a.real, self.a.imag, self.b.real, self.b.imag])
-        parts /= np.max(np.abs(parts))
-        parts /= math.hypot(*parts)
-        return ExtensionDomain.line(parts.view(complex))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -184,9 +168,9 @@ class ExperimentConfig:
             N_h = _number(disc.get("N_h", 400), "discretization.N_h", integral=True)
             grading_q = _number(disc.get("grading_q", 0.9), "discretization.grading_q")
             t_max = _number(disc.get("t_max", 20.0), "discretization.t_max")
+            return cls(model, a, b, rays, N_h, grading_q, t_max, d.get("outputs_dir", "out"))
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(model, a, b, rays, N_h, grading_q, t_max, d.get("outputs_dir", "out"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -351,9 +335,14 @@ def _flow_expectation(domain: ExtensionDomain, nu: float):
     """Expected flow limit line of the domain and the distance tolerance regime."""
     if nu == 0.0:
         return ExtensionDomain.line([1.0, 0.0]), "log"
-    if domain.basis_matrix[1, 0] != 0:
+    if domain.coeffs[1] != 0:
         return ExtensionDomain.line([0.0, 1.0]), "power"
     return ExtensionDomain.line([1.0, 0.0]), "power"
+
+
+def _column(line: ExtensionDomain) -> list:
+    """The line's unit representative as a 2 x 1 matrix of [re, im] pairs."""
+    return [[complex_to_pair(z)] for z in line.coeffs]
 
 
 def _combined_verdict(full: RayVerdict, normal: RayVerdict) -> RayVerdict:
@@ -464,8 +453,8 @@ def _flow(run: Run) -> Record:
         "schema_version": SCHEMA_VERSION,
         "mode_k": mode_k,
         "nu": nu,
-        "limits": [matrix_to_json(lim.basis_matrix) for lim in limits],
-        "expected_limit": matrix_to_json(expected.basis_matrix),
+        "limits": [_column(lim) for lim in limits],
+        "expected_limit": _column(expected),
         "terminal_distance_at_1e-8": terminal,
         "distance_regime": regime,
         "schedule_length": int(run.schedule_len),

@@ -390,9 +390,8 @@ def assemble_mode_pencil(
     grid : RadialGrid
         Outer node must equal the model's outer radius.
     domain : ExtensionDomain or None
-        None (or a 0-column domain) builds the minimal pencil; a
-        one-dimensional domain in the 2-dimensional mode quotient adds
-        the enrichment with coefficients (a, b) read off its column.
+        None builds the minimal pencil; a line [a : b] in the mode
+        quotient adds the enrichment with its unit representative (a, b).
 
     Raises
     ------
@@ -413,19 +412,17 @@ def assemble_mode_pencil(
         raise ValueError("grid too coarse: need at least 16 nodes")
     nu = math.sqrt(model.geometry.mu(mode_k))
 
-    if domain is None or domain.dim_d == 0:
+    if domain is None:
         d = 0
         a = b = 0j
     else:
-        if domain.quotient_dim_D != 2 or domain.dim_d != 1:
-            raise ValueError("enrichment domains must be 1-dimensional in a 2-dimensional quotient")
         if nu >= 1.0:
             raise ValueError(
                 f"mode nu={nu:g}: enrichment exponent -nu <= -1 leaves the weighted space; "
                 "only the minimal pencil (d=0) is admissible"
             )
         d = 1
-        a, b = (complex(z) for z in domain.basis_matrix[:, 0])
+        a, b = (complex(z) for z in domain.coeffs)
         if nodes[0] > R / 4.0:
             raise ValueError("grid too coarse for the enrichment tip closed form (node_1 > R/4)")
 

@@ -4,7 +4,7 @@ The one-parameter group kappa_rho acts on singular functions by
 x^e (log x)^p -> rho^e x^e (log rho + log x)^p, which in the canonical
 basis is block upper-triangular: a simple root contributes the 1x1
 block [rho^e], a double root the 2x2 block [[rho^e, rho^e log rho],
-[0, rho^e]].  Flowing an extension domain along rho -> 0 and clustering
+[0, rho^e]].  Flowing an extension line along rho -> 0 and clustering
 the tail of the orbit yields the limit set Omega^-.
 """
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .model import ExtensionDomain, span_distance
+from .model import ExtensionDomain, line_distance
 
 __all__ = [
     "NonpositiveRho",
@@ -89,25 +89,15 @@ def kappa_matrix(basis, rho: float) -> np.ndarray:
 
 
 def flow(domain: ExtensionDomain, basis, rho: float) -> ExtensionDomain:
-    """Image of the domain under kappa_rho, re-orthonormalized."""
-    if domain.quotient_dim_D != len(basis):
-        raise ValueError(
-            f"domain lives in dimension {domain.quotient_dim_D}, basis has {len(basis)} functions"
-        )
-    moved = kappa_matrix(basis, rho) @ domain.basis_matrix
-    if moved.shape[1] == 0:
-        return ExtensionDomain(domain.quotient_dim_D, moved)
-    q, _ = np.linalg.qr(moved)
-    return ExtensionDomain(domain.quotient_dim_D, q)
+    """Image of the line under kappa_rho."""
+    if len(basis) != 2:
+        raise ValueError(f"the line lives in a 2-dimensional quotient, basis has {len(basis)} functions")
+    return ExtensionDomain.line(kappa_matrix(basis, rho) @ domain.coeffs)
 
 
 def grassmann_distance(s1: ExtensionDomain, s2: ExtensionDomain) -> float:
-    """Sine of the largest principal angle between two equi-dimensional subspaces."""
-    if s1.quotient_dim_D != s2.quotient_dim_D:
-        raise ValueError("subspaces live in different quotient dimensions")
-    if s1.dim_d != s2.dim_d:
-        raise ValueError("subspaces have different dimensions")
-    return span_distance(s1.basis_matrix, s2.basis_matrix)
+    """Sine of the angle between two extension lines."""
+    return line_distance(s1.coeffs, s2.coeffs)
 
 
 def default_rho_schedule(length: int = 64) -> np.ndarray:

@@ -27,8 +27,7 @@ __all__ = [
     "WeightedSobolevParams",
     "complex_to_pair",
     "complex_from_pair",
-    "matrix_to_json",
-    "matrix_from_json",
+    "line_distance",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -46,17 +45,6 @@ def complex_from_pair(v, name: str = "value") -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(_number(v[0], name), _number(v[1], name))
     return complex(_number(v, name))
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    out = np.array([[complex_from_pair(v) for v in row] for row in rows], dtype=complex)
-    if out.size == 0:
-        out = out.reshape(len(rows), 0)
-    return out
 
 
 def _number(value, name: str, integral: bool = False):
@@ -227,7 +215,7 @@ class Ray:
     angle_theta: float
 
     def __post_init__(self):
-        th = float(self.angle_theta)
+        th = _number(self.angle_theta, "ray angle")
         if not math.isfinite(th):
             raise ValueError(f"ray angle must be finite, got {th!r}")
         th %= TWO_PI
@@ -305,73 +293,43 @@ class CompletenessCertificate:
         }
 
 
-def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
-    if mat.shape[1] == 0:
-        return mat
-    q, _ = np.linalg.qr(mat)
-    return q
-
-
-def span_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral norm of the difference of orthogonal projectors onto the column spans.
-
-    Equals the sine of the largest principal angle when the spans have
-    equal dimension; computed without the 1 - cos^2 cancellation so that
-    identical spans come out at round-off level.
-    """
-    qa = _orthonormal_columns(np.asarray(a, dtype=complex))
-    qb = _orthonormal_columns(np.asarray(b, dtype=complex))
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    diff = pa - pb
-    if diff.size == 0:
-        return 0.0
-    return float(np.linalg.svd(diff, compute_uv=False)[0])
+def line_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """|sin| of the angle between the complex lines of two unit 2-vectors: |u0 v1 - u1 v0|."""
+    return abs(u[0] * v[1] - u[1] * v[0])
 
 
 @dataclass(frozen=True, eq=False)
 class ExtensionDomain:
-    """A d-dimensional subspace of the D-dimensional domain quotient.
+    """A line [a : b] in the 2-dimensional domain quotient of the one singular pair.
 
-    Coordinates are taken in the canonical singular-function basis; the
-    subspace is the column span of basis_matrix (shape (D, d), full
-    column rank).  Equality means equal spans.
+    Coordinates are taken in the canonical singular-function basis.  The
+    line is stored through its unit representative coeffs: (a, b)
+    divided by its largest real or imaginary part, then by its norm, so
+    that nothing overflows or underflows.  Equality means the same line.
     """
 
-    quotient_dim_D: int
-    basis_matrix: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.basis_matrix, dtype=complex)
-        if mat.ndim != 2:
-            raise ValueError("basis_matrix must be 2-dimensional (D x d)")
-        if mat.shape[0] != self.quotient_dim_D:
-            raise ValueError(
-                f"basis_matrix has {mat.shape[0]} rows, expected quotient_dim_D={self.quotient_dim_D}"
-            )
-        if mat.shape[1] > mat.shape[0]:
-            raise ValueError("more columns than quotient dimension")
-        if mat.shape[1] > 0:
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
-                raise ValueError("basis_matrix must have full column rank")
-        mat.flags.writeable = False
-        object.__setattr__(self, "basis_matrix", mat)
-
-    @property
-    def dim_d(self) -> int:
-        return self.basis_matrix.shape[1]
+        c = np.array(self.coeffs, dtype=complex)
+        if c.shape != (2,):
+            raise ValueError(f"an extension line needs two coefficients, got shape {c.shape}")
+        parts = c.view(float)
+        top = np.max(np.abs(parts))
+        if not math.isfinite(top) or top == 0.0:  # also catches nan
+            raise ValueError(f"extension coefficients must be finite and not both 0, got {tuple(c.tolist())}")
+        parts /= top
+        parts /= math.hypot(*parts)
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def line(cls, coeffs) -> "ExtensionDomain":
-        """One-dimensional subspace spanned by the given coordinate vector."""
-        col = np.asarray(coeffs, dtype=complex).reshape(-1, 1)
-        return cls(quotient_dim_D=col.shape[0], basis_matrix=col)
+        """The line [a : b] through the coordinate pair coeffs = (a, b)."""
+        return cls(coeffs)
 
     def same_span(self, other: "ExtensionDomain", tol: float = 1e-12) -> bool:
-        if self.quotient_dim_D != other.quotient_dim_D or self.dim_d != other.dim_d:
-            return False
-        return span_distance(self.basis_matrix, other.basis_matrix) <= tol
+        return line_distance(self.coeffs, other.coeffs) <= tol
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionDomain):
@@ -379,18 +337,12 @@ class ExtensionDomain:
         return self.same_span(other)
 
     def to_json_dict(self) -> dict:
-        return {
-            "quotient_dim_D": self.quotient_dim_D,
-            "basis_matrix": matrix_to_json(self.basis_matrix),
-        }
+        return {"coeffs": [complex_to_pair(z) for z in self.coeffs]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExtensionDomain":
-        _check_known_keys(d, {"quotient_dim_D", "basis_matrix"}, "ExtensionDomain")
-        return cls(
-            quotient_dim_D=int(d["quotient_dim_D"]),
-            basis_matrix=matrix_from_json(d["basis_matrix"]),
-        )
+        _check_known_keys(d, {"coeffs"}, "ExtensionDomain")
+        return cls([complex_from_pair(v, "ExtensionDomain coeffs") for v in d["coeffs"]])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .model import (
     RayVerdict,
     SectorLink,
     complex_to_pair,
+    line_distance,
 )
 
 __all__ = [
@@ -138,23 +139,9 @@ def decaying_trace(model: ConeModelOperator, mode_k: int, lam: complex) -> Decay
     return DecayingSolutionTrace(mode_k=mode_k, lam=lam, coeffs=coeffs)
 
 
-def _sine_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """|sin| of the angle between two nonzero 2-vectors (complex lines).
-
-    Each is scaled by its largest modulus first, so that no norm
-    underflows or overflows.
-    """
-    u, v = (x / np.max(np.abs(x)) for x in (u, v))
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    return abs(u[0] * v[1] - u[1] * v[0])
-
-
 def _invertible(domain: ExtensionDomain, trace: DecayingSolutionTrace) -> bool:
-    """Whether the trace is not collinear with the line of a 1-dimensional domain."""
-    if domain.quotient_dim_D != 2 or domain.dim_d != 1:
-        raise ValueError("scope: quotient_dim_D = 2 with a 1-dimensional domain required")
-    return bool(_sine_angle(trace.coeffs, domain.basis_matrix[:, 0]) >= COLLINEAR_TOL)
+    """Whether the trace is not collinear with the domain line."""
+    return bool(line_distance(trace.coeffs, domain.coeffs) >= COLLINEAR_TOL)
 
 
 def _traces(model: ConeModelOperator, lams) -> list:
@@ -168,7 +155,7 @@ def _traces(model: ConeModelOperator, lams) -> list:
 def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: complex) -> bool:
     """Whether the normal operator on the given domain is invertible at lambda.
 
-    Scope: quotient dimension 2 with a one-dimensional domain.  The
+    Scope: a quotient spanned by one mode's pair (see strip_mode).  The
     operator fails to be invertible exactly when the decaying trace is
     collinear with the domain line (then the decaying solution satisfies
     the domain's boundary condition, i.e. lambda is an eigenvalue).
@@ -201,7 +188,7 @@ def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=No
             if not _invertible(line, trace):
                 witness = {
                     "lambda": complex_to_pair(trace.lam),
-                    "domain": [complex_to_pair(z) for z in line.basis_matrix[:, 0]],
+                    "domain": [complex_to_pair(z) for z in line.coeffs],
                 }
                 note = "decaying trace is collinear with the domain line at the witness lambda"
                 return RayVerdict(ray, "Fails", witness=witness, note=note)

@@ -53,7 +53,7 @@ import scipy.linalg
 from scipy.special import gamma as _gamma_fn
 from scipy.special import jv, jvp, yv
 
-from .model import SLOPE_WINDOW, CompletenessCertificate, Ray, RayVerdict
+from .model import SLOPE_WINDOW, CompletenessCertificate, Ray, RayVerdict, _number
 
 __all__ = [
     "IllConditionedMass",
@@ -705,10 +705,14 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     so its extreme singular values are found by bisection on an O(n)
     count, each inside the bracket that Weyl's inequality gives for a
     rank-one update of norm |tau| ||w||^2.  Returns +inf when lambda is
-    (numerically) an eigenvalue: sigma_min < 1e-13 sigma_max.
+    (numerically) an eigenvalue: sigma_min < 1e-13 sigma_max.  A
+    non-finite lambda raises ValueError.
     """
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     mu, weights, tau = result.rank_one_form
-    d = mu - complex(lam)
+    d = mu - lam
     moduli2 = d.real**2 + d.imag**2
     spread = abs(tau) * float(weights.sum())
 
@@ -730,10 +734,8 @@ def ray_resolvent_norms(ray: Ray, radii: Sequence[float], result: SpectralResult
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise ValueError("need at least 3 probe radii for a slope fit")
-    if any(r <= 0.0 for r in radii) or any(
-        r1 <= r0 for r0, r1 in zip(radii, radii[1:])
-    ):
-        raise ValueError("probe radii must be positive and strictly increasing")
+    if not all(0.0 < r < math.inf for r in radii) or any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
+        raise ValueError("probe radii must be positive, finite and strictly increasing")
     trust = result.trust_limit
     if radii[-1] > trust * (1.0 + 1e-12):
         raise TrustLimitExceeded(
@@ -1172,6 +1174,7 @@ def completeness_certificate(n: int, m: int, verdicts) -> CompletenessCertificat
     verdicts = tuple(verdicts)
     if not verdicts:
         raise ValueError("need at least one ray verdict")
+    n, m = _number(n, "n", integral=True), _number(m, "m", integral=True)
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive integers")
     angles = np.sort(np.array([v.ray.angle_theta for v in verdicts], dtype=float))
@@ -1185,8 +1188,8 @@ def completeness_certificate(n: int, m: int, verdicts) -> CompletenessCertificat
         max_gap <= math.pi * m / n + 1e-12
     )
     return CompletenessCertificate(
-        n=int(n),
-        m=int(m),
+        n=n,
+        m=m,
         schatten_p=n / m,
         rays=verdicts,
         max_gap=max_gap,

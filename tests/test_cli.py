@@ -721,6 +721,22 @@ class TestExtensionLineScale:
                 assert (out / name).read_bytes() == (unit_out / name).read_bytes(), name
 
 
+class TestFlowPrecision:
+    def test_power_regime_distances_match_the_closed_form(self, tmp_path, capsys):
+        # on the 3π/2 sector nu = 2/3, so [1 : i] flows to [rho^(2/3) : i rho^(-2/3)],
+        # whose sine to the limit [0 : 1] is rho^(4/3) / sqrt(1 + rho^(8/3))
+        def exact(rho):
+            return rho ** (4.0 / 3.0) / math.sqrt(1.0 + rho ** (8.0 / 3.0))
+
+        assert run_cli("example53", "--a", 1, "--b-im", 1, "--out", tmp_path) == 0
+        rows = (tmp_path / "flow.csv").read_text().strip().splitlines()[1:]
+        for rho, dist in (map(float, row.split(",")) for row in rows):
+            assert dist == pytest.approx(exact(rho), rel=1e-12, abs=0.0), rho
+        payload = read_json(tmp_path / "flow.json")
+        assert payload["distance_regime"] == "power"
+        assert payload["terminal_distance_at_1e-8"] == pytest.approx(exact(1e-8), rel=1e-12, abs=0.0)
+
+
 class TestThreadCounts:
     def test_spectrum_stage_agrees_across_blas_thread_counts(self, tmp_path):
         # threaded BLAS-3 in the eigensolve rounds differently per thread

@@ -173,9 +173,10 @@ class TestPencilAssembly:
         (SECTOR, 1, (1.0, 1.0j), 2.0 / 3.0),
     ])
     def test_enrichment_mass_matches_quadrature(self, grid, model, k, ab, nu):
-        # M[E,E] = integral of |omega s0|^2 x dx, tip part in closed form
-        a, b = ab
-        pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line([a, b]))
+        # M[E,E] = integral of |omega s0|^2 x dx, tip part in closed form, for
+        # the pair the pencil enriches with: the line's unit representative
+        pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line(list(ab)))
+        a, b = pen.enrichment_coeffs
         if nu == 0.0:
             s0 = lambda x: a + b * np.log(x)
         else:
@@ -193,8 +194,8 @@ class TestPencilAssembly:
 
     def test_hat_enrichment_mass_matches_quadrature(self, grid):
         # spot-check one coupling row entry against direct quadrature
-        a, b = 1.0, 1.0
-        pen = assemble_mode_pencil(CLOSED, 0, grid, ExtensionDomain.line([a, b]))
+        pen = assemble_mode_pencil(CLOSED, 0, grid, ExtensionDomain.line([1.0, 1.0]))
+        a, b = pen.enrichment_coeffs
         # row i is the hat peaked at nodes[i+1] with support [nodes[i], nodes[i+2]]
         i = 5
         xl, xm, xr = grid.nodes[i], grid.nodes[i + 1], grid.nodes[i + 2]
@@ -210,7 +211,7 @@ class TestPencilAssembly:
             w = cutoff(np.array([x]), 1.0)[0][0]
             return hat(x) * w * (a + b * math.log(x)) * x
 
-        ref = quad(integrand, xl, xr, points=[xm], limit=200)[0]
+        ref = quad_complex(integrand, xl, xr, points=[xm], limit=200)
         assert pen.M[i, -1] == pytest.approx(ref, rel=1e-9)
 
     def test_coupling_row_is_conjugate_column(self, grid):
@@ -410,7 +411,7 @@ class TestBatchedAssemblyIsBitIdentical:
             grid = RadialGrid.uniform(1.0, N_h)
         domain = None if ab is None else ExtensionDomain.line(list(ab))
         pen = assemble_mode_pencil(model, k, grid, domain)
-        K, M = loop_assembly(grid.nodes, pen.nu, 1.0, ab)
+        K, M = loop_assembly(grid.nodes, pen.nu, 1.0, pen.enrichment_coeffs)
         assert np.array_equal(pen.K, K) and np.array_equal(pen.M, M)
         # signed zeros too: pencil.bin stores the bits
         assert pen.K.tobytes() == K.tobytes() and pen.M.tobytes() == M.tobytes()
@@ -484,6 +485,17 @@ class TestPersistence:
         export_pencil(pen, p1)
         export_pencil(pen, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rescaled_line_writes_the_same_pencil(self, tmp_path):
+        # the line stores its unit representative, so every t (1, i) enriches with one pair
+        grid = RadialGrid.geometric(1.0, 60, 0.9)
+        dumps = []
+        for t in (1e-300, 1.0, 100.0, 1e200):
+            path = tmp_path / f"pencil{len(dumps)}.bin"
+            line = ExtensionDomain.line([t, complex(0.0, t)])
+            export_pencil(assemble_mode_pencil(SECTOR, 1, grid, line), path)
+            dumps.append(path.read_bytes())
+        assert dumps == [dumps[1]] * 4
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

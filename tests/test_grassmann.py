@@ -69,11 +69,17 @@ class TestKappaMatrix:
 
 
 class TestFlow:
-    def test_flow_preserves_dimension(self, sector_basis):
+    def test_flow_returns_the_unit_representative(self, sector_basis):
         dom = ExtensionDomain.line([1.0, 1.0])
         out = flow(dom, sector_basis, 0.1)
-        assert out.quotient_dim_D == 2
-        assert out.dim_d == 1
+        assert out.coeffs.shape == (2,)
+        assert np.linalg.norm(out.coeffs) == pytest.approx(1.0, abs=1e-15)
+        # kappa_rho [a, b] = [a rho^nu, b rho^-nu] with nu = 2/3
+        assert out.coeffs[0] / out.coeffs[1] == pytest.approx(0.1 ** (4.0 / 3.0), rel=1e-14)
+
+    def test_basis_must_span_a_pair(self, closed_basis):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            flow(ExtensionDomain.line([1.0, 0.0]), closed_basis[:1], 0.5)
 
     def test_power_flow_favors_weaker_exponent(self, sector_basis):
         # kappa_rho [a, b] ~ [a rho^nu, b rho^-nu]; b wins as rho -> 0

@@ -14,9 +14,7 @@ from conespectra.model import (
     WeightedSobolevParams,
     complex_from_pair,
     complex_to_pair,
-    matrix_from_json,
-    matrix_to_json,
-    span_distance,
+    line_distance,
 )
 
 
@@ -129,24 +127,54 @@ class TestRay:
         with pytest.raises(ValueError, match="finite"):
             Ray(theta)
 
+    @pytest.mark.parametrize("theta", ["1.5", True, None, 1.0 + 0.0j])
+    def test_non_number_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="a number"):
+            Ray(theta)
+
     def test_json_dict(self):
         assert Ray(1.0).to_json_dict() == {"angle_theta": 1.0}
 
 
+def projector_distance(u, v) -> float:
+    """The subspace distance the line type replaced, kept as a reference.
+
+    The spectral norm of the difference of the orthogonal projectors onto
+    the two spans, from a QR of each vector and one SVD.
+    """
+    qa, _ = np.linalg.qr(np.asarray(u, dtype=complex).reshape(-1, 1))
+    qb, _ = np.linalg.qr(np.asarray(v, dtype=complex).reshape(-1, 1))
+    return float(np.linalg.svd(qa @ qa.conj().T - qb @ qb.conj().T, compute_uv=False)[0])
+
+
 class TestExtensionDomain:
-    def test_line_shape_and_dim(self):
+    def test_line_stores_its_unit_representative(self):
         dom = ExtensionDomain.line([1.0, 2.0])
-        assert dom.quotient_dim_D == 2
-        assert dom.dim_d == 1
-        assert dom.basis_matrix.shape == (2, 1)
+        assert dom.coeffs.shape == (2,)
+        assert np.linalg.norm(dom.coeffs) == pytest.approx(1.0, abs=1e-15)
+        assert dom.coeffs[1] / dom.coeffs[0] == pytest.approx(2.0, rel=1e-15)
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(ValueError, match="full column rank"):
-            ExtensionDomain(quotient_dim_D=2, basis_matrix=np.array([[1.0, 2.0], [2.0, 4.0]]))
+    @pytest.mark.parametrize("t", [1e-300, 1e-170, 1.0, 100.0, 1e200, 1e300])
+    def test_rescaled_pairs_give_the_same_bits(self, t):
+        unit = ExtensionDomain.line([1.0, 1.0j]).coeffs
+        assert ExtensionDomain.line([t, complex(0.0, t)]).coeffs.tobytes() == unit.tobytes()
 
-    def test_row_count_must_match_quotient_dim(self):
-        with pytest.raises(ValueError, match="rows"):
-            ExtensionDomain(quotient_dim_D=3, basis_matrix=np.eye(2))
+    def test_subnormal_pair_is_a_line(self):
+        assert ExtensionDomain.line([1e-320, 0.0]).coeffs.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("coeffs", [
+        [math.nan, 1.0],
+        [1.0, complex(0.0, math.nan)],
+        [math.inf, 1.0],
+        [1.0, -math.inf],
+        [0.0, 0.0],
+        [1.0],
+        [1.0, 2.0, 3.0],
+        [[1.0], [2.0]],
+    ])
+    def test_invalid_lines_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            ExtensionDomain.line(coeffs)
 
     def test_equality_is_span_equality(self):
         a = ExtensionDomain.line([1.0, 1.0])
@@ -158,37 +186,39 @@ class TestExtensionDomain:
         d = ExtensionDomain.line([1.0j, 1.0j])
         assert a == d
 
-    def test_basis_matrix_is_frozen(self):
+    def test_coeffs_are_frozen(self):
         dom = ExtensionDomain.line([1.0, 0.0])
         with pytest.raises(ValueError):
-            dom.basis_matrix[0, 0] = 5.0
+            dom.coeffs[0] = 5.0
 
     def test_json_round_trip(self):
         dom = ExtensionDomain.line([1.0, 2.0 + 3.0j])
         back = ExtensionDomain.from_json_dict(dom.to_json_dict())
         assert back == dom
+        assert back.coeffs.tobytes() == dom.coeffs.tobytes()
 
-    def test_span_distance_basic_values(self):
-        e1 = np.array([[1.0], [0.0]])
-        e2 = np.array([[0.0], [1.0]])
-        assert span_distance(e1, e1) <= 1e-14
-        assert span_distance(e1, e2) == pytest.approx(1.0, abs=1e-12)
-        diag = np.array([[1.0], [1.0]])
-        # sine of the 45 degree principal angle
-        assert span_distance(e1, diag) == pytest.approx(math.sin(math.pi / 4), rel=1e-12)
+    def test_line_distance_matches_the_projector_formula_at_every_scale(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if rng.random() < 0.25:  # nearly the same line
+                v = u + 1e-9 * v
+            su, sv = 10.0 ** rng.uniform(-300.0, 300.0, size=2)
+            d = line_distance(ExtensionDomain.line(su * u).coeffs, ExtensionDomain.line(sv * v).coeffs)
+            assert d == pytest.approx(projector_distance(u, v), abs=1e-14)
+
+    def test_line_distance_basic_values(self):
+        e1, e2, diag = (ExtensionDomain.line(c).coeffs for c in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]))
+        assert line_distance(e1, e1) == 0.0
+        assert line_distance(e1, e2) == 1.0
+        # sine of the 45 degree angle
+        assert line_distance(e1, diag) == pytest.approx(math.sin(math.pi / 4), rel=1e-15)
 
 
 class TestSerializationHelpers:
     def test_complex_pair_round_trip(self):
         assert complex_from_pair(complex_to_pair(1.5 - 2.5j)) == 1.5 - 2.5j
         assert complex_from_pair(3) == 3.0 + 0.0j
-
-    def test_matrix_round_trip_including_empty(self):
-        m = np.array([[1.0 + 1j, 2.0], [0.0, -1j]])
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
-        empty = np.zeros((2, 0), dtype=complex)
-        back = matrix_from_json(matrix_to_json(empty))
-        assert back.shape == (2, 0)
 
     def test_sobolev_params_round_trip(self):
         p = WeightedSobolevParams(smoothness_s=1, weight=1.0, dim_n=1)

@@ -235,14 +235,16 @@ class TestRayCertificates:
             )
 
     def test_verdict_witness_is_the_first_collinear_line(self):
-        # two representatives of the eigen line at 4i, after one generic line
+        # two representatives of the eigen line at 4i, after one generic line; a
+        # positive factor would give the same unit representative, a phase does not
         coeffs = decaying_trace(SECTOR, 1, 4.0j).coeffs
-        eigen, doubled = (ExtensionDomain.line(list(c * coeffs)) for c in (1.0, 2.0))
-        lines = [ExtensionDomain.line([1.0, 1.0]), eigen, doubled]
+        eigen, turned = (ExtensionDomain.line(list(c * coeffs)) for c in (1.0, 1.0j))
+        lines = [ExtensionDomain.line([1.0, 1.0]), eigen, turned]
         verdict = ray_normal_verdict(SECTOR, Ray(0.5 * math.pi), lines, probe_radii=(1.0, 4.0))
         assert verdict.verdict == "Fails"
         assert complex(*verdict.witness["lambda"]) == pytest.approx(4.0j)
-        assert verdict.witness["domain"] == [[z.real, z.imag] for z in coeffs]
+        assert verdict.witness["domain"] == [[z.real, z.imag] for z in eigen.coeffs]
+        assert verdict.witness["domain"] != [[z.real, z.imag] for z in turned.coeffs]
 
     def test_json_payload_shape(self):
         verdict = ray_minimal_growth_normal(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi))

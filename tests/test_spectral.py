@@ -207,6 +207,12 @@ class TestResolventNorm:
         pen = make_pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
         assert resolvent_norm(solve_pencil(pen), 2.0) == math.inf
 
+    @pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.nan), math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_lambda_rejected(self, friedrichs_result, lam):
+        # a NaN midpoint would keep the bisection from ever closing its bracket
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_norm(friedrichs_result, lam)
+
     def test_negative_ray_bound_on_friedrichs_sector(self, friedrichs_result):
         # positive operator: r * ||R(-r)|| <= r / (r + lambda_1) < 1
         for r in (1.0, 10.0, 100.0, 1000.0):
@@ -623,6 +629,11 @@ class TestRayMinimalGrowthFull:
             ray_minimal_growth_full(Ray(0.5 * math.pi), (1.0, 10.0), result=friedrichs_result)
         with pytest.raises(ValueError):
             ray_minimal_growth_full(Ray(0.5 * math.pi), (10.0, 1.0, 100.0), result=friedrichs_result)
+
+    @pytest.mark.parametrize("radii", [(math.nan, 1.0, 10.0), (1.0, math.nan, 10.0), (1.0, 10.0, math.inf)])
+    def test_non_finite_radii_rejected(self, friedrichs_result, radii):
+        with pytest.raises(ValueError, match="finite"):
+            spectral.ray_resolvent_norms(Ray(0.5 * math.pi), radii, friedrichs_result)
 
 
 class TestRayVerdictInvariants:
@@ -1185,6 +1196,17 @@ class TestCompletenessCertificate:
     def test_needs_at_least_one_verdict(self):
         with pytest.raises(ValueError):
             completeness_certificate(2, 2, [])
+
+    @pytest.mark.parametrize("n, m", [(2.5, 2), (2, 1.5), (True, 2), ("2", 2), (2, None)])
+    def test_non_integer_dimensions_rejected(self, n, m):
+        # 2.5 would be recorded as n = 2 beside schatten_p = 1.25
+        with pytest.raises(ValueError, match="integer"):
+            completeness_certificate(n, m, [self.minimal(0.5 * math.pi)])
+
+    def test_integral_float_dimensions_are_integers(self):
+        cert = completeness_certificate(2.0, 2.0, [self.minimal(0.5 * math.pi)])
+        assert (cert.n, cert.m, cert.schatten_p) == (2, 2, 1.0)
+        assert isinstance(cert.n, int) and isinstance(cert.m, int)
 
     def test_inconsistent_flag_rejected(self):
         with pytest.raises(ValueError):
