@@ -20,9 +20,9 @@ from .indicial import (
     singular_basis,
 )
 from .grassmann import (
+    RHO_SCHEDULE,
     NonConvergent,
     NonpositiveRho,
-    default_rho_schedule,
     flow,
     grassmann_distance,
     kappa_matrix,

@@ -60,9 +60,9 @@ from .indicial import (
     singular_basis,
 )
 from .grassmann import (
+    RHO_SCHEDULE,
     NonConvergent,
     _orbit_and_limits,
-    default_rho_schedule,
     grassmann_distance,
 )
 from .normalop import ray_normal_verdict, strip_mode
@@ -366,10 +366,9 @@ def _combined_verdict(full: RayVerdict, normal: RayVerdict) -> RayVerdict:
 
 @dataclass
 class Run:
-    """One CLI run: the config, stage options, and the records so far."""
+    """One CLI run: the config and the records so far."""
 
     cfg: ExperimentConfig
-    schedule_len: int = 64
     records: dict = field(default_factory=dict)
 
 
@@ -426,24 +425,23 @@ def _flow(run: Run) -> Record:
         )
     mode_k, nu = strip_mode(cfg.model)
     domain = cfg.line
-    schedule = default_rho_schedule(run.schedule_len)
-    orbit, limits = _orbit_and_limits(domain, basis, schedule)
+    orbit, limits = _orbit_and_limits(domain, basis)
     expected, regime = _flow_expectation(domain, nu)
     rows = []
     # Log-regime flows approach the limit like 1/|log rho|, so the clustered
     # terminal representative is still O(1/|log rho_min|) away from the ideal
     # line; match it inside the same envelope used for the distance rows.
     if regime == "log":
-        limit_tol = 10.0 / abs(math.log(schedule[-1]))
+        limit_tol = 10.0 / abs(math.log(RHO_SCHEDULE[-1]))
     else:
         limit_tol = 1e-2
     ok = len(limits) == 1 and limits[0].same_span(expected, tol=limit_tol)
-    for rho, flowed in zip(schedule, orbit):
+    for rho, flowed in zip(RHO_SCHEDULE, orbit):
         dist = grassmann_distance(flowed, expected)
         rows.append((float(rho), dist))
         if regime == "log" and rho <= 1e-2 and dist > 10.0 / abs(math.log(rho)):
             ok = False
-    # row 32 is rho = 10^(-32/4), which is 1e-8 exactly (SCHEDULE_LEN_RANGE starts at 33)
+    # row 32 is rho = 10^(-32/4), which is 1e-8 exactly
     terminal = rows[31][1]
     if regime == "power":
         ok = ok and terminal < 1e-3
@@ -457,7 +455,7 @@ def _flow(run: Run) -> Record:
         "expected_limit": _column(expected),
         "terminal_distance_at_1e-8": terminal,
         "distance_regime": regime,
-        "schedule_length": int(run.schedule_len),
+        "schedule_length": len(orbit),
         "ok": bool(ok),
     }
     return Record(payload, tables={"flow.csv": (("rho", "distance"), rows)}, result=tuple(limits))
@@ -628,17 +626,6 @@ def _rays_off_cut(run: Run) -> None:
         raise ConfigError("theta = 0 lies on the spectral cut")
 
 
-# the flow schedule 10^(-j/4), j = 1..L, must reach below 1e-8 (omega_minus; row
-# 32 is 1e-8 itself, the terminal distance) and end on a normal float
-SCHEDULE_LEN_RANGE = (33, math.floor(-4.0 * math.log10(np.finfo(float).tiny)))
-
-
-def _schedule_in_range(run: Run) -> None:
-    low, high = SCHEDULE_LEN_RANGE
-    if not low <= run.schedule_len <= high:
-        raise ConfigError(f"--schedule-len must be in [{low}, {high}]")
-
-
 def _pencil_weight(run: Run) -> None:
     if run.cfg.model.weight_gamma != -1.0:
         raise ConfigError(
@@ -761,7 +748,7 @@ STAGES = (
             f"({p['distance_regime']} regime): {'ok' if p['ok'] else 'MISS'}"
         ),
         "flow",
-        scope=(_schedule_in_range, _one_pair_quotient),
+        scope=(_one_pair_quotient,),
     ),
     Stage(
         "normal-check",
@@ -920,8 +907,7 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 
 def _run_command(cfg: ExperimentConfig, args) -> int:
     stage = STAGE[args.command]
-    run = Run(cfg, schedule_len=getattr(args, "schedule_len", 64))
-    payload = _run_stages(run, _with_needs(stage.name))[stage.name].payload
+    payload = _run_stages(Run(cfg), _with_needs(stage.name))[stage.name].payload
     print(stage.show(payload))
     return 1 if stage.gated and not payload["ok"] else 0
 
@@ -963,7 +949,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name, help_text, handler=_run_command, kind="sector", extra=None):
+    def add(name, help_text, handler=_run_command, kind="sector"):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, default=None, metavar="PATH")
         sp.add_argument("--alpha", type=float, default=None, help="sector opening angle")
@@ -975,19 +961,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--theta", type=float, default=None, help="single ray angle")
         sp.add_argument("--nh", type=int, default=None, help="radial grid size")
         sp.add_argument("--out", type=Path, default=None, metavar="DIR")
-        if extra is not None:
-            extra(sp)
         sp.set_defaults(handler=handler, default_kind=kind)
         return sp
 
     add("indicial", "boundary spectrum and singular basis")
-    add(
-        "flow",
-        "dilation flow of the extension line and its limit set",
-        extra=lambda sp: sp.add_argument(
-            "--schedule-len", type=int, default=64, dest="schedule_len"
-        ),
-    )
+    add("flow", "dilation flow of the extension line and its limit set")
     add("normal-check", "exact tip-operator ray criterion")
     add("spectrum", "mode pencil eigenvalues vs the secular oracle")
     add("resolvent", "resolvent norms and growth slopes along rays")

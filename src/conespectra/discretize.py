@@ -202,14 +202,14 @@ class ArrowTridiagonal:
             )
         return cls(diag.real, off.real, A[:core, core:].T, np.diagonal(A[core:, core:]))
 
-    def dense(self, order: str = "C") -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """The n x n complex matrix.
 
         Every entry but the corner is added onto zeros, as assembly adds
         its cell integrals, so a zero's sign is that of the cell loop's.
         """
         core = len(self.diag)
-        A = np.zeros((self.size, self.size), dtype=complex, order=order)
+        A = np.zeros((self.size, self.size), dtype=complex)
         dof = np.arange(core)
         A[dof, dof] += self.diag
         A[dof[:-1], dof[1:]] += self.off

@@ -66,13 +66,6 @@ class DecayingSolutionTrace:
     lam: complex
     coeffs: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode_k": self.mode_k,
-            "lambda": complex_to_pair(self.lam),
-            "coeffs": [complex_to_pair(c) for c in self.coeffs],
-        }
-
 
 def _check_off_cut(lam: complex) -> complex:
     lam = complex(lam)
@@ -99,30 +92,26 @@ def strip_mode(model: ConeModelOperator):
     return k, math.sqrt(model.geometry.mu(k))
 
 
-def decaying_trace(model: ConeModelOperator, mode_k: int, lam: complex) -> DecayingSolutionTrace:
+def decaying_trace(model: ConeModelOperator, lam: complex) -> DecayingSolutionTrace:
     """Coordinates of the decaying solution K_nu(sqrt(-lambda) x) in the quotient.
 
-    Uses the small-argument series of K_nu: with w = sqrt(-lambda)
-    (principal branch, Re w > 0) and A = pi / (2 sin(nu pi)),
+    Uses the small-argument series of K_nu in the strip mode's order nu
+    (see strip_mode): with w = sqrt(-lambda) (principal branch,
+    Re w > 0) and A = pi / (2 sin(nu pi)),
 
         K_nu(w x) = -A (w/2)^{+nu} / Gamma(1+nu) * x^{+nu}
                     + A (w/2)^{-nu} / Gamma(1-nu) * x^{-nu} + O(x^{2-nu}),
 
     and for nu = 0: K_0(w x) = -(log(w/2) + gamma_E) * 1 - 1 * log x + O(x^2 log x).
-    The coefficient pair is returned normalized to unit norm.  The mode
-    must contribute exactly that pair to the quotient; a one-function
-    quotient (integer nu >= 1, where A is infinite) is rejected.
+    The coefficient pair is returned normalized to unit norm.  A model
+    whose quotient is not one mode's pair is rejected, a one-function
+    quotient (integer nu >= 1, where A is infinite) among them.
     """
     lam = _check_off_cut(lam)
-    count = sum(sf.mode_k == mode_k for sf in singular_basis(model))
-    if count == 0:
-        raise ValueError(f"mode {mode_k} contributes no singular functions for this weight")
-    if count != 2:
-        raise ValueError(
-            f"mode {mode_k} has a {count}-function quotient; the K_nu series "
-            "covers the two-function pair only"
-        )
-    nu = math.sqrt(model.geometry.mu(mode_k))
+    sm = strip_mode(model)
+    if sm is None:
+        raise ValueError(_ONE_PAIR_SCOPE)
+    mode_k, nu = sm
     w = np.sqrt(complex(-lam))  # principal branch; Re w > 0 off the cut
     if nu == 0.0:
         coeffs = np.array([-(np.log(w / 2.0) + np.euler_gamma), -1.0], dtype=complex)
@@ -144,14 +133,6 @@ def _invertible(domain: ExtensionDomain, trace: DecayingSolutionTrace) -> bool:
     return bool(line_distance(trace.coeffs, domain.coeffs) >= COLLINEAR_TOL)
 
 
-def _traces(model: ConeModelOperator, lams) -> list:
-    """The decaying trace at each lambda, in the mode whose pair spans the quotient."""
-    sm = strip_mode(model)
-    if sm is None:
-        raise ValueError(_ONE_PAIR_SCOPE)
-    return [decaying_trace(model, sm[0], lam) for lam in lams]
-
-
 def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: complex) -> bool:
     """Whether the normal operator on the given domain is invertible at lambda.
 
@@ -160,7 +141,7 @@ def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: co
     collinear with the domain line (then the decaying solution satisfies
     the domain's boundary condition, i.e. lambda is an eigenvalue).
     """
-    return _invertible(domain, _traces(model, [lam])[0])
+    return _invertible(domain, decaying_trace(model, lam))
 
 
 def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=None) -> RayVerdict:
@@ -182,7 +163,7 @@ def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=No
     if not all(0.0 < r < math.inf for r in radii):
         raise ValueError("probe radii must be positive and finite")
     # the trace depends on lambda only: one per radius serves every line
-    traces = _traces(model, [r * cmath.exp(1j * theta) for r in radii])
+    traces = [decaying_trace(model, r * cmath.exp(1j * theta)) for r in radii]
     for line in lines:
         for trace in traces:
             if not _invertible(line, trace):

@@ -20,7 +20,7 @@ from conespectra.discretize import (
     assemble_mode_pencil,
 )
 from conespectra.grassmann import (
-    default_rho_schedule,
+    RHO_SCHEDULE,
     flow,
     grassmann_distance,
     omega_minus,
@@ -140,14 +140,14 @@ def test_criterion_1_indicial_structure(capsys):
 def test_criterion_2_flow_limits(capsys):
     budget = 1.0
     t0 = time.perf_counter()
-    schedule = default_rho_schedule()
+    schedule = RHO_SCHEDULE
     checks = []
 
     closed_basis = singular_basis(CLOSED)
     friedrichs_closed = ExtensionDomain.line([1.0, 0.0])
     for a, b in EXTENSIONS:
         domain = ExtensionDomain.line([a, b])
-        limits = omega_minus(domain, closed_basis, schedule)
+        limits = omega_minus(domain, closed_basis)
         tol = 10.0 / abs(math.log(schedule[-1]))
         ok = len(limits) == 1 and limits[0].same_span(friedrichs_closed, tol=tol)
         terminal = grassmann_distance(flow(domain, closed_basis, 1e-8), friedrichs_closed)
@@ -162,7 +162,7 @@ def test_criterion_2_flow_limits(capsys):
     for a, b in EXTENSIONS:
         domain = ExtensionDomain.line([a, b])
         expected = ExtensionDomain.line([1.0, 0.0] if b == 0 else [0.0, 1.0])
-        limits = omega_minus(domain, sector_basis, schedule)
+        limits = omega_minus(domain, sector_basis)
         terminal = grassmann_distance(flow(domain, sector_basis, 1e-8), expected)
         checks.append(
             len(limits) == 1
@@ -210,8 +210,8 @@ def test_criterion_3_normal_operator_ray_certificates(capsys):
     # an eigenvalue of the tip operator, and 10 is a default probe radius
     lam0 = 10.0j
     eigen_checks = []
-    for model, mode_k in ((CLOSED, 0), (SECTOR, 1)):
-        eigen_domain = ExtensionDomain.line(decaying_trace(model, mode_k, lam0).coeffs)
+    for model in (CLOSED, SECTOR):
+        eigen_domain = ExtensionDomain.line(decaying_trace(model, lam0).coeffs)
         v = ray_minimal_growth_normal(model, eigen_domain, Ray(0.5 * math.pi))
         hit = v.verdict == "Fails" and v.witness is not None
         if hit:

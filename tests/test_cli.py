@@ -6,6 +6,7 @@ the installed console script, ``python -m conespectra``, a clean stderr
 and the spectrum stage at two BLAS thread counts.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -108,16 +109,6 @@ class TestConfigErrors:
     def test_theta_zero_normal_check_exits_2(self, tmp_path, capsys):
         assert run_cli("normal-check", "--theta", 0.0, "--out", tmp_path) == 2
         assert "cut" in capsys.readouterr().err
-
-    def test_short_flow_schedule_exits_2(self, tmp_path, capsys):
-        assert run_cli("flow", "--schedule-len", 4, "--out", tmp_path) == 2
-        assert "schedule-len" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("length", [32, 1231, 1300, 100_000_000])
-    def test_flow_schedule_out_of_range_exits_2_and_names_the_range(self, length, tmp_path, capsys):
-        # 10^(-L/4) must reach below 1e-8 and stay a normal float; no schedule is built
-        assert run_cli("flow", "--schedule-len", length, "--out", tmp_path) == 2
-        assert "--schedule-len must be in [33, 1230]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -423,6 +414,23 @@ FLAG_SETS = st.tuples(
 ).map(lambda flags: [arg for flag in flags for arg in flag])
 
 
+class TestParser:
+    def test_every_subcommand_takes_exactly_the_readme_flags(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = text.split("Every subcommand accepts", 1)[1].split(". ", 1)[0]
+        documented = set(re.findall(r"--[a-z-]+", sentence))
+        assert documented == {
+            "--config", "--alpha", "--gamma", "--a", "--a-im",
+            "--b", "--b-im", "--theta", "--nh", "--out",
+        }
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(SUBCOMMANDS)
+        for name, sp in sub.choices.items():
+            flags = {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+            assert flags == documented, name
+
+
 class TestExitCodeProperty:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(command=st.sampled_from(SUBCOMMANDS), flags=FLAG_SETS)
@@ -470,12 +478,14 @@ class TestStandaloneStages:
         rows = (tmp_path / "flow.csv").read_text().strip().splitlines()
         assert rows[0] == "rho,distance"
         assert len(rows) == 65
+        assert payload["schedule_length"] == 64
 
-    @pytest.mark.parametrize("length", [33, 1230])
-    def test_flow_schedule_range_ends_run(self, length, tmp_path, capsys):
-        assert run_cli("flow", "--schedule-len", length, "--out", tmp_path) == 0
-        assert read_json(tmp_path / "flow.json")["ok"] is True
-        assert len((tmp_path / "flow.csv").read_text().strip().splitlines()) == length + 1
+    def test_flow_reports_the_extended_orbit(self, tmp_path, capsys):
+        # [1 : 1e-20] still splits at rho = 1e-16, so the schedule doubles once;
+        # flow.csv keeps the 64 rows of the fixed schedule
+        assert run_cli("flow", "--a", 1, "--b", 1e-20, "--out", tmp_path) == 0
+        assert read_json(tmp_path / "flow.json")["schedule_length"] == 128
+        assert len((tmp_path / "flow.csv").read_text().strip().splitlines()) == 65
 
     def test_normal_check_default_rays(self, tmp_path, capsys):
         assert run_cli("normal-check", "--out", tmp_path) == 0
@@ -670,7 +680,7 @@ class TestFullPipelines:
         # the flow stage computes the orbit and its limit set Omega^- once, and
         # flow.csv and the normal check read them instead of flowing again
         assert counts["_orbit_and_limits"] == 1
-        assert counts["flow"] == len(grassmann.default_rho_schedule()) == 64
+        assert counts["flow"] == len(grassmann.RHO_SCHEDULE) == 64
         assert counts["ray_normal_verdict"] == len(rays) == 2
         # one decaying trace per probe point serves every candidate domain
         assert counts["decaying_trace"] == len(rays) * len(DEFAULT_PROBE_RADII) == 8

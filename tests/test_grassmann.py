@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conespectra.grassmann import (
+    RHO_SCHEDULE,
     NonpositiveRho,
-    default_rho_schedule,
+    _orbit_and_limits,
     flow,
     grassmann_distance,
     kappa_matrix,
@@ -134,15 +135,36 @@ class TestGrassmannDistance:
 
 class TestSchedule:
     def test_quarter_decade_steps(self):
-        s = default_rho_schedule(8)
-        assert len(s) == 8
+        s = RHO_SCHEDULE
+        assert len(s) == 64
         assert s[3] == pytest.approx(0.1, rel=1e-12)
+        assert s[31] == pytest.approx(1e-8, rel=1e-12)
         ratios = s[1:] / s[:-1]
         assert np.allclose(ratios, 10.0 ** (-0.25), rtol=1e-12)
 
-    def test_minimum_length_enforced(self):
+    def test_schedule_is_read_only(self):
         with pytest.raises(ValueError):
-            default_rho_schedule(4)
+            RHO_SCHEDULE[0] = 1.0
+
+    def test_slow_tail_extends_the_orbit_once(self, closed_basis, sector_basis):
+        # both tails still split at rho = 1e-16, and settle on one cluster
+        # after one doubling, which reaches rho = 1e-32
+        orbit, limits = _orbit_and_limits(ExtensionDomain.line([30.0, 1.0]), closed_basis)
+        assert len(orbit) == 128
+        assert len(limits) == 1
+        tol = 10.0 / abs(math.log(1e-32))
+        assert limits[0].same_span(ExtensionDomain.line([1.0, 0.0]), tol=tol)
+
+        orbit, limits = _orbit_and_limits(ExtensionDomain.line([1.0, 1e-20]), sector_basis)
+        assert len(orbit) == 128
+        assert len(limits) == 1
+        assert limits[0].same_span(ExtensionDomain.line([0.0, 1.0]), tol=1e-9)
+
+    def test_settled_tail_keeps_the_fixed_schedule(self, closed_basis, sector_basis):
+        for basis in (closed_basis, sector_basis):
+            orbit, limits = _orbit_and_limits(ExtensionDomain.line([1.0, 1.0]), basis)
+            assert len(orbit) == len(RHO_SCHEDULE) == 64
+            assert len(limits) == 1
 
 
 class TestOmegaMinus:
@@ -174,7 +196,7 @@ class TestOmegaMinus:
         (lim_s,) = omega_minus(dom, sector_basis)
         assert lim_s.same_span(ExtensionDomain.line([0.0, 1.0]), tol=1e-9)
 
-    def test_empty_basis_returns_no_limits(self):
+    def test_empty_basis_raises(self):
         narrow = ConeModelOperator(
             order_m=2,
             dim_n=2,
@@ -184,3 +206,5 @@ class TestOmegaMinus:
         )
         basis = singular_basis(narrow)
         assert basis == ()
+        with pytest.raises(ValueError, match="basis has 0 functions"):
+            omega_minus(ExtensionDomain.line([1.0, 1.0]), basis)

@@ -99,17 +99,17 @@ PROBE_LAMBDAS = [
 class TestDecayingTraceOracle:
     @pytest.mark.parametrize("lam", PROBE_LAMBDAS)
     def test_closed_link_trace_matches_shooting(self, lam):
-        trace = decaying_trace(CLOSED, 0, lam)
+        trace = decaying_trace(CLOSED, lam)
         assert subspace_angle(trace.coeffs, shooting_trace(0.0, lam)) < 1e-6
 
     @pytest.mark.parametrize("lam", PROBE_LAMBDAS)
     def test_sector_trace_matches_shooting(self, lam):
-        trace = decaying_trace(SECTOR, 1, lam)
+        trace = decaying_trace(SECTOR, lam)
         assert subspace_angle(trace.coeffs, shooting_trace(2.0 / 3.0, lam)) < 1e-6
 
     def test_trace_is_unit_norm(self):
         for model, k in ((CLOSED, 0), (SECTOR, 1)):
-            tr = decaying_trace(model, k, 4.0j)
+            tr = decaying_trace(model, 4.0j)
             assert np.linalg.norm(tr.coeffs) == pytest.approx(1.0, rel=1e-12)
             assert tr.mode_k == k
             assert tr.lam == 4.0j
@@ -122,25 +122,21 @@ class TestDecayingTraceOracle:
         lam1 = 4.0 * cmath.exp(0.5j * math.pi)
         lam2 = 36.0 * cmath.exp(0.5j * math.pi)
         t = 3.0  # sqrt(36/4)
-        c1 = decaying_trace(SECTOR, 1, lam1).coeffs
-        c2 = decaying_trace(SECTOR, 1, lam2).coeffs
+        c1 = decaying_trace(SECTOR, lam1).coeffs
+        c2 = decaying_trace(SECTOR, lam2).coeffs
         undone = np.array([c2[0] / t**nu, c2[1] * t**nu])
         assert subspace_angle(c1, undone) < 1e-12
 
     def test_spectral_cut_rejected(self):
         with pytest.raises(LambdaOnSpectrumCut):
-            decaying_trace(CLOSED, 0, 5.0)
+            decaying_trace(CLOSED, 5.0)
 
     @pytest.mark.parametrize("lam", [math.nan, -math.inf, complex(0.0, math.inf), complex(-1.0, math.nan)])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="finite"):
-            decaying_trace(CLOSED, 0, lam)
+            decaying_trace(CLOSED, lam)
         with pytest.raises(ValueError, match="finite"):
             normal_invertible(SECTOR, ExtensionDomain.line([1.0, 1.0]), lam)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            decaying_trace(CLOSED, 3, 4.0j)
 
     def test_integer_nu_one_function_quotient_rejected(self):
         # gamma = -2 on the closed link: mode 1 has nu = 1 and contributes
@@ -149,8 +145,17 @@ class TestDecayingTraceOracle:
             order_m=2, dim_n=2, weight_gamma=-2.0, geometry=ClosedLink(), outer_radius_R=1.0
         )
         assert [sf.mode_k for sf in singular_basis(model)].count(1) == 1
-        with pytest.raises(ValueError, match="two-function pair"):
-            decaying_trace(model, 1, -1 + 1j)
+        with pytest.raises(ValueError, match="2-dimensional mode quotient"):
+            decaying_trace(model, -1 + 1j)
+
+    def test_pair_inside_a_larger_quotient_rejected(self):
+        # alpha = 5.5, gamma = -1.3: mode 1's pair plus mode 2's x^{-2pi/5.5}
+        model = ConeModelOperator(
+            order_m=2, dim_n=2, weight_gamma=-1.3, geometry=SectorLink(alpha=5.5), outer_radius_R=1.0
+        )
+        assert [sf.mode_k for sf in singular_basis(model)] == [1, 1, 2]
+        with pytest.raises(ValueError, match="2-dimensional mode quotient"):
+            decaying_trace(model, -1 + 1j)
 
 
 class TestNormalInvertible:
@@ -161,8 +166,8 @@ class TestNormalInvertible:
 
     def test_eigen_domain_not_invertible_at_its_lambda(self):
         lam0 = 4.0 * cmath.exp(0.5j * math.pi)
-        for model, k in ((CLOSED, 0), (SECTOR, 1)):
-            dom = ExtensionDomain.line(list(decaying_trace(model, k, lam0).coeffs))
+        for model in (CLOSED, SECTOR):
+            dom = ExtensionDomain.line(list(decaying_trace(model, lam0).coeffs))
             assert normal_invertible(model, dom, lam0) is False
             # and invertible again away from the eigenvalue
             assert normal_invertible(model, dom, 2.0 * lam0) is True
@@ -202,8 +207,8 @@ class TestRayCertificates:
 
     def test_eigen_domain_fails_with_witness(self):
         lam0 = 4.0 * cmath.exp(0.5j * math.pi)
-        for model, k in ((CLOSED, 0), (SECTOR, 1)):
-            dom = ExtensionDomain.line(list(decaying_trace(model, k, lam0).coeffs))
+        for model in (CLOSED, SECTOR):
+            dom = ExtensionDomain.line(list(decaying_trace(model, lam0).coeffs))
             verdict = ray_minimal_growth_normal(
                 model, dom, Ray(0.5 * math.pi), probe_radii=(0.1, 1.0, 4.0, 10.0)
             )
@@ -237,7 +242,7 @@ class TestRayCertificates:
     def test_verdict_witness_is_the_first_collinear_line(self):
         # two representatives of the eigen line at 4i, after one generic line; a
         # positive factor would give the same unit representative, a phase does not
-        coeffs = decaying_trace(SECTOR, 1, 4.0j).coeffs
+        coeffs = decaying_trace(SECTOR, 4.0j).coeffs
         eigen, turned = (ExtensionDomain.line(list(c * coeffs)) for c in (1.0, 1.0j))
         lines = [ExtensionDomain.line([1.0, 1.0]), eigen, turned]
         verdict = ray_normal_verdict(SECTOR, Ray(0.5 * math.pi), lines, probe_radii=(1.0, 4.0))
