@@ -110,6 +110,14 @@ class TestConfigErrors:
         assert run_cli("normal-check", "--theta", 0.0, "--out", tmp_path) == 2
         assert "cut" in capsys.readouterr().err
 
+    def test_short_flow_schedule_exits_2(self, tmp_path, capsys):
+        # the flow runs on one fixed schedule: a length asked for is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            run_cli("flow", "--schedule-len", 4, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --schedule-len 4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

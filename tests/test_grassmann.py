@@ -160,6 +160,15 @@ class TestSchedule:
         assert len(limits) == 1
         assert limits[0].same_span(ExtensionDomain.line([0.0, 1.0]), tol=1e-9)
 
+    def test_slow_log_tail_extends_the_orbit_twice(self, closed_basis):
+        # [44 : 1] turns through [0 : 1] at log rho = -44, inside the first tail;
+        # the second tail still splits, the third (down to rho = 1e-64) settles
+        orbit, limits = _orbit_and_limits(ExtensionDomain.line([44.0, 1.0]), closed_basis)
+        assert len(orbit) == 256
+        assert len(limits) == 1
+        tol = 10.0 / abs(math.log(1e-64))
+        assert limits[0].same_span(ExtensionDomain.line([1.0, 0.0]), tol=tol)
+
     def test_settled_tail_keeps_the_fixed_schedule(self, closed_basis, sector_basis):
         for basis in (closed_basis, sector_basis):
             orbit, limits = _orbit_and_limits(ExtensionDomain.line([1.0, 1.0]), basis)

@@ -138,6 +138,15 @@ class TestDecayingTraceOracle:
         with pytest.raises(ValueError, match="finite"):
             normal_invertible(SECTOR, ExtensionDomain.line([1.0, 1.0]), lam)
 
+    def test_unknown_mode_rejected(self):
+        # a trivial quotient (D_min = D_max) has no strip mode to take a trace in
+        narrow = ConeModelOperator(
+            order_m=2, dim_n=2, weight_gamma=-1.0, geometry=SectorLink(alpha=1.0), outer_radius_R=1.0
+        )
+        assert singular_basis(narrow) == ()
+        with pytest.raises(ValueError, match="mode"):
+            decaying_trace(narrow, 4.0j)
+
     def test_integer_nu_one_function_quotient_rejected(self):
         # gamma = -2 on the closed link: mode 1 has nu = 1 and contributes
         # x^{-1} alone, where A = pi / (2 sin(nu pi)) is infinite
