@@ -9,7 +9,6 @@ from .model import (
     Ray,
     RayVerdict,
     SectorLink,
-    WeightedSobolevParams,
 )
 from .indicial import (
     IndicialRoot,

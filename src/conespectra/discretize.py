@@ -43,13 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    ConeModelOperator,
-    ExtensionDomain,
-    WeightedSobolevParams,
-    complex_to_pair,
-    complex_from_pair,
-)
+from .model import ConeModelOperator, ExtensionDomain, complex_to_pair, complex_from_pair
 
 __all__ = [
     "RadialGrid",
@@ -78,8 +72,6 @@ class RadialGrid:
     """Strictly increasing nodes in (0, R]; the tip x=0 is never a node."""
 
     nodes: np.ndarray
-    grading: str  # "geometric" | "uniform"
-    ratio: Optional[float] = None  # consecutive-node ratio for geometric grids
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -89,15 +81,6 @@ class RadialGrid:
             raise ValueError("grid nodes must be positive")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
-        if self.grading == "geometric":
-            q = self.ratio
-            if q is None or not (0.0 < q < 1.0):
-                raise ValueError("geometric grid requires ratio in (0,1)")
-            ratios = nodes[:-1] / nodes[1:]
-            if np.max(np.abs(ratios - q)) > 1e-12:
-                raise ValueError("geometric grid nodes do not honor the declared ratio")
-        elif self.grading != "uniform":
-            raise ValueError(f"unknown grading {self.grading!r}")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
@@ -127,15 +110,7 @@ class RadialGrid:
             raise ValueError("R must be positive")
         q_eff = max(q, TIP_FLOOR_RATIO ** (1.0 / (N_h - 1)))
         exponents = np.arange(N_h - 1, -1, -1, dtype=float)
-        nodes = R * q_eff ** exponents
-        return cls(nodes=nodes, grading="geometric", ratio=q_eff)
-
-    @classmethod
-    def uniform(cls, R: float, N_h: int) -> "RadialGrid":
-        if N_h < 2:
-            raise ValueError("N_h must be at least 2")
-        nodes = R * np.arange(1, N_h + 1, dtype=float) / N_h
-        return cls(nodes=nodes, grading="uniform", ratio=None)
+        return cls(nodes=R * q_eff ** exponents)
 
 
 @dataclass(frozen=True)
@@ -512,28 +487,14 @@ def assemble_mode_pencil(
     )
 
 
-def assemble_embedding_grams(
-    high: WeightedSobolevParams,
-    low: WeightedSobolevParams,
-    t_max: float,
-    N_h: int,
-):
-    """Gram matrices of two weighted norms on the same hat space in log coordinates.
+def assemble_embedding_grams(t_max: float, N_h: int):
+    """Gram matrices of the x^1 H^1_b and x^0 H^0_b norms on one hat space in log coordinates.
 
     In t = -log x on [0, t_max], the x^gamma H^s_b norm of u is the
-    (s in {0,1}) Sobolev norm of v = e^{gamma t} u.  Both Grams are
-    assembled on the full hat basis (free at both ends) with per-cell
-    Gauss quadrature, and are Hermitian positive definite.
+    H^s norm of v = e^{gamma t} u.  Both Grams are assembled on the
+    full hat basis (free at both ends) with per-cell Gauss quadrature,
+    and are Hermitian positive definite.  Returns (G_high, G_low).
     """
-    for p in (high, low):
-        if p.dim_n != 1:
-            raise ValueError("embedding Grams are one-dimensional in v1")
-        if p.smoothness_s not in (0.0, 1.0, 0, 1):
-            raise ValueError("smoothness s must be 0 or 1 in v1")
-    if not (high.smoothness_s > low.smoothness_s):
-        raise ValueError("need high.smoothness_s > low.smoothness_s")
-    if not (high.weight > low.weight):
-        raise ValueError("need high.weight > low.weight")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("t_max must be positive")
     if N_h < 16:
@@ -547,31 +508,21 @@ def assemble_embedding_grams(
     wts = 0.5 * h * wi[None, :]
     phi_l = 1.0 - (pts - t0) / h
     phi_r = (pts - t0) / h
-    dl, dr = -1.0 / h, 1.0 / h
+    hats = ((0, phi_l, -1.0 / h), (1, phi_r, 1.0 / h))  # (index offset, value, slope)
 
-    def gram(s: float, gam: float) -> np.ndarray:
+    def gram(weight: np.ndarray, slopes: bool) -> np.ndarray:
+        """Cell sums of weight * (u v, plus (u + u')(v + v') with slopes) over hat pairs u, v."""
         g = np.zeros((N_h + 1, N_h + 1))
-        weight = np.exp(2.0 * gam * pts) * wts
-        vals = {"l": phi_l, "r": phi_r}
-        ders = {"l": dl, "r": dr}
-        for aa in ("l", "r"):
-            for bb in ("l", "r"):
-                cell = np.sum(weight * vals[aa] * vals[bb], axis=1)
-                if s == 1:
-                    cell = cell + np.sum(
-                        weight
-                        * (gam * vals[aa] + ders[aa])
-                        * (gam * vals[bb] + ders[bb]),
-                        axis=1,
-                    )
-                ia = np.arange(N_h) + (0 if aa == "l" else 1)
-                ib = np.arange(N_h) + (0 if bb == "l" else 1)
-                np.add.at(g, (ia, ib), cell)
+        for ia, va, da in hats:
+            for ib, vb, db in hats:
+                cell = np.sum(weight * va * vb, axis=1)
+                if slopes:
+                    cell = cell + np.sum(weight * (va + da) * (vb + db), axis=1)
+                np.add.at(g, (np.arange(N_h) + ia, np.arange(N_h) + ib), cell)
         return g
 
-    g_high = gram(float(high.smoothness_s), float(high.weight))
-    g_low = gram(float(low.smoothness_s), float(low.weight))
-    return g_high, g_low
+    # |e^t u|^2_{H^1} = int e^{2t} (|u|^2 + |u + u'|^2) dt and |u|^2_{L^2} = int |u|^2 dt
+    return gram(np.exp(2.0 * pts) * wts, True), gram(wts, False)
 
 
 # layout fields of every container export_pencil writes; load_pencil reads no other

@@ -85,8 +85,27 @@ def _cluster_tail(flowed) -> list:
     return reps
 
 
-def _orbit_and_limits(domain: ExtensionDomain, basis) -> tuple:
-    """(orbit, limit set): the flowed domains, extensions included, and what omega_minus returns."""
+def omega_minus(domain: ExtensionDomain, basis) -> tuple:
+    """The kappa-flow orbit of a domain as rho -> 0 and its limit set.
+
+    Flows the domain along RHO_SCHEDULE, clusters the trailing quarter
+    of the orbit at CLUSTER_TOL, and takes one representative per
+    cluster (the most-converged member).  When more than one cluster is
+    found the schedule is extended geometrically, doubling its length,
+    up to twice; a stable multi-cluster tail is returned as-is, while
+    clusters that keep moving raise NonConvergent.
+
+    Parameters
+    ----------
+    domain : ExtensionDomain
+    basis : tuple of SingularFunction
+        The pair's canonical basis; any other length raises ValueError.
+
+    Returns
+    -------
+    (orbit, limits) : the flowed domains, extensions included, and the
+    cluster representatives.
+    """
     schedule = RHO_SCHEDULE
     flowed = [flow(domain, basis, r) for r in schedule]
     reps = _cluster_tail(flowed)
@@ -109,22 +128,3 @@ def _orbit_and_limits(domain: ExtensionDomain, basis) -> tuple:
             f"flow tail still splits into {len(reps)} clusters after extending the schedule"
         )
     return flowed, reps
-
-
-def omega_minus(domain: ExtensionDomain, basis) -> list:
-    """Limit set of the kappa-flow orbit of a domain as rho -> 0.
-
-    Flows the domain along RHO_SCHEDULE, clusters the trailing quarter
-    of the orbit at CLUSTER_TOL, and returns one representative per
-    cluster (the most-converged member).  When more than one cluster is
-    found the schedule is extended geometrically, doubling its length,
-    up to twice; a stable multi-cluster tail is returned as-is, while
-    clusters that keep moving raise NonConvergent.
-
-    Parameters
-    ----------
-    domain : ExtensionDomain
-    basis : tuple of SingularFunction
-        The pair's canonical basis; any other length raises ValueError.
-    """
-    return _orbit_and_limits(domain, basis)[1]

@@ -24,7 +24,6 @@ __all__ = [
     "RayVerdict",
     "CompletenessCertificate",
     "ExtensionDomain",
-    "WeightedSobolevParams",
     "complex_to_pair",
     "complex_from_pair",
     "line_distance",
@@ -273,14 +272,13 @@ class CompletenessCertificate:
     schatten_p: float
     rays: tuple
     max_gap: float
-    complete: bool
 
-    def __post_init__(self):
-        should = all(v.verdict == "Minimal" for v in self.rays) and (
+    @property
+    def complete(self) -> bool:
+        """All rays Minimal and no adjacent angular gap wider than pi*m/n."""
+        return all(v.verdict == "Minimal" for v in self.rays) and (
             self.max_gap <= math.pi * self.m / self.n + 1e-12
         )
-        if bool(self.complete) != should:
-            raise ValueError("certificate flag inconsistent with its own rule")
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,24 +341,3 @@ class ExtensionDomain:
     def from_json_dict(cls, d: dict) -> "ExtensionDomain":
         _check_known_keys(d, {"coeffs"}, "ExtensionDomain")
         return cls([complex_from_pair(v, "ExtensionDomain coeffs") for v in d["coeffs"]])
-
-
-@dataclass(frozen=True)
-class WeightedSobolevParams:
-    """Parameters (s, gamma, n) of a weighted b-Sobolev space x^gamma H^s_b."""
-
-    smoothness_s: float
-    weight: float
-    dim_n: int
-
-    def to_json_dict(self) -> dict:
-        return {"smoothness_s": self.smoothness_s, "weight": self.weight, "dim_n": self.dim_n}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WeightedSobolevParams":
-        _check_known_keys(d, {"smoothness_s", "weight", "dim_n"}, "WeightedSobolevParams")
-        return cls(
-            smoothness_s=float(d["smoothness_s"]),
-            weight=float(d["weight"]),
-            dim_n=int(d["dim_n"]),
-        )

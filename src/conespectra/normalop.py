@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .grassmann import omega_minus
 from .indicial import singular_basis
 from .model import (
     ConeModelOperator,
@@ -36,16 +35,15 @@ __all__ = [
     "decaying_trace",
     "normal_invertible",
     "ray_minimal_growth_normal",
-    "ray_normal_verdict",
     "strip_mode",
-    "DEFAULT_PROBE_RADII",
+    "PROBE_RADII",
 ]
 
 # angular tolerance below which the trace and the domain line are
 # treated as collinear (non-invertible)
 COLLINEAR_TOL = 1e-9
 
-DEFAULT_PROBE_RADII = (0.1, 1.0, 10.0, 100.0)
+PROBE_RADII = (0.1, 1.0, 10.0, 100.0)
 
 _ONE_PAIR_SCOPE = "scope: model must contribute exactly one 2-dimensional mode quotient"
 
@@ -144,12 +142,13 @@ def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: co
     return _invertible(domain, decaying_trace(model, lam))
 
 
-def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=None) -> RayVerdict:
-    """The verdict of ray_minimal_growth_normal on candidate lines already computed.
+def ray_minimal_growth_normal(model: ConeModelOperator, ray: Ray, lines) -> RayVerdict:
+    """Certificate that a ray consists of points of minimal growth for the normal operator.
 
-    Checks invertibility at lambda = r e^{i theta} for every probe
-    radius on every line, in order: the flow limits in Omega^-(domain),
-    then the domain itself.  The first collinearity hit yields verdict
+    lines are the candidate lines in order: the flow limit set
+    Omega^-(domain) (see grassmann.omega_minus), then the domain itself.
+    Checks invertibility at lambda = r e^{i theta} for every radius r in
+    PROBE_RADII on every line.  The first collinearity hit yields verdict
     "Fails" with that line and lambda as the witness; otherwise the ray
     is certified "Minimal", except for sector geometry with the ray
     parallel to the real axis, where the exact certificate family does
@@ -159,11 +158,8 @@ def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=No
     theta = ray.angle_theta
     if theta == 0.0:
         raise ValueError("the ray along the positive real axis is the spectral cut itself")
-    radii = DEFAULT_PROBE_RADII if probe_radii is None else tuple(float(r) for r in probe_radii)
-    if not all(0.0 < r < math.inf for r in radii):
-        raise ValueError("probe radii must be positive and finite")
     # the trace depends on lambda only: one per radius serves every line
-    traces = [decaying_trace(model, r * cmath.exp(1j * theta)) for r in radii]
+    traces = [decaying_trace(model, r * cmath.exp(1j * theta)) for r in PROBE_RADII]
     for line in lines:
         for trace in traces:
             if not _invertible(line, trace):
@@ -181,15 +177,3 @@ def ray_normal_verdict(model: ConeModelOperator, ray: Ray, lines, probe_radii=No
         return RayVerdict(ray, "Uncertified", note=note)
     note = "normal operator invertible on all flow limits and the domain at every probe radius"
     return RayVerdict(ray, "Minimal", note=note)
-
-
-def ray_minimal_growth_normal(
-    model: ConeModelOperator, domain: ExtensionDomain, ray: Ray, probe_radii=None
-) -> RayVerdict:
-    """Certificate that a ray consists of points of minimal growth for the normal operator.
-
-    Computes the flow limit set Omega^-(domain) and returns
-    ray_normal_verdict on its lines followed by the domain.
-    """
-    limits = omega_minus(domain, singular_basis(model))
-    return ray_normal_verdict(model, ray, [*limits, domain], probe_radii)

@@ -64,8 +64,6 @@ __all__ = [
     "CompletenessCertificate",
     "solve_pencil",
     "resolvent_norm",
-    "ray_resolvent_norms",
-    "ray_growth_verdict",
     "ray_minimal_growth_full",
     "completeness_residual",
     "oracle_eigenvalues",
@@ -729,8 +727,16 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     return 1.0 / s_min
 
 
-def ray_resolvent_norms(ray: Ray, radii: Sequence[float], result: SpectralResult) -> list:
-    """Resolvent norms at r e^{i theta} for the probe radii r of ray_minimal_growth_full."""
+def ray_minimal_growth_full(ray: Ray, radii: Sequence[float], result: SpectralResult) -> tuple:
+    """Probe the resolvent along a ray and fit its decay rate.
+
+    Returns the resolvent norms at r e^{i theta} for the probe radii r,
+    and the ray's verdict: Minimal when the log-log slope of the norm
+    against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
+    bounded over the probes.  At least 3 radii, positive, finite and
+    strictly increasing, at or below the trust limit
+    0.1 * max retained |eigenvalue| of `result`.
+    """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
         raise ValueError("need at least 3 probe radii for a slope fit")
@@ -742,34 +748,18 @@ def ray_resolvent_norms(ray: Ray, radii: Sequence[float], result: SpectralResult
             f"max probe radius {radii[-1]:.6g} exceeds trust limit {trust:.6g}"
         )
     theta = ray.angle_theta
-    return [resolvent_norm(result, r * cmath.exp(1j * theta)) for r in radii]
-
-
-def ray_growth_verdict(ray: Ray, radii: Sequence[float], norms: Sequence[float]) -> RayVerdict:
-    """The verdict of ray_minimal_growth_full from norms already probed along the ray."""
-    radii = [float(r) for r in radii]
+    norms = [resolvent_norm(result, r * cmath.exp(1j * theta)) for r in radii]
     witness = {"radii": radii, "norms": [float(v) for v in norms]}
     if not all(math.isfinite(v) for v in norms):
         hit = radii[next(i for i, v in enumerate(norms) if not math.isfinite(v))]
         note = f"resolvent does not exist at |lambda| = {hit:.6g} on the ray"
-        return RayVerdict(ray, "Fails", sup_bound=math.inf, witness=witness, note=note)
+        return norms, RayVerdict(ray, "Fails", sup_bound=math.inf, witness=witness, note=note)
     sup_bound = float(max(r * v for r, v in zip(radii, norms)))
     slope = float(np.polyfit(np.log(radii), np.log(norms), 1)[0])
     if SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]:
-        return RayVerdict(ray, "Minimal", sup_bound=sup_bound, slope=slope)
+        return norms, RayVerdict(ray, "Minimal", sup_bound=sup_bound, slope=slope)
     note = "resolvent growth along the ray is not O(1/|lambda|)"
-    return RayVerdict(ray, "Fails", sup_bound, slope, witness=witness, note=note)
-
-
-def ray_minimal_growth_full(ray: Ray, radii: Sequence[float], result: SpectralResult) -> RayVerdict:
-    """Probe the resolvent along a ray and fit its decay rate.
-
-    The ray is Minimal when the log-log slope of the resolvent norm
-    against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
-    bounded over the probes.  Probe radii must stay at or below the
-    trust limit 0.1 * max retained |eigenvalue| of `result`.
-    """
-    return ray_growth_verdict(ray, radii, ray_resolvent_norms(ray, radii, result))
+    return norms, RayVerdict(ray, "Fails", sup_bound, slope, witness=witness, note=note)
 
 
 def _cluster_defective(result: SpectralResult, count: int):
@@ -1167,9 +1157,10 @@ def embedding_singular_values(G_high, G_low) -> np.ndarray:
 def completeness_certificate(n: int, m: int, verdicts) -> CompletenessCertificate:
     """Combine ray verdicts into a completeness certificate.
 
-    complete = all rays Minimal and every adjacent angular gap
-    (wrapping around the circle) at most pi*m/n.  A single ray has gap
-    2*pi.  schatten_p = n/m is the certified summability exponent.
+    max_gap is the widest adjacent angular gap, wrapping around the
+    circle; a single ray has gap 2*pi.  The certificate's `complete`
+    reads it against pi*m/n.  schatten_p = n/m is the certified
+    summability exponent.
     """
     verdicts = tuple(verdicts)
     if not verdicts:
@@ -1184,14 +1175,4 @@ def completeness_certificate(n: int, m: int, verdicts) -> CompletenessCertificat
         gaps = np.diff(angles)
         wrap = angles[0] + 2.0 * math.pi - angles[-1]
         max_gap = float(max(np.max(gaps), wrap))
-    complete = all(v.verdict == "Minimal" for v in verdicts) and (
-        max_gap <= math.pi * m / n + 1e-12
-    )
-    return CompletenessCertificate(
-        n=n,
-        m=m,
-        schatten_p=n / m,
-        rays=verdicts,
-        max_gap=max_gap,
-        complete=complete,
-    )
+    return CompletenessCertificate(n=n, m=m, schatten_p=n / m, rays=verdicts, max_gap=max_gap)

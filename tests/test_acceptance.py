@@ -32,7 +32,6 @@ from conespectra.model import (
     ExtensionDomain,
     Ray,
     SectorLink,
-    WeightedSobolevParams,
 )
 from conespectra.normalop import decaying_trace, ray_minimal_growth_normal
 from conespectra.spectral import (
@@ -60,6 +59,12 @@ SECTOR = ConeModelOperator(
 )
 EXTENSIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0j))
 GRID_SIZES = (100, 200, 400)
+
+
+def normal_verdict(model, domain, ray):
+    """The exact tip verdict on the domain's flow limits and the domain itself."""
+    _, limits = omega_minus(domain, singular_basis(model))
+    return ray_minimal_growth_normal(model, ray, [*limits, domain])
 
 
 def report(capsys, num: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -147,7 +152,7 @@ def test_criterion_2_flow_limits(capsys):
     friedrichs_closed = ExtensionDomain.line([1.0, 0.0])
     for a, b in EXTENSIONS:
         domain = ExtensionDomain.line([a, b])
-        limits = omega_minus(domain, closed_basis)
+        _, limits = omega_minus(domain, closed_basis)
         tol = 10.0 / abs(math.log(schedule[-1]))
         ok = len(limits) == 1 and limits[0].same_span(friedrichs_closed, tol=tol)
         terminal = grassmann_distance(flow(domain, closed_basis, 1e-8), friedrichs_closed)
@@ -162,7 +167,7 @@ def test_criterion_2_flow_limits(capsys):
     for a, b in EXTENSIONS:
         domain = ExtensionDomain.line([a, b])
         expected = ExtensionDomain.line([1.0, 0.0] if b == 0 else [0.0, 1.0])
-        limits = omega_minus(domain, sector_basis)
+        _, limits = omega_minus(domain, sector_basis)
         terminal = grassmann_distance(flow(domain, sector_basis, 1e-8), expected)
         checks.append(
             len(limits) == 1
@@ -191,18 +196,18 @@ def test_criterion_3_normal_operator_ray_certificates(capsys):
 
     nsa = ExtensionDomain.line([1.0, 1.0j])
     closed_ok = all(
-        ray_minimal_growth_normal(CLOSED, nsa, Ray(t)).verdict == "Minimal"
+        normal_verdict(CLOSED, nsa, Ray(t)).verdict == "Minimal"
         for t in (0.5 * math.pi, math.pi, 1.5 * math.pi)
     )
     real_rays_ok = all(
-        ray_minimal_growth_normal(model, ExtensionDomain.line([a, b]), Ray(t)).verdict
+        normal_verdict(model, ExtensionDomain.line([a, b]), Ray(t)).verdict
         == "Minimal"
         for model in (CLOSED, SECTOR)
         for a, b in ((1.0, 0.0), (1.0, 1.0))
         for t in (0.5 * math.pi, 1.5 * math.pi)
     )
     sector_nsa_ok = all(
-        ray_minimal_growth_normal(SECTOR, nsa, Ray(t)).verdict == "Minimal"
+        normal_verdict(SECTOR, nsa, Ray(t)).verdict == "Minimal"
         for t in (0.5 * math.pi, 1.5 * math.pi)
     )
 
@@ -212,7 +217,7 @@ def test_criterion_3_normal_operator_ray_certificates(capsys):
     eigen_checks = []
     for model in (CLOSED, SECTOR):
         eigen_domain = ExtensionDomain.line(decaying_trace(model, lam0).coeffs)
-        v = ray_minimal_growth_normal(model, eigen_domain, Ray(0.5 * math.pi))
+        v = normal_verdict(model, eigen_domain, Ray(0.5 * math.pi))
         hit = v.verdict == "Fails" and v.witness is not None
         if hit:
             wl = complex(v.witness["lambda"][0], v.witness["lambda"][1])
@@ -287,7 +292,7 @@ def test_criterion_5_minimal_growth_slope(pencils, capsys):
     pencil, result, _ = pencils("sector", 1.0, 1.0j, 400)
     trust = result.trust_limit
     radii = [trust * 1e-3, trust * 1e-2, trust * 1e-1, trust]
-    verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=result)
+    _, verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=result)
     slope_ok = verdict.slope is not None and -1.15 <= verdict.slope <= -0.85
     sup_ok = verdict.sup_bound is not None and verdict.sup_bound <= 10.0
     elapsed = time.perf_counter() - t0
@@ -371,9 +376,7 @@ def test_criterion_8_schatten_and_weyl_exponents(capsys):
     budget = 120.0
     t0 = time.perf_counter()
 
-    high = WeightedSobolevParams(smoothness_s=1, weight=1.0, dim_n=1)
-    low = WeightedSobolevParams(smoothness_s=0, weight=0.0, dim_n=1)
-    g_high, g_low = assemble_embedding_grams(high, low, 20.0, 400)
+    g_high, g_low = assemble_embedding_grams(20.0, 400)
     sv = embedding_singular_values(g_high, g_low)
     _, implied_p = schatten_fit(sv, (5, 20))
     p_ok = 0.87 <= implied_p <= 1.18

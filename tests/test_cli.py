@@ -29,7 +29,7 @@ import conespectra.cli as cli
 import conespectra.grassmann as grassmann
 import conespectra.normalop as normalop
 import conespectra.spectral as spectral
-from conespectra.normalop import DEFAULT_PROBE_RADII
+from conespectra.normalop import PROBE_RADII
 from conespectra.spectral import IllConditionedMass
 
 
@@ -388,7 +388,7 @@ class TestExitCodeMapping:
         def explode(*args, **kwargs):
             raise IllConditionedMass("synthetic failure")
 
-        monkeypatch.setattr(cli, "ray_resolvent_norms", explode)
+        monkeypatch.setattr(cli, "ray_minimal_growth_full", explode)
         assert run_cli("resolvent", "--nh", 60, "--out", tmp_path) == 3
         timings = read_json(tmp_path / "timings.json")
         assert [t["stage"] for t in timings["stages"]] == ["spectrum"]
@@ -495,6 +495,21 @@ class TestStandaloneStages:
         assert read_json(tmp_path / "flow.json")["schedule_length"] == 128
         assert len((tmp_path / "flow.csv").read_text().strip().splitlines()) == 65
 
+    def test_flow_log_tolerance_follows_the_flowed_rho(self, tmp_path, capsys):
+        # closed-link [30 : 1] flows 128 lines, down to rho = 1e-32, and its
+        # limit is matched inside the log envelope there, not at 1e-16 (the
+        # flow's ok stays false: its orbit turns through [0 : 1] at log rho = -30)
+        cfg = cli._default_config_dict("closed")
+        cfg["outputs_dir"] = str(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("flow", "--config", path, "--a", 30, "--b", 1) == 0
+        payload = read_json(tmp_path / "flow.json")
+        assert payload["schedule_length"] == 128
+        assert payload["limit_tolerance"] == pytest.approx(10.0 / abs(math.log(1e-32)), rel=1e-15)
+        assert payload["limit_distance"] == pytest.approx(0.0229, abs=1e-4)
+        assert payload["limit_distance"] <= payload["limit_tolerance"]
+
     def test_normal_check_default_rays(self, tmp_path, capsys):
         assert run_cli("normal-check", "--out", tmp_path) == 0
         out = capsys.readouterr().out
@@ -508,6 +523,13 @@ class TestStandaloneStages:
         lo, hi = payload["expected_p_window"]
         assert lo <= payload["implied_p"] <= hi
         assert (tmp_path / "fits.csv").exists()
+
+    def test_omitted_config_blocks_read_the_defaults(self):
+        # a file with the model block alone parses to the flag-free default config
+        full = cli._default_config_dict("sector")
+        bare = cli.ExperimentConfig.from_json_dict({"geometry": full["geometry"]})
+        assert bare.to_json_dict() == cli.ExperimentConfig.from_json_dict(full).to_json_dict()
+        assert bare.to_json_dict() == sector_config_dict("out")
 
     def test_config_file_with_override(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
@@ -674,9 +696,10 @@ class TestFullPipelines:
 
         count(spectral, "resolvent_norm")
         count(spectral, "_to_arrowhead")
-        count(cli, "_orbit_and_limits")
+        count(cli, "omega_minus")
         count(grassmann, "flow")
-        count(cli, "ray_normal_verdict")
+        count(cli, "ray_minimal_growth_normal")
+        count(cli, "ray_minimal_growth_full")
         count(normalop, "decaying_trace")
         # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
         assert cli.main(["example53", "--nh", "60", "--out", str(tmp_path)]) in (0, 1)
@@ -687,11 +710,12 @@ class TestFullPipelines:
         assert counts["_to_arrowhead"] == 1
         # the flow stage computes the orbit and its limit set Omega^- once, and
         # flow.csv and the normal check read them instead of flowing again
-        assert counts["_orbit_and_limits"] == 1
+        assert counts["omega_minus"] == 1
         assert counts["flow"] == len(grassmann.RHO_SCHEDULE) == 64
-        assert counts["ray_normal_verdict"] == len(rays) == 2
+        assert counts["ray_minimal_growth_normal"] == len(rays) == 2
+        assert counts["ray_minimal_growth_full"] == len(rays) == 2
         # one decaying trace per probe point serves every candidate domain
-        assert counts["decaying_trace"] == len(rays) * len(DEFAULT_PROBE_RADII) == 8
+        assert counts["decaying_trace"] == len(rays) * len(PROBE_RADII) == 8
 
     def test_friedrichs_sector_short_circuits(self, tmp_path, capsys):
         # alpha = 1: no strip roots, D_min = D_max, spectrum only

@@ -19,7 +19,6 @@ from conespectra.discretize import (
     DiscreteOperatorPencil,
     RadialGrid,
     TIP_FLOOR_RATIO,
-    WeightedSobolevParams,
     assemble_embedding_grams,
     assemble_mode_pencil,
     cutoff,
@@ -41,10 +40,15 @@ SECTOR = ConeModelOperator(
 )
 
 
+def uniform_grid(R: float, N_h: int) -> RadialGrid:
+    """N_h equal cells on (0, R]; near the tip they are wide relative to their left node."""
+    return RadialGrid(nodes=R * np.arange(1, N_h + 1, dtype=float) / N_h)
+
+
 class TestRadialGrid:
     def test_geometric_keeps_mild_ratio(self):
         g = RadialGrid.geometric(1.0, 20, 0.9)
-        assert g.ratio == pytest.approx(0.9, abs=1e-15)
+        assert np.allclose(g.nodes[:-1] / g.nodes[1:], 0.9, rtol=1e-12, atol=0)
         assert g.nodes[0] == pytest.approx(0.9**19, rel=1e-12)
         assert g.nodes[-1] == 1.0
         assert g.count == 20
@@ -54,31 +58,29 @@ class TestRadialGrid:
         # raises the effective ratio so node_1 sits at the tip floor
         g = RadialGrid.geometric(1.0, 400, 0.9)
         assert g.nodes[0] == pytest.approx(TIP_FLOOR_RATIO * 1.0, rel=1e-10)
-        assert g.ratio == pytest.approx(TIP_FLOOR_RATIO ** (1.0 / 399.0), rel=1e-12)
+        r = g.nodes[:-1] / g.nodes[1:]
+        assert np.allclose(r, TIP_FLOOR_RATIO ** (1.0 / 399.0), rtol=1e-12, atol=0)
 
     def test_geometric_ratio_invariant_holds(self):
         g = RadialGrid.geometric(2.0, 100, 0.9)
         r = g.nodes[:-1] / g.nodes[1:]
-        assert np.allclose(r, g.ratio, rtol=1e-12, atol=0)
+        assert np.allclose(r, r[0], rtol=1e-12, atol=0)
+        assert g.outer_radius == 2.0
 
     def test_nodes_strictly_increasing_and_positive(self):
-        for g in (RadialGrid.geometric(1.0, 50, 0.85), RadialGrid.uniform(3.0, 40)):
+        for g in (RadialGrid.geometric(1.0, 50, 0.85), uniform_grid(3.0, 40)):
             assert g.nodes[0] > 0
             assert np.all(np.diff(g.nodes) > 0)
-
-    def test_uniform_spacing(self):
-        g = RadialGrid.uniform(2.0, 16)
-        assert g.grading == "uniform"
-        assert g.ratio is None
-        assert np.allclose(np.diff(g.nodes), 2.0 / 16)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             RadialGrid.geometric(1.0, 10, 1.1)
         with pytest.raises(ValueError):
             RadialGrid.geometric(-1.0, 10, 0.9)
-        with pytest.raises(ValueError):
-            RadialGrid.uniform(1.0, 1)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            RadialGrid(nodes=[1.0])
+        with pytest.raises(ValueError, match="increasing"):
+            RadialGrid(nodes=[0.5, 0.5, 1.0])
 
 
 class TestCutoff:
@@ -399,7 +401,8 @@ def loop_assembly(nodes, nu, R, ab):
 class TestBatchedAssemblyIsBitIdentical:
     """The batched assembly against the cell-by-cell loop: the same bits in K and M."""
 
-    # uniform sector grids have cells wider than 0.3 x0: the 8-subcell hat path
+    # uniform grids have cells wider than 0.3 x0 near the tip and narrow ones
+    # beyond: on the sector one assembly runs the 8-subcell and the plain hat path
     @pytest.mark.parametrize("N_h", [16, 60, 200])
     @pytest.mark.parametrize("grading", ["geometric", "uniform"])
     @pytest.mark.parametrize("model,k", [(CLOSED, 0), (SECTOR, 1)], ids=["closed", "sector"])
@@ -408,7 +411,7 @@ class TestBatchedAssemblyIsBitIdentical:
         if grading == "geometric":
             grid = RadialGrid.geometric(1.0, N_h, 0.9)
         else:
-            grid = RadialGrid.uniform(1.0, N_h)
+            grid = uniform_grid(1.0, N_h)
         domain = None if ab is None else ExtensionDomain.line(list(ab))
         pen = assemble_mode_pencil(model, k, grid, domain)
         K, M = loop_assembly(grid.nodes, pen.nu, 1.0, pen.enrichment_coeffs)
@@ -418,18 +421,15 @@ class TestBatchedAssemblyIsBitIdentical:
 
 
 class TestEmbeddingGrams:
-    HIGH = WeightedSobolevParams(smoothness_s=1, weight=1.0, dim_n=1)
-    LOW = WeightedSobolevParams(smoothness_s=0, weight=0.0, dim_n=1)
-
     def test_shapes_and_definiteness(self):
-        gh, gl = assemble_embedding_grams(self.HIGH, self.LOW, 10.0, 32)
+        gh, gl = assemble_embedding_grams(10.0, 32)
         assert gh.shape == gl.shape == (33, 33)
         assert np.allclose(gh, gh.T) and np.allclose(gl, gl.T)
         assert np.linalg.eigvalsh(gh).min() > 0
         assert np.linalg.eigvalsh(gl).min() > 0
 
     def test_singular_values_bounded_and_sorted(self):
-        gh, gl = assemble_embedding_grams(self.HIGH, self.LOW, 20.0, 100)
+        gh, gl = assemble_embedding_grams(20.0, 100)
         sv = embedding_singular_values(gh, gl)
         assert sv[0] <= 1.0 + 1e-10
         assert np.all(np.diff(sv) <= 1e-14)
@@ -438,30 +438,39 @@ class TestEmbeddingGrams:
     def test_low_modes_stable_under_domain_doubling(self):
         # the leading singular values are set by the weight decay, not
         # by the truncation point, once t_max is comfortably large
-        sv1 = embedding_singular_values(*assemble_embedding_grams(self.HIGH, self.LOW, 20.0, 200))
-        sv2 = embedding_singular_values(*assemble_embedding_grams(self.HIGH, self.LOW, 40.0, 400))
+        sv1 = embedding_singular_values(*assemble_embedding_grams(20.0, 200))
+        sv2 = embedding_singular_values(*assemble_embedding_grams(40.0, 400))
         for j in range(10):
             assert sv2[j] == pytest.approx(sv1[j], rel=5e-2)
 
+    def test_grams_match_quadrature_of_the_norms(self):
+        # in t = -log x, G_low is the hat mass matrix and G_high integrates
+        # e^{2t} (u v + (u + u')(v + v')), the H^1 form of e^t u against e^t v
+        t_max, N_h = 10.0, 32
+        h = t_max / N_h
+        gh, gl = assemble_embedding_grams(t_max, N_h)
+        ends = np.r_[2.0, np.full(N_h - 1, 4.0), 2.0]
+        mass = h / 6.0 * (np.diag(ends) + np.eye(N_h + 1, k=1) + np.eye(N_h + 1, k=-1))
+        assert np.allclose(gl, mass, rtol=1e-13, atol=0)
+
+        def hat(j, t):  # value and slope of the hat at node j inside a cell
+            s = t / h - j
+            return max(0.0, 1.0 - abs(s)), (-math.copysign(1.0 / h, s) if abs(s) < 1.0 else 0.0)
+
+        def form(t, i, j):
+            (u, du), (v, dv) = hat(i, t), hat(j, t)
+            return math.exp(2.0 * t) * (u * v + (u + du) * (v + dv))
+
+        for i, j in ((0, 0), (5, 5), (5, 6), (N_h, N_h)):
+            cells = range(max(max(i, j) - 1, 0), min(min(i, j) + 1, N_h))  # shared support
+            expected = sum(quad(form, k * h, (k + 1) * h, args=(i, j), epsrel=1e-12)[0] for k in cells)
+            assert gh[i, j] == pytest.approx(expected, rel=1e-10)
+
     def test_validators(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            assemble_embedding_grams(
-                WeightedSobolevParams(1, 1.0, 2), self.LOW, 10.0, 32
-            )
-        with pytest.raises(ValueError, match="smoothness"):
-            assemble_embedding_grams(
-                WeightedSobolevParams(2, 1.0, 1), self.LOW, 10.0, 32
-            )
-        with pytest.raises(ValueError, match="smoothness_s"):
-            assemble_embedding_grams(self.LOW, self.LOW, 10.0, 32)
-        with pytest.raises(ValueError, match="weight"):
-            assemble_embedding_grams(
-                WeightedSobolevParams(1, 0.0, 1), self.LOW, 10.0, 32
-            )
         with pytest.raises(ValueError, match="t_max"):
-            assemble_embedding_grams(self.HIGH, self.LOW, 0.0, 32)
+            assemble_embedding_grams(0.0, 32)
         with pytest.raises(ValueError, match="N_h"):
-            assemble_embedding_grams(self.HIGH, self.LOW, 10.0, 8)
+            assemble_embedding_grams(10.0, 8)
 
 
 class TestPersistence:

@@ -11,7 +11,6 @@ from conespectra.model import (
     ExtensionDomain,
     Ray,
     SectorLink,
-    WeightedSobolevParams,
     complex_from_pair,
     complex_to_pair,
     line_distance,
@@ -219,7 +218,3 @@ class TestSerializationHelpers:
     def test_complex_pair_round_trip(self):
         assert complex_from_pair(complex_to_pair(1.5 - 2.5j)) == 1.5 - 2.5j
         assert complex_from_pair(3) == 3.0 + 0.0j
-
-    def test_sobolev_params_round_trip(self):
-        p = WeightedSobolevParams(smoothness_s=1, weight=1.0, dim_n=1)
-        assert WeightedSobolevParams.from_json_dict(p.to_json_dict()) == p

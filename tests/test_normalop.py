@@ -8,6 +8,7 @@ shares no code with the closed forms under test.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -17,13 +18,13 @@ from scipy.special import kve
 
 from conespectra.indicial import singular_basis
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, Ray, SectorLink
+from conespectra.grassmann import omega_minus
 from conespectra.normalop import (
-    DEFAULT_PROBE_RADII,
+    PROBE_RADII,
     LambdaOnSpectrumCut,
     decaying_trace,
     normal_invertible,
     ray_minimal_growth_normal,
-    ray_normal_verdict,
 )
 
 CLOSED = ConeModelOperator(
@@ -36,6 +37,12 @@ SECTOR = ConeModelOperator(
     geometry=SectorLink(alpha=1.5 * math.pi),
     outer_radius_R=1.0,
 )
+
+
+def normal_verdict(model, domain, ray):
+    """The exact tip verdict on the domain's flow limits and the domain itself."""
+    _, limits = omega_minus(domain, singular_basis(model))
+    return ray_minimal_growth_normal(model, ray, [*limits, domain])
 
 
 def shooting_trace(nu: float, lam: complex) -> np.ndarray:
@@ -190,78 +197,55 @@ class TestNormalInvertible:
         # the line's norm underflows or overflows unless it is scaled first
         for dom in (ExtensionDomain.line(unit), ExtensionDomain.line([scale * c for c in unit])):
             assert normal_invertible(SECTOR, dom, -1.0) is True
-            assert ray_minimal_growth_normal(SECTOR, dom, Ray(0.5 * math.pi)).verdict == "Minimal"
+            assert normal_verdict(SECTOR, dom, Ray(0.5 * math.pi)).verdict == "Minimal"
 
 
 class TestRayCertificates:
     @pytest.mark.parametrize("theta", [0.5 * math.pi, math.pi, 1.5 * math.pi])
     def test_closed_link_rays_are_minimal(self, theta):
-        verdict = ray_minimal_growth_normal(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(theta))
+        verdict = normal_verdict(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(theta))
         assert verdict.verdict == "Minimal"
         assert verdict.slope is None
 
     @pytest.mark.parametrize("theta", [0.5 * math.pi, 1.5 * math.pi])
     def test_sector_vertical_rays_are_minimal(self, theta):
-        verdict = ray_minimal_growth_normal(SECTOR, ExtensionDomain.line([1.0, 1.0j]), Ray(theta))
+        verdict = normal_verdict(SECTOR, ExtensionDomain.line([1.0, 1.0j]), Ray(theta))
         assert verdict.verdict == "Minimal"
 
     def test_sector_real_axis_parallel_is_uncertified(self):
-        verdict = ray_minimal_growth_normal(SECTOR, ExtensionDomain.line([1.0, 1.0]), Ray(math.pi))
+        verdict = normal_verdict(SECTOR, ExtensionDomain.line([1.0, 1.0]), Ray(math.pi))
         assert verdict.verdict == "Uncertified"
         assert "parallel" in verdict.note
 
     def test_positive_real_axis_rejected(self):
         with pytest.raises(ValueError, match="cut"):
-            ray_minimal_growth_normal(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.0))
+            normal_verdict(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.0))
 
     def test_eigen_domain_fails_with_witness(self):
-        lam0 = 4.0 * cmath.exp(0.5j * math.pi)
-        for model in (CLOSED, SECTOR):
+        # the eigen line of lambda_0 = r i fails at each probe radius r
+        for model, radius in itertools.product((CLOSED, SECTOR), PROBE_RADII):
+            lam0 = radius * cmath.exp(0.5j * math.pi)
             dom = ExtensionDomain.line(list(decaying_trace(model, lam0).coeffs))
-            verdict = ray_minimal_growth_normal(
-                model, dom, Ray(0.5 * math.pi), probe_radii=(0.1, 1.0, 4.0, 10.0)
-            )
+            verdict = normal_verdict(model, dom, Ray(0.5 * math.pi))
             assert verdict.verdict == "Fails"
             assert verdict.witness is not None
             wit_lam = complex(verdict.witness["lambda"][0], verdict.witness["lambda"][1])
-            assert abs(wit_lam - lam0) < 1e-9
-
-    def test_verdict_independent_of_probe_radii(self):
-        dom = ExtensionDomain.line([1.0, 1.0])
-        sets = [DEFAULT_PROBE_RADII, (0.5, 2.0, 8.0), (1e-3, 1.0, 1e3, 1e6)]
-        verdicts = {
-            ray_minimal_growth_normal(CLOSED, dom, Ray(0.5 * math.pi), probe_radii=rs).verdict
-            for rs in sets
-        }
-        assert verdicts == {"Minimal"}
-
-    def test_nonpositive_probe_radius_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            ray_minimal_growth_normal(
-                CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi), probe_radii=(0.0, 1.0)
-            )
-
-    @pytest.mark.parametrize("radii", [(math.nan, 1.0, 2.0), (math.inf,)])
-    def test_non_finite_probe_radius_rejected(self, radii):
-        with pytest.raises(ValueError, match="finite"):
-            ray_minimal_growth_normal(
-                CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi), probe_radii=radii
-            )
+            assert abs(wit_lam - lam0) < 1e-9 * radius
 
     def test_verdict_witness_is_the_first_collinear_line(self):
-        # two representatives of the eigen line at 4i, after one generic line; a
+        # two representatives of the eigen line at 10i, after one generic line; a
         # positive factor would give the same unit representative, a phase does not
-        coeffs = decaying_trace(SECTOR, 4.0j).coeffs
+        coeffs = decaying_trace(SECTOR, 10.0j).coeffs
         eigen, turned = (ExtensionDomain.line(list(c * coeffs)) for c in (1.0, 1.0j))
         lines = [ExtensionDomain.line([1.0, 1.0]), eigen, turned]
-        verdict = ray_normal_verdict(SECTOR, Ray(0.5 * math.pi), lines, probe_radii=(1.0, 4.0))
+        verdict = ray_minimal_growth_normal(SECTOR, Ray(0.5 * math.pi), lines)
         assert verdict.verdict == "Fails"
-        assert complex(*verdict.witness["lambda"]) == pytest.approx(4.0j)
+        assert complex(*verdict.witness["lambda"]) == pytest.approx(10.0j)
         assert verdict.witness["domain"] == [[z.real, z.imag] for z in eigen.coeffs]
         assert verdict.witness["domain"] != [[z.real, z.imag] for z in turned.coeffs]
 
     def test_json_payload_shape(self):
-        verdict = ray_minimal_growth_normal(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi))
+        verdict = normal_verdict(CLOSED, ExtensionDomain.line([1.0, 1.0]), Ray(0.5 * math.pi))
         d = verdict.to_json_dict()
         assert d["verdict"] == "Minimal"
         assert d["theta"] == 0.5 * math.pi

@@ -601,19 +601,20 @@ class TestRayMinimalGrowthFull:
     def test_vertical_ray_minimal_on_friedrichs(self, friedrichs_result):
         trust = friedrichs_result.trust_limit
         radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
-        verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=friedrichs_result)
+        norms, verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=friedrichs_result)
         assert verdict.verdict == "Minimal"
         assert -1.15 <= verdict.slope <= -0.85
-        assert math.isfinite(verdict.sup_bound)
+        assert verdict.sup_bound == max(r * v for r, v in zip(radii, norms))
+        assert norms == [resolvent_norm(friedrichs_result, r * cmath.exp(0.5j * math.pi)) for r in radii]
 
     def test_positive_real_ray_fails(self, friedrichs_result):
         # the ray theta=0 runs through the positive spectrum: aim the
         # outermost probe at the first eigenvalue itself
         lam1 = abs(friedrichs_result.eigenvalues[0])
         radii = (1e-3 * lam1, 1e-2 * lam1, 1e-1 * lam1, lam1)
-        verdict = ray_minimal_growth_full(Ray(0.0), radii, result=friedrichs_result)
+        norms, verdict = ray_minimal_growth_full(Ray(0.0), radii, result=friedrichs_result)
         assert verdict.verdict == "Fails"
-        assert verdict.witness is not None
+        assert verdict.witness == {"radii": list(radii), "norms": norms}
 
     def test_trust_limit_enforced(self, friedrichs_result):
         trust = friedrichs_result.trust_limit
@@ -633,7 +634,7 @@ class TestRayMinimalGrowthFull:
     @pytest.mark.parametrize("radii", [(math.nan, 1.0, 10.0), (1.0, math.nan, 10.0), (1.0, 10.0, math.inf)])
     def test_non_finite_radii_rejected(self, friedrichs_result, radii):
         with pytest.raises(ValueError, match="finite"):
-            spectral.ray_resolvent_norms(Ray(0.5 * math.pi), radii, friedrichs_result)
+            ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=friedrichs_result)
 
 
 class TestRayVerdictInvariants:
@@ -1208,14 +1209,14 @@ class TestCompletenessCertificate:
         assert (cert.n, cert.m, cert.schatten_p) == (2, 2, 1.0)
         assert isinstance(cert.n, int) and isinstance(cert.m, int)
 
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
-            CompletenessCertificate(
-                n=2,
-                m=2,
-                schatten_p=1.0,
-                rays=(self.minimal(0.5 * math.pi), self.minimal(1.5 * math.pi)),
-                max_gap=math.pi,
-                complete=False,
-            )
+    def test_flag_follows_its_rule(self):
+        # complete is read from the rays and the gap, never stored beside them
+        rays = (self.minimal(0.5 * math.pi), self.minimal(1.5 * math.pi))
+        cert = CompletenessCertificate(n=2, m=2, schatten_p=1.0, rays=rays, max_gap=math.pi)
+        assert cert.complete is True
+        assert cert.to_json_dict()["complete"] is True
+        wide = CompletenessCertificate(n=2, m=2, schatten_p=1.0, rays=rays, max_gap=math.pi + 1e-9)
+        assert wide.complete is False
+        with pytest.raises(TypeError):
+            CompletenessCertificate(n=2, m=2, schatten_p=1.0, rays=rays, max_gap=math.pi, complete=False)
 
