@@ -72,6 +72,14 @@ class TestRadialGrid:
             assert g.nodes[0] > 0
             assert np.all(np.diff(g.nodes) > 0)
 
+    def test_uniform_spacing(self):
+        # any increasing positive nodes make a grid; equal cells stay equal
+        g = uniform_grid(2.0, 16)
+        assert g.count == 16
+        assert g.outer_radius == 2.0
+        assert np.allclose(np.diff(g.nodes), 2.0 / 16, rtol=1e-13, atol=0)
+        assert not g.nodes.flags.writeable
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             RadialGrid.geometric(1.0, 10, 1.1)

@@ -18,6 +18,7 @@ from scipy.special import kve
 
 from conespectra.indicial import singular_basis
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, Ray, SectorLink
+import conespectra.normalop as normalop
 from conespectra.grassmann import omega_minus
 from conespectra.normalop import (
     PROBE_RADII,
@@ -231,6 +232,15 @@ class TestRayCertificates:
             assert verdict.witness is not None
             wit_lam = complex(verdict.witness["lambda"][0], verdict.witness["lambda"][1])
             assert abs(wit_lam - lam0) < 1e-9 * radius
+
+    def test_verdict_independent_of_probe_radii(self, monkeypatch):
+        # a generic line is minimal whichever radii the verdict probes
+        dom = ExtensionDomain.line([1.0, 1.0])
+        verdicts = set()
+        for radii in (PROBE_RADII, (0.5, 2.0, 8.0), (1e-3, 1.0, 1e3, 1e6)):
+            monkeypatch.setattr(normalop, "PROBE_RADII", radii)
+            verdicts.add(normal_verdict(CLOSED, dom, Ray(0.5 * math.pi)).verdict)
+        assert verdicts == {"Minimal"}
 
     def test_verdict_witness_is_the_first_collinear_line(self):
         # two representatives of the eigen line at 10i, after one generic line; a

@@ -1217,6 +1217,13 @@ class TestCompletenessCertificate:
         assert cert.to_json_dict()["complete"] is True
         wide = CompletenessCertificate(n=2, m=2, schatten_p=1.0, rays=rays, max_gap=math.pi + 1e-9)
         assert wide.complete is False
-        with pytest.raises(TypeError):
-            CompletenessCertificate(n=2, m=2, schatten_p=1.0, rays=rays, max_gap=math.pi, complete=False)
+
+    def test_inconsistent_flag_rejected(self):
+        # a flag passed beside the rays and the gap is refused, right or wrong
+        rays = (self.minimal(0.5 * math.pi), self.minimal(1.5 * math.pi))
+        for flag in (False, True):
+            with pytest.raises(TypeError):
+                CompletenessCertificate(
+                    n=2, m=2, schatten_p=1.0, rays=rays, max_gap=math.pi, complete=flag
+                )
 
