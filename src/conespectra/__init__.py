@@ -47,7 +47,6 @@ from .spectral import (
     IllConditionedMass,
     RootFindingError,
     SpectralResult,
-    TrustLimitExceeded,
     completeness_certificate,
     completeness_residual,
     dirichlet_mode_eigenvalues,

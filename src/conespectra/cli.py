@@ -44,6 +44,7 @@ import scipy
 
 from . import __version__
 from .model import (
+    SLOPE_WINDOW,
     ConeModelOperator,
     ExtensionDomain,
     Ray,
@@ -66,7 +67,6 @@ from .spectral import (
     RETAIN_FRACTION,
     IllConditionedMass,
     RootFindingError,
-    TrustLimitExceeded,
     completeness_certificate,
     completeness_residual,
     dirichlet_mode_eigenvalues,
@@ -86,7 +86,6 @@ CONFIG_DEFAULTS = {
     "discretization": {"N_h": 400, "grading_q": 0.9, "t_max": 20.0},
     "outputs_dir": "out",
 }
-BASE_PROBE_RADII = (1.0, 10.0, 100.0, 1000.0)
 ORACLE_MATCH_RTOL = 0.005
 RESIDUAL_DECAY_FACTOR = 0.05
 EMBED_P_WINDOW = (0.87, 1.18)
@@ -109,7 +108,6 @@ class StageFailure(RuntimeError):
 
 _NUMERICAL_ERRORS = (
     IllConditionedMass,
-    TrustLimitExceeded,
     RootFindingError,
     NonConvergent,
     np.linalg.LinAlgError,
@@ -298,12 +296,6 @@ def _build_pencil(cfg: ExperimentConfig):
     else:
         mode_k, domain = sm[0], cfg.line
     return assemble_mode_pencil(cfg.model, mode_k, grid, domain), mode_k, grid
-
-
-def _scaled_radii(result) -> list:
-    """Probe radii spanning three decades with the largest at the trust limit."""
-    scale = result.trust_limit / BASE_PROBE_RADII[-1]
-    return [r * scale for r in BASE_PROBE_RADII]
 
 
 def _bump_vector(pencil, grid: RadialGrid) -> np.ndarray:
@@ -537,17 +529,18 @@ def _spectrum(run: Run) -> Record:
 def _resolvent(run: Run) -> Record:
     """Probe every (ray, radius) point once; the norms feed rays.csv and the verdicts."""
     spec = run.records["spectrum"]
-    radii = _scaled_radii(spec.result)
+    radii = spec.result.probe_radii
     rows = []
     verdicts = []
     for ray in run.cfg.rays:
-        norms, verdict = ray_minimal_growth_full(ray, radii, spec.result)
+        norms, verdict = ray_minimal_growth_full(ray, spec.result)
         verdicts.append(verdict)
         rows.extend((r, ray.angle_theta, nrm, r * nrm) for r, nrm in zip(radii, norms))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "trust_limit": spec.result.trust_limit,
         "radii": radii,
+        "slope_window": list(SLOPE_WINDOW),
         "verdicts": [v.to_json_dict() for v in verdicts],
         "ok": all(v.verdict == "Minimal" for v in verdicts),
     }
@@ -859,14 +852,17 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
         for check in stage.scope:
             check(run)
     out = run.cfg.outputs_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"outputs_dir {str(out)!r} cannot be created: {exc.strerror}") from exc
     timings = []
     try:
         for stage in stages:
             start = time.perf_counter()
             try:
                 record = stage.run(run)
-            except _NUMERICAL_ERRORS as exc:
+            except (*_NUMERICAL_ERRORS, MemoryError) as exc:
                 raise StageFailure(stage.name, exc) from exc
             _write_record(out, stage, record)
             timings.append({"stage": stage.name, "wall_s": time.perf_counter() - start})
@@ -990,7 +986,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StageFailure as exc:
-        print(f"numerical failure in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
+        kind = "out of memory" if isinstance(exc.cause, MemoryError) else "numerical failure"
+        print(f"{kind} in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
         return 3
 
 

@@ -34,11 +34,13 @@ g(lambda) = 1 + i tau sum_k |w_k|^2 / (mu_k - lambda), found together
 by an Aberth-Ehrlich iteration (Bini & Robol, J. Comput. Appl. Math.
 2014) and polished by one Newton step on the arrowhead's own secular
 function; each eigenvector is [z / (lambda - theta); 1] in that basis,
-and each resolvent probe's extreme singular values are roots of a
-2 x 2 secular count, O(n) per probe, from the (mu, |w|^2, tau) that the
-result keeps.  The eigensolves are accurate to eps ||C|| only, which is
-coarse for the small eigenvalues of a graded pencil, so each eigenvalue
-is refined by a two-sided Rayleigh quotient on (K, M) itself.
+and each resolvent probe's smallest singular value is found by one
+bisection on a 2 x 2 secular count, O(n) per step, from the
+(mu, |w|^2, tau) that the result keeps, at the four probe radii the
+result owns, a decade apart up to its trust limit.  The eigensolves are
+accurate to eps ||C|| only, which is coarse for the small eigenvalues
+of a graded pencil, so each eigenvalue is refined by a two-sided
+Rayleigh quotient on (K, M) itself.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +59,6 @@ from .model import SLOPE_WINDOW, CompletenessCertificate, Ray, RayVerdict, _numb
 
 __all__ = [
     "IllConditionedMass",
-    "TrustLimitExceeded",
     "RootFindingError",
     "SpectralResult",
     "RayVerdict",
@@ -91,10 +92,6 @@ class IllConditionedMass(RuntimeError):
     """Mass matrix condition number exceeds the solver gate."""
 
 
-class TrustLimitExceeded(ValueError):
-    """A probe radius lies beyond the discretization's trusted range."""
-
-
 class RootFindingError(RuntimeError):
     """A secular-equation root search failed to converge on some root."""
 
@@ -119,6 +116,10 @@ class SpectralResult:
     resolvent probe of the result reads them.  It holds O(n) numbers,
     and its arrays are read-only.  A minimal pencil has tau = 0 and
     zero weights.
+
+    `trust_limit` is a tenth of the largest retained |lambda|, and
+    `probe_radii` the four radii, a decade apart and the largest at the
+    trust limit, at which `ray_minimal_growth_full` probes a ray.
 
     `aberth_sweeps`, `deflated_poles` and `refined_pairs` count the
     Aberth sweeps, the eigenvalues taken from a pole instead of the
@@ -145,6 +146,12 @@ class SpectralResult:
     def trust_limit(self) -> float:
         """Largest |lambda| at which resolvent probes are meaningful."""
         return 0.1 * float(np.max(np.abs(self.retained_eigenvalues)))
+
+    @property
+    def probe_radii(self) -> list:
+        """The resolvent probes' four radii, a decade apart, the largest at the trust limit."""
+        scale = self.trust_limit / 1000.0
+        return [r * scale for r in (1.0, 10.0, 100.0, 1000.0)]
 
 
 def _mass_extremes(mass) -> tuple:
@@ -700,11 +707,12 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     pencil L^{-1}(K - lambda M)L^{-H} with M = L L^H and C = L^{-1} K L^{-H}
     the reduction of the solve.  C - lambda is unitarily similar to
     B = diag(mu - lambda) + i tau w w^H (see `SpectralResult.rank_one_form`),
-    so its extreme singular values are found by bisection on an O(n)
-    count, each inside the bracket that Weyl's inequality gives for a
-    rank-one update of norm |tau| ||w||^2.  Returns +inf when lambda is
-    (numerically) an eigenvalue: sigma_min < 1e-13 sigma_max.  A
-    non-finite lambda raises ValueError.
+    so sigma_min is found by one bisection on an O(n) count, inside the
+    bracket that Weyl's inequality gives for a rank-one update of norm
+    |tau| ||w||^2.  Returns +inf when lambda is (numerically) an
+    eigenvalue: sigma_min below 1e-13 times Weyl's upper bound on sigma_max,
+    max_k |mu_k - lambda| + |tau| ||w||^2; such a probe bisects not at all.
+    A non-finite lambda raises ValueError.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -717,36 +725,24 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     def below(s):
         return _singular_values_below(d, moduli2, weights, tau, s)
 
-    top = math.sqrt(moduli2.max())
-    s_max = _bisect(max(top - spread, 0.0), top + spread, lambda s: below(s) == len(d))
-    floor = 1e-13 * s_max
-    if s_max == 0.0 or below(floor) >= 1:
+    bound = math.sqrt(moduli2.max()) + spread
+    floor = 1e-13 * bound
+    if bound == 0.0 or below(floor) >= 1:
         return math.inf
     bottom = math.sqrt(moduli2.min())
     s_min = _bisect(max(bottom - spread, floor), bottom + spread, lambda s: below(s) >= 1)
     return 1.0 / s_min
 
 
-def ray_minimal_growth_full(ray: Ray, radii: Sequence[float], result: SpectralResult) -> tuple:
+def ray_minimal_growth_full(ray: Ray, result: SpectralResult) -> tuple:
     """Probe the resolvent along a ray and fit its decay rate.
 
-    Returns the resolvent norms at r e^{i theta} for the probe radii r,
-    and the ray's verdict: Minimal when the log-log slope of the norm
-    against |lambda| sits in [-1.15, -0.85] and |lambda| * norm stays
-    bounded over the probes.  At least 3 radii, positive, finite and
-    strictly increasing, at or below the trust limit
-    0.1 * max retained |eigenvalue| of `result`.
+    Returns the resolvent norms at r e^{i theta} for r in
+    `result.probe_radii`, and the ray's verdict: Minimal when the log-log
+    slope of the norm against |lambda| sits in [-1.15, -0.85] and
+    |lambda| * norm stays bounded over the probes.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise ValueError("need at least 3 probe radii for a slope fit")
-    if not all(0.0 < r < math.inf for r in radii) or any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])):
-        raise ValueError("probe radii must be positive, finite and strictly increasing")
-    trust = result.trust_limit
-    if radii[-1] > trust * (1.0 + 1e-12):
-        raise TrustLimitExceeded(
-            f"max probe radius {radii[-1]:.6g} exceeds trust limit {trust:.6g}"
-        )
+    radii = result.probe_radii
     theta = ray.angle_theta
     norms = [resolvent_norm(result, r * cmath.exp(1j * theta)) for r in radii]
     witness = {"radii": radii, "norms": [float(v) for v in norms]}

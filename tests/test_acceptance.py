@@ -290,9 +290,7 @@ def test_criterion_5_minimal_growth_slope(pencils, capsys):
     budget = 30.0
     t0 = time.perf_counter()
     pencil, result, _ = pencils("sector", 1.0, 1.0j, 400)
-    trust = result.trust_limit
-    radii = [trust * 1e-3, trust * 1e-2, trust * 1e-1, trust]
-    _, verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=result)
+    _, verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), result)
     slope_ok = verdict.slope is not None and -1.15 <= verdict.slope <= -0.85
     sup_ok = verdict.sup_bound is not None and verdict.sup_bound <= 10.0
     elapsed = time.perf_counter() - t0

@@ -393,6 +393,26 @@ class TestExitCodeMapping:
         timings = read_json(tmp_path / "timings.json")
         assert [t["stage"] for t in timings["stages"]] == ["spectrum"]
 
+    def test_out_of_memory_exits_3_and_names_the_stage(self, tmp_path, capsys, monkeypatch):
+        def exhaust(pencil):
+            raise MemoryError("Unable to allocate 18.6 GiB for an array")
+
+        monkeypatch.setattr(cli, "solve_pencil", exhaust)
+        assert run_cli("spectrum", "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "out of memory in stage 'spectrum': Unable to allocate" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["is-a-file", "under-a-file"])
+    def test_outputs_dir_that_cannot_be_created_exits_2(self, below, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run_cli("indicial", "--out", blocker.joinpath(*below)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: outputs_dir {str(blocker.joinpath(*below))!r} cannot be created" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        assert blocker.read_text() == ""
+
 
 SUBCOMMANDS = (
     "indicial",
@@ -663,6 +683,16 @@ class TestFullPipelines:
         assert rep1["config"].pop("outputs_dir") != rep2["config"].pop("outputs_dir")
         assert rep1 == rep2
 
+    def test_resolvent_reports_its_slope_window(self, sector_run):
+        _, out = sector_run
+        payload = read_json(out / "resolvent.json")
+        assert read_json(out / "report.json")["stages"]["resolvent"] == payload
+        assert payload["slope_window"] == list(cli.SLOPE_WINDOW) == [-1.15, -0.85]
+        lo, hi = payload["slope_window"]
+        minimal = [v for v in payload["verdicts"] if v["verdict"] == "Minimal"]
+        assert minimal
+        assert all(lo <= v["slope"] <= hi for v in minimal)
+
     def test_solve_counters_are_integers_and_rerun_equal(self, sector_run, tmp_path, capsys):
         _, first = sector_run
         names = ("aberth_sweeps", "deflated_poles", "refined_pairs")
@@ -696,6 +726,7 @@ class TestFullPipelines:
 
         count(spectral, "resolvent_norm")
         count(spectral, "_to_arrowhead")
+        count(spectral, "_bisect")
         count(cli, "omega_minus")
         count(grassmann, "flow")
         count(cli, "ray_minimal_growth_normal")
@@ -705,7 +736,9 @@ class TestFullPipelines:
         assert cli.main(["example53", "--nh", "60", "--out", str(tmp_path)]) in (0, 1)
         assert (tmp_path / "certificate.json").exists()
         rays = cli.DEFAULT_RAYS
-        assert counts["resolvent_norm"] == len(rays) * len(cli.BASE_PROBE_RADII) == 8
+        assert counts["resolvent_norm"] == len(rays) * 4 == 8
+        # each probe finds sigma_min by one bisection
+        assert counts["_bisect"] == counts["resolvent_norm"]
         # the probes read the solve's own reduction instead of making another
         assert counts["_to_arrowhead"] == 1
         # the flow stage computes the orbit and its limit set Omega^- once, and

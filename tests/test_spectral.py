@@ -36,7 +36,6 @@ from conespectra.spectral import (
     IllConditionedMass,
     RayVerdict,
     RootFindingError,
-    TrustLimitExceeded,
     completeness_certificate,
     completeness_residual,
     dirichlet_mode_eigenvalues,
@@ -170,6 +169,13 @@ class TestSolvePencil:
         assert np.allclose(res.retained_eigenvalues, np.arange(1.0, 9.0), atol=1e-12)
         assert res.trust_limit == pytest.approx(0.8, rel=1e-12)
 
+    def test_probe_radii_step_by_decades_to_the_trust_limit(self, friedrichs_result):
+        radii = friedrichs_result.probe_radii
+        assert len(radii) == 4
+        assert radii[-1] == pytest.approx(friedrichs_result.trust_limit, rel=1e-15)
+        for r0, r1 in zip(radii, radii[1:]):
+            assert r1 / r0 == pytest.approx(10.0, rel=1e-14)
+
     def test_residual_invariant_on_assembled_pencil(self, friedrichs_pencil, friedrichs_result):
         scale = np.max(np.abs(friedrichs_pencil.K))
         retained = friedrichs_result.residuals[: friedrichs_result.n_retained]
@@ -206,6 +212,18 @@ class TestResolventNorm:
     def test_sentinel_at_eigenvalue(self):
         pen = make_pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
         assert resolvent_norm(solve_pencil(pen), 2.0) == math.inf
+
+    def test_one_bisection_per_finite_probe(self, monkeypatch, friedrichs_result):
+        # sigma_min is the only bisection; a probe on an eigenvalue is
+        # caught by the floor under Weyl's bound on sigma_max and makes none
+        calls = []
+        bisect = spectral._bisect
+        monkeypatch.setattr(spectral, "_bisect", lambda *a: calls.append(1) or bisect(*a))
+        assert math.isfinite(resolvent_norm(friedrichs_result, 3.0 + 4.0j))
+        assert len(calls) == 1
+        calls.clear()
+        assert resolvent_norm(solve_pencil(make_pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))), 2.0) == math.inf
+        assert calls == []
 
     @pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.nan), math.inf, complex(0.0, -math.inf)])
     def test_non_finite_lambda_rejected(self, friedrichs_result, lam):
@@ -292,10 +310,8 @@ class TestResolventNorm:
             monkeypatch.setattr(scipy.linalg, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
         probed = solve_pencil(pen)
         assert calls == ["eigh", "eigvalsh"]
-        trust = probed.trust_limit
-        radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
         for theta in (0.5 * math.pi, 1.5 * math.pi, 2.0):
-            ray_minimal_growth_full(Ray(theta), radii, result=probed)
+            ray_minimal_growth_full(Ray(theta), probed)
         resolvent_norm(probed, -5.0)
         assert calls == ["eigh", "eigvalsh"]
         mu, weights, _ = probed.rank_one_form
@@ -599,42 +615,23 @@ class TestRankOneSolve:
 
 class TestRayMinimalGrowthFull:
     def test_vertical_ray_minimal_on_friedrichs(self, friedrichs_result):
-        trust = friedrichs_result.trust_limit
-        radii = tuple(trust * 10.0 ** (-k) for k in (3, 2, 1, 0))
-        norms, verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=friedrichs_result)
+        radii = friedrichs_result.probe_radii
+        norms, verdict = ray_minimal_growth_full(Ray(0.5 * math.pi), friedrichs_result)
         assert verdict.verdict == "Minimal"
         assert -1.15 <= verdict.slope <= -0.85
         assert verdict.sup_bound == max(r * v for r, v in zip(radii, norms))
         assert norms == [resolvent_norm(friedrichs_result, r * cmath.exp(0.5j * math.pi)) for r in radii]
 
-    def test_positive_real_ray_fails(self, friedrichs_result):
-        # the ray theta=0 runs through the positive spectrum: aim the
-        # outermost probe at the first eigenvalue itself
-        lam1 = abs(friedrichs_result.eigenvalues[0])
-        radii = (1e-3 * lam1, 1e-2 * lam1, 1e-1 * lam1, lam1)
-        norms, verdict = ray_minimal_growth_full(Ray(0.0), radii, result=friedrichs_result)
+    def test_positive_real_ray_fails(self):
+        # 8 of the 10 pairs are retained, so the trust limit is 0.1 * 7 and
+        # the outermost probe on the ray theta = 0 lands on the eigenvalue 0.7
+        res = solve_pencil(make_pencil(np.diag([0.7, 1, 2, 3, 4, 5, 6, 7, 50, 60]), np.eye(10)))
+        norms, verdict = ray_minimal_growth_full(Ray(0.0), res)
         assert verdict.verdict == "Fails"
-        assert verdict.witness == {"radii": list(radii), "norms": norms}
-
-    def test_trust_limit_enforced(self, friedrichs_result):
-        trust = friedrichs_result.trust_limit
-        with pytest.raises(TrustLimitExceeded):
-            ray_minimal_growth_full(
-                Ray(0.5 * math.pi),
-                (trust * 1e-2, trust * 1e-1, trust * 2.0),
-                result=friedrichs_result,
-            )
-
-    def test_needs_three_increasing_radii(self, friedrichs_result):
-        with pytest.raises(ValueError):
-            ray_minimal_growth_full(Ray(0.5 * math.pi), (1.0, 10.0), result=friedrichs_result)
-        with pytest.raises(ValueError):
-            ray_minimal_growth_full(Ray(0.5 * math.pi), (10.0, 1.0, 100.0), result=friedrichs_result)
-
-    @pytest.mark.parametrize("radii", [(math.nan, 1.0, 10.0), (1.0, math.nan, 10.0), (1.0, 10.0, math.inf)])
-    def test_non_finite_radii_rejected(self, friedrichs_result, radii):
-        with pytest.raises(ValueError, match="finite"):
-            ray_minimal_growth_full(Ray(0.5 * math.pi), radii, result=friedrichs_result)
+        assert verdict.sup_bound == math.inf
+        assert all(math.isfinite(v) for v in norms[:3]) and norms[3] == math.inf
+        assert verdict.witness == {"radii": res.probe_radii, "norms": norms}
+        assert "does not exist" in verdict.note
 
 
 class TestRayVerdictInvariants:
