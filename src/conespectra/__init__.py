@@ -20,7 +20,6 @@ from .indicial import (
 )
 from .grassmann import (
     RHO_SCHEDULE,
-    NonConvergent,
     NonpositiveRho,
     flow,
     grassmann_distance,

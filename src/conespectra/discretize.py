@@ -108,9 +108,13 @@ class RadialGrid:
             raise ValueError("q must be in (0,1)")
         if not (R > 0.0 and math.isfinite(R)):
             raise ValueError("R must be positive")
-        q_eff = max(q, TIP_FLOOR_RATIO ** (1.0 / (N_h - 1)))
         exponents = np.arange(N_h - 1, -1, -1, dtype=float)
-        return cls(nodes=R * q_eff ** exponents)
+        return cls(nodes=R * cls.geometric_ratio(N_h, q) ** exponents)
+
+    @staticmethod
+    def geometric_ratio(N_h: int, q: float) -> float:
+        """The effective ratio q_eff of geometric(R, N_h, q), whose first node is R * q_eff^(N_h - 1)."""
+        return max(q, TIP_FLOOR_RATIO ** (1.0 / (N_h - 1)))
 
 
 @dataclass(frozen=True)

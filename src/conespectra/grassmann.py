@@ -4,8 +4,10 @@ The one-parameter group kappa_rho acts on singular functions by
 x^e (log x)^p -> rho^e x^e (log rho + log x)^p.  On the one singular
 pair it is diag(rho^e0, rho^e1) for two simple roots, and the shear
 [[1, log rho], [0, 1]] on [1, log x] for the double root e = 0.
-Flowing an extension line along rho -> 0 and clustering the tail of
-the orbit yields the limit set Omega^-.
+As rho -> 0 the weaker exponent wins, so the limit set Omega^- of a
+line [a : b] is one line in closed form: [0 : 1] (the span of x^-nu)
+when nu > 0 and b != 0, and [1 : 0] otherwise, the double root's shear
+included.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .model import ExtensionDomain, line_distance
 
 __all__ = [
     "NonpositiveRho",
-    "NonConvergent",
     "RHO_SCHEDULE",
     "kappa_matrix",
     "flow",
@@ -29,10 +30,6 @@ __all__ = [
 
 class NonpositiveRho(ValueError):
     """kappa_rho is only defined for rho > 0."""
-
-
-class NonConvergent(RuntimeError):
-    """The flow's tail keeps splitting into new clusters as the schedule extends."""
 
 
 def kappa_matrix(basis, rho: float) -> np.ndarray:
@@ -71,29 +68,13 @@ RHO_SCHEDULE = 10.0 ** (-np.arange(1, 65) / 4.0)
 RHO_SCHEDULE.flags.writeable = False
 
 
-# clustering tolerance of the orbit's tail, in grassmann_distance
-CLUSTER_TOL = 0.05
-
-
-def _cluster_tail(flowed) -> list:
-    """Greedy clustering of the trailing quarter, most-converged point first."""
-    tail_len = max(1, len(flowed) // 4)
-    reps = []
-    for dom in reversed(flowed[-tail_len:]):
-        if all(grassmann_distance(dom, rep) >= CLUSTER_TOL for rep in reps):
-            reps.append(dom)
-    return reps
-
-
 def omega_minus(domain: ExtensionDomain, basis) -> tuple:
     """The kappa-flow orbit of a domain as rho -> 0 and its limit set.
 
-    Flows the domain along RHO_SCHEDULE, clusters the trailing quarter
-    of the orbit at CLUSTER_TOL, and takes one representative per
-    cluster (the most-converged member).  When more than one cluster is
-    found the schedule is extended geometrically, doubling its length,
-    up to twice; a stable multi-cluster tail is returned as-is, while
-    clusters that keep moving raise NonConvergent.
+    Flows the domain along RHO_SCHEDULE.  The limit set is exact: the
+    line [0 : 1] when the pair's exponents are +-nu with nu > 0 and the
+    domain's b is not 0, and [1 : 0] otherwise (b = 0 is fixed by the
+    flow, and the double root's shear turns every line to [1 : 0]).
 
     Parameters
     ----------
@@ -103,28 +84,9 @@ def omega_minus(domain: ExtensionDomain, basis) -> tuple:
 
     Returns
     -------
-    (orbit, limits) : the flowed domains, extensions included, and the
-    cluster representatives.
+    (orbit, limits) : the 64 flowed domains and the one-line limit set.
     """
-    schedule = RHO_SCHEDULE
-    flowed = [flow(domain, basis, r) for r in schedule]
-    reps = _cluster_tail(flowed)
-    extensions = 0
-    while len(reps) > 1 and extensions < 2:
-        ratio = schedule[-1] / schedule[-2]
-        extra = schedule[-1] * ratio ** np.arange(1, len(schedule) + 1)
-        flowed.extend(flow(domain, basis, r) for r in extra)
-        schedule = np.concatenate([schedule, extra])
-        new_reps = _cluster_tail(flowed)
-        stable = len(new_reps) == len(reps) and all(
-            any(grassmann_distance(nr, r) < CLUSTER_TOL for r in reps) for nr in new_reps
-        )
-        if stable:
-            return flowed, new_reps
-        reps = new_reps
-        extensions += 1
-    if len(reps) > 1:
-        raise NonConvergent(
-            f"flow tail still splits into {len(reps)} clusters after extending the schedule"
-        )
-    return flowed, reps
+    orbit = [flow(domain, basis, r) for r in RHO_SCHEDULE]
+    power = basis[1].log_power == 0
+    limit = [0.0, 1.0] if power and domain.coeffs[1] != 0 else [1.0, 0.0]
+    return orbit, (ExtensionDomain.line(limit),)

@@ -212,7 +212,7 @@ def test_criterion_3_normal_operator_ray_certificates(capsys):
     )
 
     # a domain built from the decaying trace at lambda_0 = 10i has 10i as
-    # an eigenvalue of the tip operator, and 10 is a default probe radius
+    # an eigenvalue of the tip operator
     lam0 = 10.0j
     eigen_checks = []
     for model in (CLOSED, SECTOR):

@@ -7,6 +7,7 @@ and the spectrum stage at two BLAS thread counts.
 """
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import io
@@ -29,7 +30,6 @@ import conespectra.cli as cli
 import conespectra.grassmann as grassmann
 import conespectra.normalop as normalop
 import conespectra.spectral as spectral
-from conespectra.normalop import PROBE_RADII
 from conespectra.spectral import IllConditionedMass
 
 
@@ -403,6 +403,42 @@ class TestExitCodeMapping:
         assert "out of memory in stage 'spectrum': Unable to allocate" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n_h, code", [(10**30, 2), (10**11, 3)])
+    def test_scope_checks_never_build_the_grid(self, n_h, code, tmp_path, capsys, monkeypatch):
+        # at 10**30 the effective ratio rounds to 1 and the first node sits at R;
+        # at 10**11 it is 1e-3 R, so scope passes and only the stage builds the grid
+        def refuse(R, N_h, q):
+            raise MemoryError(f"no grid of {N_h} nodes")
+
+        monkeypatch.setattr(cli.RadialGrid, "geometric", refuse)
+        cfg = cli._default_config_dict("sector")
+        cfg["discretization"]["N_h"] = n_h
+        run = cli.Run(cli.ExperimentConfig.from_json_dict(cfg))
+        if code == 2:
+            with pytest.raises(cli.ConfigError, match="first grid node at 1 R, above R/4"):
+                cli._grid_reaches_tip(run)
+        else:
+            for check in (check for stage in cli.STAGES for check in stage.scope):
+                check(run)
+        assert run_cli("spectrum", "--nh", n_h, "--out", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        if code == 3:
+            assert f"out of memory in stage 'spectrum': no grid of {n_h} nodes" in err
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(n_h=st.integers(16, 10**30), q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_any_grid_size_is_scope_checked_without_building_it(self, n_h, q):
+        cfg = cli._default_config_dict("sector")
+        cfg["discretization"].update(N_h=n_h, grading_q=q)
+        run = cli.Run(cli.ExperimentConfig.from_json_dict(cfg))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli.RadialGrid, "geometric", None)  # calling it raises TypeError
+            for check in (check for stage in cli.STAGES for check in stage.scope):
+                with contextlib.suppress(cli.ConfigError):
+                    check(run)
+
     @pytest.mark.parametrize("below", [(), ("sub",)], ids=["is-a-file", "under-a-file"])
     def test_outputs_dir_that_cannot_be_created_exits_2(self, below, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -436,7 +472,7 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 FLAG_SETS = st.tuples(
     _optional_flag("alpha", st.floats(0.1, 2.0 * math.pi, **_finite)),
     _optional_flag("gamma", st.floats(-3.0, 1.0, **_finite)),
-    *(_optional_flag(name, st.floats(-3.0, 3.0, **_finite)) for name in ("a", "a-im", "b", "b-im")),
+    *(_optional_flag(name, st.floats(**_finite)) for name in ("a", "a-im", "b", "b-im")),
     _optional_flag("theta", st.floats(0.0, 2.0 * math.pi, **_finite)),
     st.integers(16, 60).map(lambda n: [f"--nh={n}"]),
 ).map(lambda flags: [arg for flag in flags for arg in flag])
@@ -475,6 +511,45 @@ class TestExitCodeProperty:
         assert "Traceback" not in err.getvalue(), argv
 
 
+_ANY_LINE = st.tuples(*[st.floats(**_finite)] * 4).filter(any)
+
+
+class TestLineSpaceProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["sector", "closed"]),
+        coeffs=_ANY_LINE,
+        rays=st.lists(
+            st.floats(0.0, 2.0 * math.pi, exclude_min=True, exclude_max=True), min_size=1, max_size=3
+        ),
+    )
+    @example(kind="sector", coeffs=(1.0, 0.0, 1e-20, 0.0), rays=[0.5 * math.pi, 1.5 * math.pi])
+    @example(kind="sector", coeffs=(1.0, 0.0, -1e-300, 0.0), rays=[math.pi])
+    @example(kind="sector", coeffs=(1e300, -1e300, 5e-324, 1e-300), rays=[math.pi, 1.0])
+    @example(kind="closed", coeffs=(30.0, 0.0, 1.0, 0.0), rays=[math.pi])
+    @example(kind="closed", coeffs=(5e-324, 0.0, 0.0, -5e-324), rays=[1e-300, 6.283185307179585])
+    def test_any_line_flows_and_is_checked_without_error(self, kind, coeffs, rays):
+        # every finite line that is not all zero: the flow meets its closed form,
+        # both commands exit 0, and each Fails witness is an eigenvalue
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            cfg = cli._default_config_dict(kind)
+            cfg.update(extension={"a": coeffs[:2], "b": coeffs[2:]}, rays=rays, outputs_dir=tmp)
+            (out / "cfg.json").write_text(json.dumps(cfg))
+            for command in ("flow", "normal-check"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert cli.main([command, "--config", str(out / "cfg.json")]) == 0, err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                assert read_json(out / "flow.json")["ok"] is True
+            model = cli.ExperimentConfig.from_json_dict(cfg).model
+            for verdict in read_json(out / "normal_check.json")["verdicts"]:
+                if verdict["verdict"] == "Fails":
+                    line = cli.ExtensionDomain.line([complex(*z) for z in verdict["witness"]["domain"]])
+                    lam = complex(*verdict["witness"]["lambda"])
+                    assert normalop.normal_invertible(model, line, lam) is False
+
+
 class TestStandaloneStages:
     def test_indicial_sector_default(self, tmp_path, capsys):
         assert run_cli("indicial", "--out", tmp_path) == 0
@@ -506,29 +581,63 @@ class TestStandaloneStages:
         rows = (tmp_path / "flow.csv").read_text().strip().splitlines()
         assert rows[0] == "rho,distance"
         assert len(rows) == 65
-        assert payload["schedule_length"] == 64
 
-    def test_flow_reports_the_extended_orbit(self, tmp_path, capsys):
-        # [1 : 1e-20] still splits at rho = 1e-16, so the schedule doubles once;
-        # flow.csv keeps the 64 rows of the fixed schedule
-        assert run_cli("flow", "--a", 1, "--b", 1e-20, "--out", tmp_path) == 0
-        assert read_json(tmp_path / "flow.json")["schedule_length"] == 128
-        assert len((tmp_path / "flow.csv").read_text().strip().splitlines()) == 65
-
-    def test_flow_log_tolerance_follows_the_flowed_rho(self, tmp_path, capsys):
-        # closed-link [30 : 1] flows 128 lines, down to rho = 1e-32, and its
-        # limit is matched inside the log envelope there, not at 1e-16 (the
-        # flow's ok stays false: its orbit turns through [0 : 1] at log rho = -30)
-        cfg = cli._default_config_dict("closed")
+    @pytest.mark.parametrize(
+        "kind, a, b",
+        [
+            ("closed", 30.0, 1.0),
+            ("closed", 44.0, 1.0),
+            ("sector", 1.0, 1e-20),
+            ("sector", 1.0, 1e-300),
+            ("sector", 1e3, 1e-20),
+        ],
+    )
+    def test_slow_orbit_meets_its_closed_form(self, kind, a, b, tmp_path, capsys):
+        # each orbit is still far from its limit at rho = 1e-16, the schedule's end
+        cfg = cli._default_config_dict(kind)
         cfg["outputs_dir"] = str(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert run_cli("flow", "--config", path, "--a", 30, "--b", 1) == 0
+        line = cli.ExtensionDomain.line([a, b])
+        model = cli.ExperimentConfig.from_json_dict(cfg).model
+        orbit, limits = grassmann.omega_minus(line, cli.singular_basis(model))
+        assert len(orbit) == 64
+        exact = [0.0, 1.0] if kind == "sector" else [1.0, 0.0]
+        assert [lim.coeffs.tolist() for lim in limits] == [exact]
+        assert run_cli("flow", "--config", path, "--a", a, "--b", b) == 0
         payload = read_json(tmp_path / "flow.json")
-        assert payload["schedule_length"] == 128
-        assert payload["limit_tolerance"] == pytest.approx(10.0 / abs(math.log(1e-32)), rel=1e-15)
-        assert payload["limit_distance"] == pytest.approx(0.0229, abs=1e-4)
-        assert payload["limit_distance"] <= payload["limit_tolerance"]
+        assert payload["ok"] is True
+        assert payload["limits"] == [[[[x, 0.0]] for x in exact]]
+        assert payload["max_relative_deviation"] <= payload["deviation_tolerance"] == 1e-12
+        assert len((tmp_path / "flow.csv").read_text().strip().splitlines()) == 65
+
+    @pytest.mark.parametrize(
+        "kind, argv, modulus",
+        [
+            (
+                "sector",
+                ("--b", 0, "--b-im", 1, "--theta", 5.497787143782138),
+                4 * (math.gamma(5 / 3) / math.gamma(1 / 3)) ** 1.5,
+            ),
+            (
+                "closed",
+                ("--b", 0, "--b-im", 1, "--theta", 1.1415926535897931),
+                4 * math.exp(-2 * np.euler_gamma),
+            ),
+            ("closed", ("--b", 1, "--theta", math.pi), 4 * math.exp(2 * (1 - np.euler_gamma))),
+        ],
+    )
+    def test_normal_check_reports_the_eigenvalue_on_the_ray(self, kind, argv, modulus, tmp_path, capsys):
+        # [1 : i] and [1 : 1] meet the decaying trace once on each of these rays
+        cfg = cli._default_config_dict(kind)
+        cfg["outputs_dir"] = str(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("normal-check", "--config", path, "--a", 1, *argv) == 0
+        assert capsys.readouterr().out.endswith(": Fails\n")
+        (verdict,) = read_json(tmp_path / "normal_check.json")["verdicts"]
+        lam = complex(*verdict["witness"]["lambda"])
+        assert lam == pytest.approx(modulus * cmath.exp(1j * argv[-1]), rel=1e-14)
 
     def test_normal_check_default_rays(self, tmp_path, capsys):
         assert run_cli("normal-check", "--out", tmp_path) == 0
@@ -732,6 +841,7 @@ class TestFullPipelines:
         count(cli, "ray_minimal_growth_normal")
         count(cli, "ray_minimal_growth_full")
         count(normalop, "decaying_trace")
+        count(normalop, "normal_invertible")
         # the coarse grid may miss the oracle threshold (exit 1); every stage still runs
         assert cli.main(["example53", "--nh", "60", "--out", str(tmp_path)]) in (0, 1)
         assert (tmp_path / "certificate.json").exists()
@@ -747,8 +857,8 @@ class TestFullPipelines:
         assert counts["flow"] == len(grassmann.RHO_SCHEDULE) == 64
         assert counts["ray_minimal_growth_normal"] == len(rays) == 2
         assert counts["ray_minimal_growth_full"] == len(rays) == 2
-        # one decaying trace per probe point serves every candidate domain
-        assert counts["decaying_trace"] == len(rays) * len(PROBE_RADII) == 8
+        # the normal verdict solves for the ray's eigenvalue in closed form
+        assert counts["decaying_trace"] == counts["normal_invertible"] == 0
 
     def test_friedrichs_sector_short_circuits(self, tmp_path, capsys):
         # alpha = 1: no strip roots, D_min = D_max, spectrum only

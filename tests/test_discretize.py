@@ -67,6 +67,17 @@ class TestRadialGrid:
         assert np.allclose(r, r[0], rtol=1e-12, atol=0)
         assert g.outer_radius == 2.0
 
+    @pytest.mark.parametrize("n_h", [16, 100, 400, 3200])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
+    def test_geometric_nodes_come_from_the_shared_ratio(self, n_h, q):
+        # the nodes as geometric built them before the ratio had its own owner
+        q_eff = max(q, TIP_FLOOR_RATIO ** (1.0 / (n_h - 1)))
+        before = 0.7 * q_eff ** np.arange(n_h - 1, -1, -1, dtype=float)
+        g = RadialGrid.geometric(0.7, n_h, q)
+        assert g.nodes.tobytes() == before.tobytes()
+        # the scope check reads the first node without building the grid
+        assert 0.7 * RadialGrid.geometric_ratio(n_h, q) ** (n_h - 1) == g.nodes[0]
+
     def test_nodes_strictly_increasing_and_positive(self):
         for g in (RadialGrid.geometric(1.0, 50, 0.85), uniform_grid(3.0, 40)):
             assert g.nodes[0] > 0
