@@ -95,6 +95,8 @@ EMBED_P_WINDOW = (0.87, 1.18)
 # so the decay fit must stay below that (index 20 at the default 400 / 20)
 EMBED_FIT_RANGE = (5, 20)
 RESIDUAL_COUNTS = (5, 10, 15, 20, 25, 30, 35, 40)
+# the full-pipeline subcommands and the geometry each runs without a config
+EXAMPLES = {"example52": "closed", "example53": "sector"}
 
 
 class ConfigError(ValueError):
@@ -218,7 +220,7 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
     else:
-        d = _default_config_dict(getattr(args, "default_kind", "sector"))
+        d = _default_config_dict(EXAMPLES.get(args.command, "sector"))
 
     for key in ("geometry", "extension", "discretization"):
         if not isinstance(d.setdefault(key, {}), dict):
@@ -254,14 +256,10 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, complex):
         return complex_to_pair(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # Python numbers, lists of them for an array
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
@@ -617,6 +615,18 @@ def _pencil_weight(run: Run) -> None:
         )
 
 
+def _oracle_resolves_the_mode(run: Run) -> None:
+    # the pencil's mode is the first (nu = pi / alpha on a sector) or has nu < 1; scipy's J_nu(x)
+    # comes back wrong above x = 2^51 = 0.5 / eps, and the five oracle zeros lie 10^6 above nu
+    geometry = run.cfg.model.geometry
+    nu = math.sqrt(geometry.mu(next(iter(geometry.modes_by_abs()))))
+    if nu > 2.0**50:
+        raise ConfigError(
+            f"the pencil's mode has nu = {nu:.6g} above 2^50; "
+            "the oracle's Bessel functions lose every digit from 2^51"
+        )
+
+
 def _grid_reaches_tip(run: Run) -> None:
     # the enrichment's tip closed form integrates over (0, node_1], where omega = 1
     cfg = run.cfg
@@ -642,13 +652,19 @@ def _grid_retains_residual_counts(run: Run) -> None:
         )
 
 
-def _grid_covers_fit_range(run: Run) -> None:
-    # N_h + 1 hats on [0, t_max], free at both ends
+def _embedding_grid_size(run: Run) -> None:
+    # N_h + 1 hats on [0, t_max], free at both ends; the Grams are dense (N_h + 1)-square
+    # float64 arrays, and numpy counts an array's bytes in its signed index type
     count = run.cfg.N_h + 1
     if count < EMBED_FIT_RANGE[1]:
         raise ConfigError(
             f"discretization.N_h = {run.cfg.N_h} gives {count} embedding singular values; "
             f"the fit range {EMBED_FIT_RANGE} needs {EMBED_FIT_RANGE[1]}"
+        )
+    if 8 * count**2 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"discretization.N_h = {run.cfg.N_h} needs embedding Grams of (N_h + 1)^2 doubles, "
+            "more bytes than one numpy array can hold"
         )
 
 
@@ -755,7 +771,7 @@ STAGES = (
         ),
         lambda p: f"[spectrum] max relative error vs oracle = {p['max_relative_error']:.3e}",
         "spectrum",
-        scope=(_pencil_weight, _one_pair_quotient, _grid_reaches_tip),
+        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _grid_reaches_tip),
         gated=True,
     ),
     Stage(
@@ -803,7 +819,7 @@ STAGES = (
             f"singular value decay exponent q = {p['decay_exponent_q']:.4f}, "
             f"implied p = {p['implied_p']:.4f}"
         ),
-        scope=(_grid_covers_fit_range,),
+        scope=(_embedding_grid_size,),
         gated=True,
     ),
 )
@@ -932,46 +948,32 @@ def _run_example(cfg: ExperimentConfig, args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conespectra",
-        description="Spectral completeness experiments for cone operators.",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    def add(name, help_text, handler=_run_command, kind="sector"):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", type=Path, default=None, metavar="PATH")
-        sp.add_argument("--alpha", type=float, default=None, help="sector opening angle")
-        sp.add_argument("--gamma", type=float, default=None, help="space weight")
-        sp.add_argument("--a", type=float, default=None, help="Re a of the extension")
-        sp.add_argument("--a-im", type=float, default=None, dest="a_im")
-        sp.add_argument("--b", type=float, default=None, help="Re b of the extension")
-        sp.add_argument("--b-im", type=float, default=None, dest="b_im")
-        sp.add_argument("--theta", type=float, default=None, help="single ray angle")
-        sp.add_argument("--nh", type=int, default=None, help="radial grid size")
-        sp.add_argument("--out", type=Path, default=None, metavar="DIR")
-        sp.set_defaults(handler=handler, default_kind=kind)
-        return sp
-
-    add("indicial", "boundary spectrum and singular basis")
-    add("flow", "dilation flow of the extension line and its limit set")
-    add("normal-check", "exact tip-operator ray criterion")
-    add("spectrum", "mode pencil eigenvalues vs the secular oracle")
-    add("resolvent", "resolvent norms and growth slopes along rays")
-    add("complete", "eigenvector-expansion residuals of a bump")
-    add("embed", "weighted embedding singular values and p fit")
-    add("certify", "ray-fan completeness certificate")
-    add("example52", "full closed-link pipeline", _run_example, kind="closed")
-    add("example53", "full sector pipeline", _run_example)
+    parser.add_argument("command", nargs="?", choices=[*STAGE, *EXAMPLES], metavar="subcommand")
+    parser.add_argument("--config", type=Path, default=None, metavar="PATH")
+    parser.add_argument("--alpha", type=float, default=None, help="sector opening angle")
+    parser.add_argument("--gamma", type=float, default=None, help="space weight")
+    parser.add_argument("--a", type=float, default=None, help="Re a of the extension")
+    parser.add_argument("--a-im", type=float, default=None, dest="a_im")
+    parser.add_argument("--b", type=float, default=None, help="Re b of the extension")
+    parser.add_argument("--b-im", type=float, default=None, dest="b_im")
+    parser.add_argument("--theta", type=float, default=None, help="single ray angle")
+    parser.add_argument("--nh", type=int, default=None, help="radial grid size")
+    parser.add_argument("--out", type=Path, default=None, metavar="DIR")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
+    if args.command is None:
         parser.print_help()
         return 2
+    run = _run_example if args.command in EXAMPLES else _run_command
     try:
-        return args.handler(_config_from_args(args), args)
+        return run(_config_from_args(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -979,7 +981,3 @@ def main(argv=None) -> int:
         kind = "out of memory" if isinstance(exc.cause, MemoryError) else "numerical failure"
         print(f"{kind} in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

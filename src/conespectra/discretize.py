@@ -381,7 +381,7 @@ def assemble_mode_pencil(
     OverflowError, FloatingPointError
         When an entry is not a finite float, as for outer radius 1e-200 or 1e200.
     """
-    if abs(model.weight_gamma + 1.0) > 1e-12:
+    if model.weight_gamma != -1.0:
         raise ValueError("weighted assembly implemented for weight_gamma = -1 only")
     R = model.outer_radius_R
     nodes = grid.nodes

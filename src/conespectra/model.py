@@ -49,15 +49,16 @@ def complex_from_pair(v, name: str = "value") -> complex:
 def _number(value, name: str, integral: bool = False):
     """A JSON number as a float, or as an int when integral (40.0 reads as 40, 40.7 is rejected).
 
-    Anything else, a boolean or a string included, raises ValueError naming the field.
+    Anything else (a boolean, a string, an int past the double range) raises ValueError naming it.
     """
     whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or (integral and not whole):
         raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
     try:
-        return int(value) if integral else float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"{name} is out of floating-point range") from None
+    return int(value) if integral else number
 
 
 def _check_known_keys(d: dict, allowed: set, where: str) -> None:

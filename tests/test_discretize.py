@@ -240,11 +240,12 @@ class TestPencilAssembly:
         assert np.array_equal(pen.K[-1, :-1], pen.K[:-1, -1].conj())
 
     def test_preconditions(self, grid):
-        bad_gamma = ConeModelOperator(
-            order_m=2, dim_n=2, weight_gamma=0.0, geometry=ClosedLink(), outer_radius_R=1.0
-        )
-        with pytest.raises(ValueError, match="weight_gamma"):
-            assemble_mode_pencil(bad_gamma, 0, grid, None)
+        for gamma in (0.0, -1.0 + 1e-13):  # the formulas hold at weight_gamma = -1 exactly
+            bad_gamma = ConeModelOperator(
+                order_m=2, dim_n=2, weight_gamma=gamma, geometry=ClosedLink(), outer_radius_R=1.0
+            )
+            with pytest.raises(ValueError, match="weight_gamma"):
+                assemble_mode_pencil(bad_gamma, 0, grid, None)
         with pytest.raises(ValueError, match="coarse"):
             assemble_mode_pencil(CLOSED, 0, RadialGrid.geometric(1.0, 12, 0.8), None)
         with pytest.raises(ValueError, match="outer"):

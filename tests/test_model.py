@@ -72,6 +72,7 @@ class TestValidation:
             (dict(order_m=-2), "order_m"),
             (dict(order_m=4), "order_m must be 2"),
             (dict(order_m=2.5), "order_m must be an integer"),
+            (dict(order_m=10**400), "order_m is out of floating-point range"),
             (dict(dim_n=0), "dim_n"),
             (dict(dim_n=3), "dim_n must be 2"),
             (dict(weight_gamma=math.inf), "weight_gamma"),
