@@ -13,22 +13,17 @@ from .model import (
 from .indicial import (
     IndicialRoot,
     SingularFunction,
-    WeightOnSpectrum,
     boundary_spectrum,
     dmin_is_weighted_sobolev,
     singular_basis,
 )
 from .grassmann import (
     RHO_SCHEDULE,
-    NonpositiveRho,
     flow,
-    grassmann_distance,
     kappa_matrix,
     omega_minus,
 )
 from .normalop import (
-    DecayingSolutionTrace,
-    LambdaOnSpectrumCut,
     decaying_trace,
     normal_invertible,
     ray_minimal_growth_normal,

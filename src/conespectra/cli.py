@@ -53,6 +53,7 @@ from .model import (
     _number,
     complex_from_pair,
     complex_to_pair,
+    line_distance,
 )
 from .indicial import (
     boundary_spectrum,
@@ -60,10 +61,11 @@ from .indicial import (
     dmin_is_weighted_sobolev,
     singular_basis,
 )
-from .grassmann import RHO_SCHEDULE, grassmann_distance, omega_minus
+from .grassmann import RHO_SCHEDULE, omega_minus
 from .normalop import ray_minimal_growth_normal, strip_mode
 from .discretize import RadialGrid, assemble_mode_pencil, assemble_embedding_grams, export_pencil
 from .spectral import (
+    BESSEL_ORDER_LIMIT,
     RETAIN_FRACTION,
     IllConditionedMass,
     RootFindingError,
@@ -159,7 +161,7 @@ class ExperimentConfig:
             if geometry is None:
                 raise ConfigError("config needs a 'geometry' block")
             model = ConeModelOperator.from_json_dict(geometry)
-            singular_basis(model)  # WeightOnSpectrum: a root too near a weight line
+            singular_basis(model)  # ValueError: a root too near a weight line
             d = {**CONFIG_DEFAULTS, **d}
             ext = {**CONFIG_DEFAULTS["extension"], **d["extension"]}
             _check_known_keys(ext, {"a", "b"}, "extension")
@@ -379,7 +381,7 @@ def _indicial(run: Run) -> Record:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "critical_strip": list(strip),
-        "boundary_spectrum": [r.to_json_dict() for r in boundary_spectrum(model, strip)],
+        "boundary_spectrum": [r.to_json_dict() for r in boundary_spectrum(model)],
         "singular_basis": [sf.to_json_dict() for sf in basis],
         "quotient_dim_D": len(basis),
         "dmin_is_weighted_sobolev": dmin_is_weighted_sobolev(model),
@@ -422,9 +424,8 @@ def _flow(run: Run) -> Record:
             }
         )
     mode_k, nu = strip_mode(cfg.model)
-    orbit, limits = omega_minus(cfg.line, basis)
-    (limit,) = limits
-    rows = [(float(rho), grassmann_distance(line, limit)) for rho, line in zip(RHO_SCHEDULE, orbit)]
+    orbit, limit = omega_minus(cfg.line, basis)
+    rows = [(float(rho), line_distance(line.coeffs, limit.coeffs)) for rho, line in zip(RHO_SCHEDULE, orbit)]
     exact = [_orbit_distance(cfg.line, nu, rho) for rho in RHO_SCHEDULE]
     # relative to the closed form, floored at the smallest normal double
     deviation = max(abs(d - e) / max(e, sys.float_info.min) for (_, d), e in zip(rows, exact))
@@ -440,7 +441,7 @@ def _flow(run: Run) -> Record:
         "deviation_tolerance": FLOW_MATCH_RTOL,
         "ok": bool(deviation <= FLOW_MATCH_RTOL),
     }
-    return Record(payload, tables={"flow.csv": (("rho", "distance"), rows)}, result=limits)
+    return Record(payload, tables={"flow.csv": (("rho", "distance"), rows)}, result=limit)
 
 
 def _normal_check(run: Run) -> Record:
@@ -454,7 +455,7 @@ def _normal_check(run: Run) -> Record:
                 "ok": True,
             }
         )
-    lines = [*run.records["flow"].result, cfg.line]
+    lines = [run.records["flow"].result, cfg.line]
     verdicts = tuple(ray_minimal_growth_normal(cfg.model, ray, lines) for ray in cfg.rays)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -574,6 +575,9 @@ def _embed(run: Run) -> Record:
     cfg = run.cfg
     g_high, g_low = assemble_embedding_grams(cfg.t_max, cfg.N_h)
     sv = embedding_singular_values(g_high, g_low)
+    lo, hi = EMBED_FIT_RANGE
+    if not np.all(sv[lo - 1 : hi] > 0.0):  # their squares underflow, or round below 0
+        raise FloatingPointError(f"t_max = {cfg.t_max!r} rounds embedding singular values {lo} to {hi} to 0")
     q, implied_p = schatten_fit(sv, EMBED_FIT_RANGE)
     ok = EMBED_P_WINDOW[0] <= implied_p <= EMBED_P_WINDOW[1]
     payload = {
@@ -616,11 +620,11 @@ def _pencil_weight(run: Run) -> None:
 
 
 def _oracle_resolves_the_mode(run: Run) -> None:
-    # the pencil's mode is the first (nu = pi / alpha on a sector) or has nu < 1; scipy's J_nu(x)
-    # comes back wrong above x = 2^51 = 0.5 / eps, and the five oracle zeros lie 10^6 above nu
+    # the pencil's mode is the first (nu = pi / alpha on a sector) or has nu < 1, and the
+    # Dirichlet oracle's Bessel zeros take no nu above BESSEL_ORDER_LIMIT
     geometry = run.cfg.model.geometry
     nu = math.sqrt(geometry.mu(next(iter(geometry.modes_by_abs()))))
-    if nu > 2.0**50:
+    if nu > BESSEL_ORDER_LIMIT:
         raise ConfigError(
             f"the pencil's mode has nu = {nu:.6g} above 2^50; "
             "the oracle's Bessel functions lose every digit from 2^51"

@@ -93,7 +93,7 @@ class RadialGrid:
         return float(self.nodes[-1])
 
     @classmethod
-    def geometric(cls, R: float, N_h: int, q: float = 0.9) -> "RadialGrid":
+    def geometric(cls, R: float, N_h: int, q: float) -> "RadialGrid":
         """Geometric grading toward the tip: node_j = R * q_eff^(N_h - j).
 
         The requested ratio is honored as long as the first node stays
@@ -497,36 +497,43 @@ def assemble_embedding_grams(t_max: float, N_h: int):
     In t = -log x on [0, t_max], the x^gamma H^s_b norm of u is the
     H^s norm of v = e^{gamma t} u.  Both Grams are assembled on the
     full hat basis (free at both ends) with per-cell Gauss quadrature,
-    and are Hermitian positive definite.  Returns (G_high, G_low).
+    and are Hermitian positive definite.  Returns (G_high, G_low).  A
+    t_max whose Grams leave the doubles raises FloatingPointError.
     """
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("t_max must be positive")
     if N_h < 16:
         raise ValueError("N_h must be at least 16")
 
-    h = t_max / N_h
-    xi, wi = _GAUSS10
-    # reference points replicated across all cells at once
-    t0 = h * np.arange(N_h)[:, None]
-    pts = t0 + 0.5 * h * (xi + 1.0)[None, :]
-    wts = 0.5 * h * wi[None, :]
-    phi_l = 1.0 - (pts - t0) / h
-    phi_r = (pts - t0) / h
-    hats = ((0, phi_l, -1.0 / h), (1, phi_r, 1.0 / h))  # (index offset, value, slope)
+    # e^{2t} overflows from t = 355, and a t_max near the smallest doubles
+    # overflows the slopes 1/h: either shows as a Gram entry that is not finite
+    with np.errstate(all="ignore"):
+        h = np.float64(t_max) / N_h
+        xi, wi = _GAUSS10
+        # reference points replicated across all cells at once
+        t0 = h * np.arange(N_h)[:, None]
+        pts = t0 + 0.5 * h * (xi + 1.0)[None, :]
+        wts = 0.5 * h * wi[None, :]
+        phi_l = 1.0 - (pts - t0) / h
+        phi_r = (pts - t0) / h
+        hats = ((0, phi_l, -1.0 / h), (1, phi_r, 1.0 / h))  # (index offset, value, slope)
 
-    def gram(weight: np.ndarray, slopes: bool) -> np.ndarray:
-        """Cell sums of weight * (u v, plus (u + u')(v + v') with slopes) over hat pairs u, v."""
-        g = np.zeros((N_h + 1, N_h + 1))
-        for ia, va, da in hats:
-            for ib, vb, db in hats:
-                cell = np.sum(weight * va * vb, axis=1)
-                if slopes:
-                    cell = cell + np.sum(weight * (va + da) * (vb + db), axis=1)
-                np.add.at(g, (np.arange(N_h) + ia, np.arange(N_h) + ib), cell)
-        return g
+        def gram(weight: np.ndarray, slopes: bool) -> np.ndarray:
+            """Cell sums of weight * (u v, plus (u + u')(v + v') with slopes) over hat pairs u, v."""
+            g = np.zeros((N_h + 1, N_h + 1))
+            for ia, va, da in hats:
+                for ib, vb, db in hats:
+                    cell = np.sum(weight * va * vb, axis=1)
+                    if slopes:
+                        cell = cell + np.sum(weight * (va + da) * (vb + db), axis=1)
+                    np.add.at(g, (np.arange(N_h) + ia, np.arange(N_h) + ib), cell)
+            return g
 
-    # |e^t u|^2_{H^1} = int e^{2t} (|u|^2 + |u + u'|^2) dt and |u|^2_{L^2} = int |u|^2 dt
-    return gram(np.exp(2.0 * pts) * wts, True), gram(wts, False)
+        # |e^t u|^2_{H^1} = int e^{2t} (|u|^2 + |u + u'|^2) dt and |u|^2_{L^2} = int |u|^2 dt
+        grams = gram(np.exp(2.0 * pts) * wts, True), gram(wts, False)
+    if not all(np.isfinite(g).all() for g in grams):
+        raise FloatingPointError(f"t_max = {t_max!r} gives embedding Gram entries beyond the doubles")
+    return grams
 
 
 # layout fields of every container export_pencil writes; load_pencil reads no other

@@ -16,20 +16,14 @@ import math
 
 import numpy as np
 
-from .model import ExtensionDomain, line_distance
+from .model import ExtensionDomain
 
 __all__ = [
-    "NonpositiveRho",
     "RHO_SCHEDULE",
     "kappa_matrix",
     "flow",
-    "grassmann_distance",
     "omega_minus",
 ]
-
-
-class NonpositiveRho(ValueError):
-    """kappa_rho is only defined for rho > 0."""
 
 
 def kappa_matrix(basis, rho: float) -> np.ndarray:
@@ -46,7 +40,7 @@ def kappa_matrix(basis, rho: float) -> np.ndarray:
         raise ValueError(f"the line lives in a 2-dimensional quotient, basis has {len(basis)} functions")
     rho = float(rho)
     if not (rho > 0.0) or not math.isfinite(rho):
-        raise NonpositiveRho(f"rho must be a positive finite real, got {rho!r}")
+        raise ValueError(f"rho must be a positive finite real, got {rho!r}")
     log_rho = math.log(rho)
     if basis[1].log_power == 1:  # the double root's [1, log x]
         return np.array([[1.0, log_rho], [0.0, 1.0]], dtype=complex)
@@ -56,11 +50,6 @@ def kappa_matrix(basis, rho: float) -> np.ndarray:
 def flow(domain: ExtensionDomain, basis, rho: float) -> ExtensionDomain:
     """Image of the line under kappa_rho."""
     return ExtensionDomain.line(kappa_matrix(basis, rho) @ domain.coeffs)
-
-
-def grassmann_distance(s1: ExtensionDomain, s2: ExtensionDomain) -> float:
-    """Sine of the angle between two extension lines."""
-    return line_distance(s1.coeffs, s2.coeffs)
 
 
 # the flow schedule rho_j = 10^(-j/4), j = 1..64, from 0.56 down to 1e-16
@@ -84,9 +73,9 @@ def omega_minus(domain: ExtensionDomain, basis) -> tuple:
 
     Returns
     -------
-    (orbit, limits) : the 64 flowed domains and the one-line limit set.
+    (orbit, limit) : the 64 flowed domains and the one line of the limit set.
     """
     orbit = [flow(domain, basis, r) for r in RHO_SCHEDULE]
     power = basis[1].log_power == 0
     limit = [0.0, 1.0] if power and domain.coeffs[1] != 0 else [1.0, 0.0]
-    return orbit, (ExtensionDomain.line(limit),)
+    return orbit, ExtensionDomain.line(limit)

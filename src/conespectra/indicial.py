@@ -18,7 +18,6 @@ from .model import ConeModelOperator, complex_to_pair
 __all__ = [
     "IndicialRoot",
     "SingularFunction",
-    "WeightOnSpectrum",
     "boundary_spectrum",
     "singular_basis",
     "dmin_is_weighted_sobolev",
@@ -28,10 +27,6 @@ __all__ = [
 # half-width of the band around a critical weight line inside which a
 # root is treated as sitting on the line
 LINE_GUARD = 1e-12
-
-
-class WeightOnSpectrum(ValueError):
-    """An indicial root lies on a critical weight line Im sigma = -gamma-m or -gamma."""
 
 
 @dataclass(frozen=True)
@@ -108,24 +103,16 @@ def critical_strip(model: ConeModelOperator) -> tuple:
     return (-g - m, -g)
 
 
-def boundary_spectrum(model: ConeModelOperator, strip: tuple) -> list:
-    """All indicial roots with Im(sigma) in the open strip, with multiplicities.
+def boundary_spectrum(model: ConeModelOperator) -> list:
+    """All indicial roots with Im(sigma) in the open critical strip, with multiplicities.
 
-    Parameters
-    ----------
-    model : ConeModelOperator
-    strip : (lo, hi)
-        Finite open interval in Im(sigma); comparisons are strict open.
+    The model guarantees its strip is a finite, nonempty interval.
 
     Returns
     -------
     list of IndicialRoot, sorted by (|mode_k|, mode_k, Im sigma).
     """
-    lo, hi = float(strip[0]), float(strip[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("strip must be a finite interval")
-    if not lo < hi:
-        raise ValueError("strip must satisfy lo < hi")
+    lo, hi = critical_strip(model)
     roots = []
     for k, nu in _modes_with_nu(model, lo, hi):
         if nu == 0.0:
@@ -157,8 +144,8 @@ def singular_basis(model: ConeModelOperator) -> tuple:
     ascending |mode_k|, then ascending Im(sigma) (descending Re e), then
     ascending log power.  Roots exactly on a strip boundary are cleanly
     excluded (open interval); roots inside the guard band but not
-    exactly on a line are numerically ambiguous and raise
-    WeightOnSpectrum instead of being classified silently.  The basis
+    exactly on a line are numerically ambiguous and raise ValueError
+    instead of being classified silently.  The basis
     is computed once per model and returned as the same tuple after.
     """
     basis = _BASES.get(model)
@@ -173,12 +160,12 @@ def _singular_basis(model: ConeModelOperator) -> tuple:
         for im in {-nu, nu}:
             for line in (lo, hi):
                 if 0.0 < abs(im - line) < LINE_GUARD:
-                    raise WeightOnSpectrum(
+                    raise ValueError(
                         f"indicial root of mode {k} is within {LINE_GUARD:g} of the weight line "
                         f"Im σ = {line:g} without lying on it exactly"
                     )
     out = []
-    for root in boundary_spectrum(model, (lo, hi)):
+    for root in boundary_spectrum(model):
         e = root.real_exponent_e
         for p in range(root.multiplicity):
             out.append(

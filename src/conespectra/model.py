@@ -2,8 +2,9 @@
 
 A model is a second-order operator on a finite cone over a closed or
 sector link, acting in an x^gamma weighted L^2 space on (0, R].  All
-types here are immutable records with JSON round-trips; complex numbers
-are encoded as [re, im] pairs everywhere.
+types here are immutable records.  The model and its geometry round-trip
+through JSON, and ray verdicts and certificates serialize to it; complex
+numbers are encoded as [re, im] pairs everywhere.
 """
 
 from __future__ import annotations
@@ -223,9 +224,6 @@ class Ray:
             th = 0.0
         object.__setattr__(self, "angle_theta", th)
 
-    def to_json_dict(self) -> dict:
-        return {"angle_theta": self.angle_theta}
-
 
 @dataclass(frozen=True)
 class RayVerdict:
@@ -327,18 +325,7 @@ class ExtensionDomain:
         """The line [a : b] through the coordinate pair coeffs = (a, b)."""
         return cls(coeffs)
 
-    def same_span(self, other: "ExtensionDomain", tol: float = 1e-12) -> bool:
-        return line_distance(self.coeffs, other.coeffs) <= tol
-
     def __eq__(self, other):
         if not isinstance(other, ExtensionDomain):
             return NotImplemented
-        return self.same_span(other)
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [complex_to_pair(z) for z in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExtensionDomain":
-        _check_known_keys(d, {"coeffs"}, "ExtensionDomain")
-        return cls([complex_from_pair(v, "ExtensionDomain coeffs") for v in d["coeffs"]])
+        return line_distance(self.coeffs, other.coeffs) <= 1e-12

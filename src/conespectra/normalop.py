@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gamma as _gamma
 
@@ -33,8 +31,6 @@ from .model import (
 )
 
 __all__ = [
-    "DecayingSolutionTrace",
-    "LambdaOnSpectrumCut",
     "decaying_trace",
     "normal_invertible",
     "ray_minimal_growth_normal",
@@ -49,29 +45,12 @@ COLLINEAR_TOL = 1e-9
 _ONE_PAIR_SCOPE = "scope: model must contribute exactly one 2-dimensional mode quotient"
 
 
-class LambdaOnSpectrumCut(ValueError):
-    """lambda lies on the closed cut [0, infinity) where no decaying solution is selected."""
-
-
-@dataclass(frozen=True)
-class DecayingSolutionTrace:
-    """Unit-norm coordinates of the decaying solution in the mode's singular basis.
-
-    The basis is the canonical one: [x^{+nu}, x^{-nu}] for nu > 0, and
-    [1, log x] for nu = 0.
-    """
-
-    mode_k: int
-    lam: complex
-    coeffs: np.ndarray
-
-
 def _check_off_cut(lam: complex) -> complex:
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     if lam.imag == 0.0 and lam.real >= 0.0:
-        raise LambdaOnSpectrumCut(f"lambda = {lam} lies on the spectral cut [0, ∞)")
+        raise ValueError(f"lambda = {lam} lies on the spectral cut [0, ∞)")
     return lam
 
 
@@ -91,8 +70,8 @@ def strip_mode(model: ConeModelOperator):
     return k, math.sqrt(model.geometry.mu(k))
 
 
-def decaying_trace(model: ConeModelOperator, lam: complex) -> DecayingSolutionTrace:
-    """Coordinates of the decaying solution K_nu(sqrt(-lambda) x) in the quotient.
+def decaying_trace(model: ConeModelOperator, lam: complex) -> ExtensionDomain:
+    """The line of the decaying solution K_nu(sqrt(-lambda) x) in the quotient.
 
     Uses the small-argument series of K_nu in the strip mode's order nu
     (see strip_mode): with w = sqrt(-lambda) (principal branch,
@@ -102,7 +81,8 @@ def decaying_trace(model: ConeModelOperator, lam: complex) -> DecayingSolutionTr
                     + A (w/2)^{-nu} / Gamma(1-nu) * x^{-nu} + O(x^{2-nu}),
 
     and for nu = 0: K_0(w x) = -(log(w/2) + gamma_E) * 1 - 1 * log x + O(x^2 log x).
-    The coefficient pair is returned normalized to unit norm.  A model
+    The pair is taken in the canonical basis, [x^{+nu}, x^{-nu}] for
+    nu > 0 and [1, log x] for nu = 0, and returned as its line.  A model
     whose quotient is not one mode's pair is rejected, a one-function
     quotient (integer nu >= 1, where A is infinite) among them.
     """
@@ -110,7 +90,7 @@ def decaying_trace(model: ConeModelOperator, lam: complex) -> DecayingSolutionTr
     sm = strip_mode(model)
     if sm is None:
         raise ValueError(_ONE_PAIR_SCOPE)
-    mode_k, nu = sm
+    nu = sm[1]
     w = np.sqrt(complex(-lam))  # principal branch; Re w > 0 off the cut
     if nu == 0.0:
         coeffs = np.array([-(np.log(w / 2.0) + np.euler_gamma), -1.0], dtype=complex)
@@ -123,8 +103,7 @@ def decaying_trace(model: ConeModelOperator, lam: complex) -> DecayingSolutionTr
             ],
             dtype=complex,
         )
-    coeffs = coeffs / np.linalg.norm(coeffs)
-    return DecayingSolutionTrace(mode_k=mode_k, lam=lam, coeffs=coeffs)
+    return ExtensionDomain.line(coeffs)
 
 
 def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: complex) -> bool:

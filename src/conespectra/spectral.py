@@ -61,8 +61,6 @@ __all__ = [
     "IllConditionedMass",
     "RootFindingError",
     "SpectralResult",
-    "RayVerdict",
-    "CompletenessCertificate",
     "solve_pencil",
     "resolvent_norm",
     "ray_minimal_growth_full",
@@ -77,6 +75,9 @@ __all__ = [
 
 MASS_CONDITION_LIMIT = 1e12
 RETAIN_FRACTION = 0.8
+# scipy's J_nu(x) comes back wrong above x = 2^51 = 0.5 / eps, and the Bessel
+# zeros the Dirichlet scan needs lie above nu, so it takes no nu beyond this
+BESSEL_ORDER_LIMIT = 2.0**50
 # Aberth sweeps before the eigensolve gives up; a root stops once
 # |g| <= _ABERTH_TOL * eps * (its rounding-error bound)
 _ABERTH_SWEEPS = 200
@@ -1061,7 +1062,7 @@ def oracle_eigenvalues(
 
 
 def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray:
-    """Eigenvalues (j_{nu,k}/R)^2 of one mode's Dirichlet problem, any nu >= 0.
+    """Eigenvalues (j_{nu,k}/R)^2 of one mode's Dirichlet problem, 0 <= nu <= 2^50.
 
     Classical Bessel-zero computation (scan plus Newton), used both as
     the (a,b)=(1,0) cross-check of the secular oracle and for multi-mode
@@ -1069,6 +1070,8 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
     """
     if nu < 0.0:
         raise ValueError("nu must be nonnegative")
+    if nu > BESSEL_ORDER_LIMIT:
+        raise ValueError(f"nu = {nu:.6g} is above 2^50; J_nu loses every digit from 2^51")
     if how_many < 1:
         raise ValueError("how_many must be positive")
     # every zero exceeds nu; the k-th lies near (k + nu/2 - 1/4) pi and below Qu & Wong's (1999) bound in
@@ -1116,19 +1119,22 @@ def weyl_fit(eigenvalues) -> float:
 def schatten_fit(singular_values, j_range) -> tuple:
     """Decay exponent q of s_j ~ j^{-q} over j_range, and implied p = 1/q.
 
-    j_range is a 1-based inclusive (lo, hi) window.  A nonpositive
-    fitted q (no decay) gives implied_p = inf.
+    j_range is a 1-based inclusive (lo, hi) window, whose values must be
+    positive; values outside it may be 0.  A nonpositive fitted q (no
+    decay) gives implied_p = inf.
     """
     s = np.asarray(singular_values, dtype=float)
     lo, hi = (int(j_range[0]), int(j_range[1]))
-    if s.ndim != 1 or np.any(s <= 0.0):
-        raise ValueError("singular values must be a positive 1-D list")
+    if s.ndim != 1:
+        raise ValueError("singular values must be a 1-D list")
     if np.any(s[1:] > s[:-1] * (1.0 + 1e-12)):
         raise ValueError("singular values must be sorted descending")
     if not (1 <= lo < hi <= len(s)):
         raise ValueError(f"degenerate fit range ({lo}, {hi}) for {len(s)} values")
     j = np.arange(lo, hi + 1, dtype=float)
     window = s[lo - 1 : hi]
+    if np.any(window <= 0.0):
+        raise ValueError(f"singular values {lo} to {hi} must be positive")
     slope = np.polyfit(np.log(j), np.log(window), 1)[0]
     q = float(-slope)
     implied_p = 1.0 / q if q > 1e-12 else math.inf

@@ -19,23 +19,19 @@ from conespectra.discretize import (
     assemble_embedding_grams,
     assemble_mode_pencil,
 )
-from conespectra.grassmann import (
-    RHO_SCHEDULE,
-    flow,
-    grassmann_distance,
-    omega_minus,
-)
+from conespectra.grassmann import RHO_SCHEDULE, flow, omega_minus
 from conespectra.indicial import singular_basis
 from conespectra.model import (
     ClosedLink,
     ConeModelOperator,
     ExtensionDomain,
     Ray,
+    RayVerdict,
     SectorLink,
+    line_distance,
 )
 from conespectra.normalop import decaying_trace, ray_minimal_growth_normal
 from conespectra.spectral import (
-    RayVerdict,
     completeness_certificate,
     completeness_residual,
     dirichlet_mode_eigenvalues,
@@ -63,8 +59,8 @@ GRID_SIZES = (100, 200, 400)
 
 def normal_verdict(model, domain, ray):
     """The exact tip verdict on the domain's flow limits and the domain itself."""
-    _, limits = omega_minus(domain, singular_basis(model))
-    return ray_minimal_growth_normal(model, ray, [*limits, domain])
+    _, limit = omega_minus(domain, singular_basis(model))
+    return ray_minimal_growth_normal(model, ray, [limit, domain])
 
 
 def report(capsys, num: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -152,14 +148,14 @@ def test_criterion_2_flow_limits(capsys):
     friedrichs_closed = ExtensionDomain.line([1.0, 0.0])
     for a, b in EXTENSIONS:
         domain = ExtensionDomain.line([a, b])
-        _, limits = omega_minus(domain, closed_basis)
+        _, limit = omega_minus(domain, closed_basis)
         tol = 10.0 / abs(math.log(schedule[-1]))
-        ok = len(limits) == 1 and limits[0].same_span(friedrichs_closed, tol=tol)
-        terminal = grassmann_distance(flow(domain, closed_basis, 1e-8), friedrichs_closed)
+        ok = line_distance(limit.coeffs, friedrichs_closed.coeffs) <= tol
+        terminal = line_distance(flow(domain, closed_basis, 1e-8).coeffs, friedrichs_closed.coeffs)
         ok = ok and terminal <= 10.0 / abs(math.log(1e-8))
         for rho in schedule:
             if rho <= 1e-2:
-                d = grassmann_distance(flow(domain, closed_basis, rho), friedrichs_closed)
+                d = line_distance(flow(domain, closed_basis, rho).coeffs, friedrichs_closed.coeffs)
                 ok = ok and d <= 10.0 / abs(math.log(rho))
         checks.append(ok)
 
@@ -167,13 +163,9 @@ def test_criterion_2_flow_limits(capsys):
     for a, b in EXTENSIONS:
         domain = ExtensionDomain.line([a, b])
         expected = ExtensionDomain.line([1.0, 0.0] if b == 0 else [0.0, 1.0])
-        _, limits = omega_minus(domain, sector_basis)
-        terminal = grassmann_distance(flow(domain, sector_basis, 1e-8), expected)
-        checks.append(
-            len(limits) == 1
-            and limits[0].same_span(expected, tol=1e-6)
-            and terminal < 1e-3
-        )
+        _, limit = omega_minus(domain, sector_basis)
+        terminal = line_distance(flow(domain, sector_basis, 1e-8).coeffs, expected.coeffs)
+        checks.append(line_distance(limit.coeffs, expected.coeffs) <= 1e-6 and terminal < 1e-3)
 
     elapsed = time.perf_counter() - t0
     ok = all(checks) and elapsed < budget
@@ -216,7 +208,7 @@ def test_criterion_3_normal_operator_ray_certificates(capsys):
     lam0 = 10.0j
     eigen_checks = []
     for model in (CLOSED, SECTOR):
-        eigen_domain = ExtensionDomain.line(decaying_trace(model, lam0).coeffs)
+        eigen_domain = decaying_trace(model, lam0)
         v = normal_verdict(model, eigen_domain, Ray(0.5 * math.pi))
         hit = v.verdict == "Fails" and v.witness is not None
         if hit:

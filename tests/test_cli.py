@@ -255,6 +255,10 @@ SCOPE_TABLE = [
     (("spectrum", "--nh", 16), "discretization", "grading_q", 0.95, 2, "grading_q = 0.95 with N_h = 16"),
     (("example53",), "geometry", "outer_radius_R", 1e-200, 3, "numerical failure in stage 'spectrum'"),
     (("example53",), "geometry", "outer_radius_R", 1e200, 3, "numerical failure in stage 'spectrum'"),
+    # e^{2t} overflows the embedding Gram from t = 355
+    (("embed",), "discretization", "t_max", 355, 3, "numerical failure in stage 'embed': t_max = 355"),
+    # at N_h = 400 one singular value past the fit window rounds to 0; the window fits p = 0.90
+    (("embed",), "discretization", "t_max", 1e-6, 0, ""),
 ]
 
 
@@ -326,6 +330,26 @@ class TestOutOfDerivationConfigs:
         assert run_cli(command, "--alpha", 1e-10, "--nh", 60, "--out", tmp_path) == 1
         assert "Traceback" not in capsys.readouterr().err
         assert read_json(tmp_path / "spectrum.json")["max_relative_error"] > 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(t_max=st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+    @example(t_max=355.0)
+    @example(t_max=1e-180)  # the fit window's squared singular values underflow
+    @example(t_max=5e-324)
+    @example(t_max=sys.float_info.max)
+    def test_any_embedding_length_exits_with_a_documented_code(self, t_max):
+        with tempfile.TemporaryDirectory() as out:
+            cfg = cli._default_config_dict("sector")
+            cfg["discretization"].update(N_h=20, t_max=t_max)
+            cfg["outputs_dir"] = out
+            path = Path(out) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["embed", "--config", str(path)])
+        assert code in (0, 1, 2, 3), t_max
+        assert len(err.getvalue().splitlines()) == (code in (2, 3)), t_max
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(block=MODEL_BLOCKS)
@@ -544,6 +568,27 @@ class TestExitCodeProperty:
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["indicial", "normal-check", "spectrum"]),
+        # alpha = 2 pi 10^-e gives mode 1 an order nu = pi / alpha from 1/2 to 5e19, past
+        # the Bessel limit 2^50; a tiny e rounds alpha to 2 pi, which is no sector
+        alpha=st.floats(0.0, 20.0, exclude_min=True)
+        .map(lambda e: 2.0 * math.pi * 10.0**-e)
+        .filter(lambda a: a < 2.0 * math.pi),
+        gamma=st.just(-1.0) | st.floats(-1.0 - 1e-6, -1.0 + 1e-6),
+    )
+    @example(command="spectrum", alpha=math.pi / spectral.BESSEL_ORDER_LIMIT, gamma=-1.0)
+    @example(command="spectrum", alpha=math.pi / (2.0 * spectral.BESSEL_ORDER_LIMIT), gamma=-1.0)
+    def test_any_narrow_sector_exits_with_a_documented_code(self, command, alpha, gamma):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            argv = [command, f"--alpha={alpha!r}", f"--gamma={gamma!r}", "--nh=60", "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+
 
 _ANY_LINE = st.tuples(*[st.floats(**_finite)] * 4).filter(any)
 
@@ -634,10 +679,10 @@ class TestStandaloneStages:
         path.write_text(json.dumps(cfg))
         line = cli.ExtensionDomain.line([a, b])
         model = cli.ExperimentConfig.from_json_dict(cfg).model
-        orbit, limits = grassmann.omega_minus(line, cli.singular_basis(model))
+        orbit, limit = grassmann.omega_minus(line, cli.singular_basis(model))
         assert len(orbit) == 64
         exact = [0.0, 1.0] if kind == "sector" else [1.0, 0.0]
-        assert [lim.coeffs.tolist() for lim in limits] == [exact]
+        assert limit.coeffs.tolist() == exact
         assert run_cli("flow", "--config", path, "--a", a, "--b", b) == 0
         payload = read_json(tmp_path / "flow.json")
         assert payload["ok"] is True

@@ -5,16 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conespectra.grassmann import (
-    RHO_SCHEDULE,
-    NonpositiveRho,
-    flow,
-    grassmann_distance,
-    kappa_matrix,
-    omega_minus,
-)
+from conespectra.grassmann import RHO_SCHEDULE, flow, kappa_matrix, omega_minus
 from conespectra.indicial import singular_basis
-from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, SectorLink
+from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, SectorLink, line_distance
 
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0
@@ -62,9 +55,9 @@ class TestKappaMatrix:
         assert np.allclose(kappa_matrix(closed_basis, 1.0), np.eye(2), atol=1e-15)
 
     def test_nonpositive_rho_rejected(self, closed_basis):
-        with pytest.raises(NonpositiveRho):
+        with pytest.raises(ValueError, match="rho must be a positive finite real"):
             kappa_matrix(closed_basis, 0.0)
-        with pytest.raises(NonpositiveRho):
+        with pytest.raises(ValueError, match="rho must be a positive finite real"):
             kappa_matrix(closed_basis, -1.0)
 
 
@@ -85,21 +78,21 @@ class TestFlow:
         # kappa_rho [a, b] ~ [a rho^nu, b rho^-nu]; b wins as rho -> 0
         dom = ExtensionDomain.line([1.0, 1.0])
         target = ExtensionDomain.line([0.0, 1.0])
-        d_before = grassmann_distance(dom, target)
-        d_after = grassmann_distance(flow(dom, sector_basis, 1e-6), target)
+        d_before = line_distance(dom.coeffs, target.coeffs)
+        d_after = line_distance(flow(dom, sector_basis, 1e-6).coeffs, target.coeffs)
         assert d_after < 1e-7 < d_before
 
     def test_pure_axis_lines_are_fixed_points(self, sector_basis):
         for coeffs in ([1.0, 0.0], [0.0, 1.0]):
             dom = ExtensionDomain.line(coeffs)
             for rho in (0.9, 0.1, 1e-5):
-                assert grassmann_distance(flow(dom, sector_basis, rho), dom) <= 1e-12
+                assert line_distance(flow(dom, sector_basis, rho).coeffs, dom.coeffs) <= 1e-12
 
     def test_log_flow_drifts_to_constant_direction(self, closed_basis):
         dom = ExtensionDomain.line([0.0, 1.0])  # the pure log x line
         target = ExtensionDomain.line([1.0, 0.0])
         dists = [
-            grassmann_distance(flow(dom, closed_basis, rho), target)
+            line_distance(flow(dom, closed_basis, rho).coeffs, target.coeffs)
             for rho in (1e-2, 1e-4, 1e-8)
         ]
         assert dists[0] > dists[1] > dists[2]
@@ -107,7 +100,7 @@ class TestFlow:
             assert d <= 10.0 / abs(math.log(rho))
 
     def test_nonpositive_rho_rejected(self, closed_basis):
-        with pytest.raises(NonpositiveRho):
+        with pytest.raises(ValueError, match="rho must be a positive finite real"):
             flow(ExtensionDomain.line([1.0, 0.0]), closed_basis, 0.0)
 
 
@@ -116,11 +109,11 @@ class TestGrassmannDistance:
         a = ExtensionDomain.line([1.0, 0.0])
         b = ExtensionDomain.line([0.0, 1.0])
         c = ExtensionDomain.line([1.0, 1.0])
-        assert grassmann_distance(a, a) == pytest.approx(0.0, abs=1e-14)
-        assert grassmann_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-        assert grassmann_distance(a, c) == pytest.approx(grassmann_distance(c, a), abs=1e-14)
-        assert grassmann_distance(a, c) <= (
-            grassmann_distance(a, b) + grassmann_distance(b, c) + 1e-12
+        assert line_distance(a.coeffs, a.coeffs) == pytest.approx(0.0, abs=1e-14)
+        assert line_distance(a.coeffs, b.coeffs) == pytest.approx(1.0, abs=1e-12)
+        assert line_distance(a.coeffs, c.coeffs) == pytest.approx(line_distance(c.coeffs, a.coeffs), abs=1e-14)
+        assert line_distance(a.coeffs, c.coeffs) <= (
+            line_distance(a.coeffs, b.coeffs) + line_distance(b.coeffs, c.coeffs) + 1e-12
         )
 
     def test_bounded_by_one(self):
@@ -128,7 +121,7 @@ class TestGrassmannDistance:
         for _ in range(25):
             a = ExtensionDomain.line(rng.normal(size=2) + 1j * rng.normal(size=2))
             b = ExtensionDomain.line(rng.normal(size=2) + 1j * rng.normal(size=2))
-            d = grassmann_distance(a, b)
+            d = line_distance(a.coeffs, b.coeffs)
             assert -1e-12 <= d <= 1.0 + 1e-12
 
 
@@ -147,37 +140,34 @@ class TestSchedule:
 
     def test_settled_tail_keeps_the_fixed_schedule(self, closed_basis, sector_basis):
         for basis in (closed_basis, sector_basis):
-            orbit, limits = omega_minus(ExtensionDomain.line([1.0, 1.0]), basis)
+            orbit, limit = omega_minus(ExtensionDomain.line([1.0, 1.0]), basis)
             assert len(orbit) == len(RHO_SCHEDULE) == 64
-            assert len(limits) == 1
+            assert isinstance(limit, ExtensionDomain)
 
 
 class TestOmegaMinus:
     def test_sector_generic_line_limits_to_weak_axis(self, sector_basis):
         dom = ExtensionDomain.line([1.0, 1.0])
-        _, limits = omega_minus(dom, sector_basis)
-        assert len(limits) == 1
-        assert limits[0].same_span(ExtensionDomain.line([0.0, 1.0]), tol=1e-9)
+        _, limit = omega_minus(dom, sector_basis)
+        assert line_distance(limit.coeffs, ExtensionDomain.line([0.0, 1.0]).coeffs) <= 1e-9
 
     def test_sector_friedrichs_line_is_stationary(self, sector_basis):
         dom = ExtensionDomain.line([1.0, 0.0])
-        _, limits = omega_minus(dom, sector_basis)
-        assert len(limits) == 1
-        assert limits[0].same_span(dom, tol=1e-12)
+        _, limit = omega_minus(dom, sector_basis)
+        assert line_distance(limit.coeffs, dom.coeffs) <= 1e-12
 
     def test_closed_link_limit_is_constant_direction(self, closed_basis):
         # the orbit approaches it only like 1/|log rho|, but the limit is exact
         dom = ExtensionDomain.line([1.0, 1.0])
-        _, limits = omega_minus(dom, closed_basis)
-        assert len(limits) == 1
-        assert limits[0].coeffs.tolist() == [1.0, 0.0]
+        _, limit = omega_minus(dom, closed_basis)
+        assert limit.coeffs.tolist() == [1.0, 0.0]
 
     def test_complex_extension_same_limit(self, closed_basis, sector_basis):
         dom = ExtensionDomain.line([1.0, 1.0j])
-        _, (lim_c,) = omega_minus(dom, closed_basis)
+        _, lim_c = omega_minus(dom, closed_basis)
         assert lim_c.coeffs.tolist() == [1.0, 0.0]
-        _, (lim_s,) = omega_minus(dom, sector_basis)
-        assert lim_s.same_span(ExtensionDomain.line([0.0, 1.0]), tol=1e-9)
+        _, lim_s = omega_minus(dom, sector_basis)
+        assert line_distance(lim_s.coeffs, ExtensionDomain.line([0.0, 1.0]).coeffs) <= 1e-9
 
     def test_empty_basis_raises(self):
         narrow = ConeModelOperator(

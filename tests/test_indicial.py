@@ -10,7 +10,6 @@ import math
 import pytest
 
 from conespectra.indicial import (
-    WeightOnSpectrum,
     boundary_spectrum,
     critical_strip,
     dmin_is_weighted_sobolev,
@@ -42,7 +41,7 @@ class TestCriticalStrip:
 class TestBoundarySpectrum:
     def test_closed_link_double_root_at_zero(self):
         model = make(ClosedLink())
-        roots = boundary_spectrum(model, critical_strip(model))
+        roots = boundary_spectrum(model)
         assert len(roots) == 1
         (root,) = roots
         assert root.sigma == 0.0
@@ -53,28 +52,22 @@ class TestBoundarySpectrum:
     def test_closed_link_boundary_roots_excluded(self):
         # k = +-1 sit exactly on Im sigma = +-1 and must not be returned
         model = make(ClosedLink())
-        roots = boundary_spectrum(model, critical_strip(model))
+        roots = boundary_spectrum(model)
         assert all(abs(r.sigma.imag) < 1.0 for r in roots)
 
     def test_sector_pair_of_simple_roots(self):
         model = make(SectorLink(alpha=1.5 * math.pi))
-        roots = boundary_spectrum(model, critical_strip(model))
+        roots = boundary_spectrum(model)
         sigmas = [r.sigma for r in roots]
         assert sigmas == [-2.0j / 3.0, 2.0j / 3.0]
         assert [r.multiplicity for r in roots] == [1, 1]
         assert [r.real_exponent_e for r in roots] == [2.0 / 3.0, -2.0 / 3.0]
 
-    def test_wider_strip_picks_up_more_modes(self):
-        # each |k| = 1 mode contributes both sigma = +-i inside (-2, 2)
-        model = make(ClosedLink())
-        roots = boundary_spectrum(model, (-2.0, 2.0))
-        ks = sorted(r.mode_k for r in roots)
-        assert ks == [-1, -1, 0, 1, 1]
-
-    def test_strip_must_be_increasing(self):
-        model = make(ClosedLink())
-        with pytest.raises(ValueError):
-            boundary_spectrum(model, (1.0, -1.0))
+    def test_shifted_strip_picks_up_other_modes(self):
+        # gamma = -2 moves the strip to (0, 2): it holds sigma = i of each |k| = 1
+        # mode, while the double root at 0 and the |k| = 2 roots sit on its lines
+        roots = boundary_spectrum(make(ClosedLink(), gamma=-2.0))
+        assert [(r.mode_k, r.sigma, r.multiplicity) for r in roots] == [(-1, 1j, 1), (1, 1j, 1)]
 
 
 class TestSingularBasis:
@@ -103,7 +96,7 @@ class TestSingularBasis:
     def test_guard_band_raises_weight_on_spectrum(self):
         # nu_1 within 1e-12 of the strip edge but not exactly on it
         alpha = math.pi / (1.0 - 1e-13)
-        with pytest.raises(WeightOnSpectrum):
+        with pytest.raises(ValueError, match="within 1e-12 of the weight line"):
             singular_basis(make(SectorLink(alpha=alpha)))
 
     @pytest.mark.parametrize(

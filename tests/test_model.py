@@ -1,4 +1,4 @@
-"""Value types: validation, normalization, and JSON round-trips."""
+"""Value types: validation, normalization, and the model's JSON round-trip."""
 
 import math
 
@@ -132,9 +132,6 @@ class TestRay:
         with pytest.raises(ValueError, match="a number"):
             Ray(theta)
 
-    def test_json_dict(self):
-        assert Ray(1.0).to_json_dict() == {"angle_theta": 1.0}
-
 
 def projector_distance(u, v) -> float:
     """The subspace distance the line type replaced, kept as a reference.
@@ -190,12 +187,6 @@ class TestExtensionDomain:
         dom = ExtensionDomain.line([1.0, 0.0])
         with pytest.raises(ValueError):
             dom.coeffs[0] = 5.0
-
-    def test_json_round_trip(self):
-        dom = ExtensionDomain.line([1.0, 2.0 + 3.0j])
-        back = ExtensionDomain.from_json_dict(dom.to_json_dict())
-        assert back == dom
-        assert back.coeffs.tobytes() == dom.coeffs.tobytes()
 
     def test_line_distance_matches_the_projector_formula_at_every_scale(self):
         rng = np.random.default_rng(11)

@@ -30,11 +30,17 @@ from scipy.special import i0, iv, j0, jn_zeros, jv, k0, y0, yv
 
 import conespectra.spectral as spectral
 from conespectra.discretize import ArrowTridiagonal, DiscreteOperatorPencil, RadialGrid, assemble_mode_pencil
-from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, Ray, SectorLink
-from conespectra.spectral import (
+from conespectra.model import (
+    ClosedLink,
     CompletenessCertificate,
-    IllConditionedMass,
+    ConeModelOperator,
+    ExtensionDomain,
+    Ray,
     RayVerdict,
+    SectorLink,
+)
+from conespectra.spectral import (
+    IllConditionedMass,
     RootFindingError,
     completeness_certificate,
     completeness_residual,
@@ -1071,6 +1077,20 @@ class TestDirichletModeEigenvalues:
         # DLMF 10.21.40: j_{nu,1} = nu + 1.8557571 nu^(1/3) + 1.033150 nu^(-1/3) + O(nu^-1)
         assert got[0] - nu == pytest.approx(1.8557571 * nu ** (1 / 3) + 1.033150 * nu ** (-1 / 3), abs=1e-2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [3e15, 3e16, 3e20])
+    def test_orders_beyond_the_bessel_limit_are_rejected(self, nu):
+        # scipy's J_nu(x) is wrong from x = 2^51: the scan found no zero at 3e15
+        # and divided by zero from 3e16, so the order is refused before any scan
+        with pytest.raises(ValueError, match="above 2\\^50"):
+            dirichlet_mode_eigenvalues(nu, 1.0, 5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_order_at_the_bessel_limit_still_scans(self):
+        got = dirichlet_mode_eigenvalues(spectral.BESSEL_ORDER_LIMIT, 1.0, 5)
+        assert len(got) == 5
+        assert np.all(np.sqrt(got) > spectral.BESSEL_ORDER_LIMIT)
+
 
 class TestFits:
     def test_weyl_trivial_linear_growth(self):
@@ -1135,6 +1155,13 @@ class TestFits:
             schatten_fit(np.array([1.0, 0.5, -0.1]), (1, 3))
         with pytest.raises(ValueError):
             schatten_fit(1.0 / np.arange(1.0, 10.0), (5, 20))
+        with pytest.raises(ValueError, match="5 to 9 must be positive"):
+            schatten_fit(np.append(1.0 / np.arange(1.0, 9.0), 0.0), (5, 9))
+
+    def test_schatten_reads_only_its_window(self):
+        # a value clipped to 0 past the window (a rounded-negative eigenvalue) is not fitted
+        j = np.arange(1.0, 31.0)
+        assert schatten_fit(np.append(1.0 / j, 0.0), (5, 20)) == schatten_fit(1.0 / j, (5, 20))
 
 
 class TestCompletenessCertificate:
