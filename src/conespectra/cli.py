@@ -66,7 +66,6 @@ from .normalop import ray_minimal_growth_normal, strip_mode
 from .discretize import RadialGrid, assemble_mode_pencil, assemble_embedding_grams, export_pencil
 from .spectral import (
     BESSEL_ORDER_LIMIT,
-    RETAIN_FRACTION,
     IllConditionedMass,
     RootFindingError,
     completeness_certificate,
@@ -75,6 +74,7 @@ from .spectral import (
     embedding_singular_values,
     oracle_eigenvalues,
     ray_minimal_growth_full,
+    retained_count,
     schatten_fit,
     solve_pencil,
 )
@@ -648,7 +648,7 @@ def _grid_retains_residual_counts(run: Run) -> None:
     cfg = run.cfg
     # N_h - 2 interior hats, plus the enrichment on a nontrivial quotient
     size = cfg.N_h - 2 + bool(singular_basis(cfg.model))
-    retained = math.floor(RETAIN_FRACTION * size)
+    retained = retained_count(size)
     if retained < max(RESIDUAL_COUNTS):
         raise ConfigError(
             f"discretization.N_h = {cfg.N_h} retains {retained} eigenpairs; "
@@ -657,8 +657,9 @@ def _grid_retains_residual_counts(run: Run) -> None:
 
 
 def _embedding_grid_size(run: Run) -> None:
-    # N_h + 1 hats on [0, t_max], free at both ends; the Grams are dense (N_h + 1)-square
-    # float64 arrays, and numpy counts an array's bytes in its signed index type
+    # N_h + 1 hats on [0, t_max], free at both ends; the Grams are bands, but their
+    # reduction is one dense (N_h + 1)-square float64 array, and numpy counts an
+    # array's bytes in its signed index type
     count = run.cfg.N_h + 1
     if count < EMBED_FIT_RANGE[1]:
         raise ConfigError(
@@ -667,7 +668,7 @@ def _embedding_grid_size(run: Run) -> None:
         )
     if 8 * count**2 > np.iinfo(np.intp).max:
         raise ConfigError(
-            f"discretization.N_h = {run.cfg.N_h} needs embedding Grams of (N_h + 1)^2 doubles, "
+            f"discretization.N_h = {run.cfg.N_h} needs an embedding reduction of (N_h + 1)^2 doubles, "
             "more bytes than one numpy array can hold"
         )
 

@@ -31,6 +31,12 @@ i's right-right term plus cell i+1's left-left term; an off-diagonal
 entry is cell i+1's left-right term; a border entry of dof i is cell
 i's right part, then cell i+1's left part; and the enrichment mass is
 a sequential sum over cells followed by the tip closed form.
+
+The Gram matrices of the weighted embedding (assemble_embedding_grams)
+are summed from their cell integrals by the same rule, over every node
+of an equal-cell grid in t = -log x, with the same Gauss rule and hat
+shapes; the mode pencil's hat block is the interior slice of such a
+sum.  The Grams are borderless ArrowTridiagonals.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ __all__ = [
 TIP_FLOOR_RATIO = 1e-3
 
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
-_GAUSS10 = np.polynomial.legendre.leggauss(10)
 # cells per batch of enrichment integrals (128 points each): bounds their
 # scratch arrays whatever the grid size
 _BORDER_BATCH = 32
@@ -327,6 +332,17 @@ def _hat_shapes(pts: np.ndarray, x0: np.ndarray, x1: np.ndarray):
     return values, (-1.0 / h, 1.0 / h)
 
 
+def _hat_bands(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray):
+    """Diagonal and off-diagonal of the hat Gram on every node from the cells' hat-pair integrals.
+
+    ll, lr and rr hold each cell's left-left, left-right and right-right
+    integral.  Hat i is cell i-1's right hat plus cell i's left hat, so
+    a diagonal entry is cell i-1's right-right term plus cell i's
+    left-left, and off-diagonal entry i is cell i's left-right term.
+    """
+    return np.concatenate((ll[:1], rr[:-1] + ll[1:], rr[-1:])), lr
+
+
 def _border_cells(x0: np.ndarray, x1: np.ndarray, R: float, nu: float, a: complex, b: complex):
     """Hat-enrichment integrals of the cells [x0, x1] over their part below R/2.
 
@@ -422,8 +438,8 @@ def assemble_mode_pencil(
         for row, (vi, di, vj, dj) in enumerate(pairs):
             stiff[row, cells] = np.sum(wts * (di * dj * pts + (nu**2) * vi * vj / pts), axis=1)
             mass[row, cells] = np.sum(wts * (vi * vj * pts), axis=1)
-    # a diagonal entry is cell i's right-right term plus cell i+1's left-left
-    bands = [(rr[:-1] + ll[1:], lr[1:-1]) for ll, lr, rr in (stiff, mass)]
+    # the interior hats: the first and the outer one are dropped
+    bands = [(diag[1:-1], off[1:-1]) for diag, off in (_hat_bands(*stiff), _hat_bands(*mass))]
     borders = [np.zeros((d, n_core), dtype=complex) for _ in range(2)]
     corners = [np.zeros(d, dtype=complex) for _ in range(2)]
 
@@ -496,9 +512,11 @@ def assemble_embedding_grams(t_max: float, N_h: int):
 
     In t = -log x on [0, t_max], the x^gamma H^s_b norm of u is the
     H^s norm of v = e^{gamma t} u.  Both Grams are assembled on the
-    full hat basis (free at both ends) with per-cell Gauss quadrature,
-    and are Hermitian positive definite.  Returns (G_high, G_low).  A
-    t_max whose Grams leave the doubles raises FloatingPointError.
+    full hat basis of N_h equal cells (free at both ends) with the hat
+    block's 8-point Gauss rule, and are real symmetric tridiagonal and
+    positive definite.  Returns (G_high, G_low) as borderless
+    ArrowTridiagonal bands.  A t_max whose Grams leave the doubles
+    raises FloatingPointError.
     """
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("t_max must be positive")
@@ -508,32 +526,24 @@ def assemble_embedding_grams(t_max: float, N_h: int):
     # e^{2t} overflows from t = 355, and a t_max near the smallest doubles
     # overflows the slopes 1/h: either shows as a Gram entry that is not finite
     with np.errstate(all="ignore"):
-        h = np.float64(t_max) / N_h
-        xi, wi = _GAUSS10
-        # reference points replicated across all cells at once
-        t0 = h * np.arange(N_h)[:, None]
-        pts = t0 + 0.5 * h * (xi + 1.0)[None, :]
-        wts = 0.5 * h * wi[None, :]
-        phi_l = 1.0 - (pts - t0) / h
-        phi_r = (pts - t0) / h
-        hats = ((0, phi_l, -1.0 / h), (1, phi_r, 1.0 / h))  # (index offset, value, slope)
-
-        def gram(weight: np.ndarray, slopes: bool) -> np.ndarray:
-            """Cell sums of weight * (u v, plus (u + u')(v + v') with slopes) over hat pairs u, v."""
-            g = np.zeros((N_h + 1, N_h + 1))
-            for ia, va, da in hats:
-                for ib, vb, db in hats:
-                    cell = np.sum(weight * va * vb, axis=1)
-                    if slopes:
-                        cell = cell + np.sum(weight * (va + da) * (vb + db), axis=1)
-                    np.add.at(g, (np.arange(N_h) + ia, np.arange(N_h) + ib), cell)
-            return g
-
-        # |e^t u|^2_{H^1} = int e^{2t} (|u|^2 + |u + u'|^2) dt and |u|^2_{L^2} = int |u|^2 dt
-        grams = gram(np.exp(2.0 * pts) * wts, True), gram(wts, False)
-    if not all(np.isfinite(g).all() for g in grams):
+        nodes = np.float64(t_max) / N_h * np.arange(N_h + 1)
+        x0, x1 = nodes[:-1], nodes[1:]
+        pts, wts = _cell_rule(x0, x1, 1)
+        (vl, vr), (dl, dr) = _hat_shapes(pts, x0, x1)
+        # |e^t u|^2_{H^1} = int e^{2t} (|u|^2 + |u + u'|^2) dt and |u|^2_{L^2} = int |u|^2 dt;
+        # the weight multiplies first, so that (u + u')(v + v') ~ 1/h^2 never forms alone
+        weight = np.exp(2.0 * pts) * wts
+        pairs = ((vl, dl, vl, dl), (vl, dl, vr, dr), (vr, dr, vr, dr))
+        high = [
+            np.sum(weight * vi * vj, axis=1) + np.sum(weight * (vi + di) * (vj + dj), axis=1)
+            for vi, di, vj, dj in pairs
+        ]
+        low = [np.sum(wts * vi * vj, axis=1) for vi, _, vj, _ in pairs]
+        grams = [_hat_bands(*cells) for cells in (high, low)]
+    if not all(np.isfinite(band).all() for bands in grams for band in bands):
         raise FloatingPointError(f"t_max = {t_max!r} gives embedding Gram entries beyond the doubles")
-    return grams
+    no_border = np.zeros((0, N_h + 1))
+    return tuple(ArrowTridiagonal(diag, off, no_border, np.zeros(0)) for diag, off in grams)
 
 
 # layout fields of every container export_pencil writes; load_pencil reads no other

@@ -40,7 +40,9 @@ bisection on a 2 x 2 secular count, O(n) per step, from the
 result owns, a decade apart up to its trust limit.  The eigensolves are
 accurate to eps ||C|| only, which is coarse for the small eigenvalues
 of a graded pencil, so each eigenvalue is refined by a two-sided
-Rayleigh quotient on (K, M) itself.
+Rayleigh quotient on (K, M) itself.  The weighted embedding's singular
+values take its two tridiagonal Grams through the same reduction of a
+hat block and one eigenvalue-only real eigensolve.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "RootFindingError",
     "SpectralResult",
     "solve_pencil",
+    "retained_count",
     "resolvent_norm",
     "ray_minimal_growth_full",
     "completeness_residual",
@@ -353,27 +356,23 @@ def _rank_one_roots(mu: np.ndarray, weights: np.ndarray, tau: float):
     return lam, negligible, sweeps
 
 
-def _to_arrowhead(stiffness, mass):
-    """The reduction C = L^{-1} K L^{-H}, M = L L^H, brought to an arrowhead by one real eigh.
+def _hat_reduction(stiffness, mass):
+    """A = L_T^{-1} T_K L_T^{-T} for the hat blocks T_K and T_M = L_T L_T^T of two ArrowTridiagonals.
 
-    L is the arrow-shaped Cholesky factor [[L_T, 0], [l^H, l_n]] of M:
-    T_M = L_T L_T^T with L_T lower bidiagonal (LAPACK pttrf), L_T l = m_c
-    and l_n^2 = m_ee - ||l||^2, the mass's Schur complement.  With
-    g = L_T^{-T} l, C = [[A, h], [h^H, eta + i tau]] for the real
-    symmetric A = L_T^{-1} T_K L_T^{-T} (two banded triangular solves,
-    tbtrs, on the dense T_K), h = L_T^{-1} (k_c - T_K g) / l_n and the
-    corner (g^H T_K g - 2 Re g^H k_c + k_ee) / l_n^2.  The eigensolve
-    A = U diag(theta) U^T, the only O(n^3) step, turns C in the basis
-    diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
-    with z = U^T h.
+    L_T is lower bidiagonal (LAPACK pttrf), and A comes from two banded
+    triangular solves (tbtrs) on the dense T_K.  Returns A, real
+    symmetric and Fortran-ordered, and L_T's solve.
 
-    Returns theta (ascending), W = L_T^{-T} U, which makes
-    L^{-H} diag(U, 1) = [[W, -g / l_n], [0, 1 / l_n]], and for an
-    enriched pencil (z, eta, tau, g / l_n, 1 / l_n), else None.
+    Raises
+    ------
+    np.linalg.LinAlgError
+        If T_M is not positive definite.
     """
     core = len(mass.diag)
     off = mass.off if core > 1 else np.zeros(1)  # the pttrf wrapper wants one entry even then
-    diag, off, _ = scipy.linalg.lapack.dpttrf(mass.diag, off)  # T_M = L D L^T; the gate proved it definite
+    diag, off, info = scipy.linalg.lapack.dpttrf(mass.diag, off)  # T_M = L D L^T
+    if info != 0:
+        raise np.linalg.LinAlgError(f"the leading minor of order {info} of the mass block is not positive definite")
     factor = np.zeros((2, core), order="F")  # L_T = L D^{1/2} in LAPACK's lower band storage
     np.sqrt(diag, out=factor[0])
     np.multiply(off[: core - 1], factor[0, :-1], out=factor[1, :-1])
@@ -386,7 +385,28 @@ def _to_arrowhead(stiffness, mass):
     dof = np.arange(core)
     A[dof, dof] = stiffness.diag
     A[dof[:-1], dof[1:]] = A[dof[1:], dof[:-1]] = stiffness.off
-    A = solve(solve(A).T)  # L_T^{-1} (L_T^{-1} T_K)^T, as T_K is symmetric
+    return solve(solve(A).T), solve  # L_T^{-1} (L_T^{-1} T_K)^T, as T_K is symmetric
+
+
+def _to_arrowhead(stiffness, mass):
+    """The reduction C = L^{-1} K L^{-H}, M = L L^H, brought to an arrowhead by one real eigh.
+
+    L is the arrow-shaped Cholesky factor [[L_T, 0], [l^H, l_n]] of M:
+    T_M = L_T L_T^T with L_T lower bidiagonal, L_T l = m_c
+    and l_n^2 = m_ee - ||l||^2, the mass's Schur complement.  With
+    g = L_T^{-T} l, C = [[A, h], [h^H, eta + i tau]] for the real
+    symmetric A = L_T^{-1} T_K L_T^{-T} (`_hat_reduction`),
+    h = L_T^{-1} (k_c - T_K g) / l_n and the
+    corner (g^H T_K g - 2 Re g^H k_c + k_ee) / l_n^2.  The eigensolve
+    A = U diag(theta) U^T, the only O(n^3) step, turns C in the basis
+    diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
+    with z = U^T h.
+
+    Returns theta (ascending), W = L_T^{-T} U, which makes
+    L^{-H} diag(U, 1) = [[W, -g / l_n], [0, 1 / l_n]], and for an
+    enriched pencil (z, eta, tau, g / l_n, 1 / l_n), else None.
+    """
+    A, solve = _hat_reduction(stiffness, mass)
     theta, U = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False)
     del A
     border = None
@@ -396,9 +416,7 @@ def _to_arrowhead(stiffness, mass):
         ell_n = math.sqrt(float(mass.corner[0].real) - float(np.sum(ell * ell)))
         g = solve(ell, trans="T")
         g = g[:, 0] + 1j * g[:, 1]
-        Tg = stiffness.diag * g
-        Tg[:-1] += stiffness.off * g[1:]
-        Tg[1:] += stiffness.off * g[:-1]
+        Tg = stiffness.dot(np.append(g, 0.0))[:-1]
         corner = (np.vdot(g, Tg).real - 2.0 * np.vdot(g, k_c).real + complex(stiffness.corner[0])) / ell_n**2
         h = k_c - Tg
         z = scipy.linalg.blas.dgemm(1.0 / ell_n, U, solve(np.column_stack((h.real, h.imag))), trans_a=True)
@@ -570,6 +588,11 @@ def _lift(W: np.ndarray, g: np.ndarray, inv_ell_n: float, Y: np.ndarray) -> np.n
     return V
 
 
+def retained_count(n: int) -> int:
+    """How many of an n-pair solve's eigenpairs `solve_pencil` trusts: the leading 80%, at least one."""
+    return max(1, math.floor(RETAIN_FRACTION * n))
+
+
 def solve_pencil(pencil) -> SpectralResult:
     """Generalized eigensolve of K v = lambda M v for an arrow-tridiagonal pencil.
 
@@ -641,7 +664,7 @@ def solve_pencil(pencil) -> SpectralResult:
     if np.any(order != np.arange(len(lam))):  # the refinement swapped a near tie
         lam, vec, residuals = lam[order], vec[:, order], residuals[order]
     mu.flags.writeable = weights.flags.writeable = False  # shared by every probe
-    n_retained = max(1, math.floor(RETAIN_FRACTION * n))
+    n_retained = retained_count(n)
     return SpectralResult(
         eigenvalues=lam,
         eigenvectors=vec,
@@ -1144,16 +1167,21 @@ def schatten_fit(singular_values, j_range) -> tuple:
 def embedding_singular_values(G_high, G_low) -> np.ndarray:
     """Singular values of the identity from the G_high norm to the G_low norm.
 
-    These are the square roots of the generalized eigenvalues
-    G_low v = sigma^2 G_high v, returned descending.
+    The Grams are borderless ArrowTridiagonal bands of equal size.  The
+    values are the square roots of the generalized eigenvalues
+    G_low v = sigma^2 G_high v, returned descending: the eigenvalues of
+    L^{-1} G_low L^{-T} with G_high = L L^T (`_hat_reduction`).
+
+    Raises
+    ------
+    np.linalg.LinAlgError
+        If G_high is not positive definite.
     """
-    G_high = np.asarray(G_high)
-    G_low = np.asarray(G_low)
-    if G_high.shape != G_low.shape:
-        raise ValueError("Gram matrices must have equal shape")
-    w = scipy.linalg.eigh(G_low, G_high, eigvals_only=True)
-    w = np.clip(w, 0.0, None)
-    return np.sqrt(w)[::-1]
+    if len(G_high.diag) != len(G_low.diag) or len(G_high.corner) or len(G_low.corner):
+        raise ValueError("the Grams must be borderless bands of equal size")
+    A, _ = _hat_reduction(G_low, G_high)
+    w = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False, eigvals_only=True)
+    return np.sqrt(np.clip(w, 0.0, None))[::-1]
 
 
 def completeness_certificate(n: int, m: int, verdicts) -> CompletenessCertificate:

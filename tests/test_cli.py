@@ -128,6 +128,7 @@ class TestConfigErrors:
             ("normal-check", "--gamma", -2),  # no single 2-dimensional mode quotient
             ("example53", "--gamma", -2),
             ("example53", "--nh", 20),  # too few retained pairs for the residuals
+            ("complete", "--nh", 50),  # 49 pairs retain 39, one short of the 40 residual terms
             ("normal-check", "--theta=nan"),  # non-finite inputs
             ("resolvent", "--theta=inf", "--nh", 60),
             ("spectrum", "--a=nan"),
@@ -141,6 +142,11 @@ class TestConfigErrors:
         assert "config error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_complete_runs_on_the_smallest_grid_that_retains_its_residual_counts(self, tmp_path):
+        # 49 hats and the enrichment: solve_pencil retains 40 of 50 pairs
+        assert spectral.retained_count(51 - 2 + 1) == max(cli.RESIDUAL_COUNTS)
+        assert run_cli("complete", "--nh", 51, "--out", tmp_path) == 0
 
     @staticmethod
     def assert_config_file_exits_2(key, value, tmp_path, capsys, command="embed"):
@@ -257,8 +263,9 @@ SCOPE_TABLE = [
     (("example53",), "geometry", "outer_radius_R", 1e200, 3, "numerical failure in stage 'spectrum'"),
     # e^{2t} overflows the embedding Gram from t = 355
     (("embed",), "discretization", "t_max", 355, 3, "numerical failure in stage 'embed': t_max = 355"),
-    # at N_h = 400 one singular value past the fit window rounds to 0; the window fits p = 0.90
-    (("embed",), "discretization", "t_max", 1e-6, 0, ""),
+    # at N_h = 400, t_max = 1e-6 puts cond(G_high) near 5e16, past 1/eps: rounding leaves
+    # the H^1 Gram's band factorization without a positive pivot
+    (("embed",), "discretization", "t_max", 1e-6, 3, "of the mass block is not positive definite"),
 ]
 
 
@@ -308,6 +315,20 @@ class TestOutOfDerivationConfigs:
         if code == 2:
             assert not (tmp_path / "out").exists()
 
+    def test_an_indefinite_embedding_gram_prints_one_line(self, tmp_path):
+        # cond(G_high) is about 3e16 at t_max = 1e-10, N_h = 100, and its band
+        # factorization meets a nonpositive pivot: a numerical failure, not a traceback
+        cfg = cli._default_config_dict("sector")
+        cfg["discretization"].update(N_h=100, t_max=1e-10)
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["embed", "--config", str(path)]) == 3
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("numerical failure in stage 'embed'") and "not positive definite" in line
+
     def test_unrepresentable_radius_prints_one_line(self, tmp_path):
         # every overflow of the assembly ends in its non-finite check, and
         # numpy prints no RuntimeWarning on the way
@@ -335,7 +356,7 @@ class TestOutOfDerivationConfigs:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(t_max=st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False))
     @example(t_max=355.0)
-    @example(t_max=1e-180)  # the fit window's squared singular values underflow
+    @example(t_max=1e-180)  # the slopes 1/h reach 2e181 and the H^1 Gram rounds to singular
     @example(t_max=5e-324)
     @example(t_max=sys.float_info.max)
     def test_any_embedding_length_exits_with_a_documented_code(self, t_max):

@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from conespectra.discretize import (
@@ -442,11 +443,38 @@ class TestBatchedAssemblyIsBitIdentical:
 
 class TestEmbeddingGrams:
     def test_shapes_and_definiteness(self):
-        gh, gl = assemble_embedding_grams(10.0, 32)
+        bands = assemble_embedding_grams(10.0, 32)
+        assert all(g.size == 33 and g.border.shape == (0, 33) and len(g.corner) == 0 for g in bands)
+        gh, gl = (g.dense() for g in bands)
         assert gh.shape == gl.shape == (33, 33)
+        assert not gh.imag.any() and not gl.imag.any()
         assert np.allclose(gh, gh.T) and np.allclose(gl, gl.T)
         assert np.linalg.eigvalsh(gh).min() > 0
         assert np.linalg.eigvalsh(gl).min() > 0
+
+    @pytest.mark.parametrize("t_max, N_h", [(10.0, 32), (20.0, 100), (20.0, 400)])
+    def test_band_reduction_matches_the_dense_generalized_eigensolve(self, t_max, N_h):
+        gh, gl = assemble_embedding_grams(t_max, N_h)
+        dense = scipy.linalg.eigh(gl.dense().real, gh.dense().real, eigvals_only=True)
+        reference = np.sqrt(np.clip(dense, 0.0, None))[::-1]
+        sv = embedding_singular_values(gh, gl)
+        assert sv.shape == (N_h + 1,)
+        np.testing.assert_allclose(sv[:40], reference[:40], rtol=1e-12, atol=0)
+
+    def test_an_indefinite_high_gram_raises(self):
+        gh, gl = assemble_embedding_grams(10.0, 32)
+        diag = gh.diag.copy()
+        diag[5] = -1.0
+        indefinite = ArrowTridiagonal(diag, gh.off, gh.border, gh.corner)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            embedding_singular_values(indefinite, gl)
+
+    def test_grams_with_a_border_or_of_unequal_size_are_rejected(self):
+        gh, gl = assemble_embedding_grams(10.0, 32)
+        with pytest.raises(ValueError, match="borderless"):
+            embedding_singular_values(gh, assemble_embedding_grams(10.0, 33)[1])
+        with pytest.raises(ValueError, match="borderless"):
+            embedding_singular_values(gh, ArrowTridiagonal.from_dense(gl.dense(), 1))
 
     def test_singular_values_bounded_and_sorted(self):
         gh, gl = assemble_embedding_grams(20.0, 100)
@@ -468,7 +496,7 @@ class TestEmbeddingGrams:
         # e^{2t} (u v + (u + u')(v + v')), the H^1 form of e^t u against e^t v
         t_max, N_h = 10.0, 32
         h = t_max / N_h
-        gh, gl = assemble_embedding_grams(t_max, N_h)
+        gh, gl = (g.dense().real for g in assemble_embedding_grams(t_max, N_h))
         ends = np.r_[2.0, np.full(N_h - 1, 4.0), 2.0]
         mass = h / 6.0 * (np.diag(ends) + np.eye(N_h + 1, k=1) + np.eye(N_h + 1, k=-1))
         assert np.allclose(gl, mass, rtol=1e-13, atol=0)
