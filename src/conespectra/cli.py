@@ -85,7 +85,7 @@ DEFAULT_RAYS = (0.5 * math.pi, 1.5 * math.pi)
 CONFIG_DEFAULTS = {
     "extension": {"a": [1.0, 0.0], "b": [0.0, 0.0]},
     "rays": list(DEFAULT_RAYS),
-    "discretization": {"N_h": 400, "grading_q": 0.9, "t_max": 20.0},
+    "discretization": {"N_h": 400},
     "outputs_dir": "out",
 }
 ORACLE_MATCH_RTOL = 0.005
@@ -93,8 +93,15 @@ ORACLE_MATCH_RTOL = 0.005
 FLOW_MATCH_RTOL = 1e-12
 RESIDUAL_DECAY_FACTOR = 0.05
 EMBED_P_WINDOW = (0.87, 1.18)
-# hats on [0, t_max] resolve singular functions up to index ~ N_h / t_max,
-# so the decay fit must stay below that (index 20 at the default 400 / 20)
+# the radial grid's ratio: node_1 <= 0.9^15 R < R/4, inside the enrichment's tip
+# closed form, for every N_h in scope (from N_h = 67 on the tip floor sets it at 1e-3 R)
+GRID_RATIO = 0.9
+# embed runs on t = -log x in [0, EMBED_T_MAX]; at 20 the exact singular values
+# are the infinite cone's, 1 / j'_{1,j}, to 6.5e-16
+EMBED_T_MAX = 20.0
+# the j-th singular function x Z_1(k_j x), k_j ~ j pi, has half-waves about 1/j long
+# in t near t = 0, so hats EMBED_T_MAX / N_h wide resolve it up to j ~ N_h / EMBED_T_MAX,
+# and the decay fit stays below that (index 20 at the default N_h = 400)
 EMBED_FIT_RANGE = (5, 20)
 RESIDUAL_COUNTS = (5, 10, 15, 20, 25, 30, 35, 40)
 # the full-pipeline subcommands and the geometry each runs without a config
@@ -127,14 +134,12 @@ _NUMERICAL_ERRORS = (
 class ExperimentConfig:
     """Strictly parsed experiment description; unknown fields are rejected."""
 
-    def __init__(self, model, a, b, rays, N_h, grading_q, t_max, outputs_dir):
+    def __init__(self, model, a, b, rays, N_h, outputs_dir):
         self.model = model
         self.a = a
         self.b = b
         self.rays = rays
         self.N_h = N_h
-        self.grading_q = grading_q
-        self.t_max = t_max
         if not isinstance(outputs_dir, (str, os.PathLike)):
             raise ConfigError(f"outputs_dir must be a path string, got {outputs_dir!r}")
         self.outputs_dir = Path(outputs_dir)
@@ -144,10 +149,6 @@ class ExperimentConfig:
             raise ConfigError("at least one ray is required")
         if self.N_h < 16:
             raise ConfigError("discretization.N_h must be at least 16")
-        if not (0.0 < self.grading_q < 1.0):
-            raise ConfigError("discretization.grading_q must be in (0, 1)")
-        if not (0.0 < self.t_max < math.inf):
-            raise ConfigError("discretization.t_max must be positive and finite")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
@@ -169,11 +170,9 @@ class ExperimentConfig:
             b = complex_from_pair(ext["b"], "extension.b")
             rays = [Ray(_number(t, "rays")) for t in d["rays"]]
             disc = {**CONFIG_DEFAULTS["discretization"], **d["discretization"]}
-            _check_known_keys(disc, {"N_h", "grading_q", "t_max"}, "discretization")
+            _check_known_keys(disc, {"N_h"}, "discretization")
             N_h = _number(disc["N_h"], "discretization.N_h", integral=True)
-            grading_q = _number(disc["grading_q"], "discretization.grading_q")
-            t_max = _number(disc["t_max"], "discretization.t_max")
-            return cls(model, a, b, rays, N_h, grading_q, t_max, d["outputs_dir"])
+            return cls(model, a, b, rays, N_h, d["outputs_dir"])
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -182,11 +181,7 @@ class ExperimentConfig:
             "geometry": self.model.to_json_dict(),
             "extension": {"a": complex_to_pair(self.a), "b": complex_to_pair(self.b)},
             "rays": [r.angle_theta for r in self.rays],
-            "discretization": {
-                "N_h": self.N_h,
-                "grading_q": self.grading_q,
-                "t_max": self.t_max,
-            },
+            "discretization": {"N_h": self.N_h},
             "outputs_dir": str(self.outputs_dir),
         }
 
@@ -290,7 +285,7 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 def _build_pencil(cfg: ExperimentConfig):
     """Assemble the mode pencil: enriched on the strip mode, else the first mode bare."""
-    grid = RadialGrid.geometric(cfg.model.outer_radius_R, cfg.N_h, cfg.grading_q)
+    grid = RadialGrid.geometric(cfg.model.outer_radius_R, cfg.N_h, GRID_RATIO)
     sm = strip_mode(cfg.model)
     if sm is None:
         mode_k, domain = next(iter(cfg.model.geometry.modes_by_abs())), None
@@ -573,16 +568,12 @@ def _certify(run: Run) -> Record:
 
 def _embed(run: Run) -> Record:
     cfg = run.cfg
-    g_high, g_low = assemble_embedding_grams(cfg.t_max, cfg.N_h)
-    sv = embedding_singular_values(g_high, g_low)
-    lo, hi = EMBED_FIT_RANGE
-    if not np.all(sv[lo - 1 : hi] > 0.0):  # their squares underflow, or round below 0
-        raise FloatingPointError(f"t_max = {cfg.t_max!r} rounds embedding singular values {lo} to {hi} to 0")
+    sv = embedding_singular_values(*assemble_embedding_grams(EMBED_T_MAX, cfg.N_h))
     q, implied_p = schatten_fit(sv, EMBED_FIT_RANGE)
     ok = EMBED_P_WINDOW[0] <= implied_p <= EMBED_P_WINDOW[1]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "t_max": cfg.t_max,
+        "t_max": EMBED_T_MAX,
         "N_h": cfg.N_h,
         "decay_exponent_q": float(q),
         "implied_p": float(implied_p),
@@ -631,19 +622,6 @@ def _oracle_resolves_the_mode(run: Run) -> None:
         )
 
 
-def _grid_reaches_tip(run: Run) -> None:
-    # the enrichment's tip closed form integrates over (0, node_1], where omega = 1
-    cfg = run.cfg
-    R = cfg.model.outer_radius_R
-    # read in O(1): the grid itself may be too large to build
-    first = R * RadialGrid.geometric_ratio(cfg.N_h, cfg.grading_q) ** (cfg.N_h - 1)
-    if singular_basis(cfg.model) and first > R / 4.0:
-        raise ConfigError(
-            f"discretization.grading_q = {cfg.grading_q!r} with N_h = {cfg.N_h} puts the first "
-            f"grid node at {first / R:.4g} R, above R/4: too coarse for the enrichment at the tip"
-        )
-
-
 def _grid_retains_residual_counts(run: Run) -> None:
     cfg = run.cfg
     # N_h - 2 interior hats, plus the enrichment on a nontrivial quotient
@@ -656,19 +634,23 @@ def _grid_retains_residual_counts(run: Run) -> None:
         )
 
 
-def _embedding_grid_size(run: Run) -> None:
-    # N_h + 1 hats on [0, t_max], free at both ends; the Grams are bands, but their
-    # reduction is one dense (N_h + 1)-square float64 array, and numpy counts an
-    # array's bytes in its signed index type
+def _embedding_fit_range(run: Run) -> None:
+    # N_h + 1 hats on [0, EMBED_T_MAX], free at both ends, give N_h + 1 singular values
     count = run.cfg.N_h + 1
     if count < EMBED_FIT_RANGE[1]:
         raise ConfigError(
             f"discretization.N_h = {run.cfg.N_h} gives {count} embedding singular values; "
             f"the fit range {EMBED_FIT_RANGE} needs {EMBED_FIT_RANGE[1]}"
         )
-    if 8 * count**2 > np.iinfo(np.intp).max:
+
+
+def _dense_reduction_fits(run: Run) -> None:
+    # the pencil and the embedding are bands, but each reduction is one dense float64 array,
+    # (N_h - 2)-square and (N_h + 1)-square, and numpy counts an array's bytes in its signed
+    # index type; read in O(1), before anything is allocated
+    if 8 * (run.cfg.N_h + 1) ** 2 > np.iinfo(np.intp).max:
         raise ConfigError(
-            f"discretization.N_h = {run.cfg.N_h} needs an embedding reduction of (N_h + 1)^2 doubles, "
+            f"discretization.N_h = {run.cfg.N_h} needs a dense reduction of up to (N_h + 1)^2 doubles, "
             "more bytes than one numpy array can hold"
         )
 
@@ -776,7 +758,7 @@ STAGES = (
         ),
         lambda p: f"[spectrum] max relative error vs oracle = {p['max_relative_error']:.3e}",
         "spectrum",
-        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _grid_reaches_tip),
+        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _dense_reduction_fits),
         gated=True,
     ),
     Stage(
@@ -824,7 +806,7 @@ STAGES = (
             f"singular value decay exponent q = {p['decay_exponent_q']:.4f}, "
             f"implied p = {p['implied_p']:.4f}"
         ),
-        scope=(_embedding_grid_size,),
+        scope=(_embedding_fit_range, _dense_reduction_fits),
         gated=True,
     ),
 )

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ConeModelOperator, ExtensionDomain, complex_to_pair, complex_from_pair
+from .model import ConeModelOperator, ExtensionDomain, _number, complex_to_pair, complex_from_pair
 
 __all__ = [
     "RadialGrid",
@@ -105,8 +105,9 @@ class RadialGrid:
         above TIP_FLOOR_RATIO * R; deeper grids would only degrade the
         mass-matrix conditioning (the enrichment already carries the
         singular tip behavior), so the effective ratio is raised to pin
-        node_1 at the floor instead.
+        node_1 at the floor instead.  N_h must be an integral number.
         """
+        N_h = _number(N_h, "N_h", integral=True)
         if N_h < 2:
             raise ValueError("N_h must be at least 2")
         if not (0.0 < q < 1.0):
@@ -114,12 +115,7 @@ class RadialGrid:
         if not (R > 0.0 and math.isfinite(R)):
             raise ValueError("R must be positive")
         exponents = np.arange(N_h - 1, -1, -1, dtype=float)
-        return cls(nodes=R * cls.geometric_ratio(N_h, q) ** exponents)
-
-    @staticmethod
-    def geometric_ratio(N_h: int, q: float) -> float:
-        """The effective ratio q_eff of geometric(R, N_h, q), whose first node is R * q_eff^(N_h - 1)."""
-        return max(q, TIP_FLOOR_RATIO ** (1.0 / (N_h - 1)))
+        return cls(nodes=R * max(q, TIP_FLOOR_RATIO ** (1.0 / (N_h - 1))) ** exponents)
 
 
 @dataclass(frozen=True)

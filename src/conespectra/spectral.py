@@ -1091,10 +1091,12 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
     the (a,b)=(1,0) cross-check of the secular oracle and for multi-mode
     eigenvalue counting where nu >= 1 modes carry no enrichment.
     """
-    if nu < 0.0:
-        raise ValueError("nu must be nonnegative")
+    if not nu >= 0.0:  # nan too
+        raise ValueError(f"nu must be nonnegative, got {nu!r}")
     if nu > BESSEL_ORDER_LIMIT:
         raise ValueError(f"nu = {nu:.6g} is above 2^50; J_nu loses every digit from 2^51")
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ValueError(f"R must be positive and finite, got {R!r}")
     if how_many < 1:
         raise ValueError("how_many must be positive")
     # every zero exceeds nu; the k-th lies near (k + nu/2 - 1/4) pi and below Qu & Wong's (1999) bound in
@@ -1143,7 +1145,7 @@ def schatten_fit(singular_values, j_range) -> tuple:
     """Decay exponent q of s_j ~ j^{-q} over j_range, and implied p = 1/q.
 
     j_range is a 1-based inclusive (lo, hi) window, whose values must be
-    positive; values outside it may be 0.  A nonpositive fitted q (no
+    positive and finite; values outside it may be 0.  A nonpositive fitted q (no
     decay) gives implied_p = inf.
     """
     s = np.asarray(singular_values, dtype=float)
@@ -1156,8 +1158,8 @@ def schatten_fit(singular_values, j_range) -> tuple:
         raise ValueError(f"degenerate fit range ({lo}, {hi}) for {len(s)} values")
     j = np.arange(lo, hi + 1, dtype=float)
     window = s[lo - 1 : hi]
-    if np.any(window <= 0.0):
-        raise ValueError(f"singular values {lo} to {hi} must be positive")
+    if not np.all((window > 0.0) & np.isfinite(window)):
+        raise ValueError(f"singular values {lo} to {hi} must be positive and finite")
     slope = np.polyfit(np.log(j), np.log(window), 1)[0]
     q = float(-slope)
     implied_p = 1.0 / q if q > 1e-12 else math.inf

@@ -8,6 +8,7 @@ part for genuinely complex data) is asserted at the matrix level.
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -70,14 +71,19 @@ class TestRadialGrid:
 
     @pytest.mark.parametrize("n_h", [16, 100, 400, 3200])
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
-    def test_geometric_nodes_come_from_the_shared_ratio(self, n_h, q):
-        # the nodes as geometric built them before the ratio had its own owner
+    def test_geometric_nodes_follow_the_floored_ratio(self, n_h, q):
         q_eff = max(q, TIP_FLOOR_RATIO ** (1.0 / (n_h - 1)))
-        before = 0.7 * q_eff ** np.arange(n_h - 1, -1, -1, dtype=float)
+        expected = 0.7 * q_eff ** np.arange(n_h - 1, -1, -1, dtype=float)
         g = RadialGrid.geometric(0.7, n_h, q)
-        assert g.nodes.tobytes() == before.tobytes()
-        # the scope check reads the first node without building the grid
-        assert 0.7 * RadialGrid.geometric_ratio(n_h, q) ** (n_h - 1) == g.nodes[0]
+        assert g.nodes.tobytes() == expected.tobytes()
+        # an integral float is the same size
+        assert RadialGrid.geometric(0.7, float(n_h), q).nodes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_h", [20.5, True, "20", None])
+    def test_geometric_rejects_a_non_integral_size(self, n_h):
+        # 20.5 would build 21 nodes ending at 1.054 R, not at R
+        with pytest.raises(ValueError, match="N_h must be an integer"):
+            RadialGrid.geometric(1.0, n_h, 0.9)
 
     def test_nodes_strictly_increasing_and_positive(self):
         for g in (RadialGrid.geometric(1.0, 50, 0.85), uniform_grid(3.0, 40)):
@@ -519,6 +525,13 @@ class TestEmbeddingGrams:
             assemble_embedding_grams(0.0, 32)
         with pytest.raises(ValueError, match="N_h"):
             assemble_embedding_grams(10.0, 8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t_max", [355.0, 5e-324, 1e308])
+    def test_a_length_beyond_the_doubles_raises_quietly(self, t_max):
+        # e^{2t} overflows from t = 355, and the slopes 1/h at t_max = 5e-324
+        with pytest.raises(FloatingPointError, match=re.escape(f"t_max = {t_max!r} gives embedding Gram entries")):
+            assemble_embedding_grams(t_max, 20)
 
 
 class TestPersistence:

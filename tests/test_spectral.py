@@ -1086,6 +1086,23 @@ class TestDirichletModeEigenvalues:
             dirichlet_mode_eigenvalues(nu, 1.0, 5)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "nu, R, name",
+        [
+            (1.0, -1.0, "R"),
+            (1.0, 0.0, "R"),
+            (1.0, math.inf, "R"),
+            (1.0, math.nan, "R"),
+            (math.nan, 1.0, "nu"),
+            (-0.5, 1.0, "nu"),
+        ],
+    )
+    def test_arguments_outside_the_derivation_are_rejected(self, nu, R, name):
+        # the zeros scale as j_{nu,k} / R for R > 0 only, and no scan runs at a nan order
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dirichlet_mode_eigenvalues(nu, R, 5)
+
+    @pytest.mark.filterwarnings("error")
     def test_order_at_the_bessel_limit_still_scans(self):
         got = dirichlet_mode_eigenvalues(spectral.BESSEL_ORDER_LIMIT, 1.0, 5)
         assert len(got) == 5
@@ -1157,6 +1174,13 @@ class TestFits:
             schatten_fit(1.0 / np.arange(1.0, 10.0), (5, 20))
         with pytest.raises(ValueError, match="5 to 9 must be positive"):
             schatten_fit(np.append(1.0 / np.arange(1.0, 9.0), 0.0), (5, 9))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [[3.0, 2.0, math.nan, 1.0], [math.inf, 2.0, 1.0, 0.5]])
+    def test_schatten_rejects_a_non_finite_window_value(self, values):
+        # a nan fit would give implied p = inf, which embed would read as a threshold miss
+        with pytest.raises(ValueError, match="1 to 4 must be positive and finite"):
+            schatten_fit(values, (1, 4))
 
     def test_schatten_reads_only_its_window(self):
         # a value clipped to 0 past the window (a rounded-negative eigenvalue) is not fitted
