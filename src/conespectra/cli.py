@@ -252,6 +252,8 @@ def _config_from_args(args) -> ExperimentConfig:
 # artifact helpers
 
 
+# the writer's guard: the stages hand over Python numbers, and a complex or
+# numpy one that slips into a payload is still written as plain JSON
 def _json_default(obj):
     if isinstance(obj, complex):
         return complex_to_pair(obj)

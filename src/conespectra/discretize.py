@@ -151,39 +151,8 @@ class ArrowTridiagonal:
     def size(self) -> int:
         return len(self.diag) + len(self.corner)
 
-    @classmethod
-    def from_dense(cls, A, d: int) -> "ArrowTridiagonal":
-        """The parts of a dense A with d border rows, which must have exactly this structure.
-
-        Raises
-        ------
-        ValueError
-            If A is not square with n > d, d is not 0 or 1, or A has a
-            nonzero outside the arrow, a complex or asymmetric tridiagonal
-            block, or a border row that is not the conjugate of its column.
-        """
-        A = np.asarray(A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or d not in (0, 1) or A.shape[0] <= d:
-            raise ValueError("an arrow-tridiagonal matrix is square with more rows than border rows")
-        core = A.shape[0] - d
-        T = A[:core, :core]
-        diag, off = np.diagonal(T), np.diagonal(T, 1)
-        in_band = np.count_nonzero(diag) + np.count_nonzero(off) + np.count_nonzero(np.diagonal(T, -1))
-        if not (
-            np.count_nonzero(T) == in_band
-            and np.array_equal(off, np.diagonal(T, -1))
-            and np.isreal(diag).all()
-            and np.isreal(off).all()
-            and np.array_equal(A[core:, :core], A[:core, core:].T.conj())
-        ):
-            raise ValueError(
-                "not a Hermitian arrow-tridiagonal matrix: a real symmetric tridiagonal block, "
-                "a border column with its conjugate row, and a corner"
-            )
-        return cls(diag.real, off.real, A[:core, core:].T, np.diagonal(A[core:, core:]))
-
     def dense(self) -> np.ndarray:
-        """The n x n complex matrix.
+        """The n x n complex matrix, behind DiscreteOperatorPencil's K and M views.
 
         Every entry but the corner is added onto zeros, as assembly adds
         its cell integrals, so a zero's sign is that of the cell loop's.
@@ -206,6 +175,8 @@ class ArrowTridiagonal:
         X's size, so that no BLAS kernel runs.
         """
         X = np.asarray(X)
+        if X.ndim not in (1, 2) or X.shape[0] != self.size:
+            raise ValueError(f"X must have shape (n,) or (n, m) with n = {self.size}, got {X.shape}")
         Xm = X.reshape(self.size, -1)
         core = len(self.diag)
         top, tail = Xm[:core], Xm[core:]
@@ -233,8 +204,7 @@ class DiscreteOperatorPencil:
     hat blocks alone for the minimal pencil (d = 0).  The mass must be
     Hermitian, so its corner is real; the stiffness corner carries the
     enrichment's imaginary part.  `K` and `M` are dense read-only views,
-    built on each access, for tests and the benchmark tracer; no
-    production code builds them.
+    built on each access; no stage reads them.
     """
 
     stiffness: ArrowTridiagonal
@@ -255,6 +225,7 @@ class DiscreteOperatorPencil:
     def size(self) -> int:
         return self.stiffness.size
 
+    # the benchmark's tracer sizes each solve's input with the dense K and M
     @property
     def K(self) -> np.ndarray:
         return _read_only(self.stiffness.dense())
@@ -516,6 +487,7 @@ def assemble_embedding_grams(t_max: float, N_h: int):
     """
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("t_max must be positive")
+    N_h = _number(N_h, "N_h", integral=True)
     if N_h < 16:
         raise ValueError("N_h must be at least 16")
 
@@ -582,14 +554,17 @@ def export_pencil(pencil: DiscreteOperatorPencil, path) -> None:
             fh.write(part.astype("<c16").tobytes())
 
 
+# the reader of the pencil.bin artifact (see the README); no stage reads one back
 def load_pencil(path) -> DiscreteOperatorPencil:
     """Read a container of export_pencil back.
 
     Raises ValueError unless the header has exactly export_pencil's
     fields and layout (a version-1 file, which held dense K and M, is
-    refused), with a positive n, 0 or 1 border rows d < n and n basis
-    labels, followed by exactly the parts' 4(n - d) - 2 real and
-    2d(n - d + 1) complex values.
+    refused), with a positive n, 0 or 1 border rows d < n, n string
+    basis labels, a finite nu >= 0, a positive finite R, and an
+    enrichment that is null for d = 0 and two finite [re, im] pairs for d = 1,
+    followed by exactly the parts' 4(n - d) - 2 real and 2d(n - d + 1)
+    complex values.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(8)
@@ -609,8 +584,20 @@ def load_pencil(path) -> DiscreteOperatorPencil:
     if type(d) is not int or d not in (0, 1) or d >= n:
         raise ValueError(f"border_rows must be 0 or 1 and below n = {n}, got {d!r}")
     labels = header["basis_labels"]
-    if not isinstance(labels, list) or len(labels) != n:
-        raise ValueError(f"pencil header needs a list of n = {n} basis labels")
+    if not isinstance(labels, list) or len(labels) != n or not all(isinstance(s, str) for s in labels):
+        raise ValueError(f"pencil header needs a list of n = {n} basis labels, each a string")
+    nu, R = _number(header["nu"], "nu"), _number(header["outer_radius_R"], "outer_radius_R")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and nonnegative, got {nu!r}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"outer_radius_R must be positive and finite, got {R!r}")
+    enrich = header["enrichment"]
+    pairs = isinstance(enrich, list) and len(enrich) == 2 and all(isinstance(v, list) and len(v) == 2 for v in enrich)
+    if not (enrich is None if d == 0 else pairs):
+        raise ValueError(f"enrichment must be null for 0 border rows and two [re, im] pairs for 1, got {enrich!r}")
+    coeffs = None if enrich is None else tuple(complex_from_pair(v, "enrichment") for v in enrich)
+    if coeffs is not None and not np.isfinite(coeffs).all():
+        raise ValueError(f"enrichment coefficients must be finite, got {enrich!r}")
     core = n - d
     sizes = [(core, "<f8"), (core - 1, "<f8")] * 2 + [(d * core, "<c16")] * 2 + [(2 * d, "<c16")]
     expected = sum(count * np.dtype(kind).itemsize for count, kind in sizes)
@@ -621,14 +608,11 @@ def load_pencil(path) -> DiscreteOperatorPencil:
         parts.append(np.frombuffer(raw, dtype=kind, count=count, offset=offset))
         offset += count * np.dtype(kind).itemsize
     k_diag, k_off, m_diag, m_off, k_border, m_border, corners = parts
-    enrich = header["enrichment"]
     return DiscreteOperatorPencil(
         stiffness=ArrowTridiagonal(k_diag, k_off, k_border.reshape(d, core), corners[:d]),
         mass=ArrowTridiagonal(m_diag, m_off, m_border.reshape(d, core), corners[d:]),
         basis_labels=labels,
-        nu=float(header["nu"]),
-        outer_radius_R=float(header["outer_radius_R"]),
-        enrichment_coeffs=None
-        if enrich is None
-        else tuple(complex_from_pair(v) for v in enrich),
+        nu=nu,
+        outer_radius_R=R,
+        enrichment_coeffs=coeffs,
     )

@@ -325,6 +325,7 @@ class ExtensionDomain:
         """The line [a : b] through the coordinate pair coeffs = (a, b)."""
         return cls(coeffs)
 
+    # one line has many unit representatives, so equality is line equality
     def __eq__(self, other):
         if not isinstance(other, ExtensionDomain):
             return NotImplemented

@@ -8,8 +8,7 @@ singular-function basis follow from the small-argument series of K_nu.
 A domain in the quotient is invertible at lambda exactly when the
 decaying trace is not collinear with the domain line.  Along a ray the
 trace is a closed form in the radius, so the ray verdict solves for the
-one eigenvalue a ray can hold on each line instead of sampling radii;
-decaying_trace and normal_invertible check it pointwise.
+one eigenvalue a ray can hold on each line instead of sampling radii.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .indicial import singular_basis
 from .model import (
@@ -27,31 +25,19 @@ from .model import (
     RayVerdict,
     SectorLink,
     complex_to_pair,
-    line_distance,
 )
 
 __all__ = [
-    "decaying_trace",
-    "normal_invertible",
     "ray_minimal_growth_normal",
     "strip_mode",
 ]
 
 # tolerance below which the trace and the domain line are treated as
-# collinear (non-invertible): on their line distance at one lambda, and
-# on the phase of b/a (nu > 0) or Im(a/b) (nu = 0) along a ray
+# collinear (non-invertible): on the phase of b/a (nu > 0) or Im(a/b)
+# (nu = 0) along a ray
 COLLINEAR_TOL = 1e-9
 
 _ONE_PAIR_SCOPE = "scope: model must contribute exactly one 2-dimensional mode quotient"
-
-
-def _check_off_cut(lam: complex) -> complex:
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        raise ValueError(f"lambda = {lam} lies on the spectral cut [0, ∞)")
-    return lam
 
 
 def strip_mode(model: ConeModelOperator):
@@ -70,58 +56,11 @@ def strip_mode(model: ConeModelOperator):
     return k, math.sqrt(model.geometry.mu(k))
 
 
-def decaying_trace(model: ConeModelOperator, lam: complex) -> ExtensionDomain:
-    """The line of the decaying solution K_nu(sqrt(-lambda) x) in the quotient.
-
-    Uses the small-argument series of K_nu in the strip mode's order nu
-    (see strip_mode): with w = sqrt(-lambda) (principal branch,
-    Re w > 0) and A = pi / (2 sin(nu pi)),
-
-        K_nu(w x) = -A (w/2)^{+nu} / Gamma(1+nu) * x^{+nu}
-                    + A (w/2)^{-nu} / Gamma(1-nu) * x^{-nu} + O(x^{2-nu}),
-
-    and for nu = 0: K_0(w x) = -(log(w/2) + gamma_E) * 1 - 1 * log x + O(x^2 log x).
-    The pair is taken in the canonical basis, [x^{+nu}, x^{-nu}] for
-    nu > 0 and [1, log x] for nu = 0, and returned as its line.  A model
-    whose quotient is not one mode's pair is rejected, a one-function
-    quotient (integer nu >= 1, where A is infinite) among them.
-    """
-    lam = _check_off_cut(lam)
-    sm = strip_mode(model)
-    if sm is None:
-        raise ValueError(_ONE_PAIR_SCOPE)
-    nu = sm[1]
-    w = np.sqrt(complex(-lam))  # principal branch; Re w > 0 off the cut
-    if nu == 0.0:
-        coeffs = np.array([-(np.log(w / 2.0) + np.euler_gamma), -1.0], dtype=complex)
-    else:
-        a_const = math.pi / (2.0 * math.sin(nu * math.pi))
-        coeffs = np.array(
-            [
-                -a_const * (w / 2.0) ** nu / _gamma(1.0 + nu),
-                a_const * (w / 2.0) ** (-nu) / _gamma(1.0 - nu),
-            ],
-            dtype=complex,
-        )
-    return ExtensionDomain.line(coeffs)
-
-
-def normal_invertible(model: ConeModelOperator, domain: ExtensionDomain, lam: complex) -> bool:
-    """Whether the normal operator on the given domain is invertible at lambda.
-
-    Scope: a quotient spanned by one mode's pair (see strip_mode).  The
-    operator fails to be invertible exactly when the decaying trace is
-    collinear with the domain line (then the decaying solution satisfies
-    the domain's boundary condition, i.e. lambda is an eigenvalue).
-    """
-    return bool(line_distance(decaying_trace(model, lam).coeffs, domain.coeffs) >= COLLINEAR_TOL)
-
-
 def _eigenvalue_on_ray(nu: float, theta: float, line: ExtensionDomain):
     """The one lambda = r e^{i theta} at which the decaying trace lies on the line, or None.
 
-    Along the ray w = sqrt(r) e^{i(theta - pi)/2}, so the trace of
-    decaying_trace is a closed form in r.  For nu > 0 its ratio
+    Along the ray w = sqrt(r) e^{i(theta - pi)/2}, so the decaying trace
+    is a closed form in r.  For nu > 0 the ratio of its coordinates
     c1/c0 = -(Gamma(1+nu)/Gamma(1-nu)) (w/2)^{-2 nu} keeps the phase
     pi - nu (theta - pi) while its modulus runs over (0, infinity): the
     line [a : b] is met when arg(b/a) is that phase, at

@@ -2,8 +2,8 @@
 
 Everything here works on a (K, M) pencil in a fixed basis: generalized
 eigensolves, resolvent norms along rays with log-log growth fits,
-completeness residuals of eigenvector expansions, Weyl and Schatten
-exponent fits, and an independent Bessel secular-equation oracle for
+completeness residuals of eigenvector expansions, Schatten exponent
+fits, and an independent Bessel secular-equation oracle for
 the radial model problem L_nu u = -u'' - u'/x + nu^2 u/x^2 with
 u(R) = 0 and tip coefficients (a, b) on the singular pair.
 
@@ -70,7 +70,6 @@ __all__ = [
     "completeness_residual",
     "oracle_eigenvalues",
     "dirichlet_mode_eigenvalues",
-    "weyl_fit",
     "schatten_fit",
     "embedding_singular_values",
     "completeness_certificate",
@@ -1058,10 +1057,13 @@ def oracle_eigenvalues(
     if not (0.0 <= nu < 1.0):
         raise ValueError("secular oracle covers nu in [0, 1)")
     a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError(f"(a, b) must be finite, got ({a}, {b})")
     if a == 0 and b == 0:
         raise ValueError("(a, b) must be nonzero")
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError("R must be positive")
+    how_many = _number(how_many, "how_many", integral=True)
     if how_many < 1:
         raise ValueError("how_many must be positive")
 
@@ -1097,6 +1099,7 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
         raise ValueError(f"nu = {nu:.6g} is above 2^50; J_nu loses every digit from 2^51")
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError(f"R must be positive and finite, got {R!r}")
+    how_many = _number(how_many, "how_many", integral=True)
     if how_many < 1:
         raise ValueError("how_many must be positive")
     # every zero exceeds nu; the k-th lies near (k + nu/2 - 1/4) pi and below Qu & Wong's (1999) bound in
@@ -1122,25 +1125,6 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
     return (zeros[:how_many] / R) ** 2
 
 
-def weyl_fit(eigenvalues) -> float:
-    """Growth exponent: slope of log lambda_j vs log j over the middle third."""
-    lam = np.asarray(eigenvalues)
-    if np.iscomplexobj(lam):
-        if np.max(np.abs(lam.imag)) > 1e-9 * max(1.0, np.max(np.abs(lam))):
-            raise ValueError("growth fit needs a real eigenvalue list")
-        lam = lam.real
-    lam = np.sort(lam.astype(float))
-    if len(lam) < 30:
-        raise ValueError("growth fit needs at least 30 eigenvalues")
-    if lam[0] <= 0.0:
-        raise ValueError("growth fit needs positive eigenvalues")
-    j = np.arange(1, len(lam) + 1, dtype=float)
-    third = len(lam) // 3
-    sel = slice(third, 2 * third)
-    slope = np.polyfit(np.log(j[sel]), np.log(lam[sel]), 1)[0]
-    return float(slope)
-
-
 def schatten_fit(singular_values, j_range) -> tuple:
     """Decay exponent q of s_j ~ j^{-q} over j_range, and implied p = 1/q.
 
@@ -1149,7 +1133,7 @@ def schatten_fit(singular_values, j_range) -> tuple:
     decay) gives implied_p = inf.
     """
     s = np.asarray(singular_values, dtype=float)
-    lo, hi = (int(j_range[0]), int(j_range[1]))
+    lo, hi = (_number(j, "j_range", integral=True) for j in j_range)
     if s.ndim != 1:
         raise ValueError("singular values must be a 1-D list")
     if np.any(s[1:] > s[:-1] * (1.0 + 1e-12)):

@@ -30,7 +30,7 @@ from conespectra.model import (
     SectorLink,
     line_distance,
 )
-from conespectra.normalop import decaying_trace, ray_minimal_growth_normal
+from conespectra.normalop import ray_minimal_growth_normal
 from conespectra.spectral import (
     completeness_certificate,
     completeness_residual,
@@ -40,8 +40,9 @@ from conespectra.spectral import (
     ray_minimal_growth_full,
     schatten_fit,
     solve_pencil,
-    weyl_fit,
 )
+
+from _reference import decaying_trace, weyl_fit
 
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0

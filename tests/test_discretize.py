@@ -30,6 +30,8 @@ from conespectra.discretize import (
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, SectorLink
 from conespectra.spectral import embedding_singular_values
 
+from _reference import arrow_from_dense
+
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0
 )
@@ -269,10 +271,7 @@ class TestPencilAssembly:
 
 
 class TestArrowTridiagonal:
-    def test_dense_parts_round_trip(self, grid):
-        pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
-        for A in (pen.K, pen.M):
-            assert ArrowTridiagonal.from_dense(A, 1).dense().tobytes() == A.tobytes()
+    def test_minimal_pencil_has_no_border(self, grid):
         minimal = assemble_mode_pencil(CLOSED, 0, grid, None)
         assert len(minimal.stiffness.corner) == 0 and minimal.K.shape == (minimal.size, minimal.size)
 
@@ -285,22 +284,15 @@ class TestArrowTridiagonal:
             assert np.linalg.norm(part.dot(V) - A @ V) <= 1e-15 * scale
             assert np.linalg.norm(part.dot(V[:, 0]) - A @ V[:, 0]) <= 1e-15 * scale
 
+    def test_product_rejects_a_first_dimension_other_than_n(self):
+        # a (2n,) vector was read as an (n, 2) block and came back as a (2n,) product
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 60, 0.9), ExtensionDomain.line([1.0, 1.0j]))
+        n = pen.size
+        for X in (np.ones(2 * n), np.ones(n - 1), np.ones((2 * n, 3)), np.ones((n, 2, 2)), np.ones(())):
+            with pytest.raises(ValueError, match=f"n = {n}"):
+                pen.mass.dot(X)
+
     def test_rejects_what_is_not_an_arrow(self):
-        rng = np.random.default_rng(4)
-        T = np.diag(rng.normal(size=6)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
-        A = T.astype(complex)
-        A[-1, :-1] = rng.normal(size=5) + 1j
-        A[:-1, -1] = A[-1, :-1].conj()
-        ArrowTridiagonal.from_dense(A, 1)
-        for i, j, value in ((0, 2, 1.0), (0, 1, 2.0), (2, 2, 1.0 + 1e-9j), (5, 0, 7.0)):
-            bad = A.copy()
-            bad[i, j] = value
-            with pytest.raises(ValueError, match="Hermitian"):
-                ArrowTridiagonal.from_dense(bad, 1)
-        with pytest.raises(ValueError, match="Hermitian"):
-            ArrowTridiagonal.from_dense(A, 0)  # the border lies outside a tridiagonal matrix
-        with pytest.raises(ValueError):
-            ArrowTridiagonal.from_dense(A, 2)
         with pytest.raises(ValueError):
             ArrowTridiagonal(np.ones(3), np.ones(3), np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(ValueError, match="real"):
@@ -480,7 +472,7 @@ class TestEmbeddingGrams:
         with pytest.raises(ValueError, match="borderless"):
             embedding_singular_values(gh, assemble_embedding_grams(10.0, 33)[1])
         with pytest.raises(ValueError, match="borderless"):
-            embedding_singular_values(gh, ArrowTridiagonal.from_dense(gl.dense(), 1))
+            embedding_singular_values(gh, arrow_from_dense(gl.dense(), 1))
 
     def test_singular_values_bounded_and_sorted(self):
         gh, gl = assemble_embedding_grams(20.0, 100)
@@ -525,6 +517,14 @@ class TestEmbeddingGrams:
             assemble_embedding_grams(0.0, 32)
         with pytest.raises(ValueError, match="N_h"):
             assemble_embedding_grams(10.0, 8)
+
+    @pytest.mark.parametrize("N_h", [20.5, True, "20", None])
+    def test_a_size_that_is_not_an_integer_is_rejected(self, N_h):
+        with pytest.raises(ValueError, match="N_h must be an integer"):
+            assemble_embedding_grams(10.0, N_h)
+        # an integral float is that size, as RadialGrid.geometric reads it
+        for got, want in zip(assemble_embedding_grams(20.0, 40.0), assemble_embedding_grams(20.0, 40)):
+            assert got.diag.tobytes() == want.diag.tobytes() and got.off.tobytes() == want.off.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t_max", [355.0, 5e-324, 1e308])
@@ -596,6 +596,21 @@ class TestPersistence:
             ("border_rows", 0),
             ("border_rows", True),
             ("surprise", 1),
+            ("nu", [1]),
+            ("nu", math.nan),
+            ("nu", math.inf),
+            ("nu", True),
+            ("nu", -0.5),
+            ("outer_radius_R", -1.0),
+            ("outer_radius_R", 0.0),
+            ("outer_radius_R", math.inf),
+            ("outer_radius_R", "1"),
+            ("enrichment", 5),
+            ("enrichment", None),
+            ("enrichment", [[1.0, 0.0]]),
+            ("enrichment", [1.0, 0.0]),
+            ("enrichment", [[math.nan, 0.0], [0.0, 1.0]]),
+            ("basis_labels", lambda header: list(range(header["n"]))),
         ],
     )
     def test_load_rejects_a_tampered_header(self, tmp_path, field, value):
@@ -603,7 +618,7 @@ class TestPersistence:
         data = path.read_bytes()
         (hlen,) = struct.unpack("<Q", data[:8])
         header = json.loads(data[8 : 8 + hlen])
-        header[field] = value
+        header[field] = value(header) if callable(value) else value
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(struct.pack("<Q", len(blob)) + blob + data[8 + hlen :])
         with pytest.raises(ValueError):

