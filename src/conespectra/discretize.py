@@ -21,16 +21,17 @@ ArrowTridiagonal).  It is assembled in batches: every cell's local
 integrals are one row of a (cells, points) array, summed along the row,
 and the cell values are then added into the parts.  The hat block uses 8
 Gauss points per cell, or 8 log-spaced subcells of 8 points on cells
-wider than 0.3 x0 when nu > 0, all cells at once; the enrichment
-border and mass use 16 log-spaced subcells on every cell below R/2,
-32 cells at a time so that their scratch arrays stay small whatever
-the grid size.  The summation order is that of a cell-by-cell loop, so
-the dense K and M are bit-identical to it: each cell integral is a pairwise
-np.sum over its points in subcell order; a hat diagonal entry is cell
-i's right-right term plus cell i+1's left-left term; an off-diagonal
-entry is cell i+1's left-right term; a border entry of dof i is cell
-i's right part, then cell i+1's left part; and the enrichment mass is
-a sequential sum over cells followed by the tip closed form.
+wider than 0.3 x0 when nu > 0; the enrichment border and mass take it
+for every nu on the cells below R/2, cut at R/4 where the cutoff's
+second derivative jumps, and the corner 4 log-spaced subcells on
+[R/4, R/2].  The summation order is that of a cell-by-cell loop, so the
+dense K and M are bit-identical to it: each cell integral is a pairwise
+np.sum over its points in subcell order (a cut cell adds its two
+pieces); a hat diagonal entry is cell i's right-right term plus cell
+i+1's left-left term; an off-diagonal entry is cell i+1's left-right
+term; a border entry of dof i is cell i's right part, then cell i+1's
+left part; and the enrichment mass is a sequential sum over cells
+followed by the tip closed form.
 
 The Gram matrices of the weighted embedding (assemble_embedding_grams)
 are summed from their cell integrals by the same rule, over every node
@@ -67,9 +68,6 @@ __all__ = [
 TIP_FLOOR_RATIO = 1e-3
 
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
-# cells per batch of enrichment integrals (128 points each): bounds their
-# scratch arrays whatever the grid size
-_BORDER_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -105,9 +103,9 @@ class RadialGrid:
         above TIP_FLOOR_RATIO * R; deeper grids would only degrade the
         mass-matrix conditioning (the enrichment already carries the
         singular tip behavior), so the effective ratio is raised to pin
-        node_1 at the floor instead.  N_h must be an integral number.
+        node_1 at the floor instead.  R, q and N_h must be numbers, N_h integral.
         """
-        N_h = _number(N_h, "N_h", integral=True)
+        R, N_h, q = _number(R, "R"), _number(N_h, "N_h", integral=True), _number(q, "q")
         if N_h < 2:
             raise ValueError("N_h must be at least 2")
         if not (0.0 < q < 1.0):
@@ -152,7 +150,7 @@ class ArrowTridiagonal:
         return len(self.diag) + len(self.corner)
 
     def dense(self) -> np.ndarray:
-        """The n x n complex matrix, behind DiscreteOperatorPencil's K and M views.
+        """The n x n complex matrix, read-only, behind DiscreteOperatorPencil's K and M views.
 
         Every entry but the corner is added onto zeros, as assembly adds
         its cell integrals, so a zero's sign is that of the cell loop's.
@@ -166,6 +164,7 @@ class ArrowTridiagonal:
         A[:core, core:] += self.border.T
         A[core:, :core] += self.border.conj()
         A[core:, core:] = np.diag(self.corner)
+        A.flags.writeable = False
         return A
 
     def dot(self, X) -> np.ndarray:
@@ -228,16 +227,11 @@ class DiscreteOperatorPencil:
     # the benchmark's tracer sizes each solve's input with the dense K and M
     @property
     def K(self) -> np.ndarray:
-        return _read_only(self.stiffness.dense())
+        return self.stiffness.dense()
 
     @property
     def M(self) -> np.ndarray:
-        return _read_only(self.mass.dense())
-
-
-def _read_only(A: np.ndarray) -> np.ndarray:
-    A.flags.writeable = False
-    return A
+        return self.mass.dense()
 
 
 def cutoff(x, R: float):
@@ -311,25 +305,28 @@ def _hat_bands(ll: np.ndarray, lr: np.ndarray, rr: np.ndarray):
 
 
 def _border_cells(x0: np.ndarray, x1: np.ndarray, R: float, nu: float, a: complex, b: complex):
-    """Hat-enrichment integrals of the cells [x0, x1] over their part below R/2.
+    """Hat-enrichment integrals of the cells [x0, x1] over their pieces below and above R/4, up to R/2.
 
-    Returns the stiffness and mass of the enrichment against each
-    cell's left and right hat, and the enrichment's own mass on the
-    cell, as arrays over the cells: (k_left, k_right, m_left, m_right,
-    m_enrichment).
+    Returns the rows k_left, k_right, m_left, m_right, m_enrichment of a
+    (5, cells) array: the enrichment's stiffness and mass against each
+    cell's left and right hat, and its own mass on the cell.
     """
-    pts, wts = _cell_rule(x0, np.minimum(x1, R / 2.0), 16)
-    w, w1, _ = cutoff(pts, R)
-    s0, s0p = _enrichment_s0(pts, nu, a, b)
-    s_val = w * s0
-    s_der = w1 * s0 + w * s0p
-    (vl, vr), (dl, dr) = _hat_shapes(pts, x0, x1)
-    k_left, k_right = (
-        np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts), axis=1)
-        for vi, di in ((vl, dl), (vr, dr))
-    )
-    m_left, m_right = (np.sum(wts * (s_val * vi * pts), axis=1) for vi in (vl, vr))
-    return k_left, k_right, m_left, m_right, np.sum(wts * (np.abs(s_val) ** 2 * pts), axis=1)
+    lo = np.concatenate((x0, np.maximum(x0, R / 4.0)))
+    hi = np.concatenate((np.minimum(x1, R / 4.0), np.minimum(x1, R / 2.0)))
+    cell, lo, hi = np.tile(np.arange(len(x0)), 2)[lo < hi], lo[lo < hi], hi[lo < hi]
+    wide = (hi - lo) / lo > 0.3
+    out = np.zeros((5, len(x0)), dtype=complex)
+    for pieces, n_sub in ((~wide, 1), (wide, 8)):
+        pts, wts = _cell_rule(lo[pieces], hi[pieces], n_sub)
+        w, w1, _ = cutoff(pts, R)
+        s0, s0p = _enrichment_s0(pts, nu, a, b)
+        s_val, s_der = w * s0, w1 * s0 + w * s0p
+        (vl, vr), (dl, dr) = _hat_shapes(pts, x0[cell[pieces]], x1[cell[pieces]])
+        stiff = [s_der * di * pts + (nu**2) * s_val * vi / pts for vi, di in ((vl, dl), (vr, dr))]
+        integrands = (*stiff, s_val * vl * pts, s_val * vr * pts, np.abs(s_val) ** 2 * pts)
+        # a cell's two pieces add up the same in either order
+        np.add.at(out, (slice(None), cell[pieces]), [np.sum(wts * f, axis=1) for f in integrands])
+    return out
 
 
 # an outer radius the assembly cannot represent overflows quietly here: the
@@ -409,17 +406,14 @@ def assemble_mode_pencil(
     bands = [(diag[1:-1], off[1:-1]) for diag, off in (_hat_bands(*stiff), _hat_bands(*mass))]
     borders = [np.zeros((d, n_core), dtype=complex) for _ in range(2)]
     corners = [np.zeros(d, dtype=complex) for _ in range(2)]
+    labels = [f"hat_{j}" for j in range(2, n_nodes)]
 
     if d == 1:
+        labels.append("enrichment ω·(a + b·log x)" if nu == 0.0 else f"enrichment ω·(a·x^{nu:.6g} + b·x^-{nu:.6g})")
         half = R / 2.0
         # hat-enrichment couplings and the enrichment mass on the cells below R/2
         m = int(np.count_nonzero(nodes[:-1] < half))
-        x0, x1 = nodes[:m], nodes[1 : m + 1]
-        batches = [
-            _border_cells(x0[lo : lo + _BORDER_BATCH], x1[lo : lo + _BORDER_BATCH], R, nu, a, b)
-            for lo in range(0, m, _BORDER_BATCH)
-        ]
-        kl, kr, ml, mr, mee = (np.concatenate(parts) for parts in zip(*batches))
+        kl, kr, ml, mr, mee = _border_cells(nodes[:m], nodes[1 : m + 1], R, nu, a, b)
         right = np.arange(min(m, n_core))  # cell i's right hat is dof i
         left = np.arange(1, m)  # cell i's left hat is dof i-1
         for (border,), (on_left, on_right) in zip(borders, ((kl, kr), (ml, mr))):
@@ -445,18 +439,12 @@ def assemble_mode_pencil(
         corners[1][0] = np.add.accumulate(mee)[-1] + mee_tip
 
         # <A s, s> in operator form over supp(omega') = [R/4, R/2]
-        (pts,), (wts,) = _cell_rule(np.array([R / 4.0]), np.array([half]), 24)
+        (pts,), (wts,) = _cell_rule(np.array([R / 4.0]), np.array([half]), 4)
         w, w1, w2 = cutoff(pts, R)
         s0, s0p = _enrichment_s0(pts, nu, a, b)
         commutator = -w2 * s0 - 2.0 * w1 * s0p - w1 * s0 / pts
         corners[0][0] = np.sum(wts * (commutator * np.conj(w * s0) * pts))
 
-    labels = [f"hat_{j}" for j in range(2, n_nodes)]
-    if d == 1:
-        if nu == 0.0:
-            labels.append("enrichment ω·(a + b·log x)")
-        else:
-            labels.append(f"enrichment ω·(a·x^{nu:.6g} + b·x^-{nu:.6g})")
     stiffness, mass = (
         ArrowTridiagonal(diag, off, border, corner)
         for (diag, off), border, corner in zip(bands, borders, corners)
@@ -485,6 +473,7 @@ def assemble_embedding_grams(t_max: float, N_h: int):
     ArrowTridiagonal bands.  A t_max whose Grams leave the doubles
     raises FloatingPointError.
     """
+    t_max = _number(t_max, "t_max")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError("t_max must be positive")
     N_h = _number(N_h, "N_h", integral=True)

@@ -901,9 +901,15 @@ def completeness_residual(result: SpectralResult, f, N_list):
 # by 8 pi/R while the count is short; each step solves only for the roots
 # outside the previous circle.  A rejected circle (one hugging a root, or
 # too many new roots to resolve) is pulled halfway back towards the previous one.
+#
+# Samples: a root at relative distance delta from the circle aliases the
+# p-th coefficient of log F by about (p/m) (1 - delta)^m; the step past it
+# subtends arctan(2 pi/(m delta)), so the pi/4 rule needs m >= 2 pi/delta,
+# leaving (p/m) e^{-2 pi}, and _POWER_SUM_TOL rejects a circle where that
+# fails.  The first circle (sqrt(rho) <= 9 pi/R) passes at 128, not 64.
 # ---------------------------------------------------------------------------
 
-_CONTOUR_SAMPLES = 1024
+_CONTOUR_SAMPLES = 128
 _CONTOUR_SAMPLE_CAP = 1 << 16
 _RADIUS_ATTEMPTS = 100
 _POWER_SUM_TOL = 1e-3
@@ -1054,6 +1060,7 @@ def oracle_eigenvalues(
         When the fixed number of circles runs out before one holds
         how_many polished roots that reproduce its count and power sums.
     """
+    nu, R = _number(nu, "nu"), _number(R, "R")
     if not (0.0 <= nu < 1.0):
         raise ValueError("secular oracle covers nu in [0, 1)")
     a, b = complex(a), complex(b)
@@ -1093,6 +1100,7 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
     the (a,b)=(1,0) cross-check of the secular oracle and for multi-mode
     eigenvalue counting where nu >= 1 modes carry no enrichment.
     """
+    nu, R = _number(nu, "nu"), _number(R, "R")
     if not nu >= 0.0:  # nan too
         raise ValueError(f"nu must be nonnegative, got {nu!r}")
     if nu > BESSEL_ORDER_LIMIT:

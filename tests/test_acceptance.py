@@ -5,7 +5,6 @@ stdout so it survives pytest's capture) and then asserts, so a red run
 still reports every criterion it reached.
 """
 
-import cmath
 import math
 import sys
 import time

@@ -340,6 +340,22 @@ def enrichment_s0(x, nu, a, b):
     return a * x**nu + b * x ** (-nu), a * nu * x ** (nu - 1.0) - b * nu * x ** (-nu - 1.0)
 
 
+def tip_mass(c, nu, a, b):
+    """The enrichment's mass on (0, c], where omega = 1, in closed form."""
+    if nu == 0.0:
+        lc = math.log(c)
+        return (
+            abs(a) ** 2 * c**2 / 2.0
+            + 2.0 * (a * np.conj(b)).real * (c**2 / 2.0) * (lc - 0.5)
+            + abs(b) ** 2 * (c**2 / 2.0) * (lc**2 - lc + 0.5)
+        )
+    return (
+        abs(a) ** 2 * c ** (2.0 * nu + 2.0) / (2.0 * nu + 2.0)
+        + 2.0 * (a * np.conj(b)).real * c**2 / 2.0
+        + abs(b) ** 2 * c ** (2.0 - 2.0 * nu) / (2.0 - 2.0 * nu)
+    )
+
+
 def loop_assembly(nodes, nu, R, ab):
     """The cell-by-cell reference loop: K and M of the mode pencil, one cell at a time."""
     n_nodes = len(nodes)
@@ -371,45 +387,40 @@ def loop_assembly(nodes, nu, R, ab):
     if ab is None:
         return K, M
     a, b = ab
-    e, half = n_core, R / 2.0
+    e, quarter, half = n_core, R / 4.0, R / 2.0
     for ci in range(n_nodes - 1):
-        x0 = nodes[ci]
+        x0, x1 = nodes[ci], nodes[ci + 1]
         if x0 >= half:
             break
-        pts, wts = gauss_geometric(x0, min(nodes[ci + 1], half), 16)
-        w, w1, _ = cutoff(pts, R)
-        s0, s0p = enrichment_s0(pts, nu, a, b)
-        s_val = w * s0
-        s_der = w1 * s0 + w * s0p
-        h = nodes[ci + 1] - nodes[ci]
+        h = x1 - x0
         local = []
         if 1 <= ci <= n_nodes - 2:
-            local.append((ci - 1, (nodes[ci + 1] - pts) / h, -1.0 / h))
+            local.append((ci - 1, lambda pts: (x1 - pts) / h, -1.0 / h))
         if ci + 1 <= n_nodes - 2:
-            local.append((ci, (pts - nodes[ci]) / h, 1.0 / h))
-        for i, vi, di in local:
-            kie = np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts))
-            mie = np.sum(wts * (s_val * vi * pts))
-            K[i, e] += kie
-            K[e, i] += np.conj(kie)
-            M[i, e] += mie
-            M[e, i] += np.conj(mie)
-        M[e, e] += np.sum(wts * (np.abs(s_val) ** 2 * pts))
-    c = nodes[0]
-    if nu == 0.0:
-        lc = math.log(c)
-        M[e, e] += (
-            abs(a) ** 2 * c**2 / 2.0
-            + 2.0 * (a * np.conj(b)).real * (c**2 / 2.0) * (lc - 0.5)
-            + abs(b) ** 2 * (c**2 / 2.0) * (lc**2 - lc + 0.5)
-        )
-    else:
-        M[e, e] += (
-            abs(a) ** 2 * c ** (2.0 * nu + 2.0) / (2.0 * nu + 2.0)
-            + 2.0 * (a * np.conj(b)).real * c**2 / 2.0
-            + abs(b) ** 2 * c ** (2.0 - 2.0 * nu) / (2.0 - 2.0 * nu)
-        )
-    pts, wts = gauss_geometric(R / 4.0, half, 24)
+            local.append((ci, lambda pts: (pts - x0) / h, 1.0 / h))
+        # the cell's pieces below and above the cutoff's joint at R/4, each summed on its own
+        kie, mie, mee = [0.0] * len(local), [0.0] * len(local), 0.0
+        for lo, hi in ((x0, min(x1, quarter)), (max(x0, quarter), min(x1, half))):
+            if lo >= hi:
+                continue
+            pts, wts = gauss_on(lo, hi) if (hi - lo) / lo <= 0.3 else gauss_geometric(lo, hi, 8)
+            w, w1, _ = cutoff(pts, R)
+            s0, s0p = enrichment_s0(pts, nu, a, b)
+            s_val = w * s0
+            s_der = w1 * s0 + w * s0p
+            for slot, (_, shape, di) in enumerate(local):
+                vi = shape(pts)
+                kie[slot] += np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts))
+                mie[slot] += np.sum(wts * (s_val * vi * pts))
+            mee += np.sum(wts * (np.abs(s_val) ** 2 * pts))
+        for (i, _, _), k_cell, m_cell in zip(local, kie, mie):
+            K[i, e] += k_cell
+            K[e, i] += np.conj(k_cell)
+            M[i, e] += m_cell
+            M[e, i] += np.conj(m_cell)
+        M[e, e] += mee
+    M[e, e] += tip_mass(nodes[0], nu, a, b)
+    pts, wts = gauss_geometric(R / 4.0, half, 4)
     w, w1, w2 = cutoff(pts, R)
     s0, s0p = enrichment_s0(pts, nu, a, b)
     commutator = -w2 * s0 - 2.0 * w1 * s0p - w1 * s0 / pts
@@ -437,6 +448,52 @@ class TestBatchedAssemblyIsBitIdentical:
         assert np.array_equal(pen.K, K) and np.array_equal(pen.M, M)
         # signed zeros too: pencil.bin stores the bits
         assert pen.K.tobytes() == K.tobytes() and pen.M.tobytes() == M.tobytes()
+
+
+def reference_border(nodes, nu, R, ab, n_sub=64):
+    """Stiffness and mass borders and the enrichment mass with n_sub log-spaced subcells per piece.
+
+    Each cell below R/2 is cut at R/4, where the cutoff's second
+    derivative jumps; geomspace puts the subcell edges exactly on the
+    piece's ends.
+    """
+    a, b = ab
+    n_core = len(nodes) - 2
+    k_border, m_border = np.zeros(n_core, dtype=complex), np.zeros(n_core, dtype=complex)
+    mee = 0.0
+    for ci in range(len(nodes) - 1):
+        x0, x1 = nodes[ci], nodes[ci + 1]
+        if x0 >= R / 2.0:
+            break
+        for lo, hi in ((x0, min(x1, R / 4.0)), (max(x0, R / 4.0), min(x1, R / 2.0))):
+            if lo >= hi:
+                continue
+            edges = np.geomspace(lo, hi, n_sub + 1)
+            pts, wts = (np.concatenate(v) for v in zip(*map(gauss_on, edges[:-1], edges[1:])))
+            w, w1, _ = cutoff(pts, R)
+            s0, s0p = enrichment_s0(pts, nu, a, b)
+            s_val, s_der = w * s0, w1 * s0 + w * s0p
+            h = x1 - x0
+            for i, vi, di in ((ci - 1, (x1 - pts) / h, -1.0 / h), (ci, (pts - x0) / h, 1.0 / h)):
+                if 0 <= i < n_core:
+                    k_border[i] += np.sum(wts * (s_der * di * pts + (nu**2) * s_val * vi / pts))
+                    m_border[i] += np.sum(wts * (s_val * vi * pts))
+            mee += np.sum(wts * (np.abs(s_val) ** 2 * pts))
+    return k_border, m_border, mee + tip_mass(nodes[0], nu, a, b)
+
+
+class TestBorderQuadrature:
+    """The enrichment border and mass against a 64-subcell rule cut at the cutoff's joint R/4."""
+
+    @pytest.mark.parametrize("N_h", [16, 60, 100, 400])
+    @pytest.mark.parametrize("model,k", [(CLOSED, 0), (SECTOR, 1)], ids=["closed", "sector"])
+    @pytest.mark.parametrize("ab", [(1.0, 1.0j), SEED4_PAIR], ids=["1-i", "seed4"])
+    def test_matches_the_fine_rule(self, model, k, N_h, ab):
+        grid = RadialGrid.geometric(1.0, N_h, 0.9)
+        pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line(list(ab)))
+        k_border, m_border, mee = reference_border(grid.nodes, pen.nu, 1.0, pen.enrichment_coeffs)
+        for got, want in ((pen.stiffness.border[0], k_border), (pen.mass.border[0], m_border), (pen.mass.corner, mee)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEmbeddingGrams:

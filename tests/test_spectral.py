@@ -15,7 +15,6 @@ does not share code with the implementation under test.
 
 import cmath
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -29,7 +28,13 @@ from scipy.special import gamma as sp_gamma
 from scipy.special import i0, iv, j0, jn_zeros, jv, k0, y0, yv
 
 import conespectra.spectral as spectral
-from conespectra.discretize import ArrowTridiagonal, DiscreteOperatorPencil, RadialGrid, assemble_mode_pencil
+from conespectra.discretize import (
+    ArrowTridiagonal,
+    DiscreteOperatorPencil,
+    RadialGrid,
+    assemble_embedding_grams,
+    assemble_mode_pencil,
+)
 from conespectra.model import (
     ClosedLink,
     CompletenessCertificate,
@@ -920,6 +925,26 @@ class TestOracleEigenvalues:
         assert np.array_equal(oracle(*args, 3.0), oracle(*args, 3))
 
 
+# (argument, call with that argument left open) of every library float argument read as a number
+FLOAT_ARGUMENTS = {
+    "geometric-R": ("R", lambda v: RadialGrid.geometric(v, 40, 0.9)),
+    "geometric-q": ("q", lambda v: RadialGrid.geometric(1.0, 40, v)),
+    "oracle-nu": ("nu", lambda v: oracle_eigenvalues(v, 1.0, 1.0j, 1.0, 3)),
+    "oracle-R": ("R", lambda v: oracle_eigenvalues(0.5, 1.0, 1.0j, v, 3)),
+    "dirichlet-nu": ("nu", lambda v: dirichlet_mode_eigenvalues(v, 1.0, 3)),
+    "dirichlet-R": ("R", lambda v: dirichlet_mode_eigenvalues(0.5, v, 3)),
+    "grams-t_max": ("t_max", lambda v: assemble_embedding_grams(v, 32)),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None, True, 1j])
+@pytest.mark.parametrize("name, call", FLOAT_ARGUMENTS.values(), ids=FLOAT_ARGUMENTS.keys())
+def test_a_float_argument_that_is_not_a_number_is_rejected(name, call, value):
+    # a string raised TypeError from a comparison, and True read as 1
+    with pytest.raises(ValueError, match=f"^{name} must be a number"):
+        call(value)
+
+
 def _scalar_polish(F, z0, step_scale):
     """The per-root Newton loop the batched polish replaced, kept as its reference."""
     out = []
@@ -961,6 +986,30 @@ class TestOracleInternals:
         monkeypatch.setattr(spectral, "_newton_polish", _scalar_polish)
         reference = oracle_eigenvalues(nu, a, b, 1.0, how_many)
         assert batched.tobytes() == reference.tobytes()
+
+    def test_the_sample_start_does_not_change_the_roots(self, monkeypatch):
+        # the phase rule doubles a circle's samples as its roots ask, so the start only saves doublings
+        rng = np.random.default_rng(28)
+        draws = [
+            ((0.0, 0.5, 2.0 / 3.0, 0.9)[i % 4], *(complex(*p) for p in rng.standard_normal((2, 2)) / math.sqrt(2.0)))
+            for i in range(160)
+        ]
+
+        def roots():
+            out = []
+            for nu, a, b in draws:
+                try:
+                    out.append(oracle_eigenvalues(nu, a, b, 1.0, 5))
+                except RootFindingError:
+                    out.append(None)
+            return out
+
+        assert spectral._CONTOUR_SAMPLES < 1024
+        got = roots()
+        monkeypatch.setattr(spectral, "_CONTOUR_SAMPLES", 1024)
+        for z, ref in zip(got, roots()):
+            assert (z is None) == (ref is None)
+            assert ref is None or np.all(np.abs(z - ref) <= 1e-12 * np.abs(ref))
 
     def test_a_start_that_leaves_its_radius_rejects_the_circle(self, monkeypatch):
         def F(lam):
