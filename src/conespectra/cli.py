@@ -647,12 +647,14 @@ def _embedding_fit_range(run: Run) -> None:
 
 
 def _dense_reduction_fits(run: Run) -> None:
-    # the pencil and the embedding are bands, but each reduction is one dense float64 array,
-    # (N_h - 2)-square and (N_h + 1)-square, and numpy counts an array's bytes in its signed
-    # index type; read in O(1), before anything is allocated
+    # the pencil is a band, but its solve holds dense float64 arrays of about (N_h - 1)-square:
+    # the hat block's eigenvectors, the banded eigensolve's workspace and the arrowhead; numpy
+    # counts an array's bytes in its signed index type.  embed forms no dense block, but keeps
+    # the same bound, (N_h + 1)-square, so that every command admits the same N_h; read in
+    # O(1), before anything is allocated
     if 8 * (run.cfg.N_h + 1) ** 2 > np.iinfo(np.intp).max:
         raise ConfigError(
-            f"discretization.N_h = {run.cfg.N_h} needs a dense reduction of up to (N_h + 1)^2 doubles, "
+            f"discretization.N_h = {run.cfg.N_h} needs dense arrays of up to (N_h + 1)^2 doubles, "
             "more bytes than one numpy array can hold"
         )
 

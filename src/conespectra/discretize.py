@@ -267,17 +267,28 @@ def _enrichment_s0(x, nu: float, a: complex, b: complex):
     return val, der
 
 
+def _log_edges(x0: np.ndarray, x1: np.ndarray, n_sub: int) -> np.ndarray:
+    """The edges x0 (x1/x0)^(k/n_sub), k = 0..n_sub, of each cell [x0, x1], x0 > 0, one row per cell.
+
+    The last edge is x1 itself: x0 (x1/x0)^1 can miss it by an ulp,
+    which drops or repeats a sliver of the integrand.
+    """
+    edges = x0[:, None] * (x1 / x0)[:, None] ** (np.arange(n_sub + 1) / n_sub)
+    edges[:, -1] = x1
+    return edges
+
+
 def _cell_rule(x0: np.ndarray, x1: np.ndarray, n_sub: int):
     """8-point Gauss points and weights on the cells [x0, x1], one row per cell.
 
     With n_sub > 1 each cell is split into n_sub log-spaced subcells
-    (x0 > 0), whose points follow one another along the row.
+    (`_log_edges`), whose points follow one another along the row.
     """
     xi, wi = _GAUSS8
     if n_sub == 1:
         lo, hi = x0[:, None], x1[:, None]
     else:
-        edges = x0[:, None] * (x1 / x0)[:, None] ** (np.arange(n_sub + 1) / n_sub)
+        edges = _log_edges(x0, x1, n_sub)
         lo, hi = edges[:, :-1], edges[:, 1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)

@@ -18,13 +18,17 @@ with M = L L^H, whose standard eigenpairs (lambda, y) give the
 pencil's as (lambda, L^{-H} y), with a backward error on (K, M) of
 about cond(M) times machine epsilon.  L has the arrow shape of M: a
 bidiagonal Cholesky factor L_T of the mass's hat block T_M, and one
-last row.  So C is formed from the parts in O(n^2): its (n-1) x (n-1)
-block A = L_T^{-1} T_K L_T^{-T} is real symmetric, the rest is one
-complex border and a corner, and only the imaginary part of the corner,
-tau = tau_K / L_nn^2, keeps C from being Hermitian.  One real eigensolve
-A = U diag(theta) U^T, the solve's only O(n^3) step, turns C in the
-basis diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
-(Golub, SIAM Rev. 1973; O'Leary & Stewart, J. Comput. Phys. 1990).  Its
+last row.  C's (n-1) x (n-1) block A = L_T^{-1} T_K L_T^{-T} is real
+symmetric, the rest is one complex border and a corner, and only the
+imaginary part of the corner, tau = tau_K / L_nn^2, keeps C from being
+Hermitian.  A is never formed: one banded eigensolve of the
+tridiagonal pencil (T_K, T_M) (LAPACK dsbgvd; Crawford, Comm. ACM 1973;
+Kaufman, ACM TOMS 1984) gives
+A = U diag(theta) U^T through the T_M-orthonormal eigenvectors
+W = L_T^{-T} U, and turns C in the basis diag(U, 1) into the arrowhead
+[[diag(theta), z], [z^H, eta + i tau]] (Golub, SIAM Rev. 1973; O'Leary &
+Stewart, J. Comput. Phys. 1990), with z read off W and one
+tridiagonal solve.  Its
 Hermitian part, with the corner made real, has eigenvalues mu (one
 eigenvalue-only call on a real arrowhead) and eigenvectors whose last
 entries w follow from mu in closed form, and the arrowhead minus lambda
@@ -41,8 +45,8 @@ result owns, a decade apart up to its trust limit.  The eigensolves are
 accurate to eps ||C|| only, which is coarse for the small eigenvalues
 of a graded pencil, so each eigenvalue is refined by a two-sided
 Rayleigh quotient on (K, M) itself.  The weighted embedding's singular
-values take its two tridiagonal Grams through the same reduction of a
-hat block and one eigenvalue-only real eigensolve.
+values take its two tridiagonal Grams through the same banded
+eigensolve, eigenvalues only.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ import scipy.linalg
 from scipy.special import gamma as _gamma_fn
 from scipy.special import jv, jvp, yv
 
+from ._lapack import tridiagonal_eigh
 from .model import SLOPE_WINDOW, CompletenessCertificate, Ray, RayVerdict, _number
 
 __all__ = [
@@ -355,73 +360,43 @@ def _rank_one_roots(mu: np.ndarray, weights: np.ndarray, tau: float):
     return lam, negligible, sweeps
 
 
-def _hat_reduction(stiffness, mass):
-    """A = L_T^{-1} T_K L_T^{-T} for the hat blocks T_K and T_M = L_T L_T^T of two ArrowTridiagonals.
-
-    L_T is lower bidiagonal (LAPACK pttrf), and A comes from two banded
-    triangular solves (tbtrs) on the dense T_K.  Returns A, real
-    symmetric and Fortran-ordered, and L_T's solve.
-
-    Raises
-    ------
-    np.linalg.LinAlgError
-        If T_M is not positive definite.
-    """
-    core = len(mass.diag)
-    off = mass.off if core > 1 else np.zeros(1)  # the pttrf wrapper wants one entry even then
-    diag, off, info = scipy.linalg.lapack.dpttrf(mass.diag, off)  # T_M = L D L^T
-    if info != 0:
-        raise np.linalg.LinAlgError(f"the leading minor of order {info} of the mass block is not positive definite")
-    factor = np.zeros((2, core), order="F")  # L_T = L D^{1/2} in LAPACK's lower band storage
-    np.sqrt(diag, out=factor[0])
-    np.multiply(off[: core - 1], factor[0, :-1], out=factor[1, :-1])
-
-    def solve(B, trans="N"):
-        """L_T^{-1} B, or L_T^{-T} B, for a real B; a Fortran-ordered B is overwritten."""
-        return scipy.linalg.lapack.dtbtrs(factor, B, uplo="L", trans=trans, overwrite_b=True)[0]
-
-    A = np.zeros((core, core), order="F")
-    dof = np.arange(core)
-    A[dof, dof] = stiffness.diag
-    A[dof[:-1], dof[1:]] = A[dof[1:], dof[:-1]] = stiffness.off
-    return solve(solve(A).T), solve  # L_T^{-1} (L_T^{-1} T_K)^T, as T_K is symmetric
-
-
 def _to_arrowhead(stiffness, mass):
-    """The reduction C = L^{-1} K L^{-H}, M = L L^H, brought to an arrowhead by one real eigh.
+    """The reduction C = L^{-1} K L^{-H}, M = L L^H, brought to an arrowhead by one banded eigensolve.
 
     L is the arrow-shaped Cholesky factor [[L_T, 0], [l^H, l_n]] of M:
-    T_M = L_T L_T^T with L_T lower bidiagonal, L_T l = m_c
-    and l_n^2 = m_ee - ||l||^2, the mass's Schur complement.  With
-    g = L_T^{-T} l, C = [[A, h], [h^H, eta + i tau]] for the real
-    symmetric A = L_T^{-1} T_K L_T^{-T} (`_hat_reduction`),
-    h = L_T^{-1} (k_c - T_K g) / l_n and the
-    corner (g^H T_K g - 2 Re g^H k_c + k_ee) / l_n^2.  The eigensolve
-    A = U diag(theta) U^T, the only O(n^3) step, turns C in the basis
-    diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
-    with z = U^T h.
+    T_M = L_T L_T^T, L_T l = m_c and l_n^2 = m_ee - ||l||^2, the mass's
+    Schur complement.  With g = L_T^{-T} l = T_M^{-1} m_c,
+    C = [[A, h], [h^H, eta + i tau]] for the real symmetric
+    A = L_T^{-1} T_K L_T^{-T}, h = L_T^{-1} (k_c - T_K g) / l_n and the
+    corner (g^H T_K g - 2 Re g^H k_c + k_ee) / l_n^2.  The tridiagonal
+    pencil (T_K, T_M) is solved as a band (LAPACK dsbgvd, `_lapack`):
+    T_K W = T_M W diag(theta) with W^T T_M W = I, so U = L_T^T W is
+    orthogonal, A = U diag(theta) U^T, and C in the basis diag(U, 1) is
+    the arrowhead [[diag(theta), z], [z^H, eta + i tau]] with
+    z = U^T h = W^T (k_c - T_K g) / l_n.  A is never formed: g and
+    l_n^2 = m_ee - m_c^H g come from one tridiagonal solve (LAPACK ptsv).
 
-    Returns theta (ascending), W = L_T^{-T} U, which makes
+    Returns theta (ascending), W, which makes
     L^{-H} diag(U, 1) = [[W, -g / l_n], [0, 1 / l_n]], and for an
     enriched pencil (z, eta, tau, g / l_n, 1 / l_n), else None.
     """
-    A, solve = _hat_reduction(stiffness, mass)
-    theta, U = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False)
-    del A
-    border = None
-    if len(mass.border):
-        m_c, k_c = mass.border[0], stiffness.border[0]
-        ell = solve(np.column_stack((m_c.real, m_c.imag)))  # the columns are the real and imaginary parts
-        ell_n = math.sqrt(float(mass.corner[0].real) - float(np.sum(ell * ell)))
-        g = solve(ell, trans="T")
-        g = g[:, 0] + 1j * g[:, 1]
-        Tg = stiffness.dot(np.append(g, 0.0))[:-1]
-        corner = (np.vdot(g, Tg).real - 2.0 * np.vdot(g, k_c).real + complex(stiffness.corner[0])) / ell_n**2
-        h = k_c - Tg
-        z = scipy.linalg.blas.dgemm(1.0 / ell_n, U, solve(np.column_stack((h.real, h.imag))), trans_a=True)
-        z = z[:, 0] + 1j * z[:, 1]
-        border = (z, float(corner.real), float(corner.imag), g / ell_n, 1.0 / ell_n)
-    return theta, solve(U, trans="T"), border
+    theta, W = tridiagonal_eigh(stiffness.diag, stiffness.off, mass.diag, mass.off, vectors=True)
+    if not len(mass.border):
+        return theta, W, None
+    m_c, k_c = mass.border[0], stiffness.border[0]
+    rhs = np.column_stack((m_c.real, m_c.imag))  # T_M is real: solve for the real and imaginary parts
+    off = mass.off if len(mass.diag) > 1 else np.zeros(1)  # the ptsv wrapper wants one entry even then
+    g, info = scipy.linalg.lapack.dptsv(mass.diag, off, rhs)[2:]
+    if info:
+        raise np.linalg.LinAlgError(f"the leading minor of order {info} of the mass block is not positive definite")
+    ell_n = math.sqrt(float(mass.corner[0].real) - float(np.sum(rhs * g)))
+    g = g[:, 0] + 1j * g[:, 1]
+    Tg = stiffness.dot(np.append(g, 0.0))[:-1]
+    corner = (np.vdot(g, Tg).real - 2.0 * np.vdot(g, k_c).real + complex(stiffness.corner[0])) / ell_n**2
+    h = k_c - Tg
+    z = scipy.linalg.blas.dgemm(1.0 / ell_n, W, np.column_stack((h.real, h.imag)), trans_a=True)
+    z = z[:, 0] + 1j * z[:, 1]
+    return theta, W, (z, float(corner.real), float(corner.imag), g / ell_n, 1.0 / ell_n)
 
 
 def _nearest_pole_step(t: np.ndarray, moduli2: np.ndarray, corner, x: np.ndarray):
@@ -597,21 +572,21 @@ def solve_pencil(pencil) -> SpectralResult:
 
     The gate reads cond(M) off the mass's parts (`_mass_extremes`).
     The reduction C = L^{-1} K L^{-H}, M = L L^H with L the mass's
-    arrow-shaped Cholesky factor, is formed from the parts and brought to
-    the arrowhead [[diag(theta), z], [z^H, eta + i tau]] by one real
-    eigensolve of its (n-1) x (n-1) block (`_to_arrowhead`), the only
-    O(n^3) step.  The eigenvalues are the roots of the secular function
-    of the rank-one form (mu, |w|^2, tau) of that arrowhead, polished by
-    one Newton step on its own secular function
-    (`_arrowhead_eigenvalues`); the eigenvectors are its closed-form ones
-    (`_arrowhead_vectors`) taken back by L^{-H} diag(U, 1), one real
-    matrix product for all of them, with unit M-norm; the left
-    eigenvectors, another product, give each eigenvalue a two-sided
-    Rayleigh quotient on (K, M), whose products with the eigenvectors
-    are formed from the parts.  A minimal pencil (no border) is real and
-    definite: its eigenpairs are (theta, L_T^{-T} U).  The backward error
-    on (K, M) is about cond(M) times machine epsilon; `residuals` records
-    it for every pair.  Eigenpairs are sorted by ascending |lambda| (ties
+    arrow-shaped Cholesky factor, is brought to the arrowhead
+    [[diag(theta), z], [z^H, eta + i tau]] by one banded eigensolve with
+    vectors of the tridiagonal pencil (T_K, T_M) and one tridiagonal
+    solve (`_to_arrowhead`); no dense block of (K, M) is formed.  The
+    eigenvalues are the roots of the secular function of the rank-one
+    form (mu, |w|^2, tau) of that arrowhead, polished by one Newton step
+    on its own secular function (`_arrowhead_eigenvalues`); the
+    eigenvectors are its closed-form ones (`_arrowhead_vectors`) taken
+    back by L^{-H} diag(U, 1), one real matrix product for all of them,
+    with unit M-norm; the left eigenvectors, another product, give each
+    eigenvalue a two-sided Rayleigh quotient on (K, M), whose products
+    with the eigenvectors are formed from the parts.  A minimal pencil
+    (no border) is real and definite: its eigenpairs are (theta, W) with
+    W^T T_M W = I.  The backward error on (K, M) is about cond(M) times
+    machine epsilon; `residuals` records it for every pair.  Eigenpairs are sorted by ascending |lambda| (ties
     by real then imaginary part); the trailing 20% is flagged as
     untrusted.
 
@@ -907,6 +882,9 @@ def completeness_residual(result: SpectralResult, f, N_list):
 # subtends arctan(2 pi/(m delta)), so the pi/4 rule needs m >= 2 pi/delta,
 # leaving (p/m) e^{-2 pi}, and _POWER_SUM_TOL rejects a circle where that
 # fails.  The first circle (sqrt(rho) <= 9 pi/R) passes at 128, not 64.
+# Each later circle starts at the count its predecessor passed at: the
+# roots crowd closer to a larger circle, so it seldom needs fewer, and
+# starting lower only repeats the doublings.
 # ---------------------------------------------------------------------------
 
 _CONTOUR_SAMPLES = 128
@@ -988,38 +966,40 @@ def _newton_polish(F, z0: np.ndarray, step_scale: float) -> Optional[np.ndarray]
     return None
 
 
-def _disk_roots(nu: float, a: complex, b: complex, R: float, rho: float, known: list) -> Optional[list]:
+def _disk_roots(nu: float, a: complex, b: complex, R: float, rho: float, known: list, m: int) -> tuple:
     """Every root of F in |lambda| < rho given the known ones, or None to reject the circle.
 
-    The phase of F is sampled on |lambda| = rho, doubling the samples
-    until no wrapped step exceeds pi/4.  Its winding is the root count N;
-    with g = log F - i N theta periodic, the Fourier coefficients of g
+    The phase of F is sampled on |lambda| = rho at m points, doubling
+    them until no wrapped step exceeds pi/4.  Its winding is the root
+    count N; with g = log F - i N theta periodic, the Fourier coefficients of g
     give the power sums S_p of lambda/rho over the roots.  Less the
     known roots' share, Newton's identities turn them into a monic
     polynomial whose roots are polished on F.  The polished roots must
     lie inside the circle and, with the known ones, reproduce S_1..S_N;
     otherwise two estimates polished onto one root and a root is missing.
+    Returns the roots (or None) and the sample count that passed the
+    phase rule, which the next circle starts from; m itself where none did.
     """
 
     def F(lam):
         P, Q = _secular_parts(nu, R, lam)
         return a * P + b * Q
 
-    m = _CONTOUR_SAMPLES
+    start = m
     while True:
         theta, P, Q = _contour_parts(nu, R, rho, m)
         vals = a * P + b * Q
         if not np.all(np.isfinite(vals) & (vals != 0.0)):
-            return None
+            return None, start
         steps = (np.diff(np.angle(vals), append=np.angle(vals[0])) + math.pi) % (2.0 * math.pi) - math.pi
         if np.max(np.abs(steps)) <= 0.25 * math.pi:
             break
         if m >= _CONTOUR_SAMPLE_CAP:
-            return None
+            return None, start
         m *= 2
     count = round(float(np.sum(steps)) / (2.0 * math.pi))
     if count <= len(known):
-        return list(known) if count == len(known) else None
+        return (list(known) if count == len(known) else None), m
     phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
     coeffs = np.fft.fft(np.log(np.abs(vals)) + 1j * (phase - count * theta)) / m
     p = np.arange(1, count + 1)
@@ -1034,9 +1014,9 @@ def _disk_roots(nu: float, a: complex, b: complex, R: float, rho: float, known: 
         poly.append(-sum(new_sums[i - 1] * poly[k - i] for i in range(1, k + 1)) / k)
     new = _newton_polish(F, rho * np.roots(poly), rho / 50.0)
     if new is None or np.any(np.abs(new) >= rho):
-        return None
+        return None, m
     roots = list(known) + list(new)
-    return None if np.max(np.abs(sums - power_sums(roots))) > _POWER_SUM_TOL else roots
+    return (None if np.max(np.abs(sums - power_sums(roots))) > _POWER_SUM_TOL else roots), m
 
 
 def oracle_eigenvalues(
@@ -1078,8 +1058,9 @@ def oracle_eigenvalues(
     known: list = []
     inner = 0.0  # sqrt of the radius whose roots are known
     outer = (min(how_many, _ROOTS_PER_STEP) + 1.0) * math.pi / R
+    samples = _CONTOUR_SAMPLES
     for _ in range(_RADIUS_ATTEMPTS):
-        roots = _disk_roots(nu, a, b, R, outer * outer, known)
+        roots, samples = _disk_roots(nu, a, b, R, outer * outer, known, samples)
         if roots is None:
             outer = 0.5 * (inner + outer)  # hugs a root, or too many new ones
         elif len(roots) < how_many:
@@ -1163,8 +1144,9 @@ def embedding_singular_values(G_high, G_low) -> np.ndarray:
 
     The Grams are borderless ArrowTridiagonal bands of equal size.  The
     values are the square roots of the generalized eigenvalues
-    G_low v = sigma^2 G_high v, returned descending: the eigenvalues of
-    L^{-1} G_low L^{-T} with G_high = L L^T (`_hat_reduction`).
+    G_low v = sigma^2 G_high v, returned descending, from one
+    eigenvalue-only banded eigensolve (LAPACK dsbgvd): O(n^2), with no
+    dense block.
 
     Raises
     ------
@@ -1173,8 +1155,7 @@ def embedding_singular_values(G_high, G_low) -> np.ndarray:
     """
     if len(G_high.diag) != len(G_low.diag) or len(G_high.corner) or len(G_low.corner):
         raise ValueError("the Grams must be borderless bands of equal size")
-    A, _ = _hat_reduction(G_low, G_high)
-    w = scipy.linalg.eigh(A, overwrite_a=True, check_finite=False, eigvals_only=True)
+    w, _ = tridiagonal_eigh(G_low.diag, G_low.off, G_high.diag, G_high.off, vectors=False)
     return np.sqrt(np.clip(w, 0.0, None))[::-1]
 
 

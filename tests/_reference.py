@@ -3,13 +3,15 @@
 decaying_trace is the pointwise K_nu trace: ODE shooting checks it, and
 it checks the normal verdict's closed-form eigenvalue on a ray.
 weyl_fit is the eigenvalue growth exponent of acceptance criterion 8.
-arrow_from_dense builds a pencil's parts from dense test matrices.  As
+arrow_from_dense builds a pencil's parts from dense test matrices, and
+hat_pencil_eigh solves their hat blocks densely.  As
 test helpers they take only what the tests pass them and check nothing.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.special import gamma
 
 from conespectra.discretize import ArrowTridiagonal
@@ -61,3 +63,9 @@ def arrow_from_dense(A, d: int) -> ArrowTridiagonal:
     T = A[:core, :core]
     corner = np.diagonal(A[core:, core:])
     return ArrowTridiagonal(np.diagonal(T).real, np.diagonal(T, 1).real, A[:core, core:].T, corner)
+
+
+def hat_pencil_eigh(stiffness: ArrowTridiagonal, mass: ArrowTridiagonal):
+    """Dense scipy.linalg.eigh of the hat blocks (T_K, T_M): theta ascending and Z with Z^T T_M Z = I."""
+    T_K, T_M = (np.diag(p.diag) + np.diag(p.off, 1) + np.diag(p.off, -1) for p in (stiffness, mass))
+    return scipy.linalg.eigh(T_K, T_M)

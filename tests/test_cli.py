@@ -122,7 +122,7 @@ class TestConfigErrors:
         "argv",
         [
             ("embed", "--nh", 16),  # fewer singular values than the fit range
-            ("embed", "--nh", 10**11),  # dense reductions larger than any numpy array
+            ("embed", "--nh", 10**11),  # dense arrays larger than any numpy array
             ("embed", "--nh", 10**30),
             ("example53", "--nh", 10**11),
             ("example53", "--nh", 10**30),
@@ -422,7 +422,7 @@ class TestExitCodeMapping:
 
     @pytest.mark.parametrize("n_h, code", [(10**30, 2), (10**11, 2), (10**8, 3)])
     def test_scope_checks_never_build_the_grid(self, n_h, code, tmp_path, capsys, monkeypatch):
-        # from about 1.07e9 on, the dense reduction needs more bytes than a numpy array
+        # from about 1.07e9 on, the dense arrays need more bytes than a numpy array
         # can count, so scope refuses it; 10**8 passes scope and only the stage builds the grid
         def refuse(R, N_h, q):
             raise MemoryError(f"no grid of {N_h} nodes")

@@ -21,6 +21,7 @@ from conespectra.discretize import (
     DiscreteOperatorPencil,
     RadialGrid,
     TIP_FLOOR_RATIO,
+    _log_edges,
     assemble_embedding_grams,
     assemble_mode_pencil,
     cutoff,
@@ -326,6 +327,7 @@ def gauss_on(a, b):
 
 def gauss_geometric(a, b, n_sub):
     edges = a * (b / a) ** (np.arange(n_sub + 1) / n_sub)
+    edges[-1] = b  # the library's rule ends its last subcell on the cell's edge
     pts, wts = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         p, w = gauss_on(lo, hi)
@@ -494,6 +496,43 @@ class TestBorderQuadrature:
         k_border, m_border, mee = reference_border(grid.nodes, pen.nu, 1.0, pen.enrichment_coeffs)
         for got, want in ((pen.stiffness.border[0], k_border), (pen.mass.border[0], m_border), (pen.mass.corner, mee)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def border_pieces(nodes, R):
+    """The ends of every cell's pieces below and above R/4, up to R/2, as the assembly cuts them."""
+    x0, x1 = nodes[:-1], nodes[1:]
+    lo = np.concatenate((x0, np.maximum(x0, R / 4.0)))
+    hi = np.concatenate((np.minimum(x1, R / 4.0), np.minimum(x1, R / 2.0)))
+    return lo[lo < hi], hi[lo < hi]
+
+
+# four tip cells, two of them wide, where x0 (x1/x0) rounds off x1; geometric beyond
+WIDE_TIP_NODES = np.concatenate(([0.0113, 0.0272, 0.0289, 0.0298], np.geomspace(0.06, 1.0, 40)))
+
+
+class TestSubcellEdges:
+    @pytest.mark.parametrize("n_sub", [4, 8, 64])
+    def test_the_last_edge_is_the_cell_end(self, n_sub):
+        pieces = [border_pieces(RadialGrid.geometric(1.0, N_h, 0.9).nodes, 1.0) for N_h in (16, 60, 100, 400)]
+        lo, hi = (np.concatenate(ends) for ends in zip(*pieces))
+        assert np.count_nonzero(lo * (hi / lo) != hi) > 0  # the power law alone misses some ends
+        edges = _log_edges(lo, hi, n_sub)
+        assert edges.shape == (len(lo), n_sub + 1)
+        assert edges[:, 0].tobytes() == lo.tobytes() and edges[:, -1].tobytes() == hi.tobytes()
+        assert np.all(np.diff(edges, axis=1) > 0.0)
+
+    @pytest.mark.parametrize("model,k", [(CLOSED, 0), (SECTOR, 1)], ids=["closed", "sector"])
+    def test_zero_border_entries_of_wide_cells(self, model, k):
+        # below R/4 the cutoff is 1 and L s0 = 0, so a hat there has a zero stiffness entry
+        lo, hi = border_pieces(WIDE_TIP_NODES, 1.0)
+        wide = (hi - lo) / lo > 0.3
+        assert np.count_nonzero(wide & (lo * (hi / lo) != hi)) == 2
+        pen = assemble_mode_pencil(model, k, RadialGrid(nodes=WIDE_TIP_NODES), ExtensionDomain.line([1.0, 1.0j]))
+        k_border, _, _ = reference_border(WIDE_TIP_NODES, pen.nu, 1.0, pen.enrichment_coeffs)
+        zero = np.flatnonzero(WIDE_TIP_NODES[2:] <= 0.25)
+        got = pen.stiffness.border[0][zero]
+        assert np.max(np.abs(got - k_border[zero])) <= 1e-14 * np.max(np.abs(k_border))
+        assert np.max(np.abs(got)) <= 1e-14 * np.max(np.abs(k_border))
 
 
 class TestEmbeddingGrams:

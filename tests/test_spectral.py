@@ -14,12 +14,14 @@ does not share code with the implementation under test.
 """
 
 import cmath
+import importlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.cython_lapack
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, eigh
@@ -27,7 +29,9 @@ from scipy.optimize import brentq, nnls
 from scipy.special import gamma as sp_gamma
 from scipy.special import i0, iv, j0, jn_zeros, jv, k0, y0, yv
 
+import conespectra._lapack
 import conespectra.spectral as spectral
+from conespectra._lapack import tridiagonal_eigh
 from conespectra.discretize import (
     ArrowTridiagonal,
     DiscreteOperatorPencil,
@@ -57,7 +61,7 @@ from conespectra.spectral import (
     solve_pencil,
 )
 
-from _reference import arrow_from_dense, weyl_fit
+from _reference import arrow_from_dense, hat_pencil_eigh, weyl_fit
 
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0
@@ -288,19 +292,23 @@ class TestResolventNorm:
                 assert count == np.count_nonzero(sigma < s)
 
     def test_one_hermitian_eigensolve_per_probed_result(self, monkeypatch):
-        # the solve makes one eigh with vectors and one eigenvalue-only
-        # call; the probes make neither
+        # the solve makes one banded eigensolve with vectors and one
+        # eigenvalue-only call; the probes make neither
         pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 40, 0.9), ExtensionDomain.line([1.0, 1.0j]))
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(scipy.linalg, name)
             monkeypatch.setattr(scipy.linalg, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k))
+        banded = spectral.tridiagonal_eigh
+        monkeypatch.setattr(
+            spectral, "tridiagonal_eigh", lambda *a, **k: calls.append(("dsbgvd", k["vectors"])) or banded(*a, **k)
+        )
         probed = solve_pencil(pen)
-        assert calls == ["eigh", "eigvalsh"]
+        assert calls == [("dsbgvd", True), "eigvalsh"]
         for theta in (0.5 * math.pi, 1.5 * math.pi, 2.0):
             ray_minimal_growth_full(Ray(theta), probed)
         resolvent_norm(probed, -5.0)
-        assert calls == ["eigh", "eigvalsh"]
+        assert calls == [("dsbgvd", True), "eigvalsh"]
         mu, weights, _ = probed.rank_one_form
         assert mu.shape == weights.shape == (pen.size,)
         with pytest.raises(ValueError, match="read-only"):
@@ -390,6 +398,59 @@ class TestReductionAgainstQZ:
             assert res.mass_condition == pytest.approx(np.linalg.cond(pen.M), rel=1e-6)
 
 
+class TestBandedEigensolve:
+    """LAPACK's dsbgvd on the tridiagonal hat pencil (T_K, T_M) against a dense generalized eigh."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(closed=st.booleans(), n_h=st.integers(16, 200))
+    def test_matches_the_dense_generalized_eigh(self, closed, n_h):
+        model, mode_k = (CLOSED, 0) if closed else (SECTOR, 1)
+        pen = assemble_mode_pencil(model, mode_k, RadialGrid.geometric(1.0, n_h, 0.9), None)
+        K, M = pen.stiffness, pen.mass
+        theta, Z = tridiagonal_eigh(K.diag, K.off, M.diag, M.off, vectors=True)
+        ref_theta, ref_Z = hat_pencil_eigh(K, M)
+        assert np.all(np.abs(theta - ref_theta) <= 1e-10 * np.abs(ref_theta))
+        values, no_vectors = tridiagonal_eigh(K.diag, K.off, M.diag, M.off, vectors=False)
+        assert no_vectors is None
+        assert np.all(np.abs(values - ref_theta) <= 1e-10 * np.abs(ref_theta))
+        # each column up to its sign, in the T_M norm: the eigenvalues are at least 6% apart
+        T_M = M.dense().real
+        D = Z - ref_Z * np.sign(np.sum(Z * (T_M @ ref_Z), axis=0))
+        assert np.max(np.sqrt(np.einsum("ij,ij->j", D, T_M @ D))) <= 1e-9
+        assert Z.flags.f_contiguous
+        assert np.max(np.abs(Z.T @ T_M @ Z - np.eye(len(theta)))) <= 1e-13
+
+    def test_a_missing_routine_is_named_at_import(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.cython_lapack, "__pyx_capi__", {})
+        try:
+            with pytest.raises(ImportError, match="exports no dsbgvd"):
+                importlib.reload(conespectra._lapack)
+        finally:
+            monkeypatch.undo()
+            importlib.reload(conespectra._lapack)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_one_dof_core(self, vectors):
+        theta, Z = tridiagonal_eigh(np.array([3.0]), np.zeros(0), np.array([4.0]), np.zeros(0), vectors=vectors)
+        assert theta.tolist() == [0.75]
+        if vectors:
+            assert np.abs(Z).tolist() == [[0.5]]
+        else:
+            assert Z is None
+
+    @pytest.mark.parametrize(
+        "b_diag, b_off",
+        [([1.0, -1.0, 1.0], [0.0, 0.0]), ([1.0, 1.0, 1.0], [0.9, 0.9]), ([0.0], [])],
+        ids=["negative-pivot", "indefinite", "zero"],
+    )
+    def test_a_mass_that_is_not_positive_definite_raises(self, b_diag, b_off):
+        b_diag, b_off = np.array(b_diag), np.array(b_off)
+        a_diag, a_off = np.arange(1.0, len(b_diag) + 1.0), np.ones(len(b_off))
+        for vectors in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                tridiagonal_eigh(a_diag, a_off, b_diag, b_off, vectors=vectors)
+
+
 class TestStructuredGateAndProducts:
     """cond(M) and the products of the solve, from the parts, against the dense views."""
 
@@ -429,11 +490,19 @@ class TestStructuredGateAndProducts:
                 return _f(a, *args, **kwargs)
 
             monkeypatch.setattr(scipy.linalg, name, spy)
+        banded = spectral.tridiagonal_eigh
+
+        def banded_spy(a_diag, *args, **kwargs):
+            calls.append(("dsbgvd", np.asarray(a_diag).dtype.kind, np.shape(a_diag), kwargs["vectors"]))
+            return banded(a_diag, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "tridiagonal_eigh", banded_spy)
         res = solve_pencil(pen)
         n = pen.size
-        # one real eigh with vectors of the (n-1) x (n-1) block, one real
-        # eigenvalue-only call on the arrowhead, and nothing complex or dense
-        assert calls == [("eigh", "f", (n - 1, n - 1), False), ("eigvalsh", "f", (n, n), False)]
+        # one banded eigensolve with vectors of the tridiagonal (n-1)-dof hat
+        # pencil, one real eigenvalue-only call on the arrowhead, and nothing
+        # complex and no (n-1) x (n-1) input
+        assert calls == [("dsbgvd", "f", (n - 1,), True), ("eigvalsh", "f", (n, n), False)]
         assert_matches_qz(pen, res)
 
     def test_minimal_pencil_is_the_real_definite_problem(self, friedrichs_pencil, friedrichs_result):
@@ -976,6 +1045,20 @@ def _sweep_oracle_configs():
     return [(0.0, a, b) for a, b in closed] + [(2.0 / 3.0, a, b) for a, b in sector]
 
 
+def _seeded_oracle_roots():
+    """The five smallest oracle roots of 160 seeded (nu, a, b) draws, None where the oracle gives up."""
+    rng = np.random.default_rng(28)
+    out = []
+    for i in range(160):
+        nu = (0.0, 0.5, 2.0 / 3.0, 0.9)[i % 4]
+        a, b = (complex(*p) for p in rng.standard_normal((2, 2)) / math.sqrt(2.0))
+        try:
+            out.append(oracle_eigenvalues(nu, a, b, 1.0, 5))
+        except RootFindingError:
+            out.append(None)
+    return out
+
+
 class TestOracleInternals:
     @pytest.mark.parametrize(
         "nu,a,b,how_many",
@@ -989,27 +1072,38 @@ class TestOracleInternals:
 
     def test_the_sample_start_does_not_change_the_roots(self, monkeypatch):
         # the phase rule doubles a circle's samples as its roots ask, so the start only saves doublings
-        rng = np.random.default_rng(28)
-        draws = [
-            ((0.0, 0.5, 2.0 / 3.0, 0.9)[i % 4], *(complex(*p) for p in rng.standard_normal((2, 2)) / math.sqrt(2.0)))
-            for i in range(160)
-        ]
-
-        def roots():
-            out = []
-            for nu, a, b in draws:
-                try:
-                    out.append(oracle_eigenvalues(nu, a, b, 1.0, 5))
-                except RootFindingError:
-                    out.append(None)
-            return out
-
         assert spectral._CONTOUR_SAMPLES < 1024
-        got = roots()
+        got = _seeded_oracle_roots()
         monkeypatch.setattr(spectral, "_CONTOUR_SAMPLES", 1024)
-        for z, ref in zip(got, roots()):
+        for z, ref in zip(got, _seeded_oracle_roots()):
             assert (z is None) == (ref is None)
             assert ref is None or np.all(np.abs(z - ref) <= 1e-12 * np.abs(ref))
+
+    @staticmethod
+    def _restart_every_circle(monkeypatch):
+        """Make every circle start again at _CONTOUR_SAMPLES, not at the count the last one ended with."""
+        carried = spectral._disk_roots
+        monkeypatch.setattr(spectral, "_disk_roots", lambda *args: carried(*args[:-1], spectral._CONTOUR_SAMPLES))
+
+    def test_each_circle_starts_at_the_count_the_last_one_ended_with(self, monkeypatch):
+        counts = []
+        parts = spectral._contour_parts
+        monkeypatch.setattr(spectral, "_contour_parts", lambda nu, R, rho, m: counts.append(m) or parts(nu, R, rho, m))
+        carried = oracle_eigenvalues(0.0, 1.0, 0.0, 1.0, 60)
+        assert counts == [128, 128, 256, 256, 512, 512, 512, 1024, 1024, 1024, 1024]
+        counts.clear()
+        self._restart_every_circle(monkeypatch)
+        restarted = oracle_eigenvalues(0.0, 1.0, 0.0, 1.0, 60)
+        # the outer circles each sampled at 128, 256 and 512 before the 1024 that passed
+        assert len(counts) == 25 and counts[-4:] == [128, 256, 512, 1024]
+        assert np.all(np.abs(carried - restarted) <= 1e-13 * np.abs(restarted))
+
+    def test_carrying_the_sample_count_does_not_change_the_roots(self, monkeypatch):
+        got = _seeded_oracle_roots()
+        self._restart_every_circle(monkeypatch)
+        for z, ref in zip(got, _seeded_oracle_roots()):
+            assert (z is None) == (ref is None)
+            assert ref is None or np.all(np.abs(z - ref) <= 1e-13 * np.abs(ref))
 
     def test_a_start_that_leaves_its_radius_rejects_the_circle(self, monkeypatch):
         def F(lam):
@@ -1019,11 +1113,12 @@ class TestOracleInternals:
         # the second start's first step lands 100 > 50 step_scale away
         assert spectral._newton_polish(F, np.array([99.0 + 0j, 0j]), 1.0) is None
         rho = (5.5 * math.pi) ** 2  # holds j_{0,1}^2 .. j_{0,5}^2
-        assert len(spectral._disk_roots(0.0, 1.0, 0.0, 1.0, rho, [])) == 5
+        m = spectral._CONTOUR_SAMPLES
+        assert len(spectral._disk_roots(0.0, 1.0, 0.0, 1.0, rho, [], m)[0]) == 5
         real = spectral._newton_polish
         # with no room to move, the first Newton step takes some start out of its radius
         monkeypatch.setattr(spectral, "_newton_polish", lambda F, z0, scale: real(F, z0, 0.0))
-        assert spectral._disk_roots(0.0, 1.0, 0.0, 1.0, rho, []) is None
+        assert spectral._disk_roots(0.0, 1.0, 0.0, 1.0, rho, [], m)[0] is None
 
     @pytest.mark.parametrize("nu", [0.0, 2.0 / 3.0])
     @pytest.mark.parametrize("rho", [100.0, 1500.0], ids=["series", "closed-form"])
