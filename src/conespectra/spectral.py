@@ -857,8 +857,9 @@ def completeness_residual(result: SpectralResult, f, N_list):
 # small-x series gives, with w = sqrt(lambda) (principal branch):
 #   nu > 0:  P = Gamma(1+nu) (w/2)^{-nu} J_nu(w),  Q = Gamma(1-nu) (w/2)^{+nu} J_{-nu}(w)
 #   nu = 0:  P = J_0(w),  Q = W(w) = (pi/2) Y_0(w) - (log(w/2) + gamma_E) J_0(w)
-# P and Q are entire with real Taylor coefficients; for small |w| their
-# power series dodge the removable sqrt/log branch points.
+# P and Q are entire; this closed form (Amos's complex Bessel routines in scipy)
+# gives them at every lambda but the removable point 0, where log(w/2) is -inf
+# and (P, Q) is set to (1, 0) for nu = 0 and to (1, 1) for nu > 0.
 #
 # Only the unit radius is solved: in y = x / R the tip pair is (a + b log R) + b log y,
 # or a R^nu y^nu + b R^-nu y^-nu, and lambda is the unit root over R^2, so the
@@ -893,40 +894,21 @@ _CONTOUR_SAMPLE_CAP = 1 << 16
 _RADIUS_ATTEMPTS = 100
 _POWER_SUM_TOL = 1e-3
 _ROOTS_PER_STEP = 8
-_SERIES_BLOCK = 128  # points per block of the power series: its (points, 79) arrays stay near 0.16 MB
 
 
 def _secular_parts(nu: float, lam) -> tuple:
-    """(P, Q) at lam: the power series where |lambda| <= 144, the Bessel closed form elsewhere."""
+    """(P, Q) at lam by the Bessel closed form, and at the removable point lam = 0 exactly (1, 0) or (1, 1)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    P, Q = np.empty_like(lam), np.empty_like(lam)
-    small = np.abs(lam) <= 144.0
-    k = np.arange(1.0, 80.0)
-    at = np.flatnonzero(small)
-    for lo in range(0, at.size, _SERIES_BLOCK):
-        block = at[lo : lo + _SERIES_BLOCK]
-        neg_u = lam[block, np.newaxis] * -0.25
-
-        def series(den, head, weights=1.0):  # head + sum_k weights_k prod_{j<=k} (-u / den_j), in order
-            terms = np.cumprod(neg_u / den, axis=1) * weights
-            terms[:, 0] += head
-            return np.add.accumulate(terms, axis=1)[:, -1]
-
-        if nu == 0.0:  # the terms of W are those of J_0 times -H_k (harmonic numbers)
-            P[block] = series(k * k, 1.0)
-            Q[block] = series(k * k, 0.0, -np.cumsum(1.0 / k))
-        else:
-            P[block] = series(k * (k + nu), 1.0)
-            Q[block] = series(k * (k - nu), 1.0)
-    if at.size < lam.size:
-        w = np.sqrt(lam[~small])
-        if nu == 0.0:
-            P[~small] = j0 = jv(0, w)
-            Q[~small] = 0.5 * math.pi * yv(0, w) - (np.log(w / 2.0) + np.euler_gamma) * j0
-        else:
-            half_w = np.log(w / 2.0)
-            P[~small] = _gamma_fn(1.0 + nu) * np.exp(-nu * half_w) * jv(nu, w)
-            Q[~small] = _gamma_fn(1.0 - nu) * np.exp(nu * half_w) * jv(-nu, w)
+    zero = lam == 0.0
+    w = np.sqrt(np.where(zero, 1.0, lam))  # any nonzero stand-in: P and Q at 0 are set below
+    if nu == 0.0:
+        P = jv(0, w)
+        Q = 0.5 * math.pi * yv(0, w) - (np.log(w / 2.0) + np.euler_gamma) * P
+    else:
+        half_w = np.log(w / 2.0)
+        P = _gamma_fn(1.0 + nu) * np.exp(-nu * half_w) * jv(nu, w)
+        Q = _gamma_fn(1.0 - nu) * np.exp(nu * half_w) * jv(-nu, w)
+    P[zero], Q[zero] = 1.0, (0.0 if nu == 0.0 else 1.0)
     return P, Q
 
 
@@ -1019,6 +1001,25 @@ def _disk_roots(nu: float, a: complex, b: complex, rho: float, known: list, m: i
     return (None if np.max(np.abs(sums - power_sums(roots))) > _POWER_SUM_TOL else roots), m
 
 
+def _radius_and_count(R, how_many) -> tuple:
+    """Both oracles' R and how_many, read as numbers; 1/R^2, which scales their roots, must be a positive double."""
+    R, how_many = _number(R, "R"), _number(how_many, "how_many", integral=True)
+    if not (R > 0.0 and R * R > 0.0 and 0.0 < 1.0 / (R * R) < math.inf):
+        raise ValueError(f"R must be positive with 1/R^2 a positive double, got {R!r}")
+    if how_many < 1:
+        raise ValueError("how_many must be positive")
+    return R, how_many
+
+
+def _roots_at_radius(unit_roots: np.ndarray, R: float) -> np.ndarray:
+    """The unit radius's roots over R^2, or ValueError where one of them leaves the doubles."""
+    with np.errstate(over="ignore"):
+        lam = unit_roots / (R * R)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"the roots at R = {R!r} leave the doubles")
+    return lam
+
+
 def oracle_eigenvalues(nu: float, a: complex, b: complex, R: float, how_many: int) -> np.ndarray:
     """Roots of the radial secular equation, sorted by |lambda|.
 
@@ -1042,15 +1043,11 @@ def oracle_eigenvalues(nu: float, a: complex, b: complex, R: float, how_many: in
         When the fixed number of circles runs out before one holds
         how_many polished roots that reproduce its count and power sums.
     """
-    nu, R = _number(nu, "nu"), _number(R, "R")
+    nu = _number(nu, "nu")
     if not (0.0 <= nu < 1.0):
         raise ValueError("secular oracle covers nu in [0, 1)")
     a, b = _complex(a, "a"), _complex(b, "b")
-    if not (R > 0.0 and R * R > 0.0 and 0.0 < 1.0 / (R * R) < math.inf):
-        raise ValueError(f"R must be positive with 1/R^2 a positive double, got {R!r}")
-    how_many = _number(how_many, "how_many", integral=True)
-    if how_many < 1:
-        raise ValueError("how_many must be positive")
+    R, how_many = _radius_and_count(R, how_many)
     a, b = (a + b * math.log(R), b) if nu == 0.0 else (a * R**nu, b * R**-nu)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise ValueError(f"(a, b) must be finite at the unit radius, got ({a}, {b})")
@@ -1069,11 +1066,7 @@ def oracle_eigenvalues(nu: float, a: complex, b: complex, R: float, how_many: in
             known, inner, outer = roots, outer, outer + _ROOTS_PER_STEP * math.pi
         else:
             roots.sort(key=lambda z: (abs(z), z.real, z.imag))
-            with np.errstate(over="ignore"):
-                lam = np.array(roots[:how_many], dtype=complex) / (R * R)
-            if not np.all(np.isfinite(lam)):
-                raise ValueError(f"the roots at R = {R!r} leave the doubles")
-            return lam
+            return _roots_at_radius(np.array(roots[:how_many], dtype=complex), R)
     raise RootFindingError(
         f"{_RADIUS_ATTEMPTS} circles gave no {how_many} roots "
         "that reproduce the contour count and power sums"
@@ -1085,18 +1078,16 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
 
     Classical Bessel-zero computation (scan plus Newton), used both as
     the (a,b)=(1,0) cross-check of the secular oracle and for multi-mode
-    eigenvalue counting where nu >= 1 modes carry no enrichment.
+    eigenvalue counting where nu >= 1 modes carry no enrichment.  The zeros
+    are Newton's own, deduplicated on a 1e-12 grid but not rounded to it.
+    As in the secular oracle, ValueError where 1/R^2 or the eigenvalues leave the doubles.
     """
-    nu, R = _number(nu, "nu"), _number(R, "R")
+    nu = _number(nu, "nu")
     if not nu >= 0.0:  # nan too
         raise ValueError(f"nu must be nonnegative, got {nu!r}")
     if nu > BESSEL_ORDER_LIMIT:
         raise ValueError(f"nu = {nu:.6g} is above 2^50; J_nu loses every digit from 2^51")
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ValueError(f"R must be positive and finite, got {R!r}")
-    how_many = _number(how_many, "how_many", integral=True)
-    if how_many < 1:
-        raise ValueError("how_many must be positive")
+    R, how_many = _radius_and_count(R, how_many)
     # every zero exceeds nu; the k-th lies near (k + nu/2 - 1/4) pi and below Qu & Wong's (1999) bound in
     # the k-th Airy zero a_k (DLMF 10.21(viii)), about pi (nu/2)^{1/3} / sqrt|a_k| from the next
     airy = (3.0 * math.pi * (4 * how_many + 3) / 8.0) ** (2.0 / 3.0)  # about |a_{how_many+1}|
@@ -1113,11 +1104,11 @@ def dirichlet_mode_eigenvalues(nu: float, R: float, how_many: int) -> np.ndarray
         zeros = zeros - step
         if np.max(np.abs(step), initial=0.0) < 1e-14 * max(1.0, upper):
             break
-    zeros = np.unique(np.round(zeros / 1e-12) * 1e-12)
+    zeros = zeros[np.unique(np.round(zeros / 1e-12), return_index=True)[1]]  # ascending, as the keys are
     zeros = zeros[zeros > max(1e-9, nu)]
     if len(zeros) < how_many:
         raise RootFindingError(f"Bessel zero scan found {len(zeros)} of {how_many} requested zeros")
-    return (zeros[:how_many] / R) ** 2
+    return _roots_at_radius(zeros[:how_many] ** 2, R)
 
 
 def schatten_fit(singular_values, j_range) -> tuple:
