@@ -27,6 +27,7 @@ outputs directory; identical configs give byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import itertools
@@ -259,10 +260,18 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an artifact that cannot be written as a config error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-    )
+    with _writing(path):
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def _fmt_cell(v) -> str:
@@ -275,7 +284,8 @@ def _write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt_cell(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    with _writing(path):
+        path.write_text("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +314,7 @@ def _bump_vector(pencil, grid: RadialGrid) -> np.ndarray:
     coeffs = vals.astype(complex)
     if pencil.size == len(x) + 1:
         coeffs = np.concatenate([coeffs, [0.0 + 0.0j]])
-    norm = math.sqrt(abs(np.vdot(coeffs, pencil.mass.dot(coeffs))))
+    norm = math.sqrt(abs(np.vdot(coeffs, pencil.M.dot(coeffs))))
     return coeffs / norm
 
 
@@ -830,7 +840,8 @@ def _write_record(out: Path, stage: Stage, record: Record) -> None:
     for name, (columns, rows) in record.tables.items():
         _write_csv(out / name, columns, rows)
     if record.pencil is not None:
-        export_pencil(record.pencil, out / "pencil.bin")
+        with _writing(out / "pencil.bin"):
+            export_pencil(record.pencil, out / "pencil.bin")
     _write_json(out / stage.artifact, record.payload)
 
 
@@ -840,7 +851,8 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
     timings.json, kept apart from the deterministic artifacts, records
     the wall time of each stage that completed (computing and writing
     it) in run order, also when a later stage fails, with the run's
-    provenance (see _provenance).
+    provenance (see _provenance).  That failure, not a timings.json
+    that cannot be written, is then the error raised.
     """
     for stage in stages:
         for check in stage.scope:
@@ -850,7 +862,7 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"outputs_dir {str(out)!r} cannot be created: {exc.strerror}") from exc
-    timings = []
+    timings, done = [], False
     try:
         for stage in stages:
             start = time.perf_counter()
@@ -863,11 +875,14 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
             run.records[stage.name] = record
             if echo:
                 print(stage.line(record.payload))
+        done = True
     finally:
-        _write_json(
-            out / "timings.json",
-            {"schema_version": SCHEMA_VERSION, "stages": timings, **_provenance(run.cfg)},
-        )
+        payload = {"schema_version": SCHEMA_VERSION, "stages": timings, **_provenance(run.cfg)}
+        try:
+            _write_json(out / "timings.json", payload)
+        except ConfigError:
+            if done:
+                raise
     return run.records
 
 

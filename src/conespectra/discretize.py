@@ -25,7 +25,7 @@ wider than 0.3 x0 when nu > 0; the enrichment border and mass take it
 for every nu on the cells below R/2, cut at R/4 where the cutoff's
 second derivative jumps, and the corner 4 log-spaced subcells on
 [R/4, R/2].  The summation order is that of a cell-by-cell loop, so the
-dense K and M are bit-identical to it: each cell integral is a pairwise
+parts of K and M are bit-identical to it: each cell integral is a pairwise
 np.sum over its points in subcell order (a cut cell adds its two
 pieces); a hat diagonal entry is cell i's right-right term plus cell
 i+1's left-left term; an off-diagonal entry is cell i+1's left-right
@@ -152,23 +152,10 @@ class ArrowTridiagonal:
     def size(self) -> int:
         return len(self.diag) + len(self.corner)
 
-    def dense(self) -> np.ndarray:
-        """The n x n complex matrix, read-only, behind DiscreteOperatorPencil's K and M views.
-
-        Every entry but the corner is added onto zeros, as assembly adds
-        its cell integrals, so a zero's sign is that of the cell loop's.
-        """
-        core = len(self.diag)
-        A = np.zeros((self.size, self.size), dtype=complex)
-        dof = np.arange(core)
-        A[dof, dof] += self.diag
-        A[dof[:-1], dof[1:]] += self.off
-        A[dof[1:], dof[:-1]] += self.off
-        A[:core, core:] += self.border.T
-        A[core:, :core] += self.border.conj()
-        A[core:, core:] = np.diag(self.corner)
-        A.flags.writeable = False
-        return A
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the four parts."""
+        return sum(part.nbytes for part in (self.diag, self.off, self.border, self.corner))
 
     def dot(self, X) -> np.ndarray:
         """The product with X of shape (n,) or (n, m), from the parts.
@@ -201,40 +188,29 @@ class ArrowTridiagonal:
 class DiscreteOperatorPencil:
     """Stiffness/mass pair of one mode in the weighted pairing, plus metadata.
 
-    K and M are stored as their arrow-tridiagonal parts: the hat blocks
-    T_K and T_M, the enrichment borders and the corners (d = 1), or the
-    hat blocks alone for the minimal pencil (d = 0).  The mass must be
+    K and M are their arrow-tridiagonal parts: the hat blocks T_K and
+    T_M, the enrichment borders and the corners (d = 1), or the hat
+    blocks alone for the minimal pencil (d = 0).  The mass must be
     Hermitian, so its corner is real; the stiffness corner carries the
-    enrichment's imaginary part.  `K` and `M` are dense read-only views,
-    built on each access; no stage reads them.
+    enrichment's imaginary part.
     """
 
-    stiffness: ArrowTridiagonal
-    mass: ArrowTridiagonal
+    K: ArrowTridiagonal
+    M: ArrowTridiagonal
     basis_labels: list
     nu: float
     outer_radius_R: float
     enrichment_coeffs: Optional[tuple]  # (a, b) or None for the minimal pencil
 
     def __post_init__(self):
-        K, M = self.stiffness, self.mass
-        if len(K.diag) != len(M.diag) or len(K.corner) != len(M.corner):
+        if len(self.K.diag) != len(self.M.diag) or len(self.K.corner) != len(self.M.corner):
             raise ValueError("stiffness and mass of different shapes")
-        if np.any(M.corner.imag):
+        if np.any(self.M.corner.imag):
             raise ValueError("the mass must be Hermitian: its corner is not real")
 
     @property
     def size(self) -> int:
-        return self.stiffness.size
-
-    # the benchmark's tracer sizes each solve's input with the dense K and M
-    @property
-    def K(self) -> np.ndarray:
-        return self.stiffness.dense()
-
-    @property
-    def M(self) -> np.ndarray:
-        return self.mass.dense()
+        return self.K.size
 
 
 def cutoff(x, R: float):
@@ -459,16 +435,13 @@ def assemble_mode_pencil(
         commutator = -w2 * s0 - 2.0 * w1 * s0p - w1 * s0 / pts
         corners[0][0] = np.sum(wts * (commutator * np.conj(w * s0) * pts))
 
-    stiffness, mass = (
-        ArrowTridiagonal(diag, off, border, corner)
-        for (diag, off), border, corner in zip(bands, borders, corners)
-    )
+    K, M = (ArrowTridiagonal(*band, border, corner) for band, border, corner in zip(bands, borders, corners))
     for part in (*bands[0], *bands[1], *borders, *corners):
         if not np.isfinite(part).all():
             raise FloatingPointError(f"the mode pencil on (0, {R:g}] has an entry that is not finite")
     return DiscreteOperatorPencil(
-        stiffness=stiffness,
-        mass=mass,
+        K=K,
+        M=M,
         basis_labels=labels,
         nu=nu,
         outer_radius_R=R,
@@ -523,7 +496,7 @@ def export_pencil(pencil: DiscreteOperatorPencil, path) -> None:
     float64; then the stiffness and mass border rows and the corners
     (stiffness, then mass), as complex128.
     """
-    K, M = pencil.stiffness, pencil.mass
+    K, M = pencil.K, pencil.M
     header = {
         **_LAYOUT,
         "n": pencil.size,
@@ -555,7 +528,7 @@ def load_pencil(path) -> DiscreteOperatorPencil:
     basis labels, a finite nu >= 0, a positive finite R, and an
     enrichment that is null for d = 0 and two finite [re, im] pairs for d = 1,
     followed by exactly the parts' 4(n - d) - 2 real and 2d(n - d + 1)
-    complex values.
+    complex values, all finite.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(8)
@@ -595,13 +568,15 @@ def load_pencil(path) -> DiscreteOperatorPencil:
     if len(raw) != expected:
         raise ValueError(f"{len(raw)} data bytes, not {expected}: truncated or trailing data")
     parts, offset = [], 0
-    for count, kind in sizes:
+    for name, (count, kind) in zip(_LAYOUT["arrays"], sizes):
         parts.append(np.frombuffer(raw, dtype=kind, count=count, offset=offset))
         offset += count * np.dtype(kind).itemsize
+        if not np.isfinite(parts[-1]).all():
+            raise ValueError(f"pencil array {name} has a value that is not finite")
     k_diag, k_off, m_diag, m_off, k_border, m_border, corners = parts
     return DiscreteOperatorPencil(
-        stiffness=ArrowTridiagonal(k_diag, k_off, k_border.reshape(d, core), corners[:d]),
-        mass=ArrowTridiagonal(m_diag, m_off, m_border.reshape(d, core), corners[d:]),
+        K=ArrowTridiagonal(k_diag, k_off, k_border.reshape(d, core), corners[:d]),
+        M=ArrowTridiagonal(m_diag, m_off, m_border.reshape(d, core), corners[d:]),
         basis_labels=labels,
         nu=nu,
         outer_radius_R=R,

@@ -362,7 +362,7 @@ def _rank_one_roots(mu: np.ndarray, weights: np.ndarray, tau: float):
     return lam, negligible, sweeps
 
 
-def _to_arrowhead(stiffness, mass, schur):
+def _to_arrowhead(K, M, schur):
     """The reduction C = L^{-1} K L^{-H}, M = L L^H, brought to an arrowhead by one banded eigensolve.
 
     L is the arrow-shaped Cholesky factor [[L_T, 0], [l^H, l_n]] of M:
@@ -382,14 +382,14 @@ def _to_arrowhead(stiffness, mass, schur):
     L^{-H} diag(U, 1) = [[W, -g / l_n], [0, 1 / l_n]], and for an
     enriched pencil (z, eta, tau, g / l_n, 1 / l_n), else None.
     """
-    theta, W = tridiagonal_eigh(stiffness.diag, stiffness.off, mass.diag, mass.off, vectors=True)
+    theta, W = tridiagonal_eigh(K.diag, K.off, M.diag, M.off, vectors=True)
     if schur is None:
         return theta, W, None
-    k_c, (ell_n2, g) = stiffness.border[0], schur
+    k_c, (ell_n2, g) = K.border[0], schur
     ell_n = math.sqrt(ell_n2)
     g = g[:, 0] + 1j * g[:, 1]
-    Tg = stiffness.dot(np.append(g, 0.0))[:-1]
-    corner = (np.vdot(g, Tg).real - 2.0 * np.vdot(g, k_c).real + complex(stiffness.corner[0])) / ell_n**2
+    Tg = K.dot(np.append(g, 0.0))[:-1]
+    corner = (np.vdot(g, Tg).real - 2.0 * np.vdot(g, k_c).real + complex(K.corner[0])) / ell_n**2
     h = k_c - Tg
     z = scipy.linalg.blas.dgemm(1.0 / ell_n, W, np.column_stack((h.real, h.imag)), trans_a=True)
     z = z[:, 0] + 1j * z[:, 1]
@@ -594,13 +594,13 @@ def solve_pencil(pencil) -> SpectralResult:
     RootFindingError
         If the secular iteration does not converge.
     """
-    stiffness, mass = pencil.stiffness, pencil.mass
-    low, high, schur = _mass_extremes(mass)
+    K, M = pencil.K, pencil.M
+    low, high, schur = _mass_extremes(M)
     cond = high / low
     if cond > MASS_CONDITION_LIMIT:
         raise IllConditionedMass(f"mass matrix condition number {cond:.3e} exceeds 1e12")
 
-    theta, W, border = _to_arrowhead(stiffness, mass, schur)
+    theta, W, border = _to_arrowhead(K, M, schur)
     if border is None:
         lam, mu, weights, tau = theta.astype(complex), theta, np.zeros(len(theta)), 0.0
         sweeps, deflated = 0, len(theta)
@@ -622,7 +622,7 @@ def solve_pencil(pencil) -> SpectralResult:
     plain, better = np.empty(n), np.empty(n)
     for start in range(0, n, _REFINE_BLOCK):
         cols = slice(start, start + _REFINE_BLOCK)
-        stiff_vec, mass_vec = stiffness.dot(vec[:, cols]), mass.dot(vec[:, cols])
+        stiff_vec, mass_vec = K.dot(vec[:, cols]), M.dot(vec[:, cols])
         conj_left = left[:, cols].conj()
         refined[cols] = np.einsum("ij,ij->j", conj_left, stiff_vec) / np.einsum("ij,ij->j", conj_left, mass_vec)
         plain[cols] = _column_norms(stiff_vec - mass_vec * lam[cols])
@@ -764,8 +764,8 @@ def _cluster_defective(result: SpectralResult, count: int):
     one tridiagonal solve (LAPACK gtsv), nonsingular for non-real c; a
     pencil with tau = 0 forms no cluster.  A singular pivot raises LinAlgError.
     """
-    stiffness, mass = result.pencil.stiffness, result.pencil.mass
-    core = len(stiffness.diag)
+    K, M = result.pencil.K, result.pencil.M
+    core = len(K.diag)
     lam = result.eigenvalues[:count]
     V = result.eigenvectors[:, :count].copy()
     used = np.zeros(count, dtype=bool)
@@ -787,10 +787,10 @@ def _cluster_defective(result: SpectralResult, count: int):
             continue
         used[members] = True
         c = lam[members[0]]
-        diag = stiffness.diag - c * mass.diag
-        off = stiffness.off - c * mass.off if core > 1 else np.zeros(1)  # the gtsv wrapper wants one entry even then
+        diag = K.diag - c * M.diag
+        off = K.off - c * M.off if core > 1 else np.zeros(1)  # the gtsv wrapper wants one entry even then
         for prev, member in zip(members, members[1:]):
-            x, info = scipy.linalg.lapack.zgtsv(off, diag, off, mass.dot(V[:, prev])[:core])[3:]
+            x, info = scipy.linalg.lapack.zgtsv(off, diag, off, M.dot(V[:, prev])[:core])[3:]
             if info:
                 raise np.linalg.LinAlgError(f"T_K - c T_M is singular at the defective eigenvalue c = {c:.6g}")
             V[:, member] = 0.0
@@ -806,7 +806,7 @@ def completeness_residual(result: SpectralResult, f, N_list):
     returned (N, residual) pairs are nonincreasing in N by construction
     of the nested spans.
     """
-    mass = result.pencil.mass
+    M = result.pencil.M
     f = np.asarray(f, dtype=complex).reshape(-1)
     N_list = [_number(N, "N_list", integral=True) for N in N_list]
     if not N_list:
@@ -818,7 +818,7 @@ def completeness_residual(result: SpectralResult, f, N_list):
         raise ValueError(
             f"N = {max_n} exceeds the retained eigenpair count {result.n_retained}"
         )
-    fnorm = math.sqrt(abs(np.vdot(f, mass.dot(f))))
+    fnorm = math.sqrt(abs(np.vdot(f, M.dot(f))))
     if abs(fnorm - 1.0) > 1e-6:
         raise ValueError("test vector must have unit M-norm")
 
@@ -835,15 +835,15 @@ def completeness_residual(result: SpectralResult, f, N_list):
         for _ in range(2):
             for q, mq in zip(basis, Mq):
                 v -= q * np.vdot(mq, v)
-        vnorm = math.sqrt(abs(np.vdot(v, mass.dot(v))))
+        vnorm = math.sqrt(abs(np.vdot(v, M.dot(v))))
         if vnorm > 1e-8:
             q = v / vnorm
-            mq = mass.dot(q)
+            mq = M.dot(q)
             basis.append(q)
             Mq.append(mq)
             r = r - q * np.vdot(mq, r)
         while ti < len(targets) and targets[ti] == idx + 1:
-            out[targets[ti]] = math.sqrt(abs(np.vdot(r, mass.dot(r))))
+            out[targets[ti]] = math.sqrt(abs(np.vdot(r, M.dot(r))))
             ti += 1
     return [(N, out[N]) for N in N_list]
 

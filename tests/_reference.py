@@ -3,7 +3,8 @@
 decaying_trace is the pointwise K_nu trace: ODE shooting checks it, and
 it checks the normal verdict's closed-form eigenvalue on a ray.
 weyl_fit is the eigenvalue growth exponent of acceptance criterion 8.
-arrow_from_dense builds a pencil's parts from dense test matrices, and
+dense reads a pencil's K or M as the n x n matrix its parts stand for,
+arrow_from_dense builds the parts from dense test matrices, and
 hat_pencil_eigh solves their hat blocks densely.  As
 test helpers they take only what the tests pass them and check nothing.
 """
@@ -56,6 +57,25 @@ def weyl_fit(eigenvalues) -> float:
     return float(np.polyfit(np.log(j[middle]), np.log(lam[middle]), 1)[0])
 
 
+def dense(part: ArrowTridiagonal) -> np.ndarray:
+    """The n x n complex matrix, read-only, that the arrow-tridiagonal part stands for.
+
+    Every entry but the corner is added onto zeros, as assembly adds
+    its cell integrals, so a zero's sign is that of the cell loop's.
+    """
+    core = len(part.diag)
+    A = np.zeros((part.size, part.size), dtype=complex)
+    dof = np.arange(core)
+    A[dof, dof] += part.diag
+    A[dof[:-1], dof[1:]] += part.off
+    A[dof[1:], dof[:-1]] += part.off
+    A[:core, core:] += part.border.T
+    A[core:, :core] += part.border.conj()
+    A[core:, core:] = np.diag(part.corner)
+    A.flags.writeable = False
+    return A
+
+
 def arrow_from_dense(A, d: int) -> ArrowTridiagonal:
     """The parts of a dense Hermitian arrow-tridiagonal A with d border rows; the structure is not checked."""
     A = np.asarray(A)
@@ -65,7 +85,7 @@ def arrow_from_dense(A, d: int) -> ArrowTridiagonal:
     return ArrowTridiagonal(np.diagonal(T).real, np.diagonal(T, 1).real, A[:core, core:].T, corner)
 
 
-def hat_pencil_eigh(stiffness: ArrowTridiagonal, mass: ArrowTridiagonal):
+def hat_pencil_eigh(K: ArrowTridiagonal, M: ArrowTridiagonal):
     """Dense scipy.linalg.eigh of the hat blocks (T_K, T_M): theta ascending and Z with Z^T T_M Z = I."""
-    T_K, T_M = (np.diag(p.diag) + np.diag(p.off, 1) + np.diag(p.off, -1) for p in (stiffness, mass))
+    T_K, T_M = (np.diag(p.diag) + np.diag(p.off, 1) + np.diag(p.off, -1) for p in (K, M))
     return scipy.linalg.eigh(T_K, T_M)

@@ -477,6 +477,31 @@ class TestExitCodeMapping:
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
         assert blocker.read_text() == ""
 
+    def test_an_artifact_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        # a traceback and exit 1 before, which the README keeps for a threshold miss
+        out = tmp_path / "out"
+        (out / "spectrum.json").mkdir(parents=True)
+        assert run_cli("spectrum", "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out / 'spectrum.json'}: ")
+        assert (out / "timings.json").is_file()
+
+    def test_a_timings_file_that_cannot_be_written_leaves_a_stage_failure_at_exit_3(self, tmp_path, capsys):
+        cfg = cli._default_config_dict("sector")
+        cfg["geometry"]["outer_radius_R"] = 1e200
+        cfg["outputs_dir"] = str(tmp_path / "out")
+        (tmp_path / "out" / "timings.json").mkdir(parents=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("example53", "--config", path) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure in stage 'spectrum': the mode pencil on (0, 1e+200] has an entry that is not finite"
+        ]
+        # with every stage done, the timings.json write is the failure
+        assert run_cli("indicial", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {tmp_path / 'out' / 'timings.json'}: ")
+
 
 SUBCOMMANDS = (
     "indicial",

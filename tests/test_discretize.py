@@ -32,7 +32,7 @@ from conespectra.discretize import (
 from conespectra.model import ClosedLink, ConeModelOperator, ExtensionDomain, SectorLink
 from conespectra.spectral import embedding_singular_values
 
-from _reference import arrow_from_dense
+from _reference import arrow_from_dense, dense
 
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0
@@ -158,7 +158,7 @@ class TestPencilAssembly:
         assert pen.basis_labels[0] == "hat_2"
         assert pen.basis_labels[n_hats - 1] == f"hat_{grid.count - 1}"
         assert pen.basis_labels[-1].startswith("enrichment")
-        assert pen.K.shape == pen.M.shape == (pen.size, pen.size)
+        assert dense(pen.K).shape == dense(pen.M).shape == (pen.size, pen.size)
 
     def test_friedrichs_pencil_has_no_enrichment(self, grid):
         pen = assemble_mode_pencil(CLOSED, 0, grid, None)
@@ -168,16 +168,18 @@ class TestPencilAssembly:
 
     def test_matrices_are_frozen(self, grid):
         pen = assemble_mode_pencil(CLOSED, 0, grid, ExtensionDomain.line([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            pen.K[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            pen.M[0, 0] = 1.0
+        for part in (pen.K, pen.M):
+            for array in (part.diag, part.off, part.border, part.corner):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
 
     def test_mass_is_hermitian_positive_definite(self, grid):
         for model, k, ab in ((CLOSED, 0, (1.0, 1.0)), (SECTOR, 1, (1.0, 1.0j))):
             pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line(list(ab)))
-            assert np.max(np.abs(pen.M - pen.M.conj().T)) <= 1e-13 * np.max(np.abs(pen.M))
-            w = np.linalg.eigvalsh(pen.M)
+            M = dense(pen.M)
+            assert np.max(np.abs(M - M.conj().T)) <= 1e-13 * np.max(np.abs(M))
+            w = np.linalg.eigvalsh(M)
             assert w.min() > 0.0
 
     @pytest.mark.parametrize("model,k,ab", [
@@ -188,14 +190,16 @@ class TestPencilAssembly:
     ])
     def test_stiffness_hermitian_for_real_extension(self, grid, model, k, ab):
         pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line(list(ab)))
-        scale = np.max(np.abs(pen.K))
-        assert np.max(np.abs(pen.K - pen.K.conj().T)) <= 1e-10 * scale
+        K = dense(pen.K)
+        scale = np.max(np.abs(K))
+        assert np.max(np.abs(K - K.conj().T)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("model,k", [(CLOSED, 0), (SECTOR, 1)])
     def test_stiffness_skew_part_for_complex_extension(self, grid, model, k):
         pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line([1.0, 1.0j]))
-        scale = np.max(np.abs(pen.K))
-        skew = np.max(np.abs(pen.K - pen.K.conj().T))
+        K = dense(pen.K)
+        scale = np.max(np.abs(K))
+        skew = np.max(np.abs(K - K.conj().T))
         assert skew >= 1e-3 * scale
 
     @pytest.mark.parametrize("model,k,ab,nu", [
@@ -221,8 +225,8 @@ class TestPencilAssembly:
         kw = dict(limit=400, epsabs=1e-14, epsrel=1e-13)
         ref = quad(integrand, 0.0, 0.25, points=[grid.nodes[0]], **kw)[0]
         ref += quad(integrand, 0.25, 0.5, **kw)[0]
-        assert pen.M[-1, -1].real == pytest.approx(ref, rel=1e-10)
-        assert abs(pen.M[-1, -1].imag) <= 1e-13 * abs(ref)
+        assert dense(pen.M)[-1, -1].real == pytest.approx(ref, rel=1e-10)
+        assert abs(dense(pen.M)[-1, -1].imag) <= 1e-13 * abs(ref)
 
     def test_hat_enrichment_mass_matches_quadrature(self, grid):
         # spot-check one coupling row entry against direct quadrature
@@ -244,11 +248,12 @@ class TestPencilAssembly:
             return hat(x) * w * (a + b * math.log(x)) * x
 
         ref = quad_complex(integrand, xl, xr, points=[xm], limit=200)
-        assert pen.M[i, -1] == pytest.approx(ref, rel=1e-9)
+        assert dense(pen.M)[i, -1] == pytest.approx(ref, rel=1e-9)
 
     def test_coupling_row_is_conjugate_column(self, grid):
         pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
-        assert np.array_equal(pen.K[-1, :-1], pen.K[:-1, -1].conj())
+        K = dense(pen.K)
+        assert np.array_equal(K[-1, :-1], K[:-1, -1].conj())
 
     def test_preconditions(self, grid):
         for gamma in (0.0, -1.0 + 1e-13):  # the formulas hold at weight_gamma = -1 exactly
@@ -275,13 +280,22 @@ class TestPencilAssembly:
 class TestArrowTridiagonal:
     def test_minimal_pencil_has_no_border(self, grid):
         minimal = assemble_mode_pencil(CLOSED, 0, grid, None)
-        assert len(minimal.stiffness.corner) == 0 and minimal.K.shape == (minimal.size, minimal.size)
+        assert len(minimal.K.corner) == 0 and dense(minimal.K).shape == (minimal.size, minimal.size)
+
+    # the default example53 pencil (sector 3 pi / 2, line [1 : 0], N_h = 400), and N_h = 100
+    @pytest.mark.parametrize("N_h, nbytes", [(400, 25_488), (100, 6_288)])
+    def test_nbytes_counts_the_four_parts(self, N_h, nbytes):
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, N_h, 0.9), ExtensionDomain.line([1.0, 0.0]))
+        for part in (pen.K, pen.M):
+            assert part.nbytes == sum(array.nbytes for array in (part.diag, part.off, part.border, part.corner))
+        assert pen.K.nbytes + pen.M.nbytes == nbytes
 
     def test_product_matches_the_dense_view(self, grid):
         pen = assemble_mode_pencil(CLOSED, 0, grid, ExtensionDomain.line([0.5, 2.0 - 1.0j]))
         rng = np.random.default_rng(3)
         V = rng.normal(size=(pen.size, 5)) + 1j * rng.normal(size=(pen.size, 5))
-        for part, A in ((pen.stiffness, pen.K), (pen.mass, pen.M)):
+        for part in (pen.K, pen.M):
+            A = dense(part)
             scale = np.linalg.norm(A) * np.linalg.norm(V)
             assert np.linalg.norm(part.dot(V) - A @ V) <= 1e-15 * scale
             assert np.linalg.norm(part.dot(V[:, 0]) - A @ V[:, 0]) <= 1e-15 * scale
@@ -292,7 +306,7 @@ class TestArrowTridiagonal:
         n = pen.size
         for X in (np.ones(2 * n), np.ones(n - 1), np.ones((2 * n, 3)), np.ones((n, 2, 2)), np.ones(())):
             with pytest.raises(ValueError, match=f"n = {n}"):
-                pen.mass.dot(X)
+                pen.M.dot(X)
 
     def test_rejects_what_is_not_an_arrow(self):
         with pytest.raises(ValueError):
@@ -302,11 +316,11 @@ class TestArrowTridiagonal:
 
     def test_pencil_needs_a_hermitian_mass(self, grid):
         pen = assemble_mode_pencil(SECTOR, 1, grid, ExtensionDomain.line([1.0, 1.0j]))
-        M = pen.mass
+        M = pen.M
         with pytest.raises(ValueError, match="Hermitian"):
             DiscreteOperatorPencil(
-                stiffness=pen.stiffness,
-                mass=ArrowTridiagonal(M.diag, M.off, M.border, M.corner + 1e-3j),
+                K=pen.K,
+                M=ArrowTridiagonal(M.diag, M.off, M.border, M.corner + 1e-3j),
                 basis_labels=pen.basis_labels,
                 nu=pen.nu,
                 outer_radius_R=pen.outer_radius_R,
@@ -448,9 +462,9 @@ class TestBatchedAssemblyIsBitIdentical:
         domain = None if ab is None else ExtensionDomain.line(list(ab))
         pen = assemble_mode_pencil(model, k, grid, domain)
         K, M = loop_assembly(grid.nodes, pen.nu, 1.0, pen.enrichment_coeffs)
-        assert np.array_equal(pen.K, K) and np.array_equal(pen.M, M)
+        assert np.array_equal(dense(pen.K), K) and np.array_equal(dense(pen.M), M)
         # signed zeros too: pencil.bin stores the bits
-        assert pen.K.tobytes() == K.tobytes() and pen.M.tobytes() == M.tobytes()
+        assert dense(pen.K).tobytes() == K.tobytes() and dense(pen.M).tobytes() == M.tobytes()
 
 
 def reference_border(nodes, nu, R, ab, n_sub=64):
@@ -495,7 +509,7 @@ class TestBorderQuadrature:
         grid = RadialGrid.geometric(1.0, N_h, 0.9)
         pen = assemble_mode_pencil(model, k, grid, ExtensionDomain.line(list(ab)))
         k_border, m_border, mee = reference_border(grid.nodes, pen.nu, 1.0, pen.enrichment_coeffs)
-        for got, want in ((pen.stiffness.border[0], k_border), (pen.mass.border[0], m_border), (pen.mass.corner, mee)):
+        for got, want in ((pen.K.border[0], k_border), (pen.M.border[0], m_border), (pen.M.corner, mee)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -531,7 +545,7 @@ class TestSubcellEdges:
         pen = assemble_mode_pencil(model, k, RadialGrid(nodes=WIDE_TIP_NODES), ExtensionDomain.line([1.0, 1.0j]))
         k_border, _, _ = reference_border(WIDE_TIP_NODES, pen.nu, 1.0, pen.enrichment_coeffs)
         zero = np.flatnonzero(WIDE_TIP_NODES[2:] <= 0.25)
-        got = pen.stiffness.border[0][zero]
+        got = pen.K.border[0][zero]
         assert np.max(np.abs(got - k_border[zero])) <= 1e-14 * np.max(np.abs(k_border))
         assert np.max(np.abs(got)) <= 1e-14 * np.max(np.abs(k_border))
 
@@ -540,7 +554,7 @@ class TestEmbeddingGrams:
     def test_shapes_and_definiteness(self):
         bands = assemble_embedding_grams(64)
         assert all(g.size == 65 and g.border.shape == (0, 65) and len(g.corner) == 0 for g in bands)
-        gh, gl = (g.dense() for g in bands)
+        gh, gl = (dense(g) for g in bands)
         assert gh.shape == gl.shape == (65, 65)
         assert not gh.imag.any() and not gl.imag.any()
         assert np.allclose(gh, gh.T) and np.allclose(gl, gl.T)
@@ -550,8 +564,8 @@ class TestEmbeddingGrams:
     @pytest.mark.parametrize("N_h", [64, 100, 400])
     def test_band_reduction_matches_the_dense_generalized_eigensolve(self, N_h):
         gh, gl = assemble_embedding_grams(N_h)
-        dense = scipy.linalg.eigh(gl.dense().real, gh.dense().real, eigvals_only=True)
-        reference = np.sqrt(np.clip(dense, 0.0, None))[::-1]
+        eigenvalues = scipy.linalg.eigh(dense(gl).real, dense(gh).real, eigvals_only=True)
+        reference = np.sqrt(np.clip(eigenvalues, 0.0, None))[::-1]
         sv = embedding_singular_values(gh, gl)
         assert sv.shape == (N_h + 1,)
         np.testing.assert_allclose(sv[:40], reference[:40], rtol=1e-12, atol=0)
@@ -569,7 +583,7 @@ class TestEmbeddingGrams:
         with pytest.raises(ValueError, match="borderless"):
             embedding_singular_values(gh, assemble_embedding_grams(65)[1])
         with pytest.raises(ValueError, match="borderless"):
-            embedding_singular_values(gh, arrow_from_dense(gl.dense(), 1))
+            embedding_singular_values(gh, arrow_from_dense(dense(gl), 1))
 
     def test_singular_values_bounded_and_sorted(self):
         gh, gl = assemble_embedding_grams(100)
@@ -593,7 +607,7 @@ class TestEmbeddingGrams:
         # e^{2t} (u v + (u + u')(v + v')), the H^1 form of e^t u against e^t v
         N_h = 64
         h = EMBED_T_MAX / N_h
-        gh, gl = (g.dense().real for g in assemble_embedding_grams(N_h))
+        gh, gl = (dense(g).real for g in assemble_embedding_grams(N_h))
         ends = np.r_[2.0, np.full(N_h - 1, 4.0), 2.0]
         mass = h / 6.0 * (np.diag(ends) + np.eye(N_h + 1, k=1) + np.eye(N_h + 1, k=-1))
         assert np.allclose(gl, mass, rtol=1e-13, atol=0)
@@ -631,8 +645,8 @@ class TestPersistence:
         path = tmp_path / "pencil.bin"
         export_pencil(pen, path)
         back = load_pencil(path)
-        assert np.array_equal(back.K, pen.K)
-        assert np.array_equal(back.M, pen.M)
+        assert np.array_equal(dense(back.K), dense(pen.K))
+        assert np.array_equal(dense(back.M), dense(pen.M))
         assert back.basis_labels == pen.basis_labels
         assert back.nu == pen.nu
         assert back.outer_radius_R == pen.outer_radius_R
@@ -714,6 +728,20 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_pencil(path)
 
+    @pytest.mark.parametrize("array, value", [("k_diag", math.nan), ("k_diag", math.inf), ("k_border", math.nan)])
+    def test_load_rejects_a_part_that_is_not_finite(self, tmp_path, array, value):
+        # solve_pencil would fail on it with LAPACK's "Internal Error"
+        path = self._exported(tmp_path)
+        data = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<Q", data[:8])
+        core = json.loads(data[8 : 8 + hlen])["n"] - 1
+        # the first real value of k_diag, or of k_border after the 4 core - 2 hat-block floats
+        offset = 8 + hlen + (0 if array == "k_diag" else 8 * (4 * core - 2))
+        data[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"pencil array {array} "):
+            load_pencil(path)
+
     def test_load_rejects_a_version_1_file(self, tmp_path):
         # the dense layout that version 1 wrote: header, then K and M row-major
         grid = RadialGrid.geometric(1.0, 32, 0.9)
@@ -732,7 +760,7 @@ class TestPersistence:
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         path = tmp_path / "pencil.bin"
-        path.write_bytes(struct.pack("<Q", len(blob)) + blob + pen.K.tobytes() + pen.M.tobytes())
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + dense(pen.K).tobytes() + dense(pen.M).tobytes())
         with pytest.raises(ValueError):
             load_pencil(path)
 
@@ -747,7 +775,8 @@ class TestPersistence:
         assert path.stat().st_size == 8 + hlen + 8 * (4 * core - 2) + 16 * (2 * core + 2)
         assert path.stat().st_size < 40_000
         back = load_pencil(path)
-        assert back.K.tobytes() == pen.K.tobytes() and back.M.tobytes() == pen.M.tobytes()
+        for got, want in ((back.K, pen.K), (back.M, pen.M)):
+            assert dense(got).tobytes() == dense(want).tobytes()
 
     def test_round_trip_of_the_minimal_pencil(self, tmp_path):
         pen = assemble_mode_pencil(CLOSED, 0, RadialGrid.geometric(1.0, 32, 0.9), None)
@@ -755,7 +784,8 @@ class TestPersistence:
         export_pencil(pen, path)
         back = load_pencil(path)
         assert back.size == pen.size and back.enrichment_coeffs is None
-        assert back.K.tobytes() == pen.K.tobytes() and back.M.tobytes() == pen.M.tobytes()
+        for got, want in ((back.K, pen.K), (back.M, pen.M)):
+            assert dense(got).tobytes() == dense(want).tobytes()
 
     def test_load_rejects_trailing_data(self, tmp_path):
         path = self._exported(tmp_path)

@@ -15,9 +15,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "conespectra"
 ALLOWED = {
     # the README's reader of the pencil.bin artifact that export_pencil writes
     "load_pencil",
-    # dense views of a pencil's parts, with which the benchmark's tracer sizes a solve
-    "K",
-    "M",
+    # the bytes of a pencil's parts, with which the benchmark's tracer sizes a solve
+    "nbytes",
 }
 
 
