@@ -250,16 +250,6 @@ def _config_from_args(args) -> ExperimentConfig:
 # artifact helpers
 
 
-# the writer's guard: the stages hand over Python numbers, and a complex or
-# numpy one that slips into a payload is still written as plain JSON
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return complex_to_pair(obj)
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()  # Python numbers, lists of them for an array
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 @contextlib.contextmanager
 def _writing(path: Path):
     """Report an artifact that cannot be written as a config error naming it."""
@@ -271,7 +261,7 @@ def _writing(path: Path):
 
 def _write_json(path: Path, payload: dict) -> None:
     with _writing(path):
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt_cell(v) -> str:
@@ -653,7 +643,7 @@ def _embedding_fit_range(run: Run) -> None:
         )
 
 
-def _dense_reduction_fits(run: Run) -> None:
+def _dense_arrays_fit(run: Run) -> None:
     # the pencil is a band, but its solve holds dense float64 arrays of about (N_h - 1)-square:
     # the hat block's eigenvectors, the banded eigensolve's workspace and the arrowhead; numpy
     # counts an array's bytes in its signed index type.  embed forms no dense block, but keeps
@@ -769,7 +759,7 @@ STAGES = (
         ),
         lambda p: f"[spectrum] max relative error vs oracle = {p['max_relative_error']:.3e}",
         "spectrum",
-        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _dense_reduction_fits),
+        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _dense_arrays_fit),
         gated=True,
     ),
     Stage(
@@ -817,7 +807,7 @@ STAGES = (
             f"singular value decay exponent q = {p['decay_exponent_q']:.4f}, "
             f"implied p = {p['implied_p']:.4f}"
         ),
-        scope=(_embedding_fit_range, _dense_reduction_fits),
+        scope=(_embedding_fit_range, _dense_arrays_fit),
         gated=True,
     ),
 )

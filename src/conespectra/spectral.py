@@ -28,10 +28,10 @@ T_M-orthonormal eigenvectors W = L_T^{-T} U, and turns C in the basis
 diag(U, 1) into the arrowhead [[diag(theta), z], [z^H, eta + i tau]]
 (Golub, SIAM Rev. 1973; O'Leary & Stewart, J. Comput. Phys. 1990), with
 z read off W and the mass gate's tridiagonal solve at 0.  Its Hermitian
-part, with the corner made real, has eigenvalues mu (one
-eigenvalue-only call on a real arrowhead) and eigenvectors whose last
-entries w follow from mu in closed form, and the arrowhead minus lambda
-is unitarily similar to diag(mu - lambda) + i tau w w^H.  The
+part, with the corner made real, has eigenvalues mu and eigenvectors
+with last entries w, both read off one eigenvalue-only call on a real
+arrowhead and one pole-cleared Newton step from its roots, and the
+arrowhead minus lambda is unitarily similar to diag(mu - lambda) + i tau w w^H.  The
 eigenvalues of C are therefore the roots of the secular function
 g(lambda) = 1 + i tau sum_k |w_k|^2 / (mu_k - lambda), found together
 by an Aberth-Ehrlich iteration (Bini & Robol, J. Comput. Appl. Math.
@@ -90,9 +90,6 @@ _ABERTH_SWEEPS = 200
 _ABERTH_TOL = 4.0
 # eigenvector columns per block of the Rayleigh refinement's products
 _REFINE_BLOCK = 64
-# an eigenvalue of the Hermitian arrowhead this many eps ||B|| from a pole
-# takes its distance to it from a Newton step, not from the subtraction
-_NEAR_POLE = 1024.0
 
 
 class IllConditionedMass(RuntimeError):
@@ -403,9 +400,10 @@ def _nearest_pole_step(t: np.ndarray, moduli2: np.ndarray, corner, x: np.ndarray
     pole nearest to x, which stays smooth where f has its pole, so that
     a root far closer to t_j than x is still reached (as in
     `_mass_extremes`), and it gives the new offset t_j - x as
-    (d^2 r' - moduli2_j) / (d r' - r) with d the old offset and r the sum
-    without pole j, free of the cancellation in t_j - x.  Where that is
-    not finite the old offset stays.  Returns j and the new offsets.
+    (d^2 r' - moduli2_j) / (d r' - r) with d the old offset, r the sum
+    without pole j and r' = -1 - sum_{i != j} moduli2_i / (t_i - x)^2 its
+    slope, free of the cancellation in t_j - x.  Where that is not
+    finite the old offset stays.  Returns j, the new offsets and r'.
     """
     right = np.searchsorted(t, x.real)
     below, above = np.maximum(right - 1, 0), np.minimum(right, len(t) - 1)
@@ -424,7 +422,7 @@ def _nearest_pole_step(t: np.ndarray, moduli2: np.ndarray, corner, x: np.ndarray
         moved = (d * d * slope - moduli2[pick]) / (d * slope - rest)
     taken = np.isfinite(moved)
     d[taken] = moved[taken]
-    return pick, d
+    return pick, d, slope
 
 
 def _arrowhead_eigenvalues(theta: np.ndarray, z: np.ndarray, eta: float, tau: float):
@@ -434,12 +432,14 @@ def _arrowhead_eigenvalues(theta: np.ndarray, z: np.ndarray, eta: float, tau: fl
     Sorensen) is deflated: theta_j is an eigenvalue with eigenvector
     e_j, and B moves by at most |z_j|.  The Hermitian part of B with its
     corner made real has the eigenvalues mu of the real arrowhead
-    [[diag(theta), |z|], [|z|, eta]] (one eigenvalue-only eigensolve) and
-    the squared last entries |w_k|^2 = 1 / (1 + sum_j |z_j|^2 / (mu_k - theta_j)^2)
-    of its eigenvectors, so B is unitarily similar to
-    diag(mu) + i tau w w^H.  Where mu_k is within _NEAR_POLE eps ||B||
-    of its nearest pole, mu_k - theta_j is rounding, and the weight takes
-    that distance from `_nearest_pole_step` instead.  Its eigenvalues are the secular roots of
+    [[diag(theta), |z|], [|z|, eta]] and the squared last entries
+    |w_k|^2 = 1 / (1 + sum_j |z_j|^2 / (mu_k - theta_j)^2) of its
+    eigenvectors, so B is unitarily similar to diag(mu) + i tau w w^H.
+    One eigenvalue-only eigensolve gives its roots, and one
+    `_nearest_pole_step` from them gives both: mu_k = theta_j - offset and
+    |w_k|^2 = 1 / (|z_j|^2 / offset^2 - slope) with theta_j the nearest
+    pole, so no distance to a pole is taken by subtraction (as in LAPACK's
+    dlaed4; Li, LAWN 89, 1994).  Its eigenvalues are the secular roots of
     (mu, |w|^2, tau) (`_rank_one_roots`), each then taken one Newton step
     towards a root of B's own secular function
     f(lambda) = eta + i tau - lambda - sum_j |z_j|^2 / (theta_j - lambda),
@@ -476,17 +476,12 @@ def _arrowhead_eigenvalues(theta: np.ndarray, z: np.ndarray, eta: float, tau: fl
     nu = scipy.linalg.eigvalsh(H, overwrite_a=True, check_finite=False)
     del H
     t, moduli2 = theta[live], modulus[live] ** 2
-    gap = nu[:, np.newaxis] - t
+    nu_weights = np.ones(len(nu))  # with every z_j deflated, nu = eta has weight 1
     if live.size:
-        # next to a pole, nu - theta_j is rounding: take the offset from
-        # the pole-cleared Newton step instead
-        pick, offset = _nearest_pole_step(t, moduli2, eta, nu)
-        rows = np.flatnonzero(np.abs(offset) <= _NEAR_POLE * eps * scale)
-        gap[rows, pick[rows]] = -offset[rows]
-    with np.errstate(divide="ignore", over="ignore"):  # nu_k on a pole: weight 0
-        np.divide(moduli2, np.square(gap, out=gap), out=gap)
-    nu_weights = 1.0 / (1.0 + gap.sum(axis=1))
-    del gap
+        pick, offset, slope = _nearest_pole_step(t, moduli2, eta, nu)
+        nu = t[pick] - offset
+        with np.errstate(divide="ignore", over="ignore"):  # nu_k on a pole: weight 0
+            nu_weights = 1.0 / (moduli2[pick] / offset**2 - slope)
     mu = np.concatenate((theta[flat], nu))
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
@@ -496,7 +491,7 @@ def _arrowhead_eigenvalues(theta: np.ndarray, z: np.ndarray, eta: float, tau: fl
     offset = np.zeros(len(lam), dtype=complex)
     fix = np.flatnonzero(near < 0)
     if live.size:
-        pick, offset[fix] = _nearest_pole_step(t, moduli2, complex(eta, tau), lam[fix])
+        pick, offset[fix], _ = _nearest_pole_step(t, moduli2, complex(eta, tau), lam[fix])
         lam[fix] = t[pick] - offset[fix]
         near[fix] = live[pick]
 
@@ -650,10 +645,10 @@ def solve_pencil(pencil) -> SpectralResult:
     )
 
 
-def _singular_values_below(d, moduli2, weights, tau: float, s: float) -> int:
+def _singular_values_below(d, moduli2, weights, weight_sum: float, tau: float, s: float) -> int:
     """Number of singular values below s > 0 of B = diag(d) + i tau w w^H.
 
-    moduli2 holds |d_k|^2 and weights |w_k|^2.  The count follows from
+    moduli2 holds |d_k|^2, weights |w_k|^2 and weight_sum their sum.  The count follows from
     Haynsworth inertia additivity on the Hermitian dilation
     [[-s, B], [B^H, -s]], which has n + #{sigma_j < s} negative
     eigenvalues, written as a block diagonal plus the rank-two update
@@ -677,7 +672,7 @@ def _singular_values_below(d, moduli2, weights, tau: float, s: float) -> int:
     total = float(alpha.sum())
     shifted = d - d[np.argmin(np.abs(gap))]
     moment = float(alpha @ (shifted.real**2 + shifted.imag**2))
-    det = tau * tau * (total * (moment - float(weights.sum())) - abs(complex(alpha @ shifted)) ** 2)
+    det = tau * tau * (total * (moment - weight_sum) - abs(complex(alpha @ shifted)) ** 2)
     det -= 1.0 + 2.0 * tau * float(alpha @ d.imag)
     negative = 1 if det <= 0.0 else 2 if total > 0.0 else 0
     return int(np.count_nonzero(gap < 0.0)) + negative - 1
@@ -715,10 +710,11 @@ def resolvent_norm(result: SpectralResult, lam: complex) -> float:
     mu, weights, tau = result.rank_one_form
     d = mu - lam
     moduli2 = d.real**2 + d.imag**2
-    spread = abs(tau) * float(weights.sum())
+    weight_sum = float(weights.sum())
+    spread = abs(tau) * weight_sum
 
     def below(s):
-        return _singular_values_below(d, moduli2, weights, tau, s)
+        return _singular_values_below(d, moduli2, weights, weight_sum, tau, s)
 
     bound = math.sqrt(moduli2.max()) + spread
     floor = 1e-13 * bound
@@ -768,6 +764,7 @@ def _cluster_defective(result: SpectralResult, count: int):
     core = len(K.diag)
     lam = result.eigenvalues[:count]
     V = result.eigenvectors[:, :count].copy()
+    unit = V / _column_norms(V)  # a column replaced below is in no later comparison
     used = np.zeros(count, dtype=bool)
     for i in range(count):
         if used[i]:
@@ -779,9 +776,7 @@ def _cluster_defective(result: SpectralResult, count: int):
             scale = max(1.0, abs(lam[i]), abs(lam[j]))
             if abs(lam[i] - lam[j]) > 1e-6 * scale:
                 continue
-            vi = V[:, i] / np.linalg.norm(V[:, i])
-            vj = V[:, j] / np.linalg.norm(V[:, j])
-            if abs(np.vdot(vi, vj)) > math.cos(1e-3):
+            if abs(np.vdot(unit[:, i], unit[:, j])) > math.cos(1e-3):
                 members.append(j)
         if len(members) < 2:
             continue
@@ -835,10 +830,10 @@ def completeness_residual(result: SpectralResult, f, N_list):
         for _ in range(2):
             for q, mq in zip(basis, Mq):
                 v -= q * np.vdot(mq, v)
-        vnorm = math.sqrt(abs(np.vdot(v, M.dot(v))))
+        mv = M.dot(v)
+        vnorm = math.sqrt(abs(np.vdot(v, mv)))
         if vnorm > 1e-8:
-            q = v / vnorm
-            mq = M.dot(q)
+            q, mq = v / vnorm, mv / vnorm
             basis.append(q)
             Mq.append(mq)
             r = r - q * np.vdot(mq, r)

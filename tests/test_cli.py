@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 import conespectra.cli as cli
 import conespectra.grassmann as grassmann
 import conespectra.spectral as spectral
+from conespectra.discretize import ArrowTridiagonal
 from conespectra.spectral import IllConditionedMass
 
 from _reference import invertible
@@ -444,7 +445,7 @@ class TestExitCodeMapping:
         run = cli.Run(cli.ExperimentConfig.from_json_dict(cfg))
         if code == 2:
             with pytest.raises(cli.ConfigError, match="more bytes than one numpy array can hold"):
-                cli._dense_reduction_fits(run)
+                cli._dense_arrays_fit(run)
         else:
             for check in (check for stage in cli._with_needs("spectrum") for check in stage.scope):
                 check(run)
@@ -800,6 +801,20 @@ def sector_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("ex53")
     code = cli.main(["example53", "--out", str(out)])
     return code, out
+
+
+def test_completeness_forms_each_mass_product_once(monkeypatch):
+    # one product for f's norm, one per basis vector and one per residual: 89 when each
+    # basis vector's M-norm and its normalized direction took a product each
+    cfg = cli.ExperimentConfig.from_json_dict(cli._default_config_dict("sector"))
+    pencil, _, grid = cli._build_pencil(cfg)
+    result = spectral.solve_pencil(pencil)
+    f = cli._bump_vector(pencil, grid)
+    calls = []
+    dot = ArrowTridiagonal.dot
+    monkeypatch.setattr(ArrowTridiagonal, "dot", lambda self, x: calls.append(x.shape) or dot(self, x))
+    spectral.completeness_residual(result, f, list(cli.RESIDUAL_COUNTS))
+    assert len(calls) == 1 + max(cli.RESIDUAL_COUNTS) + len(cli.RESIDUAL_COUNTS) == 49
 
 
 class TestFullPipelines:

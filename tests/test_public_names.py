@@ -2,9 +2,11 @@
 
 The package holds the pipeline and nothing else: a name a module lists in
 its __all__, and a public method or property of a class so listed, must
-be referenced somewhere in src/ outside its own definition.  Test
-references live in the tests (see _reference.py).  The check reads the
-source with ast and imports nothing.
+be referenced somewhere in src/ outside its own definition, and a
+private name a module binds at its top level must be read somewhere in
+src/, so that no helper or constant outlives its last use.  Test
+references live in the tests (see _reference.py).  The checks read the
+source with ast and import nothing.
 """
 
 import ast
@@ -81,3 +83,36 @@ def test_every_public_name_has_a_caller_in_src():
 
 def test_allowed_names_are_public():
     assert ALLOWED <= {name for _, name, _ in _public(_modules())}
+
+
+def _private(modules):
+    """(label, name) of every private name bound at a module's top level: a def, a class, an assignment or an import."""
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                names = [n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)]
+            private = (name for name in names if name.startswith("_") and not name.startswith("__"))
+            yield from ((f"{module}:{name}", name) for name in private)
+
+
+def _private_references(modules):
+    """Every name read: a Name load, an attribute, or a name an import takes from another module."""
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.ImportFrom):
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_has_a_reference_in_src():
+    modules = _modules()
+    referenced = set(_private_references(modules))
+    assert [label for label, name in _private(modules) if name not in referenced] == []

@@ -285,12 +285,12 @@ class TestResolventNorm:
             w /= np.linalg.norm(w)
             tau = rng.normal() * rng.choice([0.0, 1.0, 10.0])
             sigma = np.linalg.svd(np.diag(d) + 1j * tau * np.outer(w, w.conj()), compute_uv=False)
-            moduli2 = d.real**2 + d.imag**2
+            moduli2, weights = d.real**2 + d.imag**2, np.abs(w) ** 2
             for s in np.concatenate((np.sqrt(moduli2), rng.uniform(0.01, 3.0, 4))):
                 if np.min(np.abs(sigma - s)) < 1e-9:
                     continue
                 with np.errstate(all="raise"):
-                    count = spectral._singular_values_below(d, moduli2, np.abs(w) ** 2, tau, s)
+                    count = spectral._singular_values_below(d, moduli2, weights, float(weights.sum()), tau, s)
                 assert count == np.count_nonzero(sigma < s)
 
     def test_one_hermitian_eigensolve_per_probed_result(self, monkeypatch):
@@ -647,6 +647,48 @@ class TestRankOneSolve:
             assert np.allclose(mu, values, rtol=0.0, atol=1e-14 * scale)
             live = weights > 1e-20
             assert np.allclose(weights[live], np.abs(vectors[-1, live]) ** 2, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_h", [40, 60])
+    @pytest.mark.parametrize("pair", [(1.0, 1j), (0.3 - 0.2j, -0.7 + 1.1j)])
+    def test_rank_one_form_agrees_with_40_digit_mpmath(self, pair, n_h):
+        # worst 4.7e-12 for mu and 8.5e-13 for |w|^2, against 4.0e-11 and 6.1e-12
+        # when the weights took their pole distances by subtraction
+        mp = pytest.importorskip("mpmath").mp
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, n_h, 0.9), ExtensionDomain.line(pair))
+        theta, _, (z, eta, _, _, _) = spectral._to_arrowhead(pen.K, pen.M, spectral._mass_extremes(pen.M)[2])
+        mu, weights, _ = solve_pencil(pen).rank_one_form
+        with mp.workdps(40):
+            n = len(theta)
+            H = mp.matrix(n + 1, n + 1)
+            for j in range(n):
+                H[j, j] = theta[j]
+                H[j, n] = H[n, j] = abs(z[j])
+            H[n, n] = eta
+            roots = sorted(mp.eigsy(H, eigvals_only=True))
+            moduli2 = [mp.mpf(abs(zj)) ** 2 for zj in z]
+            ref_weights = [1 / (1 + sum(m / (r - t) ** 2 for m, t in zip(moduli2, theta))) for r in roots]
+            ref_mu, ref_weights = (np.array([float(v) for v in vs]) for vs in (roots, ref_weights))
+        assert np.max(np.abs(mu - ref_mu) / np.abs(ref_mu)) <= 1.5e-11
+        assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 2.5e-12
+
+    def test_random_arrowheads_match_dense_eigenvalues(self):
+        # poles in +-s for s up to 1e8 and border moduli from 1e-16 to 1 times
+        # the largest pole: roots at every distance from their poles; worst 1.5e-14
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            n = int(rng.integers(3, 61))
+            s = 10.0 ** rng.uniform(0.0, 8.0)
+            theta = np.sort(rng.uniform(-s, s, n))
+            z = np.max(np.abs(theta)) * 10.0 ** rng.uniform(-16.0, 0.0, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+            eta, tau = rng.uniform(-s, s), rng.normal() * s * 10.0 ** rng.uniform(-8.0, 0.0)
+            B = np.diag(np.append(theta, eta + 1j * tau)).astype(complex)
+            B[:-1, -1] = z
+            B[-1, :-1] = z.conj()
+            lam = spectral._arrowhead_eigenvalues(theta, z, eta, tau)[0]
+            ref = scipy.linalg.eigvals(B)
+            scale = np.linalg.norm(B, 2)
+            assert np.max(np.min(np.abs(lam[:, np.newaxis] - ref), axis=1)) <= 1e-13 * scale
+            assert np.max(np.min(np.abs(ref[:, np.newaxis] - lam), axis=1)) <= 1e-13 * scale
 
     def test_runs_without_numpy_2_vector_functions(self, monkeypatch):
         # the package declares numpy>=1.24, which has none of these
@@ -1191,6 +1233,25 @@ class TestOracleInternals:
         # with no room to move, the first Newton step takes some start out of its radius
         monkeypatch.setattr(spectral, "_newton_polish", lambda F, z0, scale: real(F, z0, 0.0))
         assert spectral._disk_roots(0.0, 1.0, 0.0, rho, [], m)[0] is None
+
+    def test_a_rejected_circle_is_retried_halfway_back(self, monkeypatch):
+        reference = oracle_eigenvalues(2.0 / 3.0, 1.0, 1j, 1.0, 5)
+        polish, disk = spectral._newton_polish, spectral._disk_roots
+        radii = []
+
+        def fail_first(*args):
+            return None if len(radii) == 1 else polish(*args)
+
+        def record(nu, a, b, rho, *rest):
+            radii.append(rho)
+            return disk(nu, a, b, rho, *rest)
+
+        monkeypatch.setattr(spectral, "_newton_polish", fail_first)
+        monkeypatch.setattr(spectral, "_disk_roots", record)
+        got = oracle_eigenvalues(2.0 / 3.0, 1.0, 1j, 1.0, 5)
+        # sqrt(rho) = 6 pi is rejected, 3 pi passes with too few roots, and 11 pi holds the rest
+        assert radii == [(6.0 * math.pi) ** 2, (3.0 * math.pi) ** 2, (11.0 * math.pi) ** 2]
+        assert np.max(np.abs(got - reference) / np.abs(reference)) <= 1e-14
 
     @pytest.mark.parametrize("nu", [0.0, 2.0 / 3.0])
     @pytest.mark.parametrize("rho", [100.0, 1500.0], ids=["inner", "outer"])
