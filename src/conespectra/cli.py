@@ -260,8 +260,10 @@ def _writing(path: Path):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write the payload, stamped with the schema version, as sorted-key JSON."""
     with _writing(path):
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        stamped = {"schema_version": SCHEMA_VERSION, **payload}
+        path.write_text(json.dumps(stamped, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt_cell(v) -> str:
@@ -353,8 +355,9 @@ class Run:
 class Record:
     """What one stage computed.
 
-    payload is the stage's JSON artifact and its report.json entry
-    (summary replaces it there when set); tables are CSV files by name;
+    payload is the stage's JSON artifact and its report.json entry, both
+    stamped with the schema version when written (summary replaces the
+    entry, unstamped, when set); tables are CSV files by name;
     pencil, when set, is dumped to pencil.bin.  The remaining fields
     carry values to later stages and are never written.
     """
@@ -373,7 +376,6 @@ def _indicial(run: Run) -> Record:
     strip = critical_strip(model)
     basis = singular_basis(model)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "critical_strip": list(strip),
         "boundary_spectrum": [r.to_json_dict() for r in boundary_spectrum(model)],
         "singular_basis": [sf.to_json_dict() for sf in basis],
@@ -412,7 +414,6 @@ def _flow(run: Run) -> Record:
     if not basis:
         return Record(
             {
-                "schema_version": SCHEMA_VERSION,
                 "note": "D_min = D_max: the domain quotient is trivial, no flow to run",
                 "ok": True,
             }
@@ -424,7 +425,6 @@ def _flow(run: Run) -> Record:
     # relative to the closed form, floored at the smallest normal double
     deviation = max(abs(d - e) / max(e, sys.float_info.min) for (_, d), e in zip(rows, exact))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "mode_k": mode_k,
         "nu": nu,
         "limits": [_column(limit)],
@@ -443,7 +443,6 @@ def _normal_check(run: Run) -> Record:
     if strip_mode(cfg.model) is None:
         return Record(
             {
-                "schema_version": SCHEMA_VERSION,
                 "note": "D_min = D_max: no extension quotient to certify",
                 "verdicts": [],
                 "ok": True,
@@ -452,7 +451,6 @@ def _normal_check(run: Run) -> Record:
     lines = [run.records["flow"].result, cfg.line]
     verdicts = tuple(ray_minimal_growth_normal(cfg.model, ray, lines) for ray in cfg.rays)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "verdicts": [v.to_json_dict() for v in verdicts],
         "ok": all(v.verdict == "Minimal" for v in verdicts),
     }
@@ -482,7 +480,6 @@ def _spectrum(run: Run) -> Record:
     errors = _paired_errors(computed, oracle)
     max_err = float(max(errors))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "mode_k": mode_k,
         "nu": pencil.nu,
         "enriched": pencil.enrichment_coeffs is not None,
@@ -519,7 +516,6 @@ def _resolvent(run: Run) -> Record:
         verdicts.append(verdict)
         rows.extend((r, ray.angle_theta, nrm, r * nrm) for r, nrm in zip(radii, norms))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "trust_limit": spec.result.trust_limit,
         "radii": radii,
         "slope_window": list(SLOPE_WINDOW),
@@ -541,7 +537,6 @@ def _complete(run: Run) -> Record:
         for n0, n1 in zip(RESIDUAL_COUNTS, RESIDUAL_COUNTS[1:])
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "residuals": [[int(n), float(r)] for n, r in pairs],
         "decay_ratio_40_over_5": float(ratio),
         "nonincreasing": bool(nonincreasing),
@@ -558,7 +553,6 @@ def _certify(run: Run) -> Record:
     model = run.cfg.model
     cert = completeness_certificate(model.dim_n, model.order_m, verdicts)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "certificate": cert.to_json_dict(),
         "ok": bool(cert.complete),
     }
@@ -571,7 +565,6 @@ def _embed(run: Run) -> Record:
     q, implied_p = schatten_fit(sv, EMBED_FIT_RANGE)
     ok = EMBED_P_WINDOW[0] <= implied_p <= EMBED_P_WINDOW[1]
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "t_max": EMBED_T_MAX,
         "N_h": cfg.N_h,
         "decay_exponent_q": float(q),
@@ -867,7 +860,7 @@ def _run_stages(run: Run, stages, echo: bool = False) -> dict:
                 print(stage.line(record.payload))
         done = True
     finally:
-        payload = {"schema_version": SCHEMA_VERSION, "stages": timings, **_provenance(run.cfg)}
+        payload = {"stages": timings, **_provenance(run.cfg)}
         try:
             _write_json(out / "timings.json", payload)
         except ConfigError:
@@ -917,12 +910,11 @@ def _run_example(cfg: ExperimentConfig, args) -> int:
         stages = [stage for stage in STAGES if stage.report is not None]
     records = _run_stages(Run(cfg), stages, echo=True)
     entries = {
-        STAGE[name].report: rec.payload if rec.summary is None else rec.summary
+        STAGE[name].report: rec.summary or {"schema_version": SCHEMA_VERSION, **rec.payload}
         for name, rec in records.items()
     }
     passed = all(entry["ok"] for entry in entries.values())
     report = {
-        "schema_version": SCHEMA_VERSION,
         "example": args.command,
         "config": cfg.to_json_dict(),
         "stages": entries,

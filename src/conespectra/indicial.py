@@ -65,20 +65,17 @@ class SingularFunction:
         }
 
 
-def _fmt_number(e: complex) -> str:
-    if e.imag == 0.0:
-        return f"{e.real:.6g}"
-    return f"({e.real:.6g}{e.imag:+.6g}i)"
-
-
 def _describe(mode_k: int, e: complex, p: int) -> str:
+    """ω(x)·φ_k(θ)·x^e·log x, without the power for e = 0 and the log for p = 0.
+
+    With m = 2 every strip root is ±i nu or the double root 0, so e = i sigma
+    is real and p <= 1.
+    """
     parts = ["ω(x)", f"φ_{mode_k}(θ)"]
     if e != 0:
-        parts.append(f"x^{_fmt_number(e)}")
-    if p == 1:
+        parts.append(f"x^{e.real:.6g}")
+    if p:
         parts.append("log x")
-    elif p > 1:
-        parts.append(f"(log x)^{p}")
     return "·".join(parts)
 
 

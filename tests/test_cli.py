@@ -31,7 +31,7 @@ import conespectra.spectral as spectral
 from conespectra.discretize import ArrowTridiagonal
 from conespectra.spectral import IllConditionedMass
 
-from _reference import invertible
+from _reference import dense, invertible
 
 
 def run_cli(*argv):
@@ -94,6 +94,23 @@ class TestConfigErrors:
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert run_cli("indicial", "--config", tmp_path / "absent.json") == 2
+
+    @pytest.mark.parametrize(
+        "edit, flags, message",
+        [
+            (lambda cfg: [1, 2], (), "config must be a JSON object"),
+            (lambda cfg: {**cfg, "rays": []}, (), "at least one ray is required"),
+            # the flag merges into the file's a, which is read before the config is
+            (lambda cfg: {**cfg, "extension": {"a": "x"}}, ("--a", 1), "extension.a must be a number, got 'x'"),
+        ],
+        ids=["list", "no-rays", "flag-over-a"],
+    )
+    def test_a_config_the_parser_rejects_exits_2(self, edit, flags, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(edit(sector_config_dict(tmp_path / "out"))))
+        assert run_cli("indicial", "--config", path, *flags) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_tiny_grid_exits_2(self, tmp_path, capsys):
         assert run_cli("spectrum", "--nh", 8, "--out", tmp_path) == 2
@@ -688,6 +705,13 @@ class TestStandaloneStages:
         assert rows[0] == "rho,distance"
         assert len(rows) == 65
 
+    def test_flow_on_a_trivial_quotient_writes_its_note(self, tmp_path, capsys):
+        note = "D_min = D_max: the domain quotient is trivial, no flow to run"
+        assert run_cli("flow", "--alpha", 2, "--out", tmp_path) == 0
+        assert capsys.readouterr().out == note + "\n"
+        assert read_json(tmp_path / "flow.json") == {"note": note, "ok": True, "schema_version": cli.SCHEMA_VERSION}
+        assert not (tmp_path / "flow.csv").exists()
+
     @pytest.mark.parametrize(
         "kind, a, b",
         [
@@ -804,8 +828,8 @@ def sector_run(tmp_path_factory):
 
 
 def test_completeness_forms_each_mass_product_once(monkeypatch):
-    # one product for f's norm, one per basis vector and one per residual: 89 when each
-    # basis vector's M-norm and its normalized direction took a product each
+    # M f, one M V per Cholesky QR pass and one for all the defects: 49 when each basis
+    # vector and each defect took a product of its own
     cfg = cli.ExperimentConfig.from_json_dict(cli._default_config_dict("sector"))
     pencil, _, grid = cli._build_pencil(cfg)
     result = spectral.solve_pencil(pencil)
@@ -814,7 +838,35 @@ def test_completeness_forms_each_mass_product_once(monkeypatch):
     dot = ArrowTridiagonal.dot
     monkeypatch.setattr(ArrowTridiagonal, "dot", lambda self, x: calls.append(x.shape) or dot(self, x))
     spectral.completeness_residual(result, f, list(cli.RESIDUAL_COUNTS))
-    assert len(calls) == 1 + max(cli.RESIDUAL_COUNTS) + len(cli.RESIDUAL_COUNTS) == 49
+    assert len(calls) == 4
+    assert calls[1:] == [(pencil.size, max(cli.RESIDUAL_COUNTS))] * 2 + [(pencil.size, len(cli.RESIDUAL_COUNTS))]
+
+
+def test_completeness_residuals_match_an_extended_precision_gram_schmidt():
+    # the same columns, made M-orthonormal one at a time by two-pass Gram-Schmidt in long double
+    cfg = cli.ExperimentConfig.from_json_dict({**cli._default_config_dict("sector"), "extension": {"b": [0.0, 1.0]}})
+    pencil, _, grid = cli._build_pencil(cfg)
+    result = spectral.solve_pencil(pencil)
+    f = cli._bump_vector(pencil, grid)
+    counts = list(cli.RESIDUAL_COUNTS)
+    V = spectral._cluster_defective(result, max(counts)).astype(np.clongdouble)
+    M = dense(pencil.M).astype(np.clongdouble)
+    r = f.astype(np.clongdouble)
+    basis, reference = [], []
+    for k in range(V.shape[1]):
+        v = V[:, k]
+        for _ in range(2):
+            for q, mass_q in basis:
+                v = v - q * np.vdot(mass_q, v)
+        mass_v = M @ v
+        norm = np.sqrt(np.vdot(v, mass_v).real)
+        basis.append((v / norm, mass_v / norm))
+        r = r - basis[-1][0] * np.vdot(basis[-1][1], r)
+        if k + 1 in counts:
+            reference.append(float(np.sqrt(np.vdot(r, M @ r).real)))
+    rows = spectral.completeness_residual(result, f, counts)
+    assert [n for n, _ in rows] == counts
+    assert np.max(np.abs(np.array([v for _, v in rows]) - reference) / reference) <= 1e-11
 
 
 class TestFullPipelines:
@@ -1057,6 +1109,22 @@ class TestThreadCounts:
         tol = max(one["max_retained_residual"], two["max_retained_residual"])
         assert lam1.shape == lam2.shape
         assert np.max(np.abs(lam1 - lam2) / np.abs(lam1)) <= tol
+
+
+def test_example_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # a fresh process per run, each with its own string hashing: no artifact may depend on
+    # set or dict order; only the timings and the echoed outputs directory differ
+    procs = [run_module("example53", "--nh", 100, "--out", tmp_path / s, PYTHONHASHSEED=s) for s in ("1", "2")]
+    assert procs[0].returncode == procs[1].returncode == 1
+    assert procs[0].stdout == procs[1].stdout
+    first, second = tmp_path / "1", tmp_path / "2"
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second))
+    for name in set(names) - {"timings.json", "report.json"}:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    rep1, rep2 = read_json(first / "report.json"), read_json(second / "report.json")
+    assert rep1["config"].pop("outputs_dir") != rep2["config"].pop("outputs_dir")
+    assert rep1 == rep2
 
 
 class TestConsoleScript:

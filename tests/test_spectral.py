@@ -14,6 +14,7 @@ does not share code with the implementation under test.
 """
 
 import cmath
+import dataclasses
 import importlib
 import math
 import re
@@ -784,6 +785,24 @@ class TestCompletenessResidual:
         nrm = math.sqrt(abs(v.conj() @ dense(friedrichs_pencil.M) @ v))
         with pytest.raises(ValueError):
             completeness_residual(friedrichs_result, v / nrm, [friedrichs_result.n_retained + 1])
+
+    @pytest.mark.parametrize("source, scale", [(0, 1.0), (1, 1.0), (1, 2.0 * cmath.exp(0.7j))])
+    def test_dependent_columns_are_a_linalg_error(self, source, scale):
+        # a copy of v_source in column 3 keeps v_3's eigenvalue, far from v_source's, so no
+        # cluster joins them; rounding decides which check sees the copy: the Cholesky
+        # factorization of V^H M V fails, or its second pass departs from I; both raise
+        line = ExtensionDomain.line([1.0, 1.0j])
+        pencil = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 120, 0.9), line)
+        solved = solve_pencil(pencil)
+        vectors = solved.eigenvectors.copy()
+        vectors[:, 3] = scale * vectors[:, source]
+        res = dataclasses.replace(solved, eigenvectors=vectors)
+        assert abs(res.eigenvalues[3] - res.eigenvalues[source]) > 1.0
+        v = solved.eigenvectors[:, 4]
+        f = v / math.sqrt(abs(np.vdot(v, pencil.M.dot(v))))
+        assert 0.0 < completeness_residual(res, f, [3])[0][1] <= 1.0  # the columns before the copy
+        with pytest.raises(np.linalg.LinAlgError):
+            completeness_residual(res, f, [5])
 
     def test_defective_cluster_uses_invariant_subspace(self):
         # a Hermitian block with imaginary corner i 2: its eigenvalue
