@@ -44,6 +44,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._lapack import MAX_VECTORS_ORDER
 from .model import (
     SLOPE_WINDOW,
     ConeModelOperator,
@@ -638,14 +639,25 @@ def _embedding_fit_range(run: Run) -> None:
 
 def _dense_arrays_fit(run: Run) -> None:
     # the pencil is a band, but its solve holds dense float64 arrays of about (N_h - 1)-square:
-    # the hat block's eigenvectors, the banded eigensolve's workspace and the arrowhead; numpy
-    # counts an array's bytes in its signed index type.  embed forms no dense block, but keeps
-    # the same bound, (N_h + 1)-square, so that every command admits the same N_h; read in
-    # O(1), before anything is allocated
+    # the hat block's eigenvectors W, the banded eigensolve's workspace of twice W's size, and
+    # the eigenvectors it returns; numpy counts an array's bytes in its signed index type.
+    # embed forms no dense block, but keeps the same bound, (N_h + 1)-square; read in O(1),
+    # before anything is allocated
     if 8 * (run.cfg.N_h + 1) ** 2 > np.iinfo(np.intp).max:
         raise ConfigError(
             f"discretization.N_h = {run.cfg.N_h} needs dense arrays of up to (N_h + 1)^2 doubles, "
             "more bytes than one numpy array can hold"
+        )
+
+
+def _banded_workspace_fits(run: Run) -> None:
+    # the solve's banded eigensolve with vectors on the N_h - 2 interior hats counts its
+    # workspace of about 2 (N_h - 2)^2 doubles in LAPACK's 32-bit int; embed's holds 2 N_h
+    largest = MAX_VECTORS_ORDER + 2
+    if run.cfg.N_h > largest:
+        raise ConfigError(
+            f"discretization.N_h = {run.cfg.N_h} needs a banded eigensolve workspace of more doubles "
+            f"than LAPACK's 32-bit counts hold; the pencil stages take N_h up to {largest}"
         )
 
 
@@ -752,7 +764,8 @@ STAGES = (
         ),
         lambda p: f"[spectrum] max relative error vs oracle = {p['max_relative_error']:.3e}",
         "spectrum",
-        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _dense_arrays_fit),
+        scope=(_pencil_weight, _one_pair_quotient, _oracle_resolves_the_mode, _dense_arrays_fit,
+               _banded_workspace_fits),
         gated=True,
     ),
     Stage(

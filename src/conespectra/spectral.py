@@ -37,15 +37,19 @@ g(lambda) = 1 + i tau sum_k |w_k|^2 / (mu_k - lambda), found together
 by an Aberth-Ehrlich iteration (Bini & Robol, J. Comput. Appl. Math.
 2014) and polished by one Newton step on the arrowhead's own secular
 function; each eigenvector is [z / (lambda - theta); 1] in that basis,
-and each resolvent probe's smallest singular value is found by one
-bisection on a 2 x 2 secular count, O(n) per step, from the
-(mu, |w|^2, tau) that the result keeps, at the four probe radii the
-result owns, a decade apart up to its trust limit.  The eigensolves are
+and each left eigenvector, by a phase symmetry of the arrowhead,
+[z / conj(lambda - theta); 1].  Each resolvent probe's smallest
+singular value is found by one bisection on a 2 x 2 secular count,
+O(n) per step, from the (mu, |w|^2, tau) that the result keeps, at the
+four probe radii the result owns, a decade apart up to its trust limit.  The eigensolves are
 accurate to eps ||C|| only, which is coarse for the small eigenvalues
 of a graded pencil, so each eigenvalue is refined by a two-sided
-Rayleigh quotient on (K, M) itself.  The weighted embedding's singular
-values take its two tridiagonal Grams through the same banded
-eigensolve, eigenvalues only.
+Rayleigh quotient on (K, M) itself, inside which the right and left
+eigenvectors are lifted together a block of columns at a time, so that
+besides W the solve holds only the eigenvectors it returns.  The
+weighted embedding's singular values
+take its two tridiagonal Grams through the same banded eigensolve,
+eigenvalues only.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ BESSEL_ORDER_LIMIT = 2.0**50
 # |g| <= _ABERTH_TOL * eps * (its rounding-error bound)
 _ABERTH_SWEEPS = 200
 _ABERTH_TOL = 4.0
-# eigenvector columns per block of the Rayleigh refinement's products
+# the fewest eigenvector columns per block of the solve's lift and Rayleigh refinement
 _REFINE_BLOCK = 64
 
 
@@ -499,33 +503,39 @@ def _arrowhead_eigenvalues(theta: np.ndarray, z: np.ndarray, eta: float, tau: fl
     return lam[order], near[order], offset[order], mu, weights, sweeps, int(np.count_nonzero(negligible))
 
 
-def _arrowhead_vectors(theta: np.ndarray, z: np.ndarray, lam: np.ndarray, near: np.ndarray, offset: np.ndarray,
-                       left: bool = False):
-    """Eigenvectors of the arrowhead B of `_arrowhead_eigenvalues` as columns.
+def _arrowhead_vectors(theta: np.ndarray, z: np.ndarray, lam: np.ndarray, near: np.ndarray, offset: np.ndarray):
+    """Right and left eigenvectors of the arrowhead B of `_arrowhead_eigenvalues`, side by side.
 
-    Right: [z / (lambda - theta); 1] with unit norm.  Left (eigenvectors
-    of B^H for conj(lambda)): [z / (conj(lambda) - theta); 1], unscaled.
-    The entry at each eigenvalue's nearest pole divides by the offset
-    theta_j - lambda that the eigenvalue came with.  A column with a zero
-    offset belongs to a deflated theta_j and is e_j, and the deflated
-    z_j count as 0 in the other columns.
+    For m eigenvalues (any subset, with the near and offset they came
+    with), columns k < m are the right eigenvectors [z / (lambda - theta); 1]
+    with unit norm, and columns m + k the left ones, eigenvectors of B^H
+    for conj(lambda), unscaled.  With Phi = diag(z / |z|, 1) (1 where
+    z_j = 0), Phi^H B Phi is complex symmetric, so the left eigenvector
+    is Phi^2 conj(y) up to scale: [z / conj(lambda - theta); 1], which
+    takes the right one's pole distances conjugated and divides z by
+    them, as the right one does.  The entry at each eigenvalue's nearest
+    pole divides by the offset theta_j - lambda that the eigenvalue came
+    with.  A column with a zero offset belongs to a deflated theta_j and
+    is e_j, and the deflated z_j count as 0 in the other columns.
     """
+    m = len(lam)
     cols = np.flatnonzero(near >= 0)
     deflated = cols[offset[cols] == 0.0]
     cols = cols[offset[cols] != 0.0]
-    z = z.copy()
+    z = z[:, np.newaxis].copy()
     z[near[deflated]] = 0.0
-    Y = np.empty((len(theta) + 1, len(lam)), dtype=complex)
-    top = Y[:-1]
-    np.subtract(lam.conj() if left else lam, theta[:, np.newaxis], out=top)
-    top[near[cols], cols] = -(offset[cols].conj() if left else offset[cols])
-    top[:, deflated] = 1.0
-    np.divide(z[:, np.newaxis], top, out=top)
+    Y = np.empty((len(theta) + 1, 2 * m), dtype=complex)
+    right, left = Y[:-1, :m], Y[:-1, m:]
+    np.subtract(lam, theta[:, np.newaxis], out=right)
+    right[near[cols], cols] = -offset[cols]
+    right[:, deflated] = 1.0
+    np.divide(z, np.conjugate(right, out=left), out=left)
+    np.divide(z, right, out=right)
     Y[-1] = 1.0
-    Y[:, deflated] = 0.0
-    Y[near[deflated], deflated] = 1.0
-    if not left:
-        Y /= _column_norms(Y)
+    for half in (Y[:, :m], Y[:, m:]):
+        half[:, deflated] = 0.0
+        half[near[deflated], deflated] = 1.0
+    Y[:, :m] /= _column_norms(Y[:, :m])
     return Y
 
 
@@ -539,6 +549,9 @@ def _lift(W: np.ndarray, g: np.ndarray, inv_ell_n: float, Y: np.ndarray) -> np.n
 
     W multiplies Y's float pairs, one real matrix product, and the
     border column is a rank-one update in place; Y's last row is real.
+    The solve lifts a block of columns at a time, the right and left
+    eigenvectors of the block in one product, so that no n x n complex
+    array but the returned eigenvectors is formed.
     The solve runs its matrix products on scipy's BLAS, like its
     eigensolves, and its sums in numpy's einsum loops: numpy links an
     OpenBLAS of its own, whose idle threads spin, and on two cores a
@@ -570,17 +583,23 @@ def solve_pencil(pencil) -> SpectralResult:
     tridiagonal solve at 0 (`_to_arrowhead`); no dense block of (K, M)
     is formed.  The eigenvalues are the roots of the secular function of
     the rank-one form (mu, |w|^2, tau) of that arrowhead, polished by one
-    Newton step on its own secular function (`_arrowhead_eigenvalues`);
-    the eigenvectors are its closed-form ones (`_arrowhead_vectors`) taken
-    back by L^{-H} diag(U, 1), one real matrix product for all of them,
-    with unit M-norm; the left eigenvectors, another product, give each
-    eigenvalue a two-sided Rayleigh quotient on (K, M), whose products
-    with the eigenvectors are formed from the parts.  A minimal pencil
-    (no border) is real and definite: its eigenpairs are (theta, W) with
-    W^T T_M W = I.  The backward error on (K, M) is about cond(M) times
-    machine epsilon; `residuals` records it for every pair.  Eigenpairs
-    are sorted by ascending |lambda| (ties by real then imaginary part);
-    the trailing 20% is flagged as untrusted.
+    Newton step on its own secular function (`_arrowhead_eigenvalues`).
+    The eigenvectors, with unit M-norm, are its closed-form ones taken
+    back by L^{-H} diag(U, 1), and the left eigenvectors, which the
+    arrowhead's phase symmetry gives from the same pole distances
+    (`_arrowhead_vectors`), give each eigenvalue a two-sided Rayleigh
+    quotient on (K, M), whose products with the eigenvectors are formed
+    from the parts.  Both are lifted a block of max(64, n / 8) columns
+    at a time, one real matrix product per block (`_lift`), and each
+    block is dropped once its quotients and residuals are read: the
+    solve holds W, the eigenvectors it returns and four complex arrays of
+    a block's width, about 4 n^2 doubles at its peak from n = 512 on, as
+    the Aberth sweeps' (roots x poles) sums do (4.5 n^2 at n = 399).  A
+    minimal pencil (no border) is real and definite: its eigenpairs are
+    (theta, W) with W^T T_M W = I.  The backward error on (K, M) is about
+    cond(M) times machine epsilon; `residuals` records it for every pair.
+    Eigenpairs are sorted by ascending |lambda| (ties by real then
+    imaginary part); the trailing 20% is flagged as untrusted.
 
     Raises
     ------
@@ -599,36 +618,53 @@ def solve_pencil(pencil) -> SpectralResult:
     if border is None:
         lam, mu, weights, tau = theta.astype(complex), theta, np.zeros(len(theta)), 0.0
         sweeps, deflated = 0, len(theta)
-        vec = left = W.astype(complex)
     else:
         z, eta, tau, g, inv_ell_n = border
         lam, near, offset, mu, weights, sweeps, deflated = _arrowhead_eigenvalues(theta, z, eta, tau)
-        vec = _lift(W, g, inv_ell_n, _arrowhead_vectors(theta, z, lam, near, offset))
-        left = _lift(W, g, inv_ell_n, _arrowhead_vectors(theta, z, lam, near, offset, left=True))
-    del W
     # The eigensolves leave an error of about eps ||C|| in small
     # eigenvalues of a graded pencil.  One two-sided Rayleigh quotient
     # on (K, M) itself removes it to second order (Ostrowski); it is
     # kept where it lowers the pair's residual, which a defective pair,
     # with its left and right eigenvectors nearly M-orthogonal, does not.
-    # The products with K and M are formed a block of columns at a time.
+    # A block of columns at a time, the right and the conjugated left
+    # eigenvectors are lifted and their products with K and M formed; each
+    # block array is deleted once read, before the next one is allocated.
     n = len(lam)
+    vec = np.empty((n, n), dtype=complex)
     refined = np.empty(n, dtype=complex)
-    plain, better = np.empty(n), np.empty(n)
-    for start in range(0, n, _REFINE_BLOCK):
-        cols = slice(start, start + _REFINE_BLOCK)
-        stiff_vec, mass_vec = K.dot(vec[:, cols]), M.dot(vec[:, cols])
-        conj_left = left[:, cols].conj()
+    plain, better, norms = np.empty(n), np.empty(n), np.empty(n)
+    # a lift of few columns runs at about half the BLAS rate of a wide one, and
+    # n / 8 columns keep a block's four complex n x width arrays within n^2 doubles
+    width = max(_REFINE_BLOCK, n // 8)
+    for start in range(0, n, width):
+        cols = slice(start, start + width)
+        if border is None:
+            vec[:, cols] = W[:, cols]
+            conj_left = vec[:, cols]  # real, for a real symmetric pencil
+        else:
+            Y = _lift(W, g, inv_ell_n, _arrowhead_vectors(theta, z, lam[cols], near[cols], offset[cols]))
+            right, left = np.hsplit(Y, 2)
+            vec[:, cols] = right
+            conj_left = left.conj()
+            del Y, right, left
+        block = vec[:, cols]
+        stiff_vec, mass_vec = K.dot(block), M.dot(block)
         refined[cols] = np.einsum("ij,ij->j", conj_left, stiff_vec) / np.einsum("ij,ij->j", conj_left, mass_vec)
-        plain[cols] = _column_norms(stiff_vec - mass_vec * lam[cols])
-        better[cols] = _column_norms(stiff_vec - mass_vec * refined[cols])
-    del left
+        del conj_left
+        gap = mass_vec * lam[cols]
+        plain[cols] = _column_norms(np.subtract(stiff_vec, gap, out=gap))
+        np.multiply(mass_vec, refined[cols], out=gap)
+        better[cols] = _column_norms(np.subtract(stiff_vec, gap, out=gap))
+        norms[cols] = _column_norms(block)
+        del stiff_vec, mass_vec, gap
+    del W
     keep = better < plain
     lam = np.where(keep, refined, lam)
-    residuals = np.where(keep, better, plain) / _column_norms(vec)
+    residuals = np.where(keep, better, plain) / norms
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
-    if np.any(order != np.arange(len(lam))):  # the refinement swapped a near tie
-        lam, vec, residuals = lam[order], vec[:, order], residuals[order]
+    moved = np.flatnonzero(order != np.arange(n))  # the refinement swapped a near tie
+    lam, residuals = lam[order], residuals[order]
+    vec[:, moved] = vec[:, order[moved]]
     mu.flags.writeable = weights.flags.writeable = False  # shared by every probe
     n_retained = retained_count(n)
     return SpectralResult(
@@ -1023,7 +1059,13 @@ def oracle_eigenvalues(nu: float, a: complex, b: complex, R: float, how_many: in
     them.  rho grows until the disk holds at least how_many roots, so
     the returned roots are the how_many smallest in modulus wherever
     they lie in the plane.  Multiple roots are repeated per
-    multiplicity.
+    multiplicity, but each copy only to about the square root of the
+    working precision: Newton converges linearly on a multiple root, and
+    rounding splits it.  At the sector's first exceptional point
+    (nu = 2/3, a double root near 12.66073 - 9.09472i at
+    a/b = -0.36394 - 7.70743i) each copy comes 4.1e-8 from the double
+    root, relative, and their mean 8.8e-11 (8.2e-10 at the conjugate
+    point).
 
     Raises
     ------

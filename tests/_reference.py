@@ -5,8 +5,9 @@ it checks the normal verdict's closed-form eigenvalue on a ray.
 weyl_fit is the eigenvalue growth exponent of acceptance criterion 8.
 dense reads a pencil's K or M as the n x n matrix its parts stand for,
 arrow_from_dense builds the parts from dense test matrices, and
-hat_pencil_eigh solves their hat blocks densely.  As
-test helpers they take only what the tests pass them and check nothing.
+hat_pencil_eigh solves their hat blocks densely, and
+arrowhead_left_vectors writes an arrowhead's left eigenvectors directly.
+As test helpers they take only what the tests pass them and check nothing.
 """
 
 import math
@@ -89,3 +90,28 @@ def hat_pencil_eigh(K: ArrowTridiagonal, M: ArrowTridiagonal):
     """Dense scipy.linalg.eigh of the hat blocks (T_K, T_M): theta ascending and Z with Z^T T_M Z = I."""
     T_K, T_M = (np.diag(p.diag) + np.diag(p.off, 1) + np.diag(p.off, -1) for p in (K, M))
     return scipy.linalg.eigh(T_K, T_M)
+
+
+def arrowhead_left_vectors(theta, z, lam, near, offset) -> np.ndarray:
+    """Left eigenvectors [z / (conj(lambda) - theta); 1], unscaled, of the arrowhead [[diag(theta), z], [z^H, c]].
+
+    lam, near and offset are as `_arrowhead_eigenvalues` returns them:
+    the entry at the nearest pole theta_j divides by -conj(offset), and a
+    column with a zero offset belongs to a deflated theta_j and is e_j,
+    with the deflated z_j counted as 0 in the other columns.
+    """
+    cols = np.flatnonzero(near >= 0)
+    deflated = cols[offset[cols] == 0.0]
+    cols = cols[offset[cols] != 0.0]
+    z = z.copy()
+    z[near[deflated]] = 0.0
+    X = np.empty((len(theta) + 1, len(lam)), dtype=complex)
+    top = X[:-1]
+    np.subtract(lam.conj(), theta[:, np.newaxis], out=top)
+    top[near[cols], cols] = -offset[cols].conj()
+    top[:, deflated] = 1.0
+    np.divide(z[:, np.newaxis], top, out=top)
+    X[-1] = 1.0
+    X[:, deflated] = 0.0
+    X[near[deflated], deflated] = 1.0
+    return X

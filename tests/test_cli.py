@@ -144,6 +144,8 @@ class TestConfigErrors:
             ("embed", "--nh", 10**30),
             ("example53", "--nh", 10**11),
             ("example53", "--nh", 10**30),
+            ("spectrum", "--nh", 32769),  # a banded eigensolve workspace past LAPACK's 32-bit counts
+            ("example53", "--nh", 32769),
             ("spectrum", "--alpha", 2.78e-15),  # nu above 2^50, beyond the Bessel oracle
             ("example52", "--gamma", -1.5),  # four-function quotient
             ("normal-check", "--gamma", -2),  # no single 2-dimensional mode quotient
@@ -449,10 +451,21 @@ class TestExitCodeMapping:
         assert "out of memory in stage 'spectrum': Unable to allocate" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("n_h, code", [(10**30, 2), (10**11, 2), (10**8, 3)])
-    def test_scope_checks_never_build_the_grid(self, n_h, code, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_h, refusal",
+        [
+            (10**30, "more bytes than one numpy array can hold"),
+            (10**11, "more bytes than one numpy array can hold"),
+            (10**8, "take N_h up to 32768"),
+            (32769, "take N_h up to 32768"),
+            (32768, None),
+        ],
+    )
+    def test_scope_checks_never_build_the_grid(self, n_h, refusal, tmp_path, capsys, monkeypatch):
         # from about 1.07e9 on, the dense arrays need more bytes than a numpy array
-        # can count, so scope refuses it; 10**8 passes scope and only the stage builds the grid
+        # can count, and from 32769 on, the banded eigensolve's workspace more doubles
+        # than LAPACK's 32-bit int counts, so scope refuses both; 32768 passes scope
+        # and only the stage builds the grid
         def refuse(R, N_h, q):
             raise MemoryError(f"no grid of {N_h} nodes")
 
@@ -460,18 +473,29 @@ class TestExitCodeMapping:
         cfg = cli._default_config_dict("sector")
         cfg["discretization"]["N_h"] = n_h
         run = cli.Run(cli.ExperimentConfig.from_json_dict(cfg))
-        if code == 2:
-            with pytest.raises(cli.ConfigError, match="more bytes than one numpy array can hold"):
-                cli._dense_arrays_fit(run)
-        else:
-            for check in (check for stage in cli._with_needs("spectrum") for check in stage.scope):
+        checks = [check for stage in cli._with_needs("spectrum") for check in stage.scope]
+        code = 3 if refusal is None else 2
+        if refusal is None:
+            for check in checks:
                 check(run)
+        else:
+            with pytest.raises(cli.ConfigError, match=refusal):
+                for check in checks:
+                    check(run)
         assert run_cli("spectrum", "--nh", n_h, "--out", tmp_path / "out") == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         if code == 3:
             assert f"out of memory in stage 'spectrum': no grid of {n_h} nodes" in err
+
+    def test_embed_takes_grids_past_the_banded_workspace_limit(self):
+        # its eigensolve has no vectors and a workspace of 2 (N_h + 1) doubles
+        cfg = cli._default_config_dict("sector")
+        cfg["discretization"]["N_h"] = 32769
+        run = cli.Run(cli.ExperimentConfig.from_json_dict(cfg))
+        for check in cli.STAGE["embed"].scope:
+            check(run)
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(n_h=st.integers(16, 10**30))

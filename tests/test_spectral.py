@@ -64,7 +64,7 @@ from conespectra.spectral import (
     solve_pencil,
 )
 
-from _reference import arrow_from_dense, dense, hat_pencil_eigh, weyl_fit
+from _reference import arrow_from_dense, arrowhead_left_vectors, dense, hat_pencil_eigh, weyl_fit
 
 CLOSED = ConeModelOperator(
     order_m=2, dim_n=2, weight_gamma=-1.0, geometry=ClosedLink(), outer_radius_R=1.0
@@ -454,6 +454,24 @@ class TestBandedEigensolve:
                 tridiagonal_eigh(a_diag, a_off, b_diag, b_off, vectors=vectors)
 
 
+    def test_a_workspace_past_32_bit_counts_is_refused_before_allocating(self):
+        # lwork = 1 + 5n + 2n^2 wrapped in the C int from n = 32767 on: LAPACK read
+        # -2147319807 at n = 32768 and returned INFO = -14, after numpy had given
+        # the n x n eigenvectors 8.6 GB and the workspace 17 GB
+        n = conespectra._lapack.MAX_VECTORS_ORDER
+        assert n == 32766
+        assert 1 + 5 * n + 2 * n * n <= 2**31 - 1 < 1 + 5 * (n + 1) + 2 * (n + 1) ** 2
+        diag, off = np.ones(n + 1), np.zeros(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="32-bit counts"):
+                tridiagonal_eigh(diag, off, diag, off, vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestStructuredGateAndProducts:
     """cond(M) and the products of the solve, from the parts, against their dense matrices."""
 
@@ -532,6 +550,30 @@ class TestStructuredGateAndProducts:
             solve_pencil(make_pencil(np.eye(3), M))
         with pytest.raises(IllConditionedMass, match="positive definite"):
             solve_pencil(make_pencil(np.eye(3), np.diag([1.0, -1.0, 1.0])))
+
+
+def phase_test_arrowheads():
+    """(theta, z, eta, tau): test_arrowhead_eigenpairs_with_vanishing_border_entries's arrowheads, then seeded random ones."""
+    rng = np.random.default_rng(5)
+    theta = np.array([1.0, 1.5, 2.0, 3.0, 3.0, 3.5, 4.0])
+    z = rng.normal(size=7) + 1j * rng.normal(size=7)
+    z[[3, 5]] = 0.0
+    z[1] = 1e-12
+    for tau in (0.7, -40.0, 1e-300, 0.0):
+        yield theta, z, 2.5, tau
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        n = int(rng.integers(4, 41))
+        s = 10.0 ** rng.uniform(0.0, 6.0)
+        theta = np.sort(rng.uniform(-s, s, n))
+        z = s * 10.0 ** rng.uniform(-3.0, 0.0, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+        k = rng.integers(0, n, 3)
+        z[k[0]] = 0.0  # deflated exactly
+        z[k[1]] *= 1e-17  # deflated, below 8 eps ||B||
+        z[k[2]] *= 1e-9  # kept, with a root about 1e-18 s from its pole
+        j = int(rng.integers(0, n - 1))
+        theta[j + 1], z[j + 1] = theta[j], 0.0  # an equal pole that carries no weight
+        yield theta, z, rng.uniform(-s, s), rng.normal() * s * 10.0 ** rng.uniform(-8.0, 0.0)
 
 
 def assert_matches_qz(pen, res):
@@ -631,8 +673,7 @@ class TestRankOneSolve:
             B[-1, :-1] = z.conj()
             lam, near, offset, mu, weights, _, deflated = spectral._arrowhead_eigenvalues(theta, z, 2.5, tau)
             assert sorted(near[offset == 0.0]) == [3, 5] and deflated >= 2
-            Y = spectral._arrowhead_vectors(theta, z, lam, near, offset)
-            X = spectral._arrowhead_vectors(theta, z, lam, near, offset, left=True)
+            Y, X = np.hsplit(spectral._arrowhead_vectors(theta, z, lam, near, offset), 2)
             scale = np.linalg.norm(B, 2)
             assert np.allclose(np.linalg.norm(Y, axis=0), 1.0, atol=1e-14)
             assert np.max(np.linalg.norm(B @ Y - Y * lam, axis=0)) <= 1e-14 * scale
@@ -648,6 +689,28 @@ class TestRankOneSolve:
             assert np.allclose(mu, values, rtol=0.0, atol=1e-14 * scale)
             live = weights > 1e-20
             assert np.allclose(weights[live], np.abs(vectors[-1, live]) ** 2, rtol=1e-12, atol=0.0)
+
+    def test_left_vectors_follow_from_the_right_by_the_phase_symmetry(self):
+        # Phi^H B Phi is complex symmetric for Phi = diag(z / |z|, 1), so the left
+        # eigenvector is Phi^2 conj(y); worst 2.9 eps per entry, each column scaled
+        # at its largest entry, with Phi^2 and the scaling taken in long double
+        eps = np.finfo(float).eps
+        for theta, z, eta, tau in phase_test_arrowheads():
+            lam, near, offset, *_ = spectral._arrowhead_eigenvalues(theta, z, eta, tau)
+            right, left = np.hsplit(spectral._arrowhead_vectors(theta, z, lam, near, offset), 2)
+            ref = arrowhead_left_vectors(theta, z, lam, near, offset)
+            # the solve's left vectors divide z by the same numbers as the direct formula
+            assert np.array_equal(left, ref)
+            wide = z.astype(np.clongdouble)
+            phase2 = np.ones(len(z) + 1, dtype=np.clongdouble)
+            phase2[:-1][z != 0.0] = wide[z != 0.0] / wide[z != 0.0].conj()
+            mirrored = phase2[:, np.newaxis] * right.astype(np.clongdouble).conj()
+            cols = np.arange(len(lam))
+            top = np.argmax(np.abs(ref), axis=0)
+            mirrored *= ref[top, cols] / mirrored[top, cols]
+            nonzero = ref != 0.0
+            assert np.all(mirrored[~nonzero] == 0.0)
+            assert np.all(np.abs(mirrored[nonzero] - ref[nonzero]) <= 4.0 * eps * np.abs(ref[nonzero]))
 
     @pytest.mark.parametrize("n_h", [40, 60])
     @pytest.mark.parametrize("pair", [(1.0, 1j), (0.3 - 0.2j, -0.7 + 1.1j)])
@@ -671,6 +734,20 @@ class TestRankOneSolve:
             ref_mu, ref_weights = (np.array([float(v) for v in vs]) for vs in (roots, ref_weights))
         assert np.max(np.abs(mu - ref_mu) / np.abs(ref_mu)) <= 1.5e-11
         assert np.max(np.abs(weights - ref_weights) / ref_weights) <= 2.5e-12
+
+    def test_solve_holds_about_four_squares_of_doubles(self):
+        # W, the eigenvectors and a block's scratch, or W and the Aberth sweep's
+        # (roots x poles) sums: 5.8 MB at n = 399, against 9.0 MB when every left
+        # eigenvector and both arrowhead-basis copies were built at once
+        pen = assemble_mode_pencil(SECTOR, 1, RadialGrid.geometric(1.0, 400, 0.9), ExtensionDomain.line([1.0, 1.0j]))
+        tracemalloc.start()
+        try:
+            solve_pencil(pen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pen.size == 399
+        assert peak <= 5 * 8 * pen.size**2
 
     def test_random_arrowheads_match_dense_eigenvalues(self):
         # poles in +-s for s up to 1e8 and border moduli from 1e-16 to 1 times
@@ -1032,6 +1109,34 @@ class TestOracleEigenvalues:
             refs = [complex(mp.findroot(secular, mp.mpc(z.real, z.imag))) for z in got]
         for z, ref in zip(got, refs):
             assert abs(z - ref) <= 2e-14 * abs(ref)
+
+    def test_double_root_at_the_first_exceptional_point(self):
+        # F = a P + b Q has a double root where P Q' - P' Q = 0, with a/b = -Q / P
+        # there.  Newton converges only linearly on it: each copy came 4.1e-8 from
+        # the double root, relative, and their mean 8.8e-11
+        mp = pytest.importorskip("mpmath").mp
+        nu = mp.mpf(2) / 3
+
+        def P(lam):
+            return mp.gamma(1 + nu) * (mp.sqrt(lam) / 2) ** -nu * mp.besselj(nu, mp.sqrt(lam))
+
+        def Q(lam):
+            return mp.gamma(1 - nu) * (mp.sqrt(lam) / 2) ** nu * mp.besselj(-nu, mp.sqrt(lam))
+
+        def wronskian(lam):
+            return P(lam) * mp.diff(Q, lam) - mp.diff(P, lam) * Q(lam)
+
+        with mp.workdps(30):
+            star = mp.findroot(wronskian, mp.mpc(12.66073, -9.09472))
+            ratio = -Q(star) / P(star)
+            assert abs(wronskian(star)) <= mp.mpf(10) ** -27
+            star, ratio = complex(star), complex(ratio)
+        assert abs(star - (12.66073 - 9.09472j)) <= 1e-5
+        assert abs(ratio - (-0.36394 - 7.70743j)) <= 1e-5
+        got = oracle_eigenvalues(2.0 / 3.0, ratio, 1.0, 1.0, 5)
+        pair = got[np.argsort(np.abs(got - star))[:2]]
+        assert np.all(np.abs(pair - star) <= 1e-6 * abs(star))
+        assert abs(pair.mean() - star) <= 1e-9 * abs(star)
 
     def test_rescaling_radius_is_exact_homogeneity(self):
         # u(x) on (0, R) pulls back to y = x/R with coordinates
