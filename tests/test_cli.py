@@ -473,20 +473,14 @@ class TestExitCodeMapping:
         cfg = cli._default_config_dict("sector")
         cfg["discretization"]["N_h"] = n_h
         run = cli.Run(cli.ExperimentConfig.from_json_dict(cfg))
-        checks = [check for stage in cli._with_needs("spectrum") for check in stage.scope]
-        code = 3 if refusal is None else 2
-        if refusal is None:
-            for check in checks:
+        with contextlib.nullcontext() if refusal is None else pytest.raises(cli.ConfigError, match=refusal):
+            for check in (check for stage in cli._with_needs("spectrum") for check in stage.scope):
                 check(run)
-        else:
-            with pytest.raises(cli.ConfigError, match=refusal):
-                for check in checks:
-                    check(run)
-        assert run_cli("spectrum", "--nh", n_h, "--out", tmp_path / "out") == code
+        assert run_cli("spectrum", "--nh", n_h, "--out", tmp_path / "out") == (3 if refusal is None else 2)
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
-        if code == 3:
+        if refusal is None:
             assert f"out of memory in stage 'spectrum': no grid of {n_h} nodes" in err
 
     def test_embed_takes_grids_past_the_banded_workspace_limit(self):

@@ -553,7 +553,10 @@ class TestStructuredGateAndProducts:
 
 
 def phase_test_arrowheads():
-    """(theta, z, eta, tau): test_arrowhead_eigenpairs_with_vanishing_border_entries's arrowheads, then seeded random ones."""
+    """(theta, z, eta, tau) of arrowheads with zero, deflated and near-pole border entries.
+
+    First the vanishing-border test's own, then seeded random ones.
+    """
     rng = np.random.default_rng(5)
     theta = np.array([1.0, 1.5, 2.0, 3.0, 3.0, 3.5, 4.0])
     z = rng.normal(size=7) + 1j * rng.normal(size=7)
