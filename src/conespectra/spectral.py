@@ -43,11 +43,11 @@ singular value is found by one bisection on a 2 x 2 secular count,
 O(n) per step, from the (mu, |w|^2, tau) that the result keeps, at the
 four probe radii the result owns, a decade apart up to its trust limit.  The eigensolves are
 accurate to eps ||C|| only, which is coarse for the small eigenvalues
-of a graded pencil, so each eigenvalue is refined by a two-sided
-Rayleigh quotient on (K, M) itself, inside which the right and left
-eigenvectors are lifted together a block of columns at a time, so that
-besides W the solve holds only the eigenvectors it returns.  The
-weighted embedding's singular values
+of a graded pencil, so each eigenvalue but a numerically defective one
+is a two-sided Rayleigh quotient on (K, M) itself, inside which the
+right and left eigenvectors are lifted together a block of columns at a
+time, so that besides W the solve holds only the eigenvectors it
+returns.  The weighted embedding's singular values
 take its two tridiagonal Grams through the same banded eigensolve,
 eigenvalues only.
 """
@@ -88,10 +88,16 @@ RETAIN_FRACTION = 0.8
 # scipy's J_nu(x) comes back wrong above x = 2^51 = 0.5 / eps, and the Bessel
 # zeros the Dirichlet scan needs lie above nu, so it takes no nu beyond this
 BESSEL_ORDER_LIMIT = 2.0**50
-# Aberth sweeps before the eigensolve gives up; a root stops once
-# |g| <= _ABERTH_TOL * eps * (its rounding-error bound)
+# Aberth sweeps before the eigensolve gives up
 _ABERTH_SWEEPS = 200
-_ABERTH_TOL = 4.0
+# the condition number ||u||_M / |u^H M v| above which a pair is numerically
+# defective, 2^-6 eps^-1/2 = 1.05e6.  It reads <= 1.06 on the (1, i) and
+# (0.3 - 0.2i, -0.7 + 1.1i) pencils, N_h 100 to 1600, <= 65 on the first
+# exceptional-point lines, 8.8e4 at the sector's discrete exceptional point at
+# N_h = 100 (line [1 : -0.0122795676818 - 0.1285884267507i]), 2.3e7 on a Jordan
+# block, and over 2975 seeded arrow pencils with an exact double eigenvalue
+# <= 1.1e3 on the simple pairs and >= 1.9e6 on the defective ones
+_DEFECTIVE_CONDITION = 2.0**-6 / math.sqrt(np.finfo(float).eps)
 # the fewest eigenvector columns per block of the solve's lift and Rayleigh refinement
 _REFINE_BLOCK = 64
 
@@ -132,7 +138,8 @@ class SpectralResult:
     `aberth_sweeps`, `deflated_poles` and `refined_pairs` count the
     Aberth sweeps, the eigenvalues taken from a pole instead of the
     iteration (every one of a minimal pencil), and the pairs whose
-    Rayleigh refinement was kept.
+    eigenvalue is their two-sided Rayleigh quotient: every pair but the
+    numerically defective ones.
     """
 
     eigenvalues: np.ndarray
@@ -271,13 +278,10 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> tuple:
     one root per pole, the roots of p = g prod_k (mu_k - lambda).  They
     are refined together by the Aberth-Ehrlich iteration from
     mu_k + i tau weights_k, with Newton correction p/p' =
-    1 / (g'/g - sum_k 1/(mu_k - lambda)).  A root stops when |g| is
-    within _ABERTH_TOL eps of the rounding error of evaluating g there,
-    1 + |tau| sum_k weights_k (|mu_k - lambda| + |mu_k| + |lambda|) / |mu_k - lambda|^2
-    (the last terms are the rounding of mu_k - lambda, which dominates
-    next to a pole), or when its step stops shrinking at a size below
-    sqrt(eps) |lambda|, as it does in the rounding noise around a
-    multiple root.  Each sweep holds two (roots left) x n temporaries.
+    1 / (g'/g - sum_k 1/(mu_k - lambda)).  A root stops after a step of
+    at most sqrt(eps) |lambda|; the solve's pole-cleared Newton step and
+    Rayleigh quotient set the last digits.  Each sweep holds one
+    (roots left) x n temporary at a time.
     Returns the roots and the number of sweeps.
 
     Raises
@@ -285,10 +289,8 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> tuple:
     RootFindingError
         If some root has not stopped after _ABERTH_SWEEPS sweeps.
     """
-    eps = np.finfo(float).eps
+    reach = math.sqrt(np.finfo(float).eps)
     lam = mu + 1j * tau * weights
-    scaled = weights * np.abs(mu)
-    last = np.full(len(mu), np.inf)  # each root's previous step size
     left = np.arange(len(mu))
     sweeps = 0
     while left.size:
@@ -303,17 +305,10 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> tuple:
         np.reciprocal(D, out=D)  # D[j, k] = 1 / (mu_k - z_j)
         total = np.einsum("ij,j->i", D, weights)
         pole_sum = D.sum(axis=1)
-        A = np.abs(D)
-        bound = np.einsum("ij,j->i", A, weights)
-        A *= A
-        bound += np.einsum("ij,j->i", A, scaled) + np.abs(z) * np.einsum("ij,j->i", A, weights)
-        del A
         D *= D
         slope = np.einsum("ij,j->i", D, weights)  # g' / (i tau)
         del D
         g = 1.0 + 1j * tau * total
-        converged = np.abs(g) <= _ABERTH_TOL * eps * (1.0 + abs(tau) * bound)
-        converged &= np.isfinite(bound)  # an overflow next to a pole is no convergence
         rows = np.arange(left.size)
         E = z[:, np.newaxis] - lam
         E[rows, left] = 1.0
@@ -323,12 +318,8 @@ def _aberth_roots(mu: np.ndarray, weights: np.ndarray, tau: float) -> tuple:
         del E
         newton = g / (1j * tau * slope - g * pole_sum)
         step = newton / (1.0 - newton * repulsion)
-        size = np.abs(step)
-        stalled = (size >= last[left]) & (size <= math.sqrt(eps) * np.abs(z))
-        moving = ~(converged | stalled)
-        lam[left[moving]] -= step[moving]
-        last[left] = size
-        left = left[moving]
+        lam[left] -= step
+        left = left[~(np.abs(step) <= reach * np.abs(z))]  # a step that is not finite is no stop
     return lam, sweeps
 
 
@@ -587,17 +578,18 @@ def solve_pencil(pencil) -> SpectralResult:
     The eigenvectors, with unit M-norm, are its closed-form ones taken
     back by L^{-H} diag(U, 1), and the left eigenvectors, which the
     arrowhead's phase symmetry gives from the same pole distances
-    (`_arrowhead_vectors`), give each eigenvalue a two-sided Rayleigh
-    quotient on (K, M), whose products with the eigenvectors are formed
-    from the parts.  Both are lifted a block of max(64, n / 8) columns
-    at a time, one real matrix product per block (`_lift`), and each
-    block is dropped once its quotients and residuals are read: the
+    (`_arrowhead_vectors`), give each eigenvalue u^H K v / u^H M v on
+    (K, M), formed from the parts; only a pair whose condition number
+    ||u||_M / |u^H M v| (||v||_M = 1) exceeds _DEFECTIVE_CONDITION keeps
+    its secular eigenvalue.  Both are lifted a block of max(64, n / 8)
+    columns at a time, one real matrix product per block (`_lift`), and
+    each block is dropped once its quotients and residuals are read: the
     solve holds W, the eigenvectors it returns and four complex arrays of
-    a block's width, about 4 n^2 doubles at its peak from n = 512 on, as
-    the Aberth sweeps' (roots x poles) sums do (4.5 n^2 at n = 399).  A
-    minimal pencil (no border) is real and definite: its eigenpairs are
-    (theta, W) with W^T T_M W = I.  The backward error on (K, M) is about
-    cond(M) times machine epsilon; `residuals` records it for every pair.
+    a block's width, about 4 n^2 doubles at its peak from n = 512 on
+    (4.5 n^2 at n = 399).  A minimal pencil (no border) is real and
+    definite: its eigenpairs are (theta, W) with W^T T_M W = I.  The
+    backward error on (K, M) is about cond(M) times machine epsilon;
+    `residuals` records it for every pair, at the eigenvalue returned.
     Eigenpairs are sorted by ascending |lambda| (ties by real then
     imaginary part); the trailing 20% is flagged as untrusted.
 
@@ -623,16 +615,16 @@ def solve_pencil(pencil) -> SpectralResult:
         lam, near, offset, mu, weights, sweeps, deflated = _arrowhead_eigenvalues(theta, z, eta, tau)
     # The eigensolves leave an error of about eps ||C|| in small
     # eigenvalues of a graded pencil.  One two-sided Rayleigh quotient
-    # on (K, M) itself removes it to second order (Ostrowski); it is
-    # kept where it lowers the pair's residual, which a defective pair,
-    # with its left and right eigenvectors nearly M-orthogonal, does not.
-    # A block of columns at a time, the right and the conjugated left
-    # eigenvectors are lifted and their products with K and M formed; each
-    # block array is deleted once read, before the next one is allocated.
+    # on (K, M) itself removes it to second order (Ostrowski), except at
+    # a defective pair, whose left and right eigenvectors are nearly
+    # M-orthogonal.  A block of columns at a time, the right and the
+    # conjugated left eigenvectors are lifted and their products with K
+    # and M formed; each block array is deleted once read, before the
+    # next one is allocated.
     n = len(lam)
     vec = np.empty((n, n), dtype=complex)
-    refined = np.empty(n, dtype=complex)
-    plain, better, norms = np.empty(n), np.empty(n), np.empty(n)
+    residuals = np.empty(n)
+    defective = np.zeros(n, dtype=bool)
     # a lift of few columns runs at about half the BLAS rate of a wide one, and
     # n / 8 columns keep a block's four complex n x width arrays within n^2 doubles
     width = max(_REFINE_BLOCK, n // 8)
@@ -641,26 +633,26 @@ def solve_pencil(pencil) -> SpectralResult:
         if border is None:
             vec[:, cols] = W[:, cols]
             conj_left = vec[:, cols]  # real, for a real symmetric pencil
+            left_norms = 1.0  # W^T T_M W = I
         else:
-            Y = _lift(W, g, inv_ell_n, _arrowhead_vectors(theta, z, lam[cols], near[cols], offset[cols]))
+            Y = _arrowhead_vectors(theta, z, lam[cols], near[cols], offset[cols])
+            left_norms = _column_norms(Y[:, Y.shape[1] // 2 :])  # ||u||_M: the lift is M-unitary
+            Y = _lift(W, g, inv_ell_n, Y)
             right, left = np.hsplit(Y, 2)
             vec[:, cols] = right
             conj_left = left.conj()
             del Y, right, left
         block = vec[:, cols]
         stiff_vec, mass_vec = K.dot(block), M.dot(block)
-        refined[cols] = np.einsum("ij,ij->j", conj_left, stiff_vec) / np.einsum("ij,ij->j", conj_left, mass_vec)
+        overlap = np.einsum("ij,ij->j", conj_left, mass_vec)  # u^H M v
+        defective[cols] = left_norms > _DEFECTIVE_CONDITION * np.abs(overlap)
+        taken, values = ~defective[cols], lam[cols]  # a view: the quotients go into lam
+        values[taken] = np.einsum("ij,ij->j", conj_left, stiff_vec)[taken] / overlap[taken]
         del conj_left
-        gap = mass_vec * lam[cols]
-        plain[cols] = _column_norms(np.subtract(stiff_vec, gap, out=gap))
-        np.multiply(mass_vec, refined[cols], out=gap)
-        better[cols] = _column_norms(np.subtract(stiff_vec, gap, out=gap))
-        norms[cols] = _column_norms(block)
+        gap = np.multiply(mass_vec, values, out=mass_vec)
+        residuals[cols] = _column_norms(np.subtract(stiff_vec, gap, out=gap)) / _column_norms(block)
         del stiff_vec, mass_vec, gap
     del W
-    keep = better < plain
-    lam = np.where(keep, refined, lam)
-    residuals = np.where(keep, better, plain) / norms
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     moved = np.flatnonzero(order != np.arange(n))  # the refinement swapped a near tie
     lam, residuals = lam[order], residuals[order]
@@ -677,7 +669,7 @@ def solve_pencil(pencil) -> SpectralResult:
         mass_condition=cond,
         aberth_sweeps=sweeps,
         deflated_poles=deflated,
-        refined_pairs=int(np.count_nonzero(keep)),
+        refined_pairs=n - int(np.count_nonzero(defective)),
     )
 
 

@@ -5,8 +5,10 @@ it checks the normal verdict's closed-form eigenvalue on a ray.
 weyl_fit is the eigenvalue growth exponent of acceptance criterion 8.
 dense reads a pencil's K or M as the n x n matrix its parts stand for,
 arrow_from_dense builds the parts from dense test matrices, and
-hat_pencil_eigh solves their hat blocks densely, and
-arrowhead_left_vectors writes an arrowhead's left eigenvectors directly.
+hat_pencil_eigh solves their hat blocks densely,
+arrowhead_left_vectors writes an arrowhead's left eigenvectors directly,
+and corner_schur_complement evaluates a pencil's characteristic function
+in mpmath.
 As test helpers they take only what the tests pass them and check nothing.
 """
 
@@ -115,3 +117,31 @@ def arrowhead_left_vectors(theta, z, lam, near, offset) -> np.ndarray:
     X[:, deflated] = 0.0
     X[near[deflated], deflated] = 1.0
     return X
+
+
+def corner_schur_complement(K: ArrowTridiagonal, M: ArrowTridiagonal, mp):
+    """phi(lambda), the Schur complement of K - lambda M on its corner, in mpmath at mp's working precision.
+
+    phi(lambda) = (k_ee - lambda m_ee) - rho^T (T_K - lambda T_M)^{-1} r
+    with r = k_c - lambda m_c and rho = conj(k_c) - lambda conj(m_c),
+    from the stored parts of a pencil with one border row, by one
+    elimination of the tridiagonal block from its first row down.  Away
+    from the eigenvalues of (T_K, T_M), its roots are exactly the
+    pencil's eigenvalues.  Returns phi as a function of lambda.
+    """
+    k_c, m_c = K.border[0], M.border[0]
+    parts = [
+        [(mp.mpc(complex(k)), mp.mpc(complex(m))) for k, m in zip(*pair)]
+        for pair in ((K.diag, M.diag), (K.off, M.off), (k_c, m_c), (k_c.conj(), m_c.conj()), (K.corner, M.corner))
+    ]
+
+    def phi(lam):
+        diag, off, col, row, corner = ([k - lam * m for k, m in part] for part in parts)
+        pivot, right, left, value = diag[0], col[0], row[0], corner[0]
+        for i in range(1, len(diag)):
+            value -= left * right / pivot
+            ratio = off[i - 1] / pivot
+            pivot, right, left = diag[i] - ratio * off[i - 1], col[i] - ratio * right, row[i] - ratio * left
+        return value - left * right / pivot
+
+    return phi
